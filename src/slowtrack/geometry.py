@@ -64,13 +64,6 @@ class Patch:
     pixels: np.ndarray
     source_box: BBox
 
-    @property
-    def side(self) -> int:
-        return self.pixels.shape[0]
-
-    def flat(self) -> np.ndarray:
-        return self.pixels.ravel()
-
 
 def _require_valid(box: BBox, name: str = "box") -> None:
     if box.w <= 0 or box.h <= 0:
@@ -135,69 +128,83 @@ def average_boxes(boxes: list[BBox]) -> BBox:
     return BBox(mean("x"), mean("y"), mean("w"), mean("h"))
 
 
-def _bilinear_sample(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample image at float coordinates with edge clamping.
+def clip_boxes(boxes, frame_w: float, frame_h: float) -> np.ndarray:
+    """BBox.clipped over an (N, 4) x/y/w/h array or a list of BBox, bit
+    for bit: like Python's max/min, a tie keeps the box's own value."""
+    if not isinstance(boxes, np.ndarray):
+        boxes = [b.as_tuple() for b in boxes]
+    x, y, w, h = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
+    x1, y1 = x + w, y + h
+    x0, y0 = np.where(0.0 > x, 0.0, x), np.where(0.0 > y, 0.0, y)
+    x1 = np.where(float(frame_w) < x1, float(frame_w), x1)
+    y1 = np.where(float(frame_h) < y1, float(frame_h), y1)
+    return np.stack([x0, y0, x1 - x0, y1 - y0], axis=1)
 
-    image is (H, W) or (H, W, C) float64; xs/ys share a shape and index
-    columns/rows respectively.
-    """
-    h, w = image.shape[:2]
-    xs = np.clip(xs, 0.0, w - 1.0)
-    ys = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
-    if image.ndim == 3:
-        fx = fx[..., None]
-        fy = fy[..., None]
-    top = image[y0, x0] * (1.0 - fx) + image[y0, x1] * fx
-    bot = image[y1, x0] * (1.0 - fx) + image[y1, x1] * fx
-    return top * (1.0 - fy) + bot * fy
+
+# Boxes resampled per pass of crop_many. It bounds the index, weight and
+# gather temporaries to a few (CROP_CHUNK, S, S[, C]) arrays whatever the
+# number of boxes. One pass over all 800 tracking candidates raised the
+# tracking benchmark's peak memory from 68 to 87 MB, and ran slower.
+CROP_CHUNK = 32
 
 
 def crop_resize_normalize(image: np.ndarray, box: BBox, side: int) -> Patch:
-    """Crop the box region, resample it to side x side, and normalize.
+    """crop_many for a single box, kept with the box as requested."""
+    return Patch(crop_many(image, [box], side)[0], box)
 
-    The box is clipped to the frame first; sampling uses bilinear
-    interpolation at output-pixel centers. Values are scaled to [0, 1]
-    and the patch mean is subtracted.
+
+def crop_many(image: np.ndarray, boxes, side: int) -> np.ndarray:
+    """Crop boxes from one frame, resample each to side x side, and
+    normalize; returns (N, S, S[, C]) float64.
+
+    boxes is an (N, 4) x/y/w/h array or a list of BBox. Each box is
+    clipped to the frame first; sampling is bilinear at output-pixel
+    centers with edge clamping. Values are scaled to [0, 1] and each
+    patch's own mean is subtracted. Raises OutOfViewError naming the
+    first box that does not overlap the frame.
     """
     if side <= 0:
         raise ValueError(f"patch side must be positive, got {side}")
-    h, w = image.shape[:2]
-    clip = box.clipped(w, h)
-    if clip.w <= 0 or clip.h <= 0:
-        raise OutOfViewError(
-            f"box ({box.x:.1f},{box.y:.1f},{box.w:.1f},{box.h:.1f}) "
-            f"has no overlap with a {w}x{h} frame"
-        )
-    pixels = _crop_core(np.asarray(image, dtype=np.float64), clip, side)
-    return Patch(pixels, box)
-
-
-def crop_many(image: np.ndarray, boxes: list[BBox], side: int) -> np.ndarray:
-    """Crop several boxes from one frame; returns (N, S, S[, C]).
-
-    Same semantics as crop_resize_normalize applied per box.
-    """
-    img = np.asarray(image, dtype=np.float64)
+    img = np.asarray(image)
     h, w = img.shape[:2]
-    out = np.empty((len(boxes), side, side) + img.shape[2:], dtype=np.float64)
-    for i, box in enumerate(boxes):
-        clip = box.clipped(w, h)
-        if clip.w <= 0 or clip.h <= 0:
-            raise OutOfViewError(f"box {i} has no overlap with the frame")
-        out[i] = _crop_core(img, clip, side)
+    clip = clip_boxes(boxes, w, h)
+    bad = np.flatnonzero((clip[:, 2] <= 0) | (clip[:, 3] <= 0))
+    if bad.size:
+        raise OutOfViewError(f"box {bad[0]} has no overlap with the frame")
+    # Pixels are gathered in the frame's own dtype; the weight products
+    # convert them to float64 exactly.
+    flat = img.reshape((h * w,) + img.shape[2:])
+    tail = (1,) * (img.ndim - 2)
+    out = np.empty((len(clip), side, side) + img.shape[2:], dtype=np.float64)
+    steps = np.arange(side, dtype=np.float64) + 0.5
+    for start in range(0, len(clip), CROP_CHUNK):
+        c = clip[start : start + CROP_CHUNK]
+        n = len(c)
+        xs = c[:, 0:1] + steps * (c[:, 2:3] / side) - 0.5
+        ys = c[:, 1:2] + steps * (c[:, 3:4] / side) - 0.5
+        np.clip(xs, 0.0, w - 1.0, out=xs)
+        np.clip(ys, 0.0, h - 1.0, out=ys)
+        col0 = np.floor(xs).astype(np.intp)
+        row0 = np.floor(ys).astype(np.intp)
+        fx = (xs - col0).reshape((n, 1, side) + tail)
+        fy = (ys - row0).reshape((n, side, 1) + tail)
+        col1 = np.minimum(col0 + 1, w - 1)[:, None, :]
+        row1 = (np.minimum(row0 + 1, h - 1) * w)[:, :, None]
+        col0 = col0[:, None, :]
+        row0 = (row0 * w)[:, :, None]
+        top = _lerp(flat, row0, col0, col1, fx)
+        bot = _lerp(flat, row1, col0, col1, fx)
+        top *= 1.0 - fy
+        bot *= fy
+        top += bot
+        top /= 255.0
+        mean = top.reshape(n, -1).mean(axis=1)
+        np.subtract(top, mean.reshape((n, 1, 1) + tail), out=out[start : start + n])
     return out
 
 
-def _crop_core(img: np.ndarray, clip: BBox, side: int) -> np.ndarray:
-    steps = np.arange(side, dtype=np.float64) + 0.5
-    xs = clip.x + steps * (clip.w / side) - 0.5
-    ys = clip.y + steps * (clip.h / side) - 0.5
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    vals = _bilinear_sample(img, grid_x, grid_y) / 255.0
-    return vals - vals.mean()
+def _lerp(flat, row, col0, col1, fx) -> np.ndarray:
+    """flat[row + col0] * (1 - fx) + flat[row + col1] * fx, in float64."""
+    acc = np.multiply(np.take(flat, row + col0, axis=0), 1.0 - fx)
+    acc += np.multiply(np.take(flat, row + col1, axis=0), fx)
+    return acc

@@ -139,14 +139,6 @@ class TripletBatch:
     b: np.ndarray | None
     n: np.ndarray
 
-    @classmethod
-    def from_triplets(cls, triplets) -> "TripletBatch":
-        return cls(
-            a=np.stack([t.pos_t.flat() for t in triplets]),
-            b=np.stack([t.pos_t1.flat() for t in triplets]),
-            n=np.stack([t.neg_t.flat() for t in triplets]),
-        )
-
 
 def backward(
     model: Model,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SamplerExhausted
-from .geometry import BBox, Patch, iou_many
+from .geometry import BBox, clip_boxes, iou_many
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,6 @@ class SamplerConfig:
             raise ConfigError("max_rejections must be >= 1")
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """One training triplet: two positives from consecutive frames plus a
-    negative from the earlier frame. Boxes ride along on each patch."""
-
-    pos_t: Patch
-    pos_t1: Patch
-    neg_t: Patch
-
-
 # Update-time label thresholds. Proposals between the two are discarded
 # rather than labeled.
 UPDATE_POS_IOU = 0.9
@@ -79,15 +69,6 @@ def _positive_offsets(shift_max: int) -> list[tuple[int, int]]:
         for dy in range(-shift_max, shift_max + 1)
         if max(abs(dx), abs(dy)) >= 1
     ]
-
-
-def _inside(box: BBox, frame_w: float, frame_h: float) -> bool:
-    return (
-        box.x >= 0
-        and box.y >= 0
-        and box.x + box.w <= frame_w
-        and box.y + box.h <= frame_h
-    )
 
 
 class Sampler:
@@ -160,30 +141,33 @@ class Sampler:
 
     def sample_candidates(
         self, prev: BBox, m: int, frame_w: float, frame_h: float
-    ) -> list[BBox]:
-        """Draw m candidate boxes around prev: centers jittered by a
-        zero-mean Gaussian with std sigma_xy * max(w, h), sizes scaled by
-        exp(N(0, sigma_scale)), clipped to the frame. Draws that end up
-        entirely outside the frame are redrawn."""
+    ) -> np.ndarray:
+        """Draw m candidate boxes around prev as an (m, 4) x/y/w/h array:
+        centers jittered by a zero-mean Gaussian with std
+        sigma_xy * max(w, h), sizes scaled by exp(N(0, sigma_scale)),
+        clipped to the frame. Draws that end up entirely outside the
+        frame are redrawn."""
         cfg = self.config
         step = cfg.sigma_xy * max(prev.w, prev.h)
-        out: list[BBox] = []
+        out = [np.zeros((0, 4))]
+        n = 0
         attempts = 0
-        while len(out) < m:
-            k = m - len(out)
+        while n < m:
+            k = m - n
             attempts += k
             if attempts > 1000 * max(m, 1):
                 raise SamplerExhausted(
                     f"candidate sampling stuck around {prev}; is it in view?"
                 )
-            for row in self._perturb(prev, k, step, cfg.sigma_scale):
-                box = BBox(*row)
-                if not _inside(box, frame_w, frame_h):
-                    box = box.clipped(frame_w, frame_h)
-                    if box.w <= 0 or box.h <= 0:
-                        continue
-                out.append(box)
-        return out
+            prop = self._perturb(prev, k, step, cfg.sigma_scale)
+            x, y, w, h = prop.T
+            inside = (x >= 0) & (y >= 0) & (x + w <= frame_w) & (y + h <= frame_h)
+            # Only outside rows are clipped: (x + w) - x need not equal w.
+            prop = np.where(inside[:, None], prop, clip_boxes(prop, frame_w, frame_h))
+            keep = inside | ~((prop[:, 2] <= 0) | (prop[:, 3] <= 0))
+            out.append(prop[keep])
+            n += int(keep.sum())
+        return np.concatenate(out)
 
     # -- online update batches ---------------------------------------------
 
@@ -247,24 +231,19 @@ class Sampler:
     # -- triplets ------------------------------------------------------------
 
     def build_triplets(
-        self,
-        pos_t: list[Patch],
-        pos_t1: list[Patch],
-        neg_t: list[Patch],
-        count: int,
-    ) -> list[Triplet]:
-        """Pair the three patch pools into `count` uniformly random triplets."""
+        self, n_pos_t: int, n_pos_t1: int, n_neg_t: int, count: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pair three pools of the given sizes into `count` uniformly
+        random triplets; returns one index array into each pool."""
         if count == 0:
-            return []
-        if not pos_t or not pos_t1 or not neg_t:
+            empty = np.zeros(0, dtype=np.intp)
+            return empty, empty, empty
+        if not (n_pos_t and n_pos_t1 and n_neg_t):
             raise ValueError("build_triplets needs all three pools non-empty")
-        js = self.rng.integers(len(pos_t), size=count)
-        ks = self.rng.integers(len(pos_t1), size=count)
-        ls = self.rng.integers(len(neg_t), size=count)
-        return [
-            Triplet(pos_t[int(j)], pos_t1[int(k)], neg_t[int(l)])
-            for j, k, l in zip(js, ks, ls)
-        ]
+        js = self.rng.integers(n_pos_t, size=count)
+        ks = self.rng.integers(n_pos_t1, size=count)
+        ls = self.rng.integers(n_neg_t, size=count)
+        return js, ks, ls
 
     # -- internals -----------------------------------------------------------
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import Frame, Sequence
 from .errors import ConfigError, FormatError, SamplerExhausted, TrackingFailure
-from .geometry import BBox, average_boxes, crop_many, crop_resize_normalize
+from .geometry import BBox, average_boxes, crop_many
 from .loss import LossWeights
 from .net import Model, forward_classifier, forward_features
 from .sampler import Sampler, SamplerConfig
@@ -108,10 +108,10 @@ def track_frame(
     scores = forward_classifier(model, forward_features(model, patches))
     # Stable sort on descending score = index order among exact ties.
     order = np.argsort(-scores, kind="stable")[: config.top_k]
-    top = [(int(i), float(scores[i]), candidates[i]) for i in order]
+    top = [(int(i), float(scores[i]), BBox(*candidates[i])) for i in order]
     pred = average_boxes([box for _, _, box in top])
-    patch = crop_resize_normalize(frame.pixels, pred, side)
-    score = float(forward_classifier(model, forward_features(model, patch.flat())))
+    patch = crop_many(frame.pixels, [pred], side).ravel()
+    score = float(forward_classifier(model, forward_features(model, patch)))
     return pred, score, top
 
 

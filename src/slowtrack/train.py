@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Frame, Sequence
 from .errors import ConfigError, NumericalError, SamplerExhausted
-from .geometry import BBox, crop_resize_normalize
+from .geometry import BBox, crop_many
 from .loss import VARIANTS, LossWeights, loss_c, loss_d, loss_s
 from .net import Model, TripletBatch, backward, forward_classifier, forward_features
 from .sampler import Sampler, SamplerConfig
@@ -97,11 +97,14 @@ def write_trace(trace: Iterable[TraceRow], path: str | Path) -> None:
 
 @dataclass
 class OptState:
-    """Adam moment estimates; empty and unused for SGD."""
+    """Adam moment estimates, plus two scratch rows reused by every step
+    (fresh arrays each step cost more than the arithmetic); empty and
+    unused for SGD."""
 
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)))
 
 
 def optimizer_step(
@@ -127,15 +130,24 @@ def optimizer_step(
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
+    size = max((p.size for p in params.values()), default=0)
+    if state.scratch.shape[1] < size:
+        state.scratch = np.empty((2, size))
     for name, p in params.items():
         g = grads[name]
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
+        # Same operations in the same order as
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), bit for bit.
+        step, denom = (row[: p.size].reshape(p.shape) for row in state.scratch)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=step)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+        v += np.multiply(np.multiply(g, g, out=denom), 1.0 - b2, out=denom)
+        np.multiply(np.divide(m, c1, out=step), lr, out=step)
+        np.sqrt(np.divide(v, c2, out=denom), out=denom)
+        denom += config.adam_eps
+        p -= np.divide(step, denom, out=step)
     return params, state
 
 
@@ -154,8 +166,17 @@ def _patch_side(model: Model, frame: Frame) -> int:
     return side
 
 
-def _crop_all(frame: Frame, boxes: list[BBox], side: int):
-    return [crop_resize_normalize(frame.pixels, b, side) for b in boxes]
+def _patch_matrix(frame: Frame, boxes: list[BBox], side: int) -> np.ndarray:
+    """One flattened patch per box: an (n, r) matrix."""
+    return crop_many(frame.pixels, boxes, side).reshape(len(boxes), -1)
+
+
+def _triplet_batch(
+    sampler: Sampler, a: np.ndarray, b: np.ndarray, n: np.ndarray, count: int
+) -> TripletBatch:
+    """count random triplets drawn from three (n, r) patch matrices."""
+    js, ks, ls = sampler.build_triplets(len(a), len(b), len(n), count)
+    return TripletBatch(a=a[js], b=b[ks], n=n[ls])
 
 
 def _term_values(
@@ -246,30 +267,23 @@ def train_offline(
     for step in range(tc.iterations):
         si, t = pairs[int(rng.integers(len(pairs)))]
         seq = sequences[si]
-        frame_t, frame_t1 = seq.frames[t], seq.frames[t + 1]
+        frame_t, gt_t = seq.frames[t], seq.groundtruth[t]
         side = _patch_side(model, frame_t)
         fw, fh = frame_t.width, frame_t.height
-        gt_t, gt_t1 = seq.groundtruth[t], seq.groundtruth[t + 1]
+        b_t = t if same_frame_pairs else t + 1
 
-        pos_a = _crop_all(frame_t, sampler.sample_positives(gt_t, fw, fh, frame=t), side)
-        if same_frame_pairs:
-            pos_b = _crop_all(
-                frame_t, sampler.sample_positives(gt_t, fw, fh, frame=t), side
-            )
-        else:
-            pos_b = _crop_all(
-                frame_t1, sampler.sample_positives(gt_t1, fw, fh, frame=t + 1), side
-            )
+        a_boxes = sampler.sample_positives(gt_t, fw, fh, frame=t)
+        b_boxes = sampler.sample_positives(seq.groundtruth[b_t], fw, fh, frame=b_t)
         neg_boxes, _ = sampler.sample_negatives(gt_t, frame=t)
-        negs = _crop_all(frame_t, neg_boxes, side)
+        pos_a = _patch_matrix(frame_t, a_boxes, side)
+        negs = _patch_matrix(frame_t, neg_boxes, side)
 
         if variant == "SlossOnly":
-            triplets = sampler.build_triplets(pos_a, pos_a, negs, tc.batch_size)
-            batch = TripletBatch.from_triplets(triplets)
+            batch = _triplet_batch(sampler, pos_a, pos_a, negs, tc.batch_size)
             batch.b = None
         else:
-            triplets = sampler.build_triplets(pos_a, pos_b, negs, tc.batch_size)
-            batch = TripletBatch.from_triplets(triplets)
+            pos_b = _patch_matrix(seq.frames[b_t], b_boxes, side)
+            batch = _triplet_batch(sampler, pos_a, pos_b, negs, tc.batch_size)
         row = _step(model, batch, weights, tc, state, params, "offline", variant, freeze)
         row.step = step
         trace.append(row)
@@ -299,16 +313,13 @@ def finetune_initial(
     freeze = FEATURE_PARAMS if tc.classifier_only else ()
 
     for step in range(tc.iterations):
-        pos_a = _crop_all(
-            frame, sampler.sample_positives(gt, frame.width, frame.height), side
-        )
-        pos_b = _crop_all(
-            frame, sampler.sample_positives(gt, frame.width, frame.height), side
-        )
+        a_boxes = sampler.sample_positives(gt, frame.width, frame.height)
+        b_boxes = sampler.sample_positives(gt, frame.width, frame.height)
         neg_boxes, _ = sampler.sample_negatives(gt)
-        negs = _crop_all(frame, neg_boxes, side)
-        triplets = sampler.build_triplets(pos_a, pos_b, negs, tc.batch_size)
-        batch = TripletBatch.from_triplets(triplets)
+        pos_a = _patch_matrix(frame, a_boxes, side)
+        pos_b = _patch_matrix(frame, b_boxes, side)
+        negs = _patch_matrix(frame, neg_boxes, side)
+        batch = _triplet_batch(sampler, pos_a, pos_b, negs, tc.batch_size)
         _step(model, batch, weights, tc, state, params, "online-init", "full", freeze)
     return model
 
@@ -335,15 +346,14 @@ def finetune_update(
         log.warning("online update skipped: %s", exc)
         return model
     side = _patch_side(model, frame)
-    pos = _crop_all(frame, pos_boxes, side)
-    negs = _crop_all(frame, neg_boxes, side)
+    pos = _patch_matrix(frame, pos_boxes, side)
+    negs = _patch_matrix(frame, neg_boxes, side)
 
     model = model.copy()
     params = dict(model.params())
     state = OptState()
     freeze = FEATURE_PARAMS if tc.classifier_only else ()
     for step in range(tc.iterations):
-        triplets = sampler.build_triplets(pos, pos, negs, tc.batch_size)
-        batch = TripletBatch.from_triplets(triplets)
+        batch = _triplet_batch(sampler, pos, pos, negs, tc.batch_size)
         _step(model, batch, weights, tc, state, params, "online-init", "full", freeze)
     return model

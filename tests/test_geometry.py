@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slowtrack.errors import OutOfViewError
 from slowtrack.geometry import (
+    CROP_CHUNK,
     BBox,
     average_boxes,
     center_distance,
@@ -163,3 +164,90 @@ class TestCrop:
         patch = crop_resize_normalize(img, BBox(4, 4, 12, 12), side=8)
         assert patch.pixels.shape == (8, 8, 3)
         assert abs(patch.pixels.mean()) < 1e-9
+
+
+def reference_crop(image, box, side):
+    """Per-box crop, written as the package did it before crops were
+    batched: clip, bilinear sample on a meshgrid, scale, subtract mean."""
+    img = np.asarray(image, dtype=np.float64)
+    h, w = img.shape[:2]
+    clip = box.clipped(w, h)
+    steps = np.arange(side, dtype=np.float64) + 0.5
+    xs = clip.x + steps * (clip.w / side) - 0.5
+    ys = clip.y + steps * (clip.h / side) - 0.5
+    xs, ys = np.meshgrid(xs, ys)
+    xs = np.clip(xs, 0.0, w - 1.0)
+    ys = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    if img.ndim == 3:
+        fx = fx[..., None]
+        fy = fy[..., None]
+    top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
+    bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
+    vals = (top * (1.0 - fy) + bot * fy) / 255.0
+    return vals - vals.mean()
+
+
+@st.composite
+def crop_cases(draw):
+    """A random frame, patch side and batch of boxes that each overlap
+    the frame: partly off-frame, sub-pixel and full-frame ones included,
+    with batch sizes around the chunk size."""
+    h = draw(st.integers(2, 48))
+    w = draw(st.integers(2, 48))
+    shape = (h, w, 3) if draw(st.booleans()) else (h, w)
+    seed = draw(st.integers(0, 2**32 - 1))
+    img = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
+    side = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([1, 3, CROP_CHUNK, CROP_CHUNK + 1, 2 * CROP_CHUNK + 5]))
+
+    def span(limit):
+        # start anywhere from one frame size before the frame to just
+        # inside it; end past the frame's start, possibly past its end
+        lo = draw(st.floats(-limit, limit - 0.01))
+        hi = draw(st.floats(max(lo, 0.0) + 0.01, 2.0 * limit))
+        return lo, hi - lo
+
+    boxes = []
+    for _ in range(n):
+        if draw(st.integers(0, 9)) == 0:
+            boxes.append(BBox(0.0, 0.0, float(w), float(h)))
+        else:
+            (x, bw), (y, bh) = span(w), span(h)
+            boxes.append(BBox(x, y, bw, bh))
+    return img, boxes, side
+
+
+class TestCropMany:
+    @settings(max_examples=60, deadline=None)
+    @given(crop_cases())
+    def test_matches_per_box_reference_bit_for_bit(self, case):
+        img, boxes, side = case
+        arr = np.array([b.as_tuple() for b in boxes])
+        stack = crop_many(img, arr, side)
+        assert stack.shape == (len(boxes), side, side) + img.shape[2:]
+        for i, box in enumerate(boxes):
+            assert np.array_equal(stack[i], reference_crop(img, box, side)), i
+
+    def test_bbox_list_and_array_agree(self):
+        rng = np.random.default_rng(9)
+        img = rng.integers(0, 256, size=(30, 40, 3), dtype=np.uint8)
+        boxes = [BBox(2, 3, 10, 8), BBox(-4.5, 20.25, 7.0, 9.0), BBox(0, 0, 40, 30)]
+        arr = np.array([b.as_tuple() for b in boxes])
+        assert np.array_equal(crop_many(img, boxes, 8), crop_many(img, arr, 8))
+
+    def test_off_frame_box_is_named_by_index(self):
+        img = np.zeros((20, 20), dtype=np.uint8)
+        boxes = np.tile([2.0, 2.0, 5.0, 5.0], (CROP_CHUNK + 8, 1))
+        boxes[CROP_CHUNK + 3] = [100.0, 3.0, 5.0, 5.0]
+        with pytest.raises(OutOfViewError, match=f"box {CROP_CHUNK + 3} "):
+            crop_many(img, boxes, side=4)
+
+    def test_empty_batch(self):
+        img = np.zeros((20, 20), dtype=np.uint8)
+        assert crop_many(img, np.zeros((0, 4)), side=4).shape == (0, 4, 4)
