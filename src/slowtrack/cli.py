@@ -106,38 +106,15 @@ class NetConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class _TrackerScalars:
-    m: int = 800
-    top_k: int = 5
-    update_period: int = 5
-    update_score_threshold: float = 0.95
-
-
-def _train_section(
-    sections: dict, name: str, master: int, defaults: dict[str, str]
-) -> TrainConfig:
-    entries = {**defaults, **sections.get(name, {})}
-    return build(TrainConfig, _seeded(entries, master, name), name)
-
-
 def _tracker_config(sections: dict, master: int) -> TrackerConfig:
-    scalars = build(_TrackerScalars, sections.get("tracker", {}), "tracker")
-    return TrackerConfig(
-        m=scalars.m,
-        top_k=scalars.top_k,
-        update_period=scalars.update_period,
-        update_score_threshold=scalars.update_score_threshold,
-        sampler=build(
-            SamplerConfig, _seeded(sections.get("sampler", {}), master, "sampler"), "sampler"
-        ),
-        init_train=_train_section(
-            sections, "init_train", master, {"iterations": "300", "optimizer": "sgd"}
-        ),
-        update_train=_train_section(
-            sections, "update_train", master, {"iterations": "50", "optimizer": "sgd"}
-        ),
-    )
+    """TrackerConfig() with the sampler and training sections overlaid
+    on its own sub-configs, then the tracker section on the result."""
+    base = TrackerConfig()
+    subs = {
+        name: build(getattr(base, name), _seeded(sections.get(name, {}), master, name), name)
+        for name in ("sampler", "init_train", "update_train")
+    }
+    return build(replace(base, **subs), sections.get("tracker", {}), "tracker")
 
 
 def _eval_records(records, sequence):

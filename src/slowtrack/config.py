@@ -107,23 +107,31 @@ def _convert(raw: str, hint, key: str):
     raise ConfigError(f"{key}: unsupported field type {hint!r}")
 
 
-def build(dc_type, entries: dict[str, str], section: str = ""):
+def build(dc, entries: dict[str, str], section: str = ""):
     """Instantiate a config dataclass from string entries.
 
-    Every key must name a dataclass field; values are converted using
-    the field's type annotation. Fields not mentioned keep their
-    defaults. The dataclass's own validation then runs as usual.
+    dc is a config dataclass, or an instance of one. Every key must name
+    a dataclass field; values are converted using the field's type
+    annotation. A field that is itself a dataclass is not a key: it is
+    configured through its own section. Fields not mentioned keep their
+    defaults, or the instance's values (via dataclasses.replace). The
+    dataclass's own validation then runs as usual.
     """
+    dc_type = dc if isinstance(dc, type) else type(dc)
     label = section or dc_type.__name__
     hints = typing.get_type_hints(dc_type)
-    names = {f.name for f in dataclasses.fields(dc_type)}
+    names = {
+        f.name
+        for f in dataclasses.fields(dc_type)
+        if not dataclasses.is_dataclass(hints[f.name])
+    }
     kwargs = {}
     for key, raw in entries.items():
         if key not in names:
             known = ", ".join(sorted(names))
             raise ConfigError(f"{label}.{key}: unknown key (known: {known})")
         kwargs[key] = _convert(raw, hints[key], f"{label}.{key}")
-    return dc_type(**kwargs)
+    return dc(**kwargs) if dc is dc_type else dataclasses.replace(dc, **kwargs)
 
 
 def check_known_sections(

@@ -52,19 +52,6 @@ class BBox:
         return (self.x, self.y, self.w, self.h)
 
 
-@dataclass(frozen=True)
-class Patch:
-    """Fixed-size normalized pixel block cropped from a frame.
-
-    pixels is (S, S) for grayscale or (S, S, 3) for RGB, float64, scaled
-    to [0, 1] and shifted to zero mean. source_box is the box that was
-    requested (before any clipping to the frame).
-    """
-
-    pixels: np.ndarray
-    source_box: BBox
-
-
 def _require_valid(box: BBox, name: str = "box") -> None:
     if box.w <= 0 or box.h <= 0:
         raise ValueError(f"degenerate {name}: w={box.w}, h={box.h}")
@@ -146,11 +133,6 @@ def clip_boxes(boxes, frame_w: float, frame_h: float) -> np.ndarray:
 # number of boxes. One pass over all 800 tracking candidates raised the
 # tracking benchmark's peak memory from 68 to 87 MB, and ran slower.
 CROP_CHUNK = 32
-
-
-def crop_resize_normalize(image: np.ndarray, box: BBox, side: int) -> Patch:
-    """crop_many for a single box, kept with the box as requested."""
-    return Patch(crop_many(image, [box], side)[0], box)
 
 
 def crop_many(image: np.ndarray, boxes, side: int) -> np.ndarray:

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConfigError
 
 VARIANTS = ("full", "wo-C-learning", "wo-Dloss", "SlossOnly", "tarspec")
-MODES = ("offline", "online-init")
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,9 @@ def loss_s(
 
 
 def loss_p(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Same kernel as loss_c, contractually applied to positive pairs
-    drawn from the *same* frame (first-frame finetuning, and the
-    ablation that replaces cross-frame continuity learning)."""
+    """The paper's same-frame pair term (first-frame finetuning, and the
+    ablation that replaces cross-frame continuity learning). It is the
+    loss_c kernel, so total_loss uses loss_c for every pair."""
     return loss_c(fa, fb)
 
 
@@ -88,25 +87,21 @@ def total_loss(
     p_pos: np.ndarray,
     p_neg: np.ndarray,
     weights: LossWeights,
-    mode: str = "offline",
     variant: str = "full",
 ) -> np.ndarray:
     """Weighted combination: pair term + lam * discrimination + mu *
     classification.
 
-    mode records where the positive pair (f_a, f_b) came from —
-    "offline" pairs positives from consecutive frames, "online-init"
-    pairs positives from the same frame — and exists so callers state
-    their intent; the arithmetic is identical. The variant switchboard
-    zeroes terms: "wo-Dloss" drops the discrimination term, "SlossOnly"
-    keeps only the classification term. ("wo-C-learning" and "tarspec"
-    change *what the trainer feeds and updates*, not this formula.)
+    The pair term is loss_c(f_a, f_b) wherever the positive pair comes
+    from: consecutive frames offline, the same frame when finetuning
+    (loss_p is the same kernel). The variant switchboard zeroes terms:
+    "wo-Dloss" drops the discrimination term, "SlossOnly" keeps only the
+    classification term. ("wo-C-learning" and "tarspec" change *what the
+    trainer feeds and updates*, not this formula.)
 
     Unused feature arguments may be None; missing required ones raise
     ValueError.
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
 
@@ -114,9 +109,8 @@ def total_loss(
     if variant == "SlossOnly":
         return total
     if f_a is None or f_b is None:
-        raise ValueError(f"variant {variant!r} in mode {mode!r} needs the positive pair")
-    pair = loss_p(f_a, f_b) if mode == "online-init" else loss_c(f_a, f_b)
-    total = pair + total
+        raise ValueError(f"variant {variant!r} needs the positive pair")
+    total = loss_c(f_a, f_b) + total
     if variant != "wo-Dloss":
         if f_neg is None:
             raise ValueError(f"variant {variant!r} needs negative features")

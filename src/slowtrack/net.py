@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, NumericalError
-from .loss import MODES, VARIANTS, LossWeights, total_loss
+from .loss import VARIANTS, LossWeights, loss_c, loss_d, loss_s, total_loss
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4", "W5", "b5")
 
@@ -140,17 +141,29 @@ class TripletBatch:
     n: np.ndarray
 
 
+class LossTerms(NamedTuple):
+    """Batch means from one backward pass: the combined loss and the
+    unweighted value of each term, 0.0 for a term the variant drops."""
+
+    loss: float
+    loss_c: float
+    loss_d: float
+    loss_s: float
+
+
 def backward(
     model: Model,
     batch: TripletBatch,
     weights: LossWeights,
-    mode: str = "offline",
     variant: str = "full",
-) -> tuple[dict[str, np.ndarray], float]:
+) -> tuple[dict[str, np.ndarray], LossTerms]:
     """Analytic gradients of the batch-mean combined loss for every
-    parameter, plus the loss value itself."""
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
+    parameter, and the LossTerms of the batch, all from one forward pass.
+
+    LossTerms.loss is the mean of total_loss; loss_c, loss_d and loss_s
+    are the means of the pair, discrimination and classification terms
+    before weighting.
+    """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     r = model.dims[0]
@@ -177,7 +190,12 @@ def backward(
     P_n, clf_cache_n = _clf_forward(model, f_n)
     p_a, p_n = P_a[:, 1], P_n[:, 1]
 
-    value = float(np.mean(total_loss(f_a, f_b, f_n, p_a, p_n, weights, mode, variant)))
+    terms = LossTerms(
+        float(np.mean(total_loss(f_a, f_b, f_n, p_a, p_n, weights, variant))),
+        float(np.mean(loss_c(f_a, f_b))) if use_pair else 0.0,
+        float(np.mean(loss_d(f_a, f_n, weights.beta))) if use_d else 0.0,
+        float(np.mean(loss_s(p_a, p_n, weights.p_floor))),
+    )
 
     grads = {name: np.zeros_like(arr) for name, arr in model.params()}
     df_a = np.zeros_like(f_a)
@@ -224,7 +242,7 @@ def backward(
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient in layer {name}")
-    return grads, value
+    return grads, terms
 
 
 def _clf_backward(model: Model, grads, cache, dz: np.ndarray) -> np.ndarray:
@@ -284,7 +302,6 @@ def _stacked_loss(
     model: Model,
     batch: TripletBatch,
     weights: LossWeights,
-    mode: str,
     variant: str,
 ) -> np.ndarray:
     """Batch-mean combined loss, forward passes only, for a model whose
@@ -302,7 +319,7 @@ def _stacked_loss(
         f_b, _ = _feat_forward(model, batch.b)
     p_a = _clf_forward(model, f_a)[0][..., 1]
     p_n = _clf_forward(model, f_n)[0][..., 1]
-    return total_loss(f_a, f_b, f_n, p_a, p_n, weights, mode, variant).mean(axis=-1)
+    return total_loss(f_a, f_b, f_n, p_a, p_n, weights, variant).mean(axis=-1)
 
 
 def finite_diff_check(
@@ -311,7 +328,6 @@ def finite_diff_check(
     weights: LossWeights,
     h: float = 1e-5,
     tol: float = 1e-4,
-    mode: str = "offline",
     variant: str = "full",
     params: list[str] | None = None,
     analytic: dict[str, np.ndarray] | None = None,
@@ -340,7 +356,7 @@ def finite_diff_check(
         return FDReport(True, 0.0, 0, {n: 0.0 for n in names}, [])
 
     if analytic is None:
-        analytic, _ = backward(model, batch, weights, mode, variant)
+        analytic, _ = backward(model, batch, weights, variant)
     max_rel = 0.0
     per_param: dict[str, float] = {}
     failures: list[FDFailure] = []
@@ -359,7 +375,7 @@ def finite_diff_check(
             stack[np.arange(k), flat] += h
             stack[np.arange(k, 2 * k), flat] -= h
             perturbed = replace(model, **{name: stack.reshape((2 * k,) + stack_shape)})
-            loss = _stacked_loss(perturbed, batch, weights, mode, variant)
+            loss = _stacked_loss(perturbed, batch, weights, variant)
             numeric = (loss[:k] - loss[k:]) / (2.0 * h)
             a = grad[flat]
             rel = np.abs(a - numeric) / np.maximum(

@@ -34,14 +34,6 @@ from .train import TrainConfig, _patch_side, finetune_initial, finetune_update
 log = logging.getLogger(__name__)
 
 
-def _default_init_train() -> TrainConfig:
-    return TrainConfig(iterations=300, optimizer="sgd", learning_rate=0.001)
-
-
-def _default_update_train() -> TrainConfig:
-    return TrainConfig(iterations=50, optimizer="sgd", learning_rate=0.001)
-
-
 @dataclass(frozen=True)
 class TrackerConfig:
     """Candidate count, selection width, update schedule, and the
@@ -52,8 +44,12 @@ class TrackerConfig:
     update_period: int = 5
     update_score_threshold: float = 0.95
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    init_train: TrainConfig = field(default_factory=_default_init_train)
-    update_train: TrainConfig = field(default_factory=_default_update_train)
+    init_train: TrainConfig = field(
+        default_factory=lambda: TrainConfig(iterations=300, optimizer="sgd")
+    )
+    update_train: TrainConfig = field(
+        default_factory=lambda: TrainConfig(iterations=50, optimizer="sgd")
+    )
 
     def __post_init__(self) -> None:
         if self.m < 1:

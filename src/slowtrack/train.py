@@ -21,8 +21,8 @@ import numpy as np
 from .dataset import Frame, Sequence
 from .errors import ConfigError, NumericalError, SamplerExhausted
 from .geometry import BBox, crop_many
-from .loss import VARIANTS, LossWeights, loss_c, loss_d, loss_s
-from .net import Model, TripletBatch, backward, forward_classifier, forward_features
+from .loss import VARIANTS, LossWeights
+from .net import Model, TripletBatch, backward
 from .sampler import Sampler, SamplerConfig
 
 log = logging.getLogger(__name__)
@@ -179,26 +179,6 @@ def _triplet_batch(
     return TripletBatch(a=a[js], b=b[ks], n=n[ls])
 
 
-def _term_values(
-    model: Model, batch: TripletBatch, weights: LossWeights, variant: str
-) -> tuple[float, float, float]:
-    """Unweighted batch means of the three loss terms under the variant
-    (0.0 where a term is switched off)."""
-    f_a = forward_features(model, batch.a)
-    f_n = forward_features(model, batch.n)
-    p_a = forward_classifier(model, f_a)
-    p_n = forward_classifier(model, f_n)
-    s_val = float(np.mean(loss_s(p_a, p_n, weights.p_floor)))
-    if variant == "SlossOnly":
-        return 0.0, 0.0, s_val
-    f_b = forward_features(model, batch.b)
-    c_val = float(np.mean(loss_c(f_a, f_b)))
-    if variant == "wo-Dloss":
-        return c_val, 0.0, s_val
-    d_val = float(np.mean(loss_d(f_a, f_n, weights.beta)))
-    return c_val, d_val, s_val
-
-
 def _freeze(grads: dict[str, np.ndarray], names: tuple[str, ...]) -> None:
     for name in names:
         grads[name][:] = 0.0
@@ -211,17 +191,15 @@ def _step(
     tc: TrainConfig,
     state: OptState,
     params: dict[str, np.ndarray],
-    mode: str,
     variant: str,
     freeze: tuple[str, ...],
 ) -> TraceRow:
-    c_val, d_val, s_val = _term_values(model, batch, weights, variant)
-    grads, value = backward(model, batch, weights, mode=mode, variant=variant)
+    grads, terms = backward(model, batch, weights, variant=variant)
     if freeze:
         _freeze(grads, freeze)
     optimizer_step(params, grads, state, tc)
     model.assert_finite()
-    return TraceRow(0, value, c_val, d_val, s_val)
+    return TraceRow(0, *terms)
 
 
 def train_offline(
@@ -284,7 +262,7 @@ def train_offline(
         else:
             pos_b = _patch_matrix(seq.frames[b_t], b_boxes, side)
             batch = _triplet_batch(sampler, pos_a, pos_b, negs, tc.batch_size)
-        row = _step(model, batch, weights, tc, state, params, "offline", variant, freeze)
+        row = _step(model, batch, weights, tc, state, params, variant, freeze)
         row.step = step
         trace.append(row)
     return model, trace
@@ -320,7 +298,7 @@ def finetune_initial(
         pos_b = _patch_matrix(frame, b_boxes, side)
         negs = _patch_matrix(frame, neg_boxes, side)
         batch = _triplet_batch(sampler, pos_a, pos_b, negs, tc.batch_size)
-        _step(model, batch, weights, tc, state, params, "online-init", "full", freeze)
+        _step(model, batch, weights, tc, state, params, "full", freeze)
     return model
 
 
@@ -335,7 +313,9 @@ def finetune_update(
 ) -> Model:
     """Periodic online update: draw one update batch around the current
     prediction, then take the configured number of SGD/Adam steps on it.
-    Sampler exhaustion skips the update (tracking must not die)."""
+    Tracking must not die here: sampler exhaustion skips the update, and
+    an update that diverges (NumericalError) is rolled back; in both
+    cases the model passed in is returned as it is."""
     tc = train_config
     try:
         sampler = Sampler(sampler_config)
@@ -349,11 +329,15 @@ def finetune_update(
     pos = _patch_matrix(frame, pos_boxes, side)
     negs = _patch_matrix(frame, neg_boxes, side)
 
-    model = model.copy()
-    params = dict(model.params())
+    updated = model.copy()
+    params = dict(updated.params())
     state = OptState()
     freeze = FEATURE_PARAMS if tc.classifier_only else ()
-    for step in range(tc.iterations):
-        batch = _triplet_batch(sampler, pos, pos, negs, tc.batch_size)
-        _step(model, batch, weights, tc, state, params, "online-init", "full", freeze)
-    return model
+    try:
+        for step in range(tc.iterations):
+            batch = _triplet_batch(sampler, pos, pos, negs, tc.batch_size)
+            _step(updated, batch, weights, tc, state, params, "full", freeze)
+    except NumericalError as exc:
+        log.warning("online update rolled back: %s", exc)
+        return model
+    return updated

@@ -9,12 +9,15 @@ import logging
 
 import pytest
 
-from slowtrack.cli import build_parser, derive_seed, dispatch
+from slowtrack.cli import _tracker_config, build_parser, derive_seed, dispatch
+from slowtrack.config import parse_config_text, split_sections
 from slowtrack.dataset import load_sequence
 from slowtrack.evaluate import read_curve_csv
 from slowtrack.loss import VARIANTS
 from slowtrack.net import load_model
-from slowtrack.tracker import read_results
+from slowtrack.sampler import SamplerConfig
+from slowtrack.tracker import TrackerConfig, read_results
+from slowtrack.train import TrainConfig
 
 DIMS = "64,16,8,8,4,2"
 
@@ -223,6 +226,45 @@ class TestTrack:
         assert (tmp_path / "run2" / "results-seq-a.csv").read_bytes() == (
             pipeline / "run" / "results-seq-a.csv"
         ).read_bytes()
+
+
+class TestTrackerConfig:
+    def test_no_sections_gives_defaults_and_derived_seeds(self):
+        assert _tracker_config({}, 3) == TrackerConfig(
+            m=800, top_k=5, update_period=5, update_score_threshold=0.95,
+            sampler=SamplerConfig(seed=derive_seed(3, "sampler")),
+            init_train=TrainConfig(
+                iterations=300, optimizer="sgd", seed=derive_seed(3, "init_train")
+            ),
+            update_train=TrainConfig(
+                iterations=50, optimizer="sgd", seed=derive_seed(3, "update_train")
+            ),
+        )
+
+    def test_track_sections_overlay_the_defaults(self):
+        sections = split_sections(parse_config_text(TRACK))
+        assert _tracker_config(sections, 0) == TrackerConfig(
+            m=100, top_k=3,
+            sampler=SamplerConfig(seed=4),
+            init_train=TrainConfig(
+                iterations=30, optimizer="sgd", learning_rate=0.01, batch_size=8, seed=5
+            ),
+            update_train=TrainConfig(
+                iterations=10, optimizer="sgd", batch_size=8, seed=6
+            ),
+        )
+
+    def test_sub_config_as_tracker_key_exits_one(self, pipeline, tmp_path, caplog):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("tracker.init_train = 5\n")
+        with caplog.at_level(logging.ERROR):
+            rc = run(
+                "track", pipeline / "seq-a",
+                "--model", pipeline / "run" / "model.txt",
+                "--config", cfg, "--out", tmp_path / "o",
+            )
+        assert rc == 1
+        assert "tracker.init_train: unknown key" in caplog.text
 
 
 class TestEval:

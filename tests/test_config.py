@@ -161,6 +161,22 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build(SamplerConfig, {"lo": "0.9", "hi": "0.1"})
 
+    def test_instance_keeps_unmentioned_fields(self):
+        base = TrainConfig(iterations=300, optimizer="sgd")
+        tc = build(base, {"seed": "7", "learning_rate": "0.01"}, section="init_train")
+        assert tc == TrainConfig(
+            iterations=300, optimizer="sgd", seed=7, learning_rate=0.01
+        )
+        assert base == TrainConfig(iterations=300, optimizer="sgd")
+
+    def test_instance_rejects_unknown_keys(self):
+        with pytest.raises(ConfigError, match=r"init_train\.bogus: unknown key"):
+            build(TrainConfig(iterations=300), {"bogus": "1"}, section="init_train")
+
+    def test_instance_validation_still_runs(self):
+        with pytest.raises(ConfigError):
+            build(SamplerConfig(seed=3), {"lo": "0.9", "hi": "0.1"})
+
     def test_bound_params_from_strings(self):
         bp = build(BoundParams, {"n": "4", "m": "100", "delta": "0.5"})
         assert bp == BoundParams(n=4, m=100, delta=0.5)

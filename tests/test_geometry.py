@@ -11,7 +11,6 @@ from slowtrack.geometry import (
     average_boxes,
     center_distance,
     crop_many,
-    crop_resize_normalize,
     iou,
     iou_many,
 )
@@ -92,23 +91,23 @@ class TestAverageBoxes:
 class TestCrop:
     def test_uniform_frame_gives_zero_patch(self):
         img = np.full((40, 60), 137, dtype=np.uint8)
-        patch = crop_resize_normalize(img, BBox(5.3, 7.1, 22.0, 13.5), side=8)
-        assert patch.pixels.shape == (8, 8)
-        assert np.allclose(patch.pixels, 0.0, atol=1e-12)
+        patch = crop_many(img, [BBox(5.3, 7.1, 22.0, 13.5)], side=8)[0]
+        assert patch.shape == (8, 8)
+        assert np.allclose(patch, 0.0, atol=1e-12)
 
     def test_patch_mean_is_zero(self):
         rng = np.random.default_rng(3)
         img = rng.integers(0, 256, size=(50, 50), dtype=np.uint8)
-        patch = crop_resize_normalize(img, BBox(3.7, 9.2, 31.0, 18.0), side=16)
-        assert abs(patch.pixels.mean()) < 1e-9
+        patch = crop_many(img, [BBox(3.7, 9.2, 31.0, 18.0)], side=16)[0]
+        assert abs(patch.mean()) < 1e-9
 
     def test_exact_region_no_interpolation(self):
         rng = np.random.default_rng(4)
         img = rng.integers(0, 256, size=(30, 30), dtype=np.uint8)
         s = 8
         region = img[10 : 10 + s, 5 : 5 + s].astype(np.float64) / 255.0
-        patch = crop_resize_normalize(img, BBox(5, 10, s, s), side=s)
-        assert np.allclose(patch.pixels, region - region.mean(), atol=1e-12)
+        patch = crop_many(img, [BBox(5, 10, s, s)], side=s)[0]
+        assert np.allclose(patch, region - region.mean(), atol=1e-12)
 
     def test_upscale_matches_reference_resampler(self):
         # Independent straight-loop bilinear oracle on a 2x2 checkerboard.
@@ -134,36 +133,28 @@ class TestCrop:
             return out - out.mean()
 
         expected = oracle(img.astype(np.float64), 4, 4, 2, 2, side)
-        patch = crop_resize_normalize(img, box, side)
-        assert np.allclose(patch.pixels, expected, atol=1e-12)
+        patch = crop_many(img, [box], side)[0]
+        assert np.allclose(patch, expected, atol=1e-12)
 
     def test_out_of_view_raises(self):
         img = np.zeros((20, 20), dtype=np.uint8)
         with pytest.raises(OutOfViewError):
-            crop_resize_normalize(img, BBox(100, 100, 5, 5), side=4)
+            crop_many(img, [BBox(100, 100, 5, 5)], side=4)
 
     def test_partial_overlap_is_clipped_not_rejected(self):
         rng = np.random.default_rng(5)
         img = rng.integers(0, 256, size=(20, 20), dtype=np.uint8)
-        patch = crop_resize_normalize(img, BBox(-3, -3, 10, 10), side=6)
-        assert patch.pixels.shape == (6, 6)
-        assert patch.source_box == BBox(-3, -3, 10, 10)
-
-    def test_crop_many_matches_single(self):
-        rng = np.random.default_rng(6)
-        img = rng.integers(0, 256, size=(40, 40), dtype=np.uint8)
-        boxes = [BBox(2, 3, 10, 8), BBox(15.5, 20.25, 7.0, 9.0), BBox(-2, 5, 12, 12)]
-        stack = crop_many(img, boxes, side=8)
-        assert stack.shape == (3, 8, 8)
-        for i, b in enumerate(boxes):
-            assert np.array_equal(stack[i], crop_resize_normalize(img, b, 8).pixels)
+        patch = crop_many(img, [BBox(-3, -3, 10, 10)], side=6)[0]
+        assert patch.shape == (6, 6)
+        # the crop covers the clipped box (0, 0, 7, 7)
+        assert np.array_equal(patch, crop_many(img, [BBox(0, 0, 7, 7)], side=6)[0])
 
     def test_rgb_frames_supported(self):
         rng = np.random.default_rng(8)
         img = rng.integers(0, 256, size=(30, 30, 3), dtype=np.uint8)
-        patch = crop_resize_normalize(img, BBox(4, 4, 12, 12), side=8)
-        assert patch.pixels.shape == (8, 8, 3)
-        assert abs(patch.pixels.mean()) < 1e-9
+        patch = crop_many(img, [BBox(4, 4, 12, 12)], side=8)[0]
+        assert patch.shape == (8, 8, 3)
+        assert abs(patch.mean()) < 1e-9
 
 
 def reference_crop(image, box, side):

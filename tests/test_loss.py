@@ -208,18 +208,8 @@ class TestTotalLoss:
             expect = base + lam * loss_d(fa, fn) + mu * loss_s(0.6, 0.4)
             assert v == pytest.approx(expect, rel=1e-12)
 
-    def test_online_init_uses_same_kernel(self):
-        rng = np.random.default_rng(7)
-        fa, fb, fn = rng.normal(size=(3, 8))
+    def test_unknown_variant_rejected(self):
         w = LossWeights()
-        assert total_loss(fa, fb, fn, 0.5, 0.5, w, mode="online-init") == total_loss(
-            fa, fb, fn, 0.5, 0.5, w, mode="offline"
-        )
-
-    def test_unknown_mode_and_variant_rejected(self):
-        w = LossWeights()
-        with pytest.raises(ConfigError):
-            total_loss(self.fa, self.fb, self.fa, 0.5, 0.5, w, mode="nope")
         with pytest.raises(ConfigError):
             total_loss(self.fa, self.fb, self.fa, 0.5, 0.5, w, variant="nope")
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from slowtrack.errors import ConfigError, FormatError, NumericalError
-from slowtrack.loss import LossWeights
+from slowtrack.loss import VARIANTS, LossWeights, loss_c, loss_d, loss_s, total_loss
 from slowtrack.net import (
+    LossTerms,
     Model,
     TripletBatch,
     _clf_forward,
@@ -156,25 +157,50 @@ class TestBackward:
         m = init_model(DIMS, seed=7)
         a = rng.normal(size=(4, DIMS[0]))
         batch = TripletBatch(a=a, b=a.copy(), n=rng.normal(size=(4, DIMS[0])))
-        grads, value = backward(m, batch, LossWeights(lam=0.0, mu=0.0))
-        assert value == 0.0
+        grads, terms = backward(m, batch, LossWeights(lam=0.0, mu=0.0))
+        assert terms.loss == 0.0
         for name in ("W1", "b1", "W2", "b2"):
             assert not grads[name].any()
 
     def test_loss_value_matches_loss_module(self):
-        from slowtrack.loss import total_loss
-
         rng = np.random.default_rng(12)
         m = init_model(DIMS, seed=8)
         batch = rand_batch(rng)
         w = LossWeights()
-        _, value = backward(m, batch, w)
+        _, terms = backward(m, batch, w)
         f_a = forward_features(m, batch.a)
         f_b = forward_features(m, batch.b)
         f_n = forward_features(m, batch.n)
         p_a = forward_classifier(m, f_a)
         p_n = forward_classifier(m, f_n)
-        assert value == float(np.mean(total_loss(f_a, f_b, f_n, p_a, p_n, w)))
+        assert terms.loss == float(np.mean(total_loss(f_a, f_b, f_n, p_a, p_n, w)))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_loss_terms_match_separate_forwards(self, variant):
+        # Reference: the term means from separate forward passes, switched
+        # off terms exactly 0.0; all equal bit for bit.
+        rng = np.random.default_rng(24)
+        m = init_model(DIMS, seed=12)
+        batch = rand_batch(rng)
+        w = LossWeights(lam=3.0, mu=7.0, beta=0.5)
+        if variant == "SlossOnly":
+            batch.b = None
+        _, terms = backward(m, batch, w, variant=variant)
+        assert isinstance(terms, LossTerms)
+        f_a = forward_features(m, batch.a)
+        f_n = forward_features(m, batch.n)
+        f_b = None if batch.b is None else forward_features(m, batch.b)
+        p_a = forward_classifier(m, f_a)
+        p_n = forward_classifier(m, f_n)
+        c_val = d_val = 0.0
+        if variant != "SlossOnly":
+            c_val = float(np.mean(loss_c(f_a, f_b)))
+            if variant != "wo-Dloss":
+                d_val = float(np.mean(loss_d(f_a, f_n, w.beta)))
+        s_val = float(np.mean(loss_s(p_a, p_n, w.p_floor)))
+        total = float(np.mean(total_loss(f_a, f_b, f_n, p_a, p_n, w, variant=variant)))
+        assert terms == (total, c_val, d_val, s_val)
+        assert all(type(v) is float for v in terms)
 
     def test_doubling_lam_doubles_discrimination_gradient(self):
         # With identical paired positives and mu=0, the discrimination

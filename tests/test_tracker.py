@@ -6,6 +6,7 @@ The accuracy probe uses a model trained offline at small scale (pilot:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,6 +195,26 @@ class TestTrackSequence:
         _, records = track_sequence(trained_model, easy_sequence, cfg)
         fired = [r.frame for r in records if r.updated]
         assert fired == [t for t in range(2, easy_sequence.T + 1) if t % 5 == 0]
+
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    def test_diverging_update_is_rolled_back(self, easy_sequence, trained_model, caplog):
+        def run(update_train):
+            cfg = TrackerConfig(
+                m=32, top_k=5, update_score_threshold=-1.0,
+                sampler=SamplerConfig(seed=1),
+                init_train=FAST_INIT, update_train=update_train,
+            )
+            return track_sequence(trained_model, easy_sequence, cfg)[1]
+
+        with caplog.at_level("WARNING", logger="slowtrack.train"):
+            records = run(replace(FAST_UPDATE, learning_rate=1e8))
+        assert [r.frame for r in records] == list(range(2, easy_sequence.T + 1))
+        assert [r.frame for r in records if r.updated] == [5, 10]
+        rolled = [r for r in caplog.records if "update rolled back" in r.message]
+        assert len(rolled) == 2
+        # a rolled-back update leaves tracking as if it had not run
+        key = lambda rs: [(r.frame, r.box, r.score, r.updated) for r in rs]
+        assert key(records) == key(run(replace(FAST_UPDATE, iterations=0)))
 
     def test_per_frame_failure_carries_previous_box(
         self, easy_sequence, trained_model, monkeypatch, caplog

@@ -7,6 +7,7 @@ budgeted versions live in the acceptance suite.
 """
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -388,6 +389,17 @@ class TestFinetuneUpdate:
             )
         assert out is self.model  # untouched, not even copied
         assert any("update skipped" in r.message for r in caplog.records)
+
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    def test_diverging_update_rolls_back_and_warns(self, caplog):
+        frame, box = self.seq.frames[4], self.seq.groundtruth[4]
+        before = self.model.copy()
+        diverging = replace(self.update_tc, learning_rate=1e8)
+        with caplog.at_level(logging.WARNING, logger="slowtrack.train"):
+            out = finetune_update(self.model, frame, box, diverging, SamplerConfig(seed=6))
+        assert_params_equal(out, before)
+        assert_params_equal(self.model, before)
+        assert any("update rolled back" in r.message for r in caplog.records)
 
     def test_update_does_not_degrade_target_score(self):
         # Pilot: mean p over fresh positives 0.938 before, 0.953 after.
