@@ -1,0 +1,169 @@
+"""Print one sha256 per fixed-seed output file of slowtrack.
+
+A change that must keep every output byte-identical is checked by
+running this script on both checkouts and diffing the two listings:
+
+    PYTHONPATH=src python scripts/output_digest.py > after.txt
+    PYTHONPATH=../parent/src python scripts/output_digest.py > before.txt
+    diff before.txt after.txt
+
+The script takes no options. It writes into a temporary directory,
+removed on exit:
+
+* train/<run>/loss.csv and model.txt from `train_offline` (80 steps of
+  a 64-16-8-8-4-2 model) for every loss variant, for `classifier_only`
+  training and for an RGB corpus;
+* finetune/{initial,update}.txt, the models `finetune_initial` and
+  `finetune_update` return;
+* track/results-*.csv from `track_sequence` on three sequences (one
+  RGB, one starting partly off the frame); the first two fire online
+  updates every fifth frame;
+* cli/ from `slowtrack gen`, `train` and `track` with the configs of
+  tests/test_cli.py.
+
+It takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from slowtrack.cli import dispatch
+from slowtrack.dataset import SynthSpec, generate
+from slowtrack.loss import VARIANTS
+from slowtrack.net import init_model, save_model
+from slowtrack.sampler import SamplerConfig
+from slowtrack.tracker import TrackerConfig, track_sequence, write_results
+from slowtrack.train import (
+    TrainConfig,
+    finetune_initial,
+    finetune_update,
+    train_offline,
+    write_trace,
+)
+
+DIMS = (64, 16, 8, 8, 4, 2)
+RGB_DIMS = (192, 16, 8, 8, 4, 2)
+
+# The configs of tests/test_cli.py's pipeline fixture.
+CLI_CONFIGS = {
+    "gen-a.cfg": "synth.T = 8\nsynth.velocity = 1.0,0.0\nsynth.seed = 5\n",
+    "gen-b.cfg": "synth.T = 8\nsynth.velocity = 0.5,0.5\nsynth.seed = 6\n",
+    "train.cfg": (
+        "net.dims = 64,16,8,8,4,2\nnet.seed = 0\n"
+        "train.iterations = 40\ntrain.optimizer = sgd\ntrain.learning_rate = 0.01\n"
+        "train.batch_size = 8\ntrain.seed = 1\nsampler.seed = 2\n"
+    ),
+    "track.cfg": (
+        "tracker.m = 100\ntracker.top_k = 3\nsampler.seed = 4\n"
+        "init_train.iterations = 30\ninit_train.learning_rate = 0.01\n"
+        "init_train.batch_size = 8\ninit_train.seed = 5\n"
+        "update_train.iterations = 10\nupdate_train.batch_size = 8\n"
+        "update_train.seed = 6\n"
+    ),
+}
+
+
+def write_training(out: Path) -> None:
+    corpus = [
+        generate(SynthSpec(T=10, velocity=(1.0, 0.5), seed=11)),
+        generate(SynthSpec(T=10, velocity=(-0.5, 1.0), occlusions=((3, 4),), seed=12)),
+    ]
+    rgb = [generate(SynthSpec(T=10, velocity=(1.0, 0.0), rgb=True, seed=13))]
+    base = TrainConfig(iterations=80, batch_size=8, seed=3)
+    runs = {v: (corpus, DIMS, replace(base, variant=v)) for v in VARIANTS}
+    runs["classifier_only"] = (corpus, DIMS, replace(base, classifier_only=True))
+    runs["rgb"] = (rgb, RGB_DIMS, base)
+    for name, (seqs, dims, tc) in runs.items():
+        model, trace = train_offline(seqs, init_model(dims, seed=0), tc, SamplerConfig(seed=4))
+        (out / name).mkdir(parents=True)
+        save_model(model, out / name / "model.txt")
+        write_trace(trace, out / name / "loss.csv")
+
+
+def write_finetunes(out: Path) -> None:
+    seq = generate(SynthSpec(T=8, velocity=(1.0, 0.0), seed=0))
+    tc = TrainConfig(iterations=40, optimizer="sgd", learning_rate=0.01, seed=3, batch_size=8)
+    first = finetune_initial(
+        init_model(DIMS, seed=0), seq.frames[0], seq.groundtruth[0], tc, SamplerConfig(seed=4)
+    )
+    updated = finetune_update(
+        first, seq.frames[4], seq.groundtruth[4], replace(tc, iterations=20),
+        SamplerConfig(seed=6), frame_index=5,
+    )
+    out.mkdir(parents=True)
+    save_model(first, out / "initial.txt")
+    save_model(updated, out / "update.txt")
+
+
+def write_tracking(out: Path) -> None:
+    corpus = [generate(SynthSpec(T=10, velocity=(1.0, 0.5), seed=11))]
+    tc = TrainConfig(iterations=60, batch_size=8, seed=3)
+    model, _ = train_offline(corpus, init_model(DIMS, seed=0), tc, SamplerConfig(seed=4))
+    rgb_model, _ = train_offline(
+        [generate(SynthSpec(T=10, velocity=(1.0, 0.0), rgb=True, seed=13))],
+        init_model(RGB_DIMS, seed=0), tc, SamplerConfig(seed=4),
+    )
+    online = TrainConfig(iterations=10, optimizer="sgd", learning_rate=0.01, batch_size=8)
+    cfg = TrackerConfig(
+        m=100,
+        top_k=3,
+        sampler=SamplerConfig(seed=5),
+        init_train=replace(online, iterations=30, seed=6),
+        update_train=replace(online, seed=7),
+    )
+    always = replace(cfg, update_score_threshold=-1.0)
+    runs = [
+        ("drift", model, SynthSpec(T=16, velocity=(1.5, -0.5), seed=21), always),
+        ("rgb", rgb_model, SynthSpec(T=16, velocity=(1.0, 1.0), rgb=True, seed=22), always),
+        ("edge", model, SynthSpec(T=12, start_x=-6.0, velocity=(2.0, 0.0), seed=23), cfg),
+    ]
+    out.mkdir(parents=True)
+    for name, m, spec, config in runs:
+        _, records = track_sequence(m, generate(spec), config)
+        write_results(records, out / f"results-{name}.csv")
+
+
+def write_cli(out: Path) -> None:
+    out.mkdir(parents=True)
+    for name, text in CLI_CONFIGS.items():
+        (out / name).write_text(text)
+    commands = [
+        ["gen", "--config", out / "gen-a.cfg", "--out", out / "seq-a"],
+        ["gen", "--config", out / "gen-b.cfg", "--out", out / "seq-b"],
+        [
+            "train", out / "seq-a", out / "seq-b",
+            "--config", out / "train.cfg", "--out", out / "run",
+        ],
+        [
+            "track", out / "seq-a", "--model", out / "run" / "model.txt",
+            "--config", out / "track.cfg", "--out", out / "run",
+        ],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = dispatch([str(a) for a in argv])
+        if code != 0:
+            sys.exit(f"slowtrack {argv[0]} exited {code}")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_training(root / "train")
+        write_finetunes(root / "finetune")
+        write_tracking(root / "track")
+        write_cli(root / "cli")
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -15,6 +15,7 @@ draw is a deterministic function of (inputs, seed, call order):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -115,27 +116,14 @@ class Sampler:
         Returns the boxes together with their recorded IoUs.
         """
         cfg = self.config
-        step = max(gt.w, gt.h)
-        boxes: list[BBox] = []
-        ious: list[float] = []
-        attempts = 0
-        while len(boxes) < cfg.m_n:
-            k = min(max(4 * (cfg.m_n - len(boxes)), 64), cfg.max_rejections - attempts)
-            if k <= 0:
-                raise SamplerExhausted(
-                    f"negative sampling found {len(boxes)}/{cfg.m_n} boxes in "
-                    f"{attempts} attempts{_at(frame)}"
-                )
-            attempts += k
-            prop = self._perturb(gt, k, cfg.sigma_xy * step, cfg.sigma_scale)
-            prop_iou = iou_many(prop, gt)
-            for row, v in zip(prop, prop_iou):
-                if cfg.lo <= v <= cfg.hi:
-                    boxes.append(BBox(*row))
-                    ious.append(float(v))
-                    if len(boxes) == cfg.m_n:
-                        break
-        return boxes, np.array(ious)
+        sigma = cfg.sigma_xy * max(gt.w, gt.h)
+        rows = self._draw_until(
+            cfg.m_n,
+            lambda k: self._perturb(gt, k, sigma, cfg.sigma_scale),
+            lambda prop: _iou_between(prop, gt, cfg.lo, cfg.hi),
+            "negative sampling", frame,
+        )
+        return [BBox(*row) for row in rows], iou_many(rows, gt)
 
     # -- candidates ----------------------------------------------------------
 
@@ -173,11 +161,13 @@ class Sampler:
 
     def sample_update_batch(
         self, pred: BBox, frame_w: float, frame_h: float, frame: int | None = None
-    ) -> tuple[list[BBox], list[BBox]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Draw the online-update training batch inside a window of twice
-        pred's size centered on pred (clipped to the frame): m_p positives
-        with IoU >= 0.9 and m_n negatives with lo <= IoU <= 0.6. Proposals
-        in the (0.6, 0.9) gap are discarded."""
+        pred's size centered on pred (clipped to the frame): an (m_p, 4)
+        x/y/w/h array of positives with IoU >= 0.9 and an (m_n, 4) array
+        of negatives with lo <= IoU <= 0.6. Proposals in the (0.6, 0.9)
+        gap are discarded. Positives are drawn first, each half with its
+        own max_rejections budget."""
         cfg = self.config
         window = BBox(
             pred.x - pred.w / 2, pred.y - pred.h / 2, 2 * pred.w, 2 * pred.h
@@ -185,47 +175,26 @@ class Sampler:
         if window.w <= 0 or window.h <= 0:
             raise SamplerExhausted(f"update window off-frame for {pred}{_at(frame)}")
 
-        positives: list[BBox] = []
-        attempts = 0
-        sigma_pos = _UPDATE_POS_SIGMA * max(pred.w, pred.h)
-        while len(positives) < cfg.m_p:
-            k = min(max(4 * (cfg.m_p - len(positives)), 64), cfg.max_rejections - attempts)
-            if k <= 0:
-                raise SamplerExhausted(
-                    f"update positives found {len(positives)}/{cfg.m_p}{_at(frame)}"
-                )
-            attempts += k
-            prop = self._perturb(pred, k, sigma_pos, 0.0)
-            prop_iou = iou_many(prop, pred)
-            cx = prop[:, 0] + prop[:, 2] / 2
-            cy = prop[:, 1] + prop[:, 3] / 2
-            ok = (prop_iou >= UPDATE_POS_IOU) & _in_window(cx, cy, window)
-            for row in prop[ok]:
-                positives.append(BBox(*row))
-                if len(positives) == cfg.m_p:
-                    break
-
-        negatives: list[BBox] = []
-        attempts = 0
-        while len(negatives) < cfg.m_n:
-            k = min(max(4 * (cfg.m_n - len(negatives)), 64), cfg.max_rejections - attempts)
-            if k <= 0:
-                raise SamplerExhausted(
-                    f"update negatives found {len(negatives)}/{cfg.m_n}{_at(frame)}"
-                )
-            attempts += k
+        def propose_negatives(k: int) -> np.ndarray:
             cx = self.rng.uniform(window.x, window.x + window.w, size=k)
             cy = self.rng.uniform(window.y, window.y + window.h, size=k)
             s = np.exp(self.rng.normal(0.0, cfg.sigma_scale, size=k))
-            w = pred.w * s
-            h = pred.h * s
-            prop = np.stack([cx - w / 2, cy - h / 2, w, h], axis=1)
-            prop_iou = iou_many(prop, pred)
-            ok = (prop_iou >= cfg.lo) & (prop_iou <= UPDATE_NEG_IOU)
-            for row in prop[ok]:
-                negatives.append(BBox(*row))
-                if len(negatives) == cfg.m_n:
-                    break
+            w, h = pred.w * s, pred.h * s
+            return np.stack([cx - w / 2, cy - h / 2, w, h], axis=1)
+
+        sigma_pos = _UPDATE_POS_SIGMA * max(pred.w, pred.h)
+        positives = self._draw_until(
+            cfg.m_p,
+            lambda k: self._perturb(pred, k, sigma_pos, 0.0),
+            lambda prop: (iou_many(prop, pred) >= UPDATE_POS_IOU) & _centers_in(prop, window),
+            "update positives", frame,
+        )
+        negatives = self._draw_until(
+            cfg.m_n,
+            propose_negatives,
+            lambda prop: _iou_between(prop, pred, cfg.lo, UPDATE_NEG_IOU),
+            "update negatives", frame,
+        )
         return positives, negatives
 
     # -- triplets ------------------------------------------------------------
@@ -246,6 +215,29 @@ class Sampler:
         return js, ks, ls
 
     # -- internals -----------------------------------------------------------
+
+    def _draw_until(
+        self, need: int, propose: Callable, accept: Callable, what: str, frame: int | None
+    ) -> np.ndarray:
+        """The capped rejection loop: propose(k) gives a (k, 4) box array,
+        k = min(max(4 * remaining, 64), unspent max_rejections), and the
+        rows the mask accept(prop) selects are kept in order until `need`
+        are found. Returns a (need, 4) array; raises SamplerExhausted,
+        naming `what` and the frame, once the cap is spent."""
+        out = np.empty((need, 4))
+        n = attempts = 0
+        while n < need:
+            k = min(max(4 * (need - n), 64), self.config.max_rejections - attempts)
+            if k <= 0:
+                raise SamplerExhausted(
+                    f"{what} found {n}/{need} in {attempts} attempts{_at(frame)}"
+                )
+            attempts += k
+            prop = propose(k)
+            kept = prop[accept(prop)][: need - n]
+            out[n : n + len(kept)] = kept
+            n += len(kept)
+        return out
 
     def _perturb(
         self, base: BBox, k: int, sigma_center: float, sigma_scale: float
@@ -269,7 +261,14 @@ class Sampler:
         return np.stack([x, y, w, h], axis=1)
 
 
-def _in_window(cx: np.ndarray, cy: np.ndarray, window: BBox) -> np.ndarray:
+def _iou_between(boxes: np.ndarray, ref: BBox, lo: float, hi: float) -> np.ndarray:
+    iou = iou_many(boxes, ref)
+    return (iou >= lo) & (iou <= hi)
+
+
+def _centers_in(boxes: np.ndarray, window: BBox) -> np.ndarray:
+    cx = boxes[:, 0] + boxes[:, 2] / 2
+    cy = boxes[:, 1] + boxes[:, 3] / 2
     return (
         (cx >= window.x)
         & (cx <= window.x + window.w)

@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -166,40 +166,56 @@ def _patch_side(model: Model, frame: Frame) -> int:
     return side
 
 
-def _patch_matrix(frame: Frame, boxes: list[BBox], side: int) -> np.ndarray:
+def _patch_matrix(frame: Frame, boxes: list[BBox] | np.ndarray, side: int) -> np.ndarray:
     """One flattened patch per box: an (n, r) matrix."""
     return crop_many(frame.pixels, boxes, side).reshape(len(boxes), -1)
 
 
-def _triplet_batch(
-    sampler: Sampler, a: np.ndarray, b: np.ndarray, n: np.ndarray, count: int
+def _draw_triplets(
+    sampler: Sampler, side: int, count: int, anchor: tuple, pair: tuple, paired: bool = True
 ) -> TripletBatch:
-    """count random triplets drawn from three (n, r) patch matrices."""
-    js, ks, ls = sampler.build_triplets(len(a), len(b), len(n), count)
-    return TripletBatch(a=a[js], b=b[ks], n=n[ls])
+    """One offline or first-frame batch. `anchor` and `pair` are (frame,
+    box, frame index or None): positives and negatives around the anchor
+    box, paired positives around the pair box, `count` random triplets.
+    Without `paired` the paired positives are drawn, keeping the sampler's
+    stream, but not cropped, and the batch has no `b`."""
+    frame, gt, t = anchor
+    pair_frame, pair_gt, pair_t = pair
+    a_boxes = sampler.sample_positives(gt, frame.width, frame.height, frame=t)
+    b_boxes = sampler.sample_positives(pair_gt, frame.width, frame.height, frame=pair_t)
+    neg_boxes, _ = sampler.sample_negatives(gt, frame=t)
+    js, ks, ls = sampler.build_triplets(len(a_boxes), len(b_boxes), len(neg_boxes), count)
+    return TripletBatch(
+        a=_patch_matrix(frame, a_boxes, side)[js],
+        b=_patch_matrix(pair_frame, b_boxes, side)[ks] if paired else None,
+        n=_patch_matrix(frame, neg_boxes, side)[ls],
+    )
 
 
-def _freeze(grads: dict[str, np.ndarray], names: tuple[str, ...]) -> None:
-    for name in names:
-        grads[name][:] = 0.0
-
-
-def _step(
-    model: Model,
-    batch: TripletBatch,
-    weights: LossWeights,
-    tc: TrainConfig,
-    state: OptState,
-    params: dict[str, np.ndarray],
-    variant: str,
-    freeze: tuple[str, ...],
-) -> TraceRow:
-    grads, terms = backward(model, batch, weights, variant=variant)
-    if freeze:
-        _freeze(grads, freeze)
-    optimizer_step(params, grads, state, tc)
+def _fit(
+    model: Model, tc: TrainConfig, weights: LossWeights, variant: str, draw: Callable
+) -> tuple[Model, list[TraceRow]]:
+    """The step loop of all three training phases: tc.iterations optimizer
+    steps on a copy of model, each on a fresh draw(). "tarspec" freezes
+    the classifier layers, tc.classifier_only the feature layers. Returns
+    the copy and its loss trace; raises NumericalError on a non-finite
+    parameter."""
+    model = model.copy()
     model.assert_finite()
-    return TraceRow(0, *terms)
+    params = dict(model.params())
+    state = OptState()
+    freeze = CLASSIFIER_PARAMS if variant == "tarspec" else ()
+    if tc.classifier_only:
+        freeze += FEATURE_PARAMS
+    trace: list[TraceRow] = []
+    for step in range(tc.iterations):
+        grads, terms = backward(model, draw(), weights, variant=variant)
+        for name in freeze:
+            grads[name][:] = 0.0
+        optimizer_step(params, grads, state, tc)
+        model.assert_finite()
+        trace.append(TraceRow(step, *terms))
+    return model, trace
 
 
 def train_offline(
@@ -220,8 +236,6 @@ def train_offline(
             raise ConfigError(f"sequence {seq.name!r} has fewer than 2 frames")
 
     tc = train_config
-    variant = tc.variant
-    same_frame_pairs = variant == "wo-C-learning"
     pairs = [
         (si, t)
         for si, seq in enumerate(sequences)
@@ -231,41 +245,23 @@ def train_offline(
     if not pairs:
         raise ConfigError("no usable frame pairs (everything occluded?)")
 
-    model = model.copy()
-    model.assert_finite()
-    params = dict(model.params())
-    state = OptState()
     sampler = Sampler(sampler_config)
     rng = np.random.default_rng(tc.seed)
-    freeze: tuple[str, ...] = CLASSIFIER_PARAMS if variant == "tarspec" else ()
-    if tc.classifier_only:
-        freeze = freeze + FEATURE_PARAMS
 
-    trace: list[TraceRow] = []
-    for step in range(tc.iterations):
+    def draw() -> TripletBatch:
         si, t = pairs[int(rng.integers(len(pairs)))]
         seq = sequences[si]
-        frame_t, gt_t = seq.frames[t], seq.groundtruth[t]
-        side = _patch_side(model, frame_t)
-        fw, fh = frame_t.width, frame_t.height
-        b_t = t if same_frame_pairs else t + 1
+        b_t = t if tc.variant == "wo-C-learning" else t + 1
+        return _draw_triplets(
+            sampler,
+            _patch_side(model, seq.frames[t]),
+            tc.batch_size,
+            (seq.frames[t], seq.groundtruth[t], t),
+            (seq.frames[b_t], seq.groundtruth[b_t], b_t),
+            paired=tc.variant != "SlossOnly",
+        )
 
-        a_boxes = sampler.sample_positives(gt_t, fw, fh, frame=t)
-        b_boxes = sampler.sample_positives(seq.groundtruth[b_t], fw, fh, frame=b_t)
-        neg_boxes, _ = sampler.sample_negatives(gt_t, frame=t)
-        pos_a = _patch_matrix(frame_t, a_boxes, side)
-        negs = _patch_matrix(frame_t, neg_boxes, side)
-
-        if variant == "SlossOnly":
-            batch = _triplet_batch(sampler, pos_a, pos_a, negs, tc.batch_size)
-            batch.b = None
-        else:
-            pos_b = _patch_matrix(seq.frames[b_t], b_boxes, side)
-            batch = _triplet_batch(sampler, pos_a, pos_b, negs, tc.batch_size)
-        row = _step(model, batch, weights, tc, state, params, variant, freeze)
-        row.step = step
-        trace.append(row)
-    return model, trace
+    return _fit(model, tc, weights, tc.variant, draw)
 
 
 def finetune_initial(
@@ -281,25 +277,14 @@ def finetune_initial(
     clipped = gt.clipped(frame.width, frame.height)
     if gt.w <= 0 or gt.h <= 0 or clipped.w <= 0 or clipped.h <= 0:
         raise ConfigError(f"first-frame ground truth {gt} is not a visible box")
-    tc = train_config
-    model = model.copy()
-    model.assert_finite()
-    params = dict(model.params())
-    state = OptState()
     sampler = Sampler(sampler_config)
     side = _patch_side(model, frame)
-    freeze = FEATURE_PARAMS if tc.classifier_only else ()
+    view = (frame, gt, None)
 
-    for step in range(tc.iterations):
-        a_boxes = sampler.sample_positives(gt, frame.width, frame.height)
-        b_boxes = sampler.sample_positives(gt, frame.width, frame.height)
-        neg_boxes, _ = sampler.sample_negatives(gt)
-        pos_a = _patch_matrix(frame, a_boxes, side)
-        pos_b = _patch_matrix(frame, b_boxes, side)
-        negs = _patch_matrix(frame, neg_boxes, side)
-        batch = _triplet_batch(sampler, pos_a, pos_b, negs, tc.batch_size)
-        _step(model, batch, weights, tc, state, params, "full", freeze)
-    return model
+    def draw() -> TripletBatch:
+        return _draw_triplets(sampler, side, train_config.batch_size, view, view)
+
+    return _fit(model, train_config, weights, "full", draw)[0]
 
 
 def finetune_update(
@@ -312,7 +297,9 @@ def finetune_update(
     frame_index: int | None = None,
 ) -> Model:
     """Periodic online update: draw one update batch around the current
-    prediction, then take the configured number of SGD/Adam steps on it.
+    prediction (`Sampler.sample_update_batch`, two box arrays), crop it
+    once, then take the configured number of SGD/Adam steps on random
+    triplets of those patches, positives paired with positives.
     Tracking must not die here: sampler exhaustion skips the update, and
     an update that diverges (NumericalError) is rolled back; in both
     cases the model passed in is returned as it is."""
@@ -329,15 +316,12 @@ def finetune_update(
     pos = _patch_matrix(frame, pos_boxes, side)
     negs = _patch_matrix(frame, neg_boxes, side)
 
-    updated = model.copy()
-    params = dict(updated.params())
-    state = OptState()
-    freeze = FEATURE_PARAMS if tc.classifier_only else ()
+    def draw() -> TripletBatch:
+        js, ks, ls = sampler.build_triplets(len(pos), len(pos), len(negs), tc.batch_size)
+        return TripletBatch(a=pos[js], b=pos[ks], n=negs[ls])
+
     try:
-        for step in range(tc.iterations):
-            batch = _triplet_batch(sampler, pos, pos, negs, tc.batch_size)
-            _step(updated, batch, weights, tc, state, params, "full", freeze)
+        return _fit(model, tc, weights, "full", draw)[0]
     except NumericalError as exc:
         log.warning("online update rolled back: %s", exc)
         return model
-    return updated

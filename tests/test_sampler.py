@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slowtrack.errors import ConfigError, SamplerExhausted
-from slowtrack.geometry import BBox, iou
+from slowtrack.geometry import BBox, iou, iou_many
 from slowtrack.sampler import (
     Sampler,
     SamplerConfig,
@@ -183,17 +183,20 @@ class TestUpdateBatch:
     def test_label_predicates(self):
         pred = BBox(60, 40, 24, 24)
         pos, neg = make_sampler(seed=6).sample_update_batch(pred, FRAME_W, FRAME_H)
-        assert all(iou(b, pred) >= 0.9 for b in pos)
-        assert all(0.2 <= iou(b, pred) <= 0.6 for b in neg)
+        assert (iou_many(pos, pred) >= 0.9).all()
+        neg_iou = iou_many(neg, pred)
+        assert ((0.2 <= neg_iou) & (neg_iou <= 0.6)).all()
 
     def test_centers_inside_double_window(self):
         pred = BBox(60, 40, 24, 24)
         pos, neg = make_sampler(seed=8, m_p=100, m_n=100).sample_update_batch(
             pred, FRAME_W, FRAME_H
         )
-        for b in pos + neg:
-            assert pred.x - pred.w / 2 <= b.cx <= pred.x + 1.5 * pred.w
-            assert pred.y - pred.h / 2 <= b.cy <= pred.y + 1.5 * pred.h
+        rows = np.concatenate([pos, neg])
+        cx = rows[:, 0] + rows[:, 2] / 2
+        cy = rows[:, 1] + rows[:, 3] / 2
+        assert ((pred.x - pred.w / 2 <= cx) & (cx <= pred.x + 1.5 * pred.w)).all()
+        assert ((pred.y - pred.h / 2 <= cy) & (cy <= pred.y + 1.5 * pred.h)).all()
 
     def test_edge_prediction_still_succeeds(self):
         # 100-trial smoke run with the prediction jammed into a corner.
@@ -201,13 +204,26 @@ class TestUpdateBatch:
         smp = make_sampler(seed=9, max_rejections=20_000)
         for _ in range(100):
             pos, neg = smp.sample_update_batch(pred, FRAME_W, FRAME_H)
-            assert len(pos) == 16 and len(neg) == 32
+            assert pos.shape == (16, 4) and neg.shape == (32, 4)
 
     def test_counts_follow_config(self):
         pos, neg = make_sampler(m_p=5, m_n=9, seed=10).sample_update_batch(
             BBox(60, 40, 24, 24), FRAME_W, FRAME_H
         )
-        assert (len(pos), len(neg)) == (5, 9)
+        assert (pos.shape, neg.shape) == ((5, 4), (9, 4))
+
+    def test_positive_exhaustion_names_frame(self):
+        # A cap of eight proposals cannot yield sixteen positives.
+        smp = make_sampler(max_rejections=8)
+        with pytest.raises(SamplerExhausted, match="update positives found 5/16.*frame 9"):
+            smp.sample_update_batch(BBox(60, 50, 24, 20), FRAME_W, FRAME_H, frame=9)
+
+    def test_negative_exhaustion_names_frame(self):
+        # lo = 0.5999 leaves an IoU band of width 1e-4 for the negatives;
+        # the positives still fill within the same budget.
+        smp = make_sampler(lo=0.5999, max_rejections=300)
+        with pytest.raises(SamplerExhausted, match="update negatives found 0/32.*frame 9"):
+            smp.sample_update_batch(BBox(60, 50, 24, 20), FRAME_W, FRAME_H, frame=9)
 
 
 class TestTriplets:

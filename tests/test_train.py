@@ -350,6 +350,18 @@ class TestFinetuneInitial:
         assert p_pos > 0.8
         assert p_neg < 0.2
 
+    def test_classifier_only_freezes_features(self):
+        m0 = init_model(DIMS, seed=0)
+        tc = TrainConfig(
+            iterations=5, optimizer="sgd", learning_rate=0.01, seed=3, batch_size=4,
+            classifier_only=True,
+        )
+        m1 = finetune_initial(m0, self.frame, self.gt, tc, SamplerConfig(seed=4))
+        p0, p1 = params_of(m0), params_of(m1)
+        for name in FEATURE_PARAMS:
+            assert np.array_equal(p0[name], p1[name]), name
+        assert_params_differ(m0, m1, ("W3", "W5"))
+
     def test_rejects_non_square_input_size(self):
         m = init_model((65, 8, 4, 4, 3, 2), seed=0)
         with pytest.raises(ConfigError, match="square"):
@@ -411,6 +423,15 @@ class TestFinetuneUpdate:
         after = _probe_scores(out, frame, pos).mean()
         assert after > before - 1e-6
         assert after > 0.9
+
+    def test_classifier_only_freezes_features(self):
+        frame, box = self.seq.frames[4], self.seq.groundtruth[4]
+        tc = replace(self.update_tc, classifier_only=True)
+        out = finetune_update(self.model, frame, box, tc, SamplerConfig(seed=6))
+        p0, p1 = params_of(self.model), params_of(out)
+        for name in FEATURE_PARAMS:
+            assert np.array_equal(p0[name], p1[name]), name
+        assert_params_differ(self.model, out, ("W3", "W5"))
 
     def test_deterministic(self):
         frame, box = self.seq.frames[4], self.seq.groundtruth[4]
