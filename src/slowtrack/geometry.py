@@ -115,12 +115,17 @@ def average_boxes(boxes: list[BBox]) -> BBox:
     return BBox(mean("x"), mean("y"), mean("w"), mean("h"))
 
 
+def box_array(boxes) -> np.ndarray:
+    """An (N, 4) float64 x/y/w/h array from such an array or a list of BBox."""
+    if not isinstance(boxes, np.ndarray):
+        boxes = [b.as_tuple() for b in boxes]
+    return np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+
+
 def clip_boxes(boxes, frame_w: float, frame_h: float) -> np.ndarray:
     """BBox.clipped over an (N, 4) x/y/w/h array or a list of BBox, bit
     for bit: like Python's max/min, a tie keeps the box's own value."""
-    if not isinstance(boxes, np.ndarray):
-        boxes = [b.as_tuple() for b in boxes]
-    x, y, w, h = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
+    x, y, w, h = box_array(boxes).T
     x1, y1 = x + w, y + h
     x0, y0 = np.where(0.0 > x, 0.0, x), np.where(0.0 > y, 0.0, y)
     x1 = np.where(float(frame_w) < x1, float(frame_w), x1)

@@ -197,7 +197,7 @@ def backward(
         float(np.mean(loss_s(p_a, p_n, weights.p_floor))),
     )
 
-    grads = {name: np.zeros_like(arr) for name, arr in model.params()}
+    grads: dict[str, np.ndarray] = {}
     df_a = np.zeros_like(f_a)
     df_n = np.zeros_like(f_n)
     df_b = None
@@ -239,32 +239,44 @@ def backward(
     if use_pair:
         _feat_backward(model, grads, cache_b, df_b)
 
+    # In parameter order, so the error names the first non-finite layer.
+    grads = {name: grads[name] for name in PARAM_NAMES}
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient in layer {name}")
     return grads, terms
 
 
+def _accumulate(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
+    """grads[name] += g, the first contribution stored as it is rather
+    than added to zeros. That can only keep a -0.0 that 0.0 + -0.0 would
+    have made +0.0, and nothing reads the sign of a zero gradient."""
+    if name in grads:
+        grads[name] += g
+    else:
+        grads[name] = g
+
+
 def _clf_backward(model: Model, grads, cache, dz: np.ndarray) -> np.ndarray:
     F, r3, r4 = cache
-    grads["W5"] += r4.T @ dz
-    grads["b5"] += dz.sum(axis=0)
+    _accumulate(grads, "W5", r4.T @ dz)
+    _accumulate(grads, "b5", dz.sum(axis=0))
     du4 = (dz @ model.W5.T) * (r4 > 0)
-    grads["W4"] += r3.T @ du4
-    grads["b4"] += du4.sum(axis=0)
+    _accumulate(grads, "W4", r3.T @ du4)
+    _accumulate(grads, "b4", du4.sum(axis=0))
     du3 = (du4 @ model.W4.T) * (r3 > 0)
-    grads["W3"] += F.T @ du3
-    grads["b3"] += du3.sum(axis=0)
+    _accumulate(grads, "W3", F.T @ du3)
+    _accumulate(grads, "b3", du3.sum(axis=0))
     return du3 @ model.W3.T
 
 
 def _feat_backward(model: Model, grads, cache, df: np.ndarray) -> None:
     X, r1 = cache
-    grads["W2"] += r1.T @ df
-    grads["b2"] += df.sum(axis=0)
+    _accumulate(grads, "W2", r1.T @ df)
+    _accumulate(grads, "b2", df.sum(axis=0))
     du1 = (df @ model.W2.T) * (r1 > 0)
-    grads["W1"] += X.T @ du1
-    grads["b1"] += du1.sum(axis=0)
+    _accumulate(grads, "W1", X.T @ du1)
+    _accumulate(grads, "b1", du1.sum(axis=0))
 
 
 @dataclass

@@ -78,6 +78,7 @@ class Sampler:
     def __init__(self, config: SamplerConfig):
         self.config = config
         self.rng = np.random.default_rng(config.seed)
+        self._offsets = np.array(_positive_offsets(config.shift_max), dtype=np.float64)
 
     # -- positives ---------------------------------------------------------
 
@@ -85,25 +86,33 @@ class Sampler:
         self, gt: BBox, frame_w: float, frame_h: float, frame: int | None = None
     ) -> list[BBox]:
         """Draw m_p copies of gt shifted by a uniform integer offset with
-        1 <= max(|dx|,|dy|) <= shift_max. Size is never changed."""
+        1 <= max(|dx|,|dy|) <= shift_max. Size is never changed; a copy
+        with no overlap with the frame is redrawn, up to max_rejections
+        draws in all."""
         cfg = self.config
-        offsets = _positive_offsets(cfg.shift_max)
-        out: list[BBox] = []
-        attempts = 0
-        while len(out) < cfg.m_p:
-            if attempts >= cfg.max_rejections:
+        out = [np.zeros((0, 4))]
+        n = attempts = 0
+        while n < cfg.m_p:
+            # A round draws only the offsets still missing, so it makes no
+            # draw that one draw per box would not; rng.integers(m, size=k)
+            # gives the values of k single calls and leaves the stream in
+            # the same place.
+            k = min(cfg.m_p - n, cfg.max_rejections - attempts)
+            if k <= 0:
                 raise SamplerExhausted(
                     f"positive sampling gave up after {attempts} attempts"
                     + _at(frame)
                 )
-            attempts += 1
-            dx, dy = offsets[int(self.rng.integers(len(offsets)))]
-            box = gt.shifted(float(dx), float(dy))
-            clip = box.clipped(frame_w, frame_h)
-            if clip.w <= 0 or clip.h <= 0:
-                continue
-            out.append(box)
-        return out
+            attempts += k
+            d = self._offsets[self.rng.integers(len(self._offsets), size=k)]
+            boxes = np.stack(
+                [gt.x + d[:, 0], gt.y + d[:, 1], np.full(k, gt.w), np.full(k, gt.h)], axis=1
+            )
+            clip = clip_boxes(boxes, frame_w, frame_h)
+            keep = boxes[~((clip[:, 2] <= 0) | (clip[:, 3] <= 0))]
+            out.append(keep)
+            n += len(keep)
+        return [BBox(*row) for row in np.concatenate(out).tolist()]
 
     # -- negatives ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Frame, Sequence
 from .errors import ConfigError, NumericalError, SamplerExhausted
-from .geometry import BBox, crop_many
+from .geometry import BBox, box_array, crop_many
 from .loss import VARIANTS, LossWeights
 from .net import Model, TripletBatch, backward
 from .sampler import Sampler, SamplerConfig
@@ -97,9 +97,9 @@ def write_trace(trace: Iterable[TraceRow], path: str | Path) -> None:
 
 @dataclass
 class OptState:
-    """Adam moment estimates, plus two scratch rows reused by every step
-    (fresh arrays each step cost more than the arithmetic); empty and
-    unused for SGD."""
+    """Adam moment estimates, created when a parameter is first stepped,
+    plus two scratch rows reused by every step (fresh arrays each step
+    cost more than the arithmetic). SGD uses only the scratch."""
 
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -121,22 +121,24 @@ def optimizer_step(
                 f"{p.shape} for {name}"
             )
     lr = config.learning_rate
+    size = max((p.size for p in params.values()), default=0)
+    if state.scratch.shape[1] < size:
+        state.scratch = np.empty((2, size))
     if config.optimizer == "sgd":
         for name, p in params.items():
-            p -= lr * grads[name]
+            p -= np.multiply(grads[name], lr, out=state.scratch[0, : p.size].reshape(p.shape))
         return params, state
 
     state.t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    size = max((p.size for p in params.values()), default=0)
-    if state.scratch.shape[1] < size:
-        state.scratch = np.empty((2, size))
     for name, p in params.items():
         g = grads[name]
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
         # Same operations in the same order as
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps), bit for bit.
         step, denom = (row[: p.size].reshape(p.shape) for row in state.scratch)
@@ -166,9 +168,27 @@ def _patch_side(model: Model, frame: Frame) -> int:
     return side
 
 
-def _patch_matrix(frame: Frame, boxes: list[BBox] | np.ndarray, side: int) -> np.ndarray:
-    """One flattened patch per box: an (n, r) matrix."""
-    return crop_many(frame.pixels, boxes, side).reshape(len(boxes), -1)
+def _crop_pools(side: int, *pools: tuple[Frame, np.ndarray]) -> list[np.ndarray]:
+    """Flattened patches of (frame, (n, 4) box array) pools: one (n, r)
+    matrix per pool, row i the patch of box i. Each distinct box is
+    cropped once, in one crop_many call per frame; pools on the same
+    Frame object share that call. crop_many of a box does not depend on
+    the other boxes in the call, so every row is bit-equal to cropping
+    its pool alone."""
+    out: list[np.ndarray] = [np.empty(0)] * len(pools)
+    for frame in {id(f): f for f, _ in pools}.values():
+        which = [i for i, (f, _) in enumerate(pools) if f is frame]
+        boxes = np.concatenate([pools[i][1] for i in which])
+        # Rows as single byte strings: byte-equal boxes crop identically.
+        keys = boxes.view(np.dtype((np.void, boxes.strides[0]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        flat = crop_many(frame.pixels, boxes[first], side).reshape(len(first), -1)
+        start = 0
+        for i in which:
+            stop = start + len(pools[i][1])
+            out[i] = flat[inverse[start:stop]]
+            start = stop
+    return out
 
 
 def _draw_triplets(
@@ -181,15 +201,18 @@ def _draw_triplets(
     stream, but not cropped, and the batch has no `b`."""
     frame, gt, t = anchor
     pair_frame, pair_gt, pair_t = pair
-    a_boxes = sampler.sample_positives(gt, frame.width, frame.height, frame=t)
-    b_boxes = sampler.sample_positives(pair_gt, frame.width, frame.height, frame=pair_t)
-    neg_boxes, _ = sampler.sample_negatives(gt, frame=t)
-    js, ks, ls = sampler.build_triplets(len(a_boxes), len(b_boxes), len(neg_boxes), count)
-    return TripletBatch(
-        a=_patch_matrix(frame, a_boxes, side)[js],
-        b=_patch_matrix(pair_frame, b_boxes, side)[ks] if paired else None,
-        n=_patch_matrix(frame, neg_boxes, side)[ls],
+    a_boxes = box_array(sampler.sample_positives(gt, frame.width, frame.height, frame=t))
+    b_boxes = box_array(
+        sampler.sample_positives(pair_gt, frame.width, frame.height, frame=pair_t)
     )
+    neg_boxes = box_array(sampler.sample_negatives(gt, frame=t)[0])
+    js, ks, ls = sampler.build_triplets(len(a_boxes), len(b_boxes), len(neg_boxes), count)
+    # Only the rows the triplets use are cropped.
+    pools = [(frame, a_boxes[js]), (frame, neg_boxes[ls])]
+    if paired:
+        pools.append((pair_frame, b_boxes[ks]))
+    a, n, *b = _crop_pools(side, *pools)
+    return TripletBatch(a=a, b=b[0] if paired else None, n=n)
 
 
 def _fit(
@@ -313,8 +336,7 @@ def finetune_update(
         log.warning("online update skipped: %s", exc)
         return model
     side = _patch_side(model, frame)
-    pos = _patch_matrix(frame, pos_boxes, side)
-    negs = _patch_matrix(frame, neg_boxes, side)
+    pos, negs = _crop_pools(side, (frame, pos_boxes), (frame, neg_boxes))
 
     def draw() -> TripletBatch:
         js, ks, ls = sampler.build_triplets(len(pos), len(pos), len(negs), tc.batch_size)

@@ -83,6 +83,80 @@ class TestPositives:
             smp.sample_positives(gt, FRAME_W, FRAME_H)
 
 
+def reference_positives(smp, gt, frame_w, frame_h):
+    """The per-draw loop that sample_positives replaced, kept as the
+    reference: one scalar offset draw and one BBox per attempt."""
+    cfg = smp.config
+    offsets = _positive_offsets(cfg.shift_max)
+    out = []
+    attempts = 0
+    while len(out) < cfg.m_p:
+        if attempts >= cfg.max_rejections:
+            raise SamplerExhausted(f"positive sampling gave up after {attempts} attempts")
+        attempts += 1
+        dx, dy = offsets[int(smp.rng.integers(len(offsets)))]
+        box = gt.shifted(float(dx), float(dy))
+        clip = box.clipped(frame_w, frame_h)
+        if clip.w <= 0 or clip.h <= 0:
+            continue
+        out.append(box)
+    return out
+
+
+def stream_after(smp):
+    return smp.rng.normal(size=3).tolist() + smp.rng.integers(1 << 30, size=3).tolist()
+
+
+# A box in the middle, and boxes one or two pixels into a corner, where
+# shifts away from the frame leave no overlap and are redrawn.
+POSITIVE_GTS = [
+    BBox(50.0, 40.0, 20.0, 20.0),
+    BBox(-23.0, -23.0, 24.0, 24.0),
+    BBox(-22.5, -22.0, 24.0, 24.0),
+    BBox(FRAME_W - 1.0, FRAME_H - 2.0, 24.0, 24.0),
+]
+
+
+class TestPositivesMatchPerDrawLoop:
+    @pytest.mark.parametrize("shift_max", [1, 2])
+    @pytest.mark.parametrize("gt", POSITIVE_GTS)
+    def test_same_boxes_and_stream(self, shift_max, gt):
+        for seed in range(20):
+            for m_p in (1, 16, 17):
+                cfg = SamplerConfig(shift_max=shift_max, m_p=m_p, seed=seed)
+                new, ref = Sampler(cfg), Sampler(cfg)
+                got = new.sample_positives(gt, FRAME_W, FRAME_H)
+                want = reference_positives(ref, gt, FRAME_W, FRAME_H)
+                assert [b.as_tuple() for b in got] == [b.as_tuple() for b in want]
+                assert stream_after(new) == stream_after(ref)
+
+    @pytest.mark.parametrize("shift_max", [1, 2])
+    @pytest.mark.parametrize("max_rejections", [1, 7, 20, 37])
+    def test_exhausts_at_same_attempt(self, shift_max, max_rejections):
+        gt = POSITIVE_GTS[1]
+        exhausted = 0
+        for seed in range(20):
+            cfg = SamplerConfig(shift_max=shift_max, max_rejections=max_rejections, seed=seed)
+            new, ref = Sampler(cfg), Sampler(cfg)
+            try:
+                want = [b.as_tuple() for b in reference_positives(ref, gt, FRAME_W, FRAME_H)]
+            except SamplerExhausted as exc:
+                with pytest.raises(SamplerExhausted) as got:
+                    new.sample_positives(gt, FRAME_W, FRAME_H)
+                assert str(got.value) == str(exc)
+                exhausted += 1
+            else:
+                got = new.sample_positives(gt, FRAME_W, FRAME_H)
+                assert [b.as_tuple() for b in got] == want
+            assert stream_after(new) == stream_after(ref)
+        assert exhausted > 0
+
+    def test_exhaustion_names_frame(self):
+        smp = make_sampler(max_rejections=5)
+        with pytest.raises(SamplerExhausted, match=r"after 5 attempts \(frame 3\)$"):
+            smp.sample_positives(BBox(-3.0, -3.0, 1.0, 1.0), FRAME_W, FRAME_H, frame=3)
+
+
 class TestNegatives:
     def test_iou_window_always_respected(self):
         gt = BBox(60, 50, 24, 20)

@@ -236,6 +236,56 @@ class TestTrackSequence:
             assert not r.updated  # NaN never clears the threshold
         assert any("carrying previous box" in r.message for r in caplog.records)
 
+    def test_real_sampler_exhaustion_carries_previous_box(
+        self, easy_sequence, trained_model, caplog
+    ):
+        # One candidate drawn a million box sizes away is never on the
+        # frame, so every frame's candidate sampling really exhausts.
+        cfg = TrackerConfig(
+            m=1, top_k=1, update_score_threshold=-1.0,
+            sampler=SamplerConfig(sigma_xy=1e6),
+            init_train=TrainConfig(iterations=0, optimizer="sgd"),
+        )
+        with caplog.at_level("WARNING", logger="slowtrack.tracker"):
+            model, records = track_sequence(trained_model, easy_sequence, cfg)
+        assert [r.frame for r in records] == list(range(2, easy_sequence.T + 1))
+        first_gt = easy_sequence.groundtruth[0]
+        for r in records:
+            assert r.box == first_gt
+            assert math.isnan(r.score)
+            assert not r.updated  # NaN clears no threshold, not even -1
+        carried = [r for r in caplog.records if "carrying previous box" in r.message]
+        assert len(carried) == easy_sequence.T - 1
+        assert all("candidate sampling stuck" in r.message for r in carried)
+        for name, arr in model.params():
+            assert np.array_equal(arr, getattr(trained_model, name)), name
+
+    def test_all_nan_scores_give_nan_records_and_no_update(
+        self, easy_sequence, trained_model, monkeypatch
+    ):
+        import slowtrack.tracker as tracker_mod
+
+        def nan_scores(model, features):
+            # a batch gives an array, a single feature vector a float
+            return np.full(len(features), np.nan) if features.ndim == 2 else math.nan
+
+        monkeypatch.setattr(tracker_mod, "forward_classifier", nan_scores)
+        cfg = TrackerConfig(
+            m=16, top_k=4, update_score_threshold=-1.0,
+            sampler=SamplerConfig(seed=1), init_train=FAST_INIT,
+        )
+        _, records = track_sequence(trained_model, easy_sequence, cfg)
+        assert [r.frame for r in records] == list(range(2, easy_sequence.T + 1))
+        fw, fh = easy_sequence.frames[0].width, easy_sequence.frames[0].height
+        for r in records:
+            assert math.isnan(r.score)
+            assert not r.updated
+            # NaN sorts last but ties keep index order, so the top-k are
+            # the first k candidates and the average is a real box.
+            assert all(math.isfinite(v) for v in r.box.as_tuple())
+            assert r.box.w > 0 and r.box.h > 0
+            assert r.box.x + r.box.w > 0 and r.box.x < fw
+
     def test_reproducible_and_boxes_stay_in_frame(
         self, easy_sequence, trained_model, tmp_path
     ):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from slowtrack.dataset import Frame, Sequence, SynthSpec, generate
-from slowtrack.errors import ConfigError
+from slowtrack.errors import ConfigError, OutOfViewError
 from slowtrack.geometry import BBox, crop_many
 from slowtrack.loss import LossWeights
 from slowtrack.net import Model, forward_classifier, forward_features, init_model
@@ -23,6 +23,8 @@ from slowtrack.train import (
     FEATURE_PARAMS,
     OptState,
     TrainConfig,
+    _crop_pools,
+    _draw_triplets,
     finetune_initial,
     finetune_update,
     optimizer_step,
@@ -304,6 +306,108 @@ class TestVariants:
 def _probe_scores(model, frame, boxes):
     X = crop_many(frame.pixels, boxes, SIDE).reshape(len(boxes), -1)
     return forward_classifier(model, forward_features(model, X))
+
+
+def assert_bit_equal(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def _reference_draw(sampler, side, count, anchor, pair, paired=True):
+    """The draw that _draw_triplets replaced, kept as the reference: crop
+    every drawn box of each pool, then index the rows the triplets use."""
+    (frame, gt, t), (pair_frame, pair_gt, pair_t) = anchor, pair
+    a = sampler.sample_positives(gt, frame.width, frame.height, frame=t)
+    b = sampler.sample_positives(pair_gt, frame.width, frame.height, frame=pair_t)
+    n, _ = sampler.sample_negatives(gt, frame=t)
+    js, ks, ls = sampler.build_triplets(len(a), len(b), len(n), count)
+
+    def matrix(f, boxes):
+        return crop_many(f.pixels, boxes, side).reshape(len(boxes), -1)
+
+    return (
+        matrix(frame, a)[js],
+        matrix(pair_frame, b)[ks] if paired else None,
+        matrix(frame, n)[ls],
+    )
+
+
+class TestCropPools:
+    def setup_method(self):
+        seq = generate(SynthSpec(T=2, velocity=(1.0, 0.0), seed=0))
+        self.f0, self.f1 = seq.frames
+        self.gt0, self.gt1 = seq.groundtruth
+        rng = np.random.default_rng(0)
+        offsets = rng.integers(-2, 3, size=(16, 2)).astype(float)
+        base = np.array(self.gt0.as_tuple())
+        # Integer shifts of one box repeat often; the negatives are drawn
+        # with repeats too, and the pair pool reuses anchor boxes.
+        self.a = base + np.hstack([offsets, np.zeros((16, 2))])
+        negs = base + rng.normal(0.0, 4.0, size=(8, 4)) * [1, 1, 0.5, 0.5]
+        self.n = negs[rng.integers(8, size=16)]
+        self.b = np.concatenate([self.a[5:11], self.a[:3], negs[:2]])
+
+    @staticmethod
+    def reference(frame, boxes):
+        return crop_many(frame.pixels, boxes, SIDE).reshape(len(boxes), -1)
+
+    def counted(self, monkeypatch):
+        import slowtrack.train as train_mod
+
+        calls = []
+
+        def counting(image, boxes, side):
+            calls.append(len(boxes))
+            return crop_many(image, boxes, side)
+
+        monkeypatch.setattr(train_mod, "crop_many", counting)
+        return calls
+
+    @pytest.mark.parametrize("pair_on_other_frame", [False, True])
+    def test_rows_bit_equal_to_cropping_each_pool(self, monkeypatch, pair_on_other_frame):
+        pair_frame = self.f1 if pair_on_other_frame else self.f0
+        calls = self.counted(monkeypatch)
+        a, n, b = _crop_pools(SIDE, (self.f0, self.a), (self.f0, self.n), (pair_frame, self.b))
+        assert_bit_equal(a, self.reference(self.f0, self.a))
+        assert_bit_equal(n, self.reference(self.f0, self.n))
+        assert_bit_equal(b, self.reference(pair_frame, self.b))
+        # one call per frame, each distinct box of that frame once
+        distinct = lambda *pools: len(np.unique(np.concatenate(pools), axis=0))
+        if pair_on_other_frame:
+            assert calls == [distinct(self.a, self.n), distinct(self.b)]
+        else:
+            assert calls == [distinct(self.a, self.n, self.b)]
+            assert calls[0] < len(self.a) + len(self.n) + len(self.b)
+
+    def test_single_pool(self):
+        (a,) = _crop_pools(SIDE, (self.f0, self.a))
+        assert_bit_equal(a, self.reference(self.f0, self.a))
+
+    def test_box_with_no_overlap_raises(self):
+        off = np.array([[-100.0, -100.0, 10.0, 10.0]])
+        with pytest.raises(OutOfViewError):
+            _crop_pools(SIDE, (self.f0, self.a), (self.f0, np.concatenate([self.n, off])))
+
+    @pytest.mark.parametrize("layout", ["next frame", "same frame", "no pair", "first frame"])
+    def test_draw_matches_cropping_every_drawn_box(self, layout):
+        t0, t1 = (self.f0, self.gt0, 0), (self.f1, self.gt1, 1)
+        first = (self.f0, self.gt0, None)
+        anchor, pair, paired = {
+            "next frame": (t0, t1, True),  # train_offline
+            "same frame": (t0, t0, True),  # wo-C-learning
+            "no pair": (t0, t1, False),  # SlossOnly
+            "first frame": (first, first, True),  # finetune_initial
+        }[layout]
+        for seed in range(5):
+            args = (SIDE, 16, anchor, pair, paired)
+            got = _draw_triplets(Sampler(SamplerConfig(seed=seed)), *args)
+            ref = _reference_draw(Sampler(SamplerConfig(seed=seed)), *args)
+            assert_bit_equal(got.a, ref[0])
+            assert_bit_equal(got.n, ref[2])
+            if paired:
+                assert_bit_equal(got.b, ref[1])
+            else:
+                assert got.b is None
 
 
 class TestFinetuneInitial:
