@@ -18,6 +18,10 @@ removed on exit:
 * track/results-*.csv from `track_sequence` on three sequences (one
   RGB, one starting partly off the frame); the first two fire online
   updates every fifth frame;
+* track/results-side32-*.csv from `track_sequence` with a 1024-input
+  model, whose 32x32 patches upsample a 24 px target as the tracking
+  benchmark does, and whose crops of a 72 px target read more than
+  2 x 32 source rows per box; both fire online updates;
 * cli/ from `slowtrack gen`, `train` and `track` with the configs of
   tests/test_cli.py.
 
@@ -50,6 +54,7 @@ from slowtrack.train import (
 
 DIMS = (64, 16, 8, 8, 4, 2)
 RGB_DIMS = (192, 16, 8, 8, 4, 2)
+SIDE32_DIMS = (1024, 32, 16, 16, 8, 2)
 
 # The configs of tests/test_cli.py's pipeline fixture.
 CLI_CONFIGS = {
@@ -123,6 +128,19 @@ def write_tracking(out: Path) -> None:
         ("drift", model, SynthSpec(T=16, velocity=(1.5, -0.5), seed=21), always),
         ("rgb", rgb_model, SynthSpec(T=16, velocity=(1.0, 1.0), rgb=True, seed=22), always),
         ("edge", model, SynthSpec(T=12, start_x=-6.0, velocity=(2.0, 0.0), seed=23), cfg),
+    ]
+    side32, _ = train_offline(
+        [generate(SynthSpec(T=10, velocity=(1.0, 0.5), seed=14))],
+        init_model(SIDE32_DIMS, seed=0), replace(tc, iterations=40), SamplerConfig(seed=4),
+    )
+    runs += [
+        ("side32-upsample", side32, SynthSpec(T=12, velocity=(1.5, 0.5), seed=24), always),
+        (
+            "side32-large",
+            side32,
+            SynthSpec(T=10, target_w=72.0, target_h=76.0, velocity=(1.0, -0.5), seed=25),
+            always,
+        ),
     ]
     out.mkdir(parents=True)
     for name, m, spec, config in runs:

@@ -133,10 +133,11 @@ def clip_boxes(boxes, frame_w: float, frame_h: float) -> np.ndarray:
     return np.stack([x0, y0, x1 - x0, y1 - y0], axis=1)
 
 
-# Boxes resampled per pass of crop_many. It bounds the index, weight and
-# gather temporaries to a few (CROP_CHUNK, S, S[, C]) arrays whatever the
-# number of boxes. One pass over all 800 tracking candidates raised the
-# tracking benchmark's peak memory from 68 to 87 MB, and ran slower.
+# Boxes resampled per pass of crop_many. It bounds the gather, lerped-row
+# and weight temporaries to a few (CROP_CHUNK, S, S[, C]) arrays whatever
+# the number of boxes; only the (N, S) taps grow with it. One pass over
+# all 800 tracking candidates raised the tracking benchmark's peak memory
+# from 68 to 87 MB, and ran slower.
 CROP_CHUNK = 32
 
 
@@ -158,40 +159,73 @@ def crop_many(image: np.ndarray, boxes, side: int) -> np.ndarray:
     bad = np.flatnonzero((clip[:, 2] <= 0) | (clip[:, 3] <= 0))
     if bad.size:
         raise OutOfViewError(f"box {bad[0]} has no overlap with the frame")
-    # Pixels are gathered in the frame's own dtype; the weight products
-    # convert them to float64 exactly.
-    flat = img.reshape((h * w,) + img.shape[2:])
-    tail = (1,) * (img.ndim - 2)
     out = np.empty((len(clip), side, side) + img.shape[2:], dtype=np.float64)
+    if not len(clip):
+        return out
     steps = np.arange(side, dtype=np.float64) + 0.5
+    row0, row1, fy = _taps(clip[:, 1], clip[:, 3], steps, side, h)
+    col0, col1, fx = _taps(clip[:, 0], clip[:, 2], steps, side, w)
+    # Only the frame window the taps read is converted, once per call. A
+    # product of a pixel and a float64 weight casts the pixel to float64
+    # first, so converting here changes no result.
+    r_lo, c_lo = row0[:, 0].min(), col0[:, 0].min()
+    window = img[r_lo : row1[:, -1].max() + 1, c_lo : col1[:, -1].max() + 1]
+    flat = window.astype(np.float64).reshape((-1,) + img.shape[2:])
+    for taps, lo in ((row0, r_lo), (row1, r_lo), (col0, c_lo), (col1, c_lo)):
+        taps -= lo
+    tail = (1,) * (img.ndim - 2)
+    fx = fx.reshape(fx.shape + tail)
+    fy = fy.reshape(fy.shape + (1,) + tail)
     for start in range(0, len(clip), CROP_CHUNK):
-        c = clip[start : start + CROP_CHUNK]
-        n = len(c)
-        xs = c[:, 0:1] + steps * (c[:, 2:3] / side) - 0.5
-        ys = c[:, 1:2] + steps * (c[:, 3:4] / side) - 0.5
-        np.clip(xs, 0.0, w - 1.0, out=xs)
-        np.clip(ys, 0.0, h - 1.0, out=ys)
-        col0 = np.floor(xs).astype(np.intp)
-        row0 = np.floor(ys).astype(np.intp)
-        fx = (xs - col0).reshape((n, 1, side) + tail)
-        fy = (ys - row0).reshape((n, side, 1) + tail)
-        col1 = np.minimum(col0 + 1, w - 1)[:, None, :]
-        row1 = (np.minimum(row0 + 1, h - 1) * w)[:, :, None]
-        col0 = col0[:, None, :]
-        row0 = (row0 * w)[:, :, None]
-        top = _lerp(flat, row0, col0, col1, fx)
-        bot = _lerp(flat, row1, col0, col1, fx)
-        top *= 1.0 - fy
-        bot *= fy
+        sl = slice(start, start + CROP_CHUNK)
+        top, bot = _lerp_rows(flat, window.shape[1], row0[sl], row1[sl], col0[sl], col1[sl], fx[sl])
+        top *= 1.0 - fy[sl]
+        bot *= fy[sl]
         top += bot
         top /= 255.0
+        n = len(top)
         mean = top.reshape(n, -1).mean(axis=1)
-        np.subtract(top, mean.reshape((n, 1, 1) + tail), out=out[start : start + n])
+        np.subtract(top, mean.reshape((n, 1, 1) + tail), out=out[sl])
     return out
 
 
-def _lerp(flat, row, col0, col1, fx) -> np.ndarray:
-    """flat[row + col0] * (1 - fx) + flat[row + col1] * fx, in float64."""
-    acc = np.multiply(np.take(flat, row + col0, axis=0), 1.0 - fx)
-    acc += np.multiply(np.take(flat, row + col1, axis=0), fx)
-    return acc
+def _taps(start, length, steps, side, limit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Along one axis, the bilinear taps of each box's sample points
+    start + steps * (length / side) - 0.5, clamped to [0, limit - 1]:
+    (n, S) arrays of the lower and upper pixel index and the upper one's
+    weight. Both indices never decrease along a row."""
+    pos = start[:, None] + steps * (length[:, None] / side) - 0.5
+    np.clip(pos, 0.0, limit - 1.0, out=pos)
+    lower = np.floor(pos).astype(np.intp)
+    pos -= lower
+    return lower, np.minimum(lower + 1, limit - 1), pos
+
+
+def _lerp_rows(flat, ww, row0, row1, col0, col1, fx) -> tuple[np.ndarray, np.ndarray]:
+    """The horizontal pass: the top and bottom rows, (n, S, S[, C]), of
+    each output pixel's bilinear quad, lerped as flat[r * ww + col0] *
+    (1 - fx) + flat[r * ww + col1] * fx. Each source row a box reads is
+    lerped once: the span from its first top row to its last bottom row,
+    or, when that span is longer than 2 * S rows, only the 2 * S rows its
+    output rows reference, as many as one lerp per output row costs."""
+    n, side = row0.shape
+    first = row0[:, 0]
+    span = row1[:, -1] - first + 1
+    tall = span > 2 * side
+    size = np.where(tall, 2 * side, span)
+    offset = np.cumsum(size) - size
+    # The source row of each lerped row, boxes one after another, and
+    # where each output row finds its top and bottom rows among them.
+    rows = np.arange(size.sum()) + np.repeat(first - offset, size)
+    top = row0 + (offset - first)[:, None]
+    bot = row1 + (offset - first)[:, None]
+    if tall.any():
+        pos = offset[tall, None] + np.arange(2 * side)
+        rows[pos] = np.concatenate([row0[tall], row1[tall]], axis=1)
+        top[tall] = pos[:, :side]
+        bot[tall] = pos[:, side:]
+    base = (rows * ww)[:, None]
+    wx = np.repeat(fx, size, axis=0)
+    lerp = np.multiply(np.take(flat, base + np.repeat(col0, size, axis=0), axis=0), 1.0 - wx)
+    lerp += np.multiply(np.take(flat, base + np.repeat(col1, size, axis=0), axis=0), wx)
+    return np.take(lerp, top, axis=0), np.take(lerp, bot, axis=0)

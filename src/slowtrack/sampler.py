@@ -124,14 +124,7 @@ class Sampler:
 
         Returns the boxes together with their recorded IoUs.
         """
-        cfg = self.config
-        sigma = cfg.sigma_xy * max(gt.w, gt.h)
-        rows = self._draw_until(
-            cfg.m_n,
-            lambda k: self._perturb(gt, k, sigma, cfg.sigma_scale),
-            lambda prop: _iou_between(prop, gt, cfg.lo, cfg.hi),
-            "negative sampling", frame,
-        )
+        rows = self._negative_rows(gt, frame)
         return [BBox(*row) for row in rows], iou_many(rows, gt)
 
     # -- candidates ----------------------------------------------------------
@@ -224,6 +217,18 @@ class Sampler:
         return js, ks, ls
 
     # -- internals -----------------------------------------------------------
+
+    def _negative_rows(self, gt: BBox, frame: int | None = None) -> np.ndarray:
+        """The draw of sample_negatives as an (m_n, 4) x/y/w/h array, for
+        callers that crop the boxes and need no BBox objects."""
+        cfg = self.config
+        sigma = cfg.sigma_xy * max(gt.w, gt.h)
+        return self._draw_until(
+            cfg.m_n,
+            lambda k: self._perturb(gt, k, sigma, cfg.sigma_scale),
+            lambda prop: _iou_between(prop, gt, cfg.lo, cfg.hi),
+            "negative sampling", frame,
+        )
 
     def _draw_until(
         self, need: int, propose: Callable, accept: Callable, what: str, frame: int | None

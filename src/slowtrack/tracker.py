@@ -8,8 +8,8 @@ scores them all with a frozen forward pass, averages the top-k boxes
 averaged box through the classifier. Every update_period-th frame whose
 score clears the update threshold triggers a short finetune on samples
 drawn around the current prediction. A frame whose candidate sampling
-fails falls back to carrying the previous box forward — tracking never
-aborts mid-sequence.
+fails, or whose top-k scores include NaN, falls back to carrying the
+previous box forward — tracking never aborts mid-sequence.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def track_frame(
     Returns (predicted box, score of the averaged patch, top-k detail
     as (candidate index, score, box) in selection order). The model is
     only read. Raises TrackingFailure when no usable candidate can be
-    drawn around prev_box.
+    drawn around prev_box, or when a selected top-k score is NaN.
     """
     if prev_box.w <= 0 or prev_box.h <= 0:
         raise ValueError(f"previous box must have positive size, got {prev_box}")
@@ -104,6 +104,11 @@ def track_frame(
     scores = forward_classifier(model, forward_features(model, patches))
     # Stable sort on descending score = index order among exact ties.
     order = np.argsort(-scores, kind="stable")[: config.top_k]
+    # NaN sorts last, so a NaN here means fewer than top_k scores are
+    # numbers; averaging unranked candidates would move the box at random.
+    nan = int(np.isnan(scores[order]).sum())
+    if nan:
+        raise TrackingFailure(f"{nan} of the top {len(order)} candidate scores are NaN")
     top = [(int(i), float(scores[i]), BBox(*candidates[i])) for i in order]
     pred = average_boxes([box for _, _, box in top])
     patch = crop_many(frame.pixels, [pred], side).ravel()

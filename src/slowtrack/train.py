@@ -191,22 +191,47 @@ def _crop_pools(side: int, *pools: tuple[Frame, np.ndarray]) -> list[np.ndarray]
     return out
 
 
+def _recall(memo: dict, side: int, frame: Frame, boxes: np.ndarray) -> np.ndarray:
+    """Flattened patches of boxes, one (n, r) matrix, kept in memo by each
+    box's bytes: boxes not in it yet are cropped in one crop_many call and
+    added. Every row is bit-equal to cropping its box directly, because
+    crop_many of a box does not depend on the other boxes in the call."""
+    keys = [row.tobytes() for row in boxes]
+    missing = {k: i for i, k in enumerate(keys) if k not in memo}
+    if missing:
+        rows = crop_many(frame.pixels, boxes[list(missing.values())], side)
+        memo.update(zip(missing, rows.reshape(len(missing), -1)))
+    return np.stack([memo[k] for k in keys])
+
+
 def _draw_triplets(
-    sampler: Sampler, side: int, count: int, anchor: tuple, pair: tuple, paired: bool = True
+    sampler: Sampler,
+    side: int,
+    count: int,
+    anchor: tuple,
+    pair: tuple,
+    paired: bool = True,
+    memo: dict | None = None,
 ) -> TripletBatch:
     """One offline or first-frame batch. `anchor` and `pair` are (frame,
     box, frame index or None): positives and negatives around the anchor
     box, paired positives around the pair box, `count` random triplets.
     Without `paired` the paired positives are drawn, keeping the sampler's
-    stream, but not cropped, and the batch has no `b`."""
+    stream, but not cropped, and the batch has no `b`. With a `memo`, for
+    the first-frame finetune where both positive pools are shifts of one
+    box on one frame, each distinct positive is cropped once per memo."""
     frame, gt, t = anchor
     pair_frame, pair_gt, pair_t = pair
     a_boxes = box_array(sampler.sample_positives(gt, frame.width, frame.height, frame=t))
     b_boxes = box_array(
         sampler.sample_positives(pair_gt, frame.width, frame.height, frame=pair_t)
     )
-    neg_boxes = box_array(sampler.sample_negatives(gt, frame=t)[0])
+    neg_boxes = sampler._negative_rows(gt, frame=t)
     js, ks, ls = sampler.build_triplets(len(a_boxes), len(b_boxes), len(neg_boxes), count)
+    if memo is not None:
+        (n,) = _crop_pools(side, (frame, neg_boxes[ls]))
+        pos = _recall(memo, side, frame, np.concatenate([a_boxes[js], b_boxes[ks]]))
+        return TripletBatch(a=pos[:count], b=pos[count:], n=n)
     # Only the rows the triplets use are cropped.
     pools = [(frame, a_boxes[js]), (frame, neg_boxes[ls])]
     if paired:
@@ -303,9 +328,11 @@ def finetune_initial(
     sampler = Sampler(sampler_config)
     side = _patch_side(model, frame)
     view = (frame, gt, None)
+    # The positives are at most 24 shifts of gt, drawn again every step.
+    memo: dict[bytes, np.ndarray] = {}
 
     def draw() -> TripletBatch:
-        return _draw_triplets(sampler, side, train_config.batch_size, view, view)
+        return _draw_triplets(sampler, side, train_config.batch_size, view, view, memo=memo)
 
     return _fit(model, train_config, weights, "full", draw)[0]
 

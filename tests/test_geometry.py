@@ -10,6 +10,7 @@ from slowtrack.geometry import (
     BBox,
     average_boxes,
     center_distance,
+    clip_boxes,
     crop_many,
     iou,
     iou_many,
@@ -187,15 +188,22 @@ def reference_crop(image, box, side):
 @st.composite
 def crop_cases(draw):
     """A random frame, patch side and batch of boxes that each overlap
-    the frame: partly off-frame, sub-pixel and full-frame ones included,
-    with batch sizes around the chunk size."""
+    the frame. Box kinds: full-frame, random (partly off-frame and
+    sub-pixel ones included), taller or wider than 2 * side, touching or
+    crossing the right or bottom edge (clamped neighbours), and slivers
+    clipped to at most 1 px. Batch sizes lie around the chunk size, so
+    one chunk holds boxes of different heights."""
     h = draw(st.integers(2, 48))
     w = draw(st.integers(2, 48))
     shape = (h, w, 3) if draw(st.booleans()) else (h, w)
     seed = draw(st.integers(0, 2**32 - 1))
     img = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
     side = draw(st.integers(1, 12))
-    n = draw(st.sampled_from([1, 3, CROP_CHUNK, CROP_CHUNK + 1, 2 * CROP_CHUNK + 5]))
+    n = draw(
+        st.sampled_from(
+            [1, 3, CROP_CHUNK - 1, CROP_CHUNK, CROP_CHUNK + 1, 2 * CROP_CHUNK + 5]
+        )
+    )
 
     def span(limit):
         # start anywhere from one frame size before the frame to just
@@ -204,14 +212,58 @@ def crop_cases(draw):
         hi = draw(st.floats(max(lo, 0.0) + 0.01, 2.0 * limit))
         return lo, hi - lo
 
+    def big(limit):
+        # longer than 2 * side, starting inside the frame
+        length = draw(st.floats(2.0 * side + 0.01, 2.0 * side + 2.0 * limit))
+        return draw(st.floats(0.0, limit - 0.01)), length
+
+    def to_edge(limit):
+        # ends exactly at the frame's far edge, or past it
+        beyond = draw(st.sampled_from([0.0, 0.0, 0.5, 3.0]))
+        length = draw(st.floats(beyond + 0.01, beyond + limit))
+        return limit + beyond - length, length
+
+    def sliver(limit):
+        # at most 1 px of it inside the frame, at either end
+        inside = draw(st.floats(0.01, 1.0))
+        length = draw(st.floats(inside, inside + limit))
+        return (inside - length, length) if draw(st.booleans()) else (limit - inside, length)
+
     boxes = []
     for _ in range(n):
-        if draw(st.integers(0, 9)) == 0:
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
             boxes.append(BBox(0.0, 0.0, float(w), float(h)))
-        else:
-            (x, bw), (y, bh) = span(w), span(h)
-            boxes.append(BBox(x, y, bw, bh))
+            continue
+        fx, fy = {1: (big, span), 2: (span, big), 3: (to_edge, span),
+                  4: (span, to_edge), 5: (sliver, span), 6: (span, sliver)}.get(
+            kind, (span, span))
+        (x, bw), (y, bh) = fx(w), fy(h)
+        boxes.append(BBox(x, y, bw, bh))
     return img, boxes, side
+
+
+def mixed_boxes(rng, n, w, h, side):
+    """n boxes cycling through the kinds crop_cases draws, so every chunk
+    mixes row spans above and below 2 * side."""
+    rows = []
+    for i in range(n):
+        bw, bh = rng.uniform(1.0, 0.5 * w), rng.uniform(1.0, 0.5 * h)
+        # at least half of each side inside the frame
+        x, y = rng.uniform(-0.5 * bw, w - 0.5 * bw), rng.uniform(-0.5 * bh, h - 0.5 * bh)
+        kind = i % 6
+        if kind == 1:
+            y, bh = rng.uniform(0, h - 2 * side - 2), rng.uniform(2 * side + 1, 3 * side)
+        elif kind == 2:
+            x, bw = w - bw, bw  # touching the right edge
+        elif kind == 3:
+            y = h - bh + rng.choice([0.0, 0.5 * bh])  # touching or crossing the bottom
+        elif kind == 4:
+            x = -bw + rng.uniform(0.05, 1.0)  # a sliver at the left edge
+        elif kind == 5:
+            y = h - rng.uniform(0.05, 1.0)  # a sliver at the bottom edge
+        rows.append((x, y, bw, bh))
+    return np.array(rows)
 
 
 class TestCropMany:
@@ -224,6 +276,23 @@ class TestCropMany:
         assert stack.shape == (len(boxes), side, side) + img.shape[2:]
         for i, box in enumerate(boxes):
             assert np.array_equal(stack[i], reference_crop(img, box, side)), i
+
+    @pytest.mark.parametrize("rgb", [False, True])
+    @pytest.mark.parametrize("side", [8, 32])
+    @pytest.mark.parametrize("n", [CROP_CHUNK - 1, CROP_CHUNK, CROP_CHUNK + 1, 800])
+    def test_mixed_batches_match_reference(self, n, side, rgb):
+        rng = np.random.default_rng(n * side + rgb)
+        h, w = 100, 120
+        shape = (h, w, 3) if rgb else (h, w)
+        img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        boxes = mixed_boxes(rng, n, w, h, side)
+        # the first chunk really mixes row spans above and below 2 * side
+        heights = clip_boxes(boxes[:CROP_CHUNK], w, h)[:, 3]
+        assert (heights > 2 * side + 1).any() and (heights < 2 * side - 1).any()
+        stack = crop_many(img, boxes, side)
+        assert stack.shape == (n, side, side) + img.shape[2:]
+        for i, row in enumerate(boxes):
+            assert np.array_equal(stack[i], reference_crop(img, BBox(*row), side)), i
 
     def test_bbox_list_and_array_agree(self):
         rng = np.random.default_rng(9)

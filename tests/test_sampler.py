@@ -206,6 +206,23 @@ class TestNegatives:
         b, _ = make_sampler(seed=11).sample_negatives(gt)
         assert a == b
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_are_the_same_draw(self, seed):
+        gt = BBox(10.5, 20.25, 30, 24)
+        boxes_smp, rows_smp = make_sampler(seed=seed), make_sampler(seed=seed)
+        boxes, ious = boxes_smp.sample_negatives(gt, frame=3)
+        rows = rows_smp._negative_rows(gt, frame=3)
+        assert rows.shape == (len(boxes), 4)
+        assert [BBox(*r) for r in rows.tolist()] == boxes
+        assert np.array_equal(iou_many(rows, gt), ious)
+        assert stream_after(boxes_smp) == stream_after(rows_smp)
+
+    def test_rows_exhaustion_names_frame(self):
+        smp = make_sampler(lo=0.9999, hi=1.0, m_n=64, max_rejections=200)
+        message = r"negative sampling found 0/64 in 200 attempts \(frame 17\)"
+        with pytest.raises(SamplerExhausted, match=message):
+            smp._negative_rows(BBox(60, 50, 24, 20), frame=17)
+
 
 class TestCandidates:
     def test_zero_noise_returns_prev_exactly(self):

@@ -261,7 +261,7 @@ class TestTrackSequence:
             assert np.array_equal(arr, getattr(trained_model, name)), name
 
     def test_all_nan_scores_give_nan_records_and_no_update(
-        self, easy_sequence, trained_model, monkeypatch
+        self, easy_sequence, trained_model, monkeypatch, caplog
     ):
         import slowtrack.tracker as tracker_mod
 
@@ -274,17 +274,46 @@ class TestTrackSequence:
             m=16, top_k=4, update_score_threshold=-1.0,
             sampler=SamplerConfig(seed=1), init_train=FAST_INIT,
         )
-        _, records = track_sequence(trained_model, easy_sequence, cfg)
+        with caplog.at_level("WARNING", logger="slowtrack.tracker"):
+            _, records = track_sequence(trained_model, easy_sequence, cfg)
         assert [r.frame for r in records] == list(range(2, easy_sequence.T + 1))
+        # the first box as track_sequence starts from it: clipped only
+        # when it leaves the frame
+        gt = easy_sequence.groundtruth[0]
         fw, fh = easy_sequence.frames[0].width, easy_sequence.frames[0].height
+        inside = gt.x >= 0 and gt.y >= 0 and gt.x + gt.w <= fw and gt.y + gt.h <= fh
+        start = gt if inside else gt.clipped(fw, fh)
         for r in records:
             assert math.isnan(r.score)
             assert not r.updated
-            # NaN sorts last but ties keep index order, so the top-k are
-            # the first k candidates and the average is a real box.
-            assert all(math.isfinite(v) for v in r.box.as_tuple())
-            assert r.box.w > 0 and r.box.h > 0
-            assert r.box.x + r.box.w > 0 and r.box.x < fw
+            # unranked candidates are not averaged: the box is carried
+            assert r.box == start
+        carried = [r for r in caplog.records if "carrying previous box" in r.message]
+        assert len(carried) == easy_sequence.T - 1
+        assert all("4 of the top 4 candidate scores are NaN" in r.message for r in carried)
+
+    def test_nan_inside_top_k_raises_tracking_failure(
+        self, easy_sequence, trained_model, monkeypatch
+    ):
+        import slowtrack.tracker as tracker_mod
+
+        # Two numeric candidate scores; the averaged patch scores 0.25.
+        scores = np.full(16, np.nan)
+        scores[[3, 9]] = [0.5, 0.7]
+        monkeypatch.setattr(
+            tracker_mod, "forward_classifier", lambda model, f: scores if f.ndim == 2 else 0.25
+        )
+        cfg = TrackerConfig(m=16, top_k=3, sampler=SamplerConfig(seed=1))
+        frame, prev = easy_sequence.frames[1], easy_sequence.groundtruth[0]
+        with pytest.raises(TrackingFailure, match="1 of the top 3 candidate scores are NaN"):
+            track_frame(trained_model, frame, prev, cfg, Sampler(cfg.sampler))
+        # top_k = 2 selects only numbers and tracks as usual
+        pred, score, top = track_frame(
+            trained_model, frame, prev, replace(cfg, top_k=2), Sampler(cfg.sampler)
+        )
+        assert [i for i, _, _ in top] == [9, 3]
+        assert score == 0.25
+        assert pred == average_boxes([box for _, _, box in top])
 
     def test_reproducible_and_boxes_stay_in_frame(
         self, easy_sequence, trained_model, tmp_path

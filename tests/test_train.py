@@ -16,7 +16,7 @@ from slowtrack.dataset import Frame, Sequence, SynthSpec, generate
 from slowtrack.errors import ConfigError, OutOfViewError
 from slowtrack.geometry import BBox, crop_many
 from slowtrack.loss import LossWeights
-from slowtrack.net import Model, forward_classifier, forward_features, init_model
+from slowtrack.net import Model, TripletBatch, forward_classifier, forward_features, init_model
 from slowtrack.sampler import Sampler, SamplerConfig
 from slowtrack.train import (
     CLASSIFIER_PARAMS,
@@ -25,6 +25,7 @@ from slowtrack.train import (
     TrainConfig,
     _crop_pools,
     _draw_triplets,
+    _fit,
     finetune_initial,
     finetune_update,
     optimizer_step,
@@ -409,6 +410,36 @@ class TestCropPools:
             else:
                 assert got.b is None
 
+    def test_first_frame_memo_matches_cropping_every_drawn_box(self, monkeypatch):
+        import slowtrack.train as train_mod
+
+        cropped = []
+
+        def recording(image, boxes, side):
+            cropped.append(np.array(boxes))
+            return crop_many(image, boxes, side)
+
+        monkeypatch.setattr(train_mod, "crop_many", recording)
+        first = (self.f0, self.gt0, None)
+        memo = {}
+        # one memo across draws, as in finetune_initial
+        for seed in range(5):
+            args = (SIDE, 16, first, first)
+            got = _draw_triplets(Sampler(SamplerConfig(seed=seed)), *args, memo=memo)
+            ref = _reference_draw(Sampler(SamplerConfig(seed=seed)), *args)
+            assert_bit_equal(got.a, ref[0])
+            assert_bit_equal(got.b, ref[1])
+            assert_bit_equal(got.n, ref[2])
+        # Positives keep gt's size, negatives are rescaled: each distinct
+        # positive was cropped once, the negatives once per draw.
+        gt_size = np.array([self.gt0.w, self.gt0.h])
+        positive = [(b[:, 2:] == gt_size).all() for b in cropped]
+        pos_rows = np.concatenate([b for b, p in zip(cropped, positive) if p])
+        assert len(pos_rows) == len(np.unique(pos_rows, axis=0)) == len(memo) <= 24
+        assert positive.count(False) == 5
+        for boxes, p in zip(cropped, positive):
+            assert p or not (boxes[:, 2:] == gt_size).all(axis=1).any()
+
 
 class TestFinetuneInitial:
     def setup_method(self):
@@ -430,6 +461,22 @@ class TestFinetuneInitial:
             finetune_initial(
                 m0, self.frame, BBox(-50.0, -50.0, 10.0, 10.0), TrainConfig(), SamplerConfig()
             )
+
+    def test_matches_cropping_every_step(self):
+        # The step loop fed by the crop-everything draw, kept as the
+        # reference: cropping positives once per finetune changes no bit.
+        m0 = init_model(DIMS, seed=0)
+        tc = TrainConfig(iterations=30, optimizer="sgd", learning_rate=0.01, seed=3, batch_size=8)
+        got = finetune_initial(m0, self.frame, self.gt, tc, SamplerConfig(seed=4))
+        sampler, view = Sampler(SamplerConfig(seed=4)), (self.frame, self.gt, None)
+
+        def draw():
+            a, b, n = _reference_draw(sampler, SIDE, tc.batch_size, view, view)
+            return TripletBatch(a=a, b=b, n=n)
+
+        ref, _ = _fit(m0, tc, LossWeights(), "full", draw)
+        for name, arr in ref.params():
+            assert_bit_equal(getattr(got, name), arr)
 
     def test_deterministic(self):
         m0 = init_model(DIMS, seed=0)
