@@ -7,16 +7,17 @@ are ignored. Unknown sections, unknown keys, duplicate keys, and
 malformed values are all hard errors — a silent typo in an experiment
 file is worse than a crash.
 
-Value syntax per field type: ints, floats, and strings are literal;
-bools accept true/false/yes/no/1/0; optional fields accept ``none``;
-fixed-size tuples are colon- or comma-separated (``velocity=1.0,0.5``);
-variadic tuples are comma-separated with colon-separated inner pairs
-(``occlusions=20:30,50:60``).
+Value syntax per field type: ints, floats, and strings are literal,
+and floats must be finite; bools accept true/false/yes/no/1/0; optional
+fields accept ``none``; fixed-size tuples are colon- or comma-separated
+(``velocity=1.0,0.5``); variadic tuples are comma-separated with
+colon-separated inner pairs (``occlusions=20:30,50:60``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 from pathlib import Path
@@ -77,9 +78,13 @@ def _convert(raw: str, hint, key: str):
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     if hint in (int, float, str):
         try:
-            return hint(raw)
+            value = hint(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
+        # Validators written as x < 0 would let NaN through.
+        if hint is float and not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+        return value
     origin = typing.get_origin(hint)
     if origin in (types.UnionType, typing.Union):
         members = [a for a in typing.get_args(hint) if a is not type(None)]

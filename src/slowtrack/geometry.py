@@ -32,10 +32,6 @@ class BBox:
     def cy(self) -> float:
         return self.y + self.h / 2.0
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
     def shifted(self, dx: float, dy: float) -> "BBox":
         return BBox(self.x + dx, self.y + dy, self.w, self.h)
 

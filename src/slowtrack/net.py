@@ -42,7 +42,6 @@ class Model:
     b4: np.ndarray
     W5: np.ndarray
     b5: np.ndarray
-    nonlinearity: str = "relu"
 
     def params(self) -> list[tuple[str, np.ndarray]]:
         return [(name, getattr(self, name)) for name in PARAM_NAMES]
@@ -52,7 +51,7 @@ class Model:
 
     def copy(self) -> "Model":
         kw = {name: arr.copy() for name, arr in self.params()}
-        return Model(dims=self.dims, nonlinearity=self.nonlinearity, **kw)
+        return Model(dims=self.dims, **kw)
 
     def assert_finite(self) -> None:
         for name, arr in self.params():
@@ -462,9 +461,10 @@ MAGIC = "CDNN1"
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    """Text format: magic, dims line, nonlinearity line, then one line of
-    round-trip-exact decimal floats per weight-matrix row / bias vector."""
-    lines = [MAGIC, " ".join(str(d) for d in model.dims), model.nonlinearity]
+    """Text format: magic, dims line, the nonlinearity line (always
+    "relu"), then one line of round-trip-exact decimal floats per
+    weight-matrix row / bias vector."""
+    lines = [MAGIC, " ".join(str(d) for d in model.dims), "relu"]
     for _, arr in model.params():
         for row in np.atleast_2d(arr):
             lines.append(" ".join(repr(float(v)) for v in row))
@@ -516,6 +516,6 @@ def load_model(path: str | Path) -> Model:
     for extra in lines[lineno:]:
         if extra.strip():
             raise FormatError(f"{path}: trailing content after parameters")
-    model = Model(dims=dims, nonlinearity=nonlinearity, **kw)
+    model = Model(dims=dims, **kw)
     model.assert_finite()
     return model

@@ -85,10 +85,17 @@ class Sampler:
     def sample_positives(
         self, gt: BBox, frame_w: float, frame_h: float, frame: int | None = None
     ) -> list[BBox]:
+        """The draw of positive_rows as BBox objects."""
+        rows = self.positive_rows(gt, frame_w, frame_h, frame)
+        return [BBox(*row) for row in rows.tolist()]
+
+    def positive_rows(
+        self, gt: BBox, frame_w: float, frame_h: float, frame: int | None = None
+    ) -> np.ndarray:
         """Draw m_p copies of gt shifted by a uniform integer offset with
-        1 <= max(|dx|,|dy|) <= shift_max. Size is never changed; a copy
-        with no overlap with the frame is redrawn, up to max_rejections
-        draws in all."""
+        1 <= max(|dx|,|dy|) <= shift_max, as an (m_p, 4) x/y/w/h array.
+        Size is never changed; a copy with no overlap with the frame is
+        redrawn, up to max_rejections draws in all."""
         cfg = self.config
         out = [np.zeros((0, 4))]
         n = attempts = 0
@@ -112,20 +119,30 @@ class Sampler:
             keep = boxes[~((clip[:, 2] <= 0) | (clip[:, 3] <= 0))]
             out.append(keep)
             n += len(keep)
-        return [BBox(*row) for row in np.concatenate(out).tolist()]
+        return np.concatenate(out)
 
     # -- negatives ---------------------------------------------------------
 
     def sample_negatives(
         self, gt: BBox, frame: int | None = None
     ) -> tuple[list[BBox], np.ndarray]:
-        """Rejection-sample m_n boxes with lo <= IoU(box, gt) <= hi from a
-        Gaussian translation / log-normal scale perturbation of gt.
-
-        Returns the boxes together with their recorded IoUs.
-        """
-        rows = self._negative_rows(gt, frame)
+        """The draw of negative_rows as BBox objects, together with their
+        recorded IoUs."""
+        rows = self.negative_rows(gt, frame)
         return [BBox(*row) for row in rows], iou_many(rows, gt)
+
+    def negative_rows(self, gt: BBox, frame: int | None = None) -> np.ndarray:
+        """Rejection-sample m_n boxes with lo <= IoU(box, gt) <= hi from a
+        Gaussian translation / log-normal scale perturbation of gt, as an
+        (m_n, 4) x/y/w/h array."""
+        cfg = self.config
+        sigma = cfg.sigma_xy * max(gt.w, gt.h)
+        return self._draw_until(
+            cfg.m_n,
+            lambda k: self._perturb(gt, k, sigma, cfg.sigma_scale),
+            lambda prop: _iou_between(prop, gt, cfg.lo, cfg.hi),
+            "negative sampling", frame,
+        )
 
     # -- candidates ----------------------------------------------------------
 
@@ -217,18 +234,6 @@ class Sampler:
         return js, ks, ls
 
     # -- internals -----------------------------------------------------------
-
-    def _negative_rows(self, gt: BBox, frame: int | None = None) -> np.ndarray:
-        """The draw of sample_negatives as an (m_n, 4) x/y/w/h array, for
-        callers that crop the boxes and need no BBox objects."""
-        cfg = self.config
-        sigma = cfg.sigma_xy * max(gt.w, gt.h)
-        return self._draw_until(
-            cfg.m_n,
-            lambda k: self._perturb(gt, k, sigma, cfg.sigma_scale),
-            lambda prop: _iou_between(prop, gt, cfg.lo, cfg.hi),
-            "negative sampling", frame,
-        )
 
     def _draw_until(
         self, need: int, propose: Callable, accept: Callable, what: str, frame: int | None

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
@@ -67,14 +66,12 @@ class TrackerConfig:
 @dataclass
 class TrackResult:
     """One tracked frame: 1-based frame number (2..T), the predicted
-    box, its classifier score, whether the update condition fired, and
-    the wall time spent on the frame."""
+    box, its classifier score, and whether the update condition fired."""
 
     frame: int
     box: BBox
     score: float
     updated: bool
-    elapsed: float = 0.0
 
 
 def track_frame(
@@ -142,7 +139,6 @@ def track_sequence(
     records: list[TrackResult] = []
     for t in range(2, sequence.T + 1):
         frame = sequence.frames[t - 1]
-        start = time.perf_counter()
         try:
             pred, score, _ = track_frame(model, frame, prev, config, sampler)
         except TrackingFailure as exc:
@@ -166,9 +162,7 @@ def track_sequence(
                 weights,
                 frame_index=t,
             )
-        records.append(
-            TrackResult(t, pred, float(score), updated, time.perf_counter() - start)
-        )
+        records.append(TrackResult(t, pred, float(score), updated))
         prev = pred
     return model, records
 

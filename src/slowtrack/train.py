@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Frame, Sequence
 from .errors import ConfigError, NumericalError, SamplerExhausted
-from .geometry import BBox, box_array, crop_many
+from .geometry import BBox, crop_many
 from .loss import VARIANTS, LossWeights
 from .net import Model, TripletBatch, backward
 from .sampler import Sampler, SamplerConfig
@@ -168,33 +168,11 @@ def _patch_side(model: Model, frame: Frame) -> int:
     return side
 
 
-def _crop_pools(side: int, *pools: tuple[Frame, np.ndarray]) -> list[np.ndarray]:
-    """Flattened patches of (frame, (n, 4) box array) pools: one (n, r)
-    matrix per pool, row i the patch of box i. Each distinct box is
-    cropped once, in one crop_many call per frame; pools on the same
-    Frame object share that call. crop_many of a box does not depend on
-    the other boxes in the call, so every row is bit-equal to cropping
-    its pool alone."""
-    out: list[np.ndarray] = [np.empty(0)] * len(pools)
-    for frame in {id(f): f for f, _ in pools}.values():
-        which = [i for i, (f, _) in enumerate(pools) if f is frame]
-        boxes = np.concatenate([pools[i][1] for i in which])
-        # Rows as single byte strings: byte-equal boxes crop identically.
-        keys = boxes.view(np.dtype((np.void, boxes.strides[0]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        flat = crop_many(frame.pixels, boxes[first], side).reshape(len(first), -1)
-        start = 0
-        for i in which:
-            stop = start + len(pools[i][1])
-            out[i] = flat[inverse[start:stop]]
-            start = stop
-    return out
-
-
-def _recall(memo: dict, side: int, frame: Frame, boxes: np.ndarray) -> np.ndarray:
-    """Flattened patches of boxes, one (n, r) matrix, kept in memo by each
-    box's bytes: boxes not in it yet are cropped in one crop_many call and
-    added. Every row is bit-equal to cropping its box directly, because
+def _patches(memo: dict, side: int, frame: Frame, boxes: np.ndarray) -> np.ndarray:
+    """Flattened patches of boxes on frame, one (n, r) matrix, kept in
+    memo by each box's bytes: the distinct boxes not in it yet are cropped
+    in one crop_many call and added. A memo holds the patches of one
+    Frame. Every row is bit-equal to cropping its box alone, because
     crop_many of a box does not depend on the other boxes in the call."""
     keys = [row.tobytes() for row in boxes]
     missing = {k: i for i, k in enumerate(keys) if k not in memo}
@@ -216,28 +194,30 @@ def _draw_triplets(
     """One offline or first-frame batch. `anchor` and `pair` are (frame,
     box, frame index or None): positives and negatives around the anchor
     box, paired positives around the pair box, `count` random triplets.
-    Without `paired` the paired positives are drawn, keeping the sampler's
-    stream, but not cropped, and the batch has no `b`. With a `memo`, for
-    the first-frame finetune where both positive pools are shifts of one
-    box on one frame, each distinct positive is cropped once per memo."""
+    Only the rows the triplets use are cropped: anchors and negatives in
+    one call, paired positives in one call on their own frame. The calls
+    share a fresh memo when the pair is on the anchor's Frame object.
+    Without `paired` the paired positives are drawn, keeping the
+    sampler's stream, but not cropped, and the batch has no `b`. A `memo`
+    passed in, for the first-frame finetune where both positive pools
+    are shifts of one box on one frame, keeps the positives across draws;
+    the negatives never repeat, so they are cropped apart."""
     frame, gt, t = anchor
     pair_frame, pair_gt, pair_t = pair
-    a_boxes = box_array(sampler.sample_positives(gt, frame.width, frame.height, frame=t))
-    b_boxes = box_array(
-        sampler.sample_positives(pair_gt, frame.width, frame.height, frame=pair_t)
-    )
-    neg_boxes = sampler._negative_rows(gt, frame=t)
+    a_boxes = sampler.positive_rows(gt, frame.width, frame.height, frame=t)
+    b_boxes = sampler.positive_rows(pair_gt, frame.width, frame.height, frame=pair_t)
+    neg_boxes = sampler.negative_rows(gt, frame=t)
     js, ks, ls = sampler.build_triplets(len(a_boxes), len(b_boxes), len(neg_boxes), count)
     if memo is not None:
-        (n,) = _crop_pools(side, (frame, neg_boxes[ls]))
-        pos = _recall(memo, side, frame, np.concatenate([a_boxes[js], b_boxes[ks]]))
+        n = _patches({}, side, frame, neg_boxes[ls])
+        pos = _patches(memo, side, frame, np.concatenate([a_boxes[js], b_boxes[ks]]))
         return TripletBatch(a=pos[:count], b=pos[count:], n=n)
-    # Only the rows the triplets use are cropped.
-    pools = [(frame, a_boxes[js]), (frame, neg_boxes[ls])]
+    memo = {}
+    an = _patches(memo, side, frame, np.concatenate([a_boxes[js], neg_boxes[ls]]))
+    b = None
     if paired:
-        pools.append((pair_frame, b_boxes[ks]))
-    a, n, *b = _crop_pools(side, *pools)
-    return TripletBatch(a=a, b=b[0] if paired else None, n=n)
+        b = _patches(memo if pair_frame is frame else {}, side, pair_frame, b_boxes[ks])
+    return TripletBatch(a=an[:count], b=b, n=an[count:])
 
 
 def _fit(
@@ -363,7 +343,10 @@ def finetune_update(
         log.warning("online update skipped: %s", exc)
         return model
     side = _patch_side(model, frame)
-    pos, negs = _crop_pools(side, (frame, pos_boxes), (frame, neg_boxes))
+    # Continuous draws never repeat, so there is nothing to memoize.
+    boxes = np.concatenate([pos_boxes, neg_boxes])
+    patches = crop_many(frame.pixels, boxes, side).reshape(len(boxes), -1)
+    pos, negs = np.split(patches, [len(pos_boxes)])
 
     def draw() -> TripletBatch:
         js, ks, ls = sampler.build_triplets(len(pos), len(pos), len(negs), tc.batch_size)

@@ -126,6 +126,14 @@ class TestExitCodes:
         assert rc == 1
         assert "unknown key" in caplog.text
 
+    def test_non_finite_config_float_exits_one(self, tmp_path, caplog):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("synth.velocity = 1.0,nan\n")
+        with caplog.at_level(logging.ERROR):
+            rc = run("gen", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == 1
+        assert "synth.velocity: expected a finite number, got 'nan'" in caplog.text
+
     def test_unknown_config_section_exits_one(self, tmp_path, caplog):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("tracker.m = 50\n")  # gen does not read tracker

@@ -153,6 +153,17 @@ class TestBuild:
         with pytest.raises(ConfigError, match=r"sampler\.lo"):
             build(SamplerConfig, {"lo": "abc"}, section="sampler")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("dc, key, template", [
+        (SamplerConfig, "sigma_xy", "{}"),  # scalar
+        (SynthSpec, "velocity", "1.0,{}"),  # inside a tuple
+        (SynthSpec, "start_x", "{}"),  # optional
+    ])
+    def test_non_finite_float_rejected(self, raw, dc, key, template):
+        message = rf"^sec\.{key}: expected a finite number, got '{raw}'$"
+        with pytest.raises(ConfigError, match=message):
+            build(dc, {key: template.format(raw)}, section="sec")
+
     def test_int_garbage_rejected(self):
         with pytest.raises(ConfigError):
             build(SamplerConfig, {"m_p": "4.5"})

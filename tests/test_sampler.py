@@ -124,11 +124,14 @@ class TestPositivesMatchPerDrawLoop:
         for seed in range(20):
             for m_p in (1, 16, 17):
                 cfg = SamplerConfig(shift_max=shift_max, m_p=m_p, seed=seed)
-                new, ref = Sampler(cfg), Sampler(cfg)
+                new, rows_smp, ref = Sampler(cfg), Sampler(cfg), Sampler(cfg)
                 got = new.sample_positives(gt, FRAME_W, FRAME_H)
+                rows = rows_smp.positive_rows(gt, FRAME_W, FRAME_H)
                 want = reference_positives(ref, gt, FRAME_W, FRAME_H)
                 assert [b.as_tuple() for b in got] == [b.as_tuple() for b in want]
-                assert stream_after(new) == stream_after(ref)
+                assert rows.shape == (m_p, 4)
+                assert rows.tolist() == [list(b.as_tuple()) for b in want]
+                assert stream_after(new) == stream_after(rows_smp) == stream_after(ref)
 
     @pytest.mark.parametrize("shift_max", [1, 2])
     @pytest.mark.parametrize("max_rejections", [1, 7, 20, 37])
@@ -211,7 +214,7 @@ class TestNegatives:
         gt = BBox(10.5, 20.25, 30, 24)
         boxes_smp, rows_smp = make_sampler(seed=seed), make_sampler(seed=seed)
         boxes, ious = boxes_smp.sample_negatives(gt, frame=3)
-        rows = rows_smp._negative_rows(gt, frame=3)
+        rows = rows_smp.negative_rows(gt, frame=3)
         assert rows.shape == (len(boxes), 4)
         assert [BBox(*r) for r in rows.tolist()] == boxes
         assert np.array_equal(iou_many(rows, gt), ious)
@@ -221,7 +224,7 @@ class TestNegatives:
         smp = make_sampler(lo=0.9999, hi=1.0, m_n=64, max_rejections=200)
         message = r"negative sampling found 0/64 in 200 attempts \(frame 17\)"
         with pytest.raises(SamplerExhausted, match=message):
-            smp._negative_rows(BBox(60, 50, 24, 20), frame=17)
+            smp.negative_rows(BBox(60, 50, 24, 20), frame=17)
 
 
 class TestCandidates:

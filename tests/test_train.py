@@ -17,15 +17,15 @@ from slowtrack.errors import ConfigError, OutOfViewError
 from slowtrack.geometry import BBox, crop_many
 from slowtrack.loss import LossWeights
 from slowtrack.net import Model, TripletBatch, forward_classifier, forward_features, init_model
-from slowtrack.sampler import Sampler, SamplerConfig
+from slowtrack.sampler import Sampler, SamplerConfig, _positive_offsets
 from slowtrack.train import (
     CLASSIFIER_PARAMS,
     FEATURE_PARAMS,
     OptState,
     TrainConfig,
-    _crop_pools,
     _draw_triplets,
     _fit,
+    _patches,
     finetune_initial,
     finetune_update,
     optimizer_step,
@@ -342,52 +342,107 @@ class TestCropPools:
         offsets = rng.integers(-2, 3, size=(16, 2)).astype(float)
         base = np.array(self.gt0.as_tuple())
         # Integer shifts of one box repeat often; the negatives are drawn
-        # with repeats too, and the pair pool reuses anchor boxes.
+        # with repeats too.
         self.a = base + np.hstack([offsets, np.zeros((16, 2))])
         negs = base + rng.normal(0.0, 4.0, size=(8, 4)) * [1, 1, 0.5, 0.5]
         self.n = negs[rng.integers(8, size=16)]
-        self.b = np.concatenate([self.a[5:11], self.a[:3], negs[:2]])
 
     @staticmethod
     def reference(frame, boxes):
-        return crop_many(frame.pixels, boxes, SIDE).reshape(len(boxes), -1)
+        """Each box cropped alone."""
+        return np.stack([crop_many(frame.pixels, box[None], SIDE).ravel() for box in boxes])
 
     def counted(self, monkeypatch):
+        """The box arrays of each crop_many call training makes."""
         import slowtrack.train as train_mod
 
         calls = []
 
-        def counting(image, boxes, side):
-            calls.append(len(boxes))
+        def recording(image, boxes, side):
+            calls.append(np.array(boxes))
             return crop_many(image, boxes, side)
 
-        monkeypatch.setattr(train_mod, "crop_many", counting)
+        monkeypatch.setattr(train_mod, "crop_many", recording)
         return calls
 
-    @pytest.mark.parametrize("pair_on_other_frame", [False, True])
-    def test_rows_bit_equal_to_cropping_each_pool(self, monkeypatch, pair_on_other_frame):
-        pair_frame = self.f1 if pair_on_other_frame else self.f0
-        calls = self.counted(monkeypatch)
-        a, n, b = _crop_pools(SIDE, (self.f0, self.a), (self.f0, self.n), (pair_frame, self.b))
-        assert_bit_equal(a, self.reference(self.f0, self.a))
-        assert_bit_equal(n, self.reference(self.f0, self.n))
-        assert_bit_equal(b, self.reference(pair_frame, self.b))
-        # one call per frame, each distinct box of that frame once
-        distinct = lambda *pools: len(np.unique(np.concatenate(pools), axis=0))
-        if pair_on_other_frame:
-            assert calls == [distinct(self.a, self.n), distinct(self.b)]
-        else:
-            assert calls == [distinct(self.a, self.n, self.b)]
-            assert calls[0] < len(self.a) + len(self.n) + len(self.b)
+    @staticmethod
+    def distinct(*pools):
+        return {tuple(row) for row in np.concatenate(pools).tolist()}
 
-    def test_single_pool(self):
-        (a,) = _crop_pools(SIDE, (self.f0, self.a))
-        assert_bit_equal(a, self.reference(self.f0, self.a))
+    @pytest.mark.parametrize("warm_memo", [False, True])
+    def test_rows_bit_equal_to_cropping_each_pool(self, monkeypatch, warm_memo):
+        memo = {}
+        if warm_memo:
+            _patches(memo, SIDE, self.f0, self.a[:6])
+        calls = self.counted(monkeypatch)
+        boxes = np.concatenate([self.a, self.n])
+        assert_bit_equal(_patches(memo, SIDE, self.f0, boxes), self.reference(self.f0, boxes))
+        # one call, each distinct box not yet in the memo once
+        (call,) = calls
+        new = self.distinct(boxes) - (self.distinct(self.a[:6]) if warm_memo else set())
+        assert len(call) == len(new) < len(boxes)
+        assert self.distinct(call) == new
+        assert len(memo) == len(self.distinct(boxes))
+
+    def test_memo_hit_makes_no_crop_call(self, monkeypatch):
+        memo = {}
+        first = _patches(memo, SIDE, self.f0, self.a)
+        calls = self.counted(monkeypatch)
+        again = _patches(memo, SIDE, self.f0, self.a[::-1])
+        assert calls == []
+        assert_bit_equal(again, first[::-1])
 
     def test_box_with_no_overlap_raises(self):
+        memo = {}
+        _patches(memo, SIDE, self.f0, self.a)
+        before = dict(memo)
         off = np.array([[-100.0, -100.0, 10.0, 10.0]])
         with pytest.raises(OutOfViewError):
-            _crop_pools(SIDE, (self.f0, self.a), (self.f0, np.concatenate([self.n, off])))
+            _patches(memo, SIDE, self.f0, np.concatenate([self.n, off]))
+        assert memo.keys() == before.keys()
+        assert all(memo[k] is v for k, v in before.items())
+
+    def twin_draw(self, seed, anchor, pair):
+        """The boxes a _draw_triplets call with this sampler seed uses:
+        (anchors, paired positives, negatives), one row per triplet."""
+        sampler = Sampler(SamplerConfig(seed=seed))
+        (frame, gt, t), (_, pair_gt, pair_t) = anchor, pair
+        a = sampler.positive_rows(gt, frame.width, frame.height, frame=t)
+        b = sampler.positive_rows(pair_gt, frame.width, frame.height, frame=pair_t)
+        n = sampler.negative_rows(gt, frame=t)
+        js, ks, ls = sampler.build_triplets(len(a), len(b), len(n), 16)
+        return a[js], b[ks], n[ls]
+
+    @pytest.mark.parametrize("layout", ["next frame", "no pair", "first frame"])
+    def test_draw_crop_calls(self, monkeypatch, layout):
+        t0, t1 = (self.f0, self.gt0, 0), (self.f1, self.gt1, 1)
+        first = (self.f0, self.gt0, None)
+        memo = None
+        if layout == "first frame":
+            # every positive of gt0 already in the memo
+            shifts = np.array(_positive_offsets(2), dtype=float)
+            shifts = np.array(self.gt0.as_tuple()) + np.hstack([shifts, np.zeros((24, 2))])
+            memo = {}
+            _patches(memo, SIDE, self.f0, shifts)
+        anchor, pair, paired = {
+            "next frame": (t0, t1, True),
+            "no pair": (t0, t1, False),
+            "first frame": (first, first, True),
+        }[layout]
+        calls = self.counted(monkeypatch)
+        for seed in range(3):
+            calls.clear()
+            _draw_triplets(Sampler(SamplerConfig(seed=seed)), SIDE, 16, anchor, pair, paired, memo)
+            a, b, n = self.twin_draw(seed, anchor, pair)
+            want = {
+                "next frame": [self.distinct(a, n), self.distinct(b)],
+                "no pair": [self.distinct(a, n)],
+                "first frame": [self.distinct(n)],
+            }[layout]
+            assert [len(c) for c in calls] == [len(w) for w in want]
+            assert [self.distinct(c) for c in calls] == want
+        if memo is not None:
+            assert len(memo) == 24
 
     @pytest.mark.parametrize("layout", ["next frame", "same frame", "no pair", "first frame"])
     def test_draw_matches_cropping_every_drawn_box(self, layout):
