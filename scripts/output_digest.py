@@ -23,7 +23,9 @@ removed on exit:
   benchmark does, and whose crops of a 72 px target read more than
   2 x 32 source rows per box; both fire online updates;
 * cli/ from `slowtrack gen`, `train` and `track` with the configs of
-  tests/test_cli.py.
+  tests/test_cli.py, and cli/gradcheck-<variant>.txt, the printed report
+  of `slowtrack gradcheck --models 2` for three loss variants, which
+  covers `conditioned_batch`, `backward` and `finite_diff_check`.
 
 It takes a few seconds.
 """
@@ -164,11 +166,19 @@ def write_cli(out: Path) -> None:
             "--config", out / "track.cfg", "--out", out / "run",
         ],
     ]
-    for argv in commands:
-        with contextlib.redirect_stdout(io.StringIO()):
+    # (argv, file the command's stdout is kept in, or None)
+    runs = [(argv, None) for argv in commands] + [
+        (["gradcheck", "--models", 2, "--variant", v], out / f"gradcheck-{v}.txt")
+        for v in ("full", "SlossOnly", "wo-Dloss")
+    ]
+    for argv, keep in runs:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
             code = dispatch([str(a) for a in argv])
         if code != 0:
             sys.exit(f"slowtrack {argv[0]} exited {code}")
+        if keep is not None:
+            keep.write_text(stdout.getvalue())
 
 
 def main() -> None:

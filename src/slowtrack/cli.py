@@ -21,7 +21,7 @@ import hashlib
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,33 +69,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved plumbing shared by the subcommands."""
-
-    command: str
-    sections: dict
-    out: Path | None
-    seed: int
-    log_level: str
-
-
 def derive_seed(master: int, scope: str) -> int:
     """Deterministic per-module seed from the master seed."""
     digest = hashlib.sha256(f"{master}/{scope}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 
-def _seeded(entries: dict[str, str], master: int, scope: str) -> dict[str, str]:
-    if "seed" in entries:
-        return entries
-    return {**entries, "seed": str(derive_seed(master, scope))}
-
-
-def _run_config(args) -> RunConfig:
+def _read_config(args, known: set[str]) -> dict[str, dict[str, str]]:
+    """The --config file's sections; any the command does not read is an
+    error."""
     sections = split_sections(load_config(args.config)) if args.config else {}
-    out = Path(args.out) if getattr(args, "out", None) else None
-    return RunConfig(args.command, sections, out, args.seed, args.log_level)
+    check_known_sections(sections, known)
+    return sections
+
+
+def _section(sections: dict, name: str, dc, master: int):
+    """build(dc, sections[name]), dc a config dataclass or an instance of
+    one. A dataclass with a `seed` field gets one derived from the master
+    seed and the section name unless the section sets it."""
+    entries = sections.get(name, {})
+    if "seed" in {f.name for f in fields(dc)} and "seed" not in entries:
+        entries = {**entries, "seed": str(derive_seed(master, name))}
+    return build(dc, entries, name)
 
 
 @dataclass(frozen=True)
@@ -111,10 +106,20 @@ def _tracker_config(sections: dict, master: int) -> TrackerConfig:
     on its own sub-configs, then the tracker section on the result."""
     base = TrackerConfig()
     subs = {
-        name: build(getattr(base, name), _seeded(sections.get(name, {}), master, name), name)
+        name: _section(sections, name, getattr(base, name), master)
         for name in ("sampler", "init_train", "update_train")
     }
-    return build(replace(base, **subs), sections.get("tracker", {}), "tracker")
+    return _section(sections, "tracker", replace(base, **subs), master)
+
+
+def _training_configs(sections: dict, master: int):
+    """The net, train, sampler and loss sections of train and ablate."""
+    return (
+        _section(sections, "net", NetConfig, master),
+        _section(sections, "train", TrainConfig, master),
+        _section(sections, "sampler", SamplerConfig, master),
+        _section(sections, "loss", LossWeights, master),
+    )
 
 
 def _eval_records(records, sequence):
@@ -136,30 +141,23 @@ def _eval_records(records, sequence):
 
 
 def cmd_gen(args) -> int:
-    rc = _run_config(args)
-    check_known_sections(rc.sections, {"synth"})
-    spec = build(SynthSpec, _seeded(rc.sections.get("synth", {}), rc.seed, "synth"), "synth")
+    sections = _read_config(args, {"synth"})
+    spec = _section(sections, "synth", SynthSpec, args.seed)
     seq = generate(spec)
-    save_sequence(seq, rc.out)
-    print(f"wrote {seq.T} frames ({spec.frame_w}x{spec.frame_h}) to {rc.out}")
+    save_sequence(seq, args.out)
+    print(f"wrote {seq.T} frames ({spec.frame_w}x{spec.frame_h}) to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    rc = _run_config(args)
-    check_known_sections(rc.sections, {"net", "train", "sampler", "loss"})
+    sections = _read_config(args, {"net", "train", "sampler", "loss"})
     sequences = [load_sequence(p) for p in args.sequences]
-    net_cfg = build(NetConfig, _seeded(rc.sections.get("net", {}), rc.seed, "net"), "net")
-    tc = build(TrainConfig, _seeded(rc.sections.get("train", {}), rc.seed, "train"), "train")
-    sc = build(
-        SamplerConfig, _seeded(rc.sections.get("sampler", {}), rc.seed, "sampler"), "sampler"
-    )
-    weights = build(LossWeights, rc.sections.get("loss", {}), "loss")
+    net_cfg, tc, sc, weights = _training_configs(sections, args.seed)
     model = init_model(net_cfg.dims, seed=net_cfg.seed)
     trained, trace = train_offline(sequences, model, tc, sc, weights)
-    rc.out.mkdir(parents=True, exist_ok=True)
-    save_model(trained, rc.out / "model.txt")
-    write_trace(trace, rc.out / "loss.csv")
+    args.out.mkdir(parents=True, exist_ok=True)
+    save_model(trained, args.out / "model.txt")
+    write_trace(trace, args.out / "loss.csv")
     if trace:
         window = max(1, min(50, len(trace) // 10))
         first = float(np.mean([r.loss for r in trace[:window]]))
@@ -168,23 +166,20 @@ def cmd_train(args) -> int:
             f"trained {tc.iterations} steps ({tc.variant}): "
             f"loss {first:.4f} -> {last:.4f}"
         )
-    print(f"model written to {rc.out / 'model.txt'}")
+    print(f"model written to {args.out / 'model.txt'}")
     return 0
 
 
 def cmd_track(args) -> int:
-    rc = _run_config(args)
-    check_known_sections(
-        rc.sections, {"tracker", "sampler", "init_train", "update_train", "loss"}
-    )
+    sections = _read_config(args, {"tracker", "sampler", "init_train", "update_train", "loss"})
     model = load_model(args.model)
-    cfg = _tracker_config(rc.sections, rc.seed)
-    weights = build(LossWeights, rc.sections.get("loss", {}), "loss")
-    rc.out.mkdir(parents=True, exist_ok=True)
+    cfg = _tracker_config(sections, args.seed)
+    weights = _section(sections, "loss", LossWeights, args.seed)
+    args.out.mkdir(parents=True, exist_ok=True)
     for path in args.sequences:
         seq = load_sequence(path)
         _, records = track_sequence(model, seq, cfg, weights)
-        out_path = rc.out / f"results-{seq.name}.csv"
+        out_path = args.out / f"results-{seq.name}.csv"
         write_results(records, out_path)
         updates = sum(r.updated for r in records)
         print(f"{seq.name}: {len(records)} frames, {updates} updates -> {out_path}")
@@ -192,7 +187,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    rc = _run_config(args)
+    _read_config(args, set())
     prec_curves, succ_curves, rows = {}, {}, []
     for label, results_path, seq_dir in args.run:
         records = read_results(results_path)
@@ -204,16 +199,16 @@ def cmd_eval(args) -> int:
         prec_curves[series] = pc
         succ_curves[series] = sc
         rows.append((label, seq.name, precision_at(pc), auc(sc)))
-    rc.out.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     emit_plots(
-        prec_curves, rc.out, stem="precision",
+        prec_curves, args.out, stem="precision",
         x_label="center error threshold (px)", y_label="precision",
     )
     emit_plots(
-        succ_curves, rc.out, stem="success",
+        succ_curves, args.out, stem="success",
         x_label="overlap threshold (IoU)", y_label="success rate",
     )
-    write_eval_table(rows, rc.out / "table.csv")
+    write_eval_table(rows, args.out / "table.csv")
     print("tracker,sequence,prec@20,auc")
     for tracker, sequence, p20, area in sorted(rows):
         print(f"{tracker},{sequence},{p20:.4f},{area:.4f}")
@@ -240,10 +235,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_verify_bound(args) -> int:
-    rc = _run_config(args)
-    check_known_sections(rc.sections, {"bound"})
-    params = build(BoundParams, rc.sections.get("bound", {}), "bound")
-    seed = derive_seed(rc.seed, "bound")
+    sections = _read_config(args, {"bound"})
+    params = _section(sections, "bound", BoundParams, args.seed)
+    seed = derive_seed(args.seed, "bound")
     reports = [
         verify_chebyshev(params, noise=gen, trials=args.trials, seed=seed)
         for gen in GENERATORS
@@ -261,8 +255,8 @@ def cmd_verify_bound(args) -> int:
             trials=args.trials, seed=seed, label="error-bound-adversarial",
         )
     )
-    rc.out.mkdir(parents=True, exist_ok=True)
-    write_reports(reports, rc.out / "bound-report.csv")
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_reports(reports, args.out / "bound-report.csv")
     for r in reports:
         state = "PASS" if r.passed else "FAIL"
         print(
@@ -273,28 +267,19 @@ def cmd_verify_bound(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    rc = _run_config(args)
-    check_known_sections(
-        rc.sections,
-        {"net", "train", "sampler", "loss", "tracker", "init_train", "update_train"},
+    sections = _read_config(
+        args, {"net", "train", "sampler", "loss", "tracker", "init_train", "update_train"}
     )
     corpus = [load_sequence(p) for p in args.sequences]
     track_seq = load_sequence(args.track)
-    net_cfg = build(NetConfig, _seeded(rc.sections.get("net", {}), rc.seed, "net"), "net")
-    base_tc = build(
-        TrainConfig, _seeded(rc.sections.get("train", {}), rc.seed, "train"), "train"
-    )
-    sampler = build(
-        SamplerConfig, _seeded(rc.sections.get("sampler", {}), rc.seed, "sampler"), "sampler"
-    )
-    weights = build(LossWeights, rc.sections.get("loss", {}), "loss")
-    tracker_cfg = _tracker_config(rc.sections, rc.seed)
+    net_cfg, base_tc, sampler, weights = _training_configs(sections, args.seed)
+    tracker_cfg = _tracker_config(sections, args.seed)
     rows = []
     for variant in VARIANTS:
         tc = replace(base_tc, variant=variant)
         model = init_model(net_cfg.dims, seed=net_cfg.seed)
         trained, trace = train_offline(corpus, model, tc, sampler, weights)
-        vdir = rc.out / variant
+        vdir = args.out / variant
         vdir.mkdir(parents=True, exist_ok=True)
         save_model(trained, vdir / "model.txt")
         write_trace(trace, vdir / "loss.csv")
@@ -303,7 +288,7 @@ def cmd_ablate(args) -> int:
         pc, sc = _eval_records(records, track_seq)
         rows.append((variant, track_seq.name, precision_at(pc), auc(sc)))
         log.info("variant %s done: auc %.4f", variant, rows[-1][3])
-    write_eval_table(rows, rc.out / "ablation.csv")
+    write_eval_table(rows, args.out / "ablation.csv")
     print("tracker,sequence,prec@20,auc")
     for tracker, sequence, p20, area in sorted(rows):
         print(f"{tracker},{sequence},{p20:.4f},{area:.4f}")
@@ -320,11 +305,10 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", help="key=value experiment config file")
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        if out_required:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, type=Path, help="output directory")
 
     p = sub.add_parser("gen", help="render a synthetic sequence directory")
     common(p)

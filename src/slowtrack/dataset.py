@@ -297,7 +297,11 @@ def load_sequence(directory: str | Path, one_based: bool = False) -> Sequence:
     occluded = []
     occ_path = directory / "occlusion.txt"
     if occ_path.is_file():
-        occluded = [tok.strip() == "1" for tok in occ_path.read_text().split()]
+        for lineno, line in enumerate(occ_path.read_text().splitlines(), start=1):
+            for tok in line.split():
+                if tok not in ("0", "1"):
+                    raise FormatError(f"{occ_path}:{lineno}: flag {tok!r} is not 0 or 1")
+                occluded.append(tok == "1")
         if len(occluded) != len(frames):
             raise FormatError(f"{occ_path}: expected {len(frames)} flags")
     return Sequence(directory.name, frames, boxes, occluded)

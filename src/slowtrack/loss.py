@@ -80,6 +80,43 @@ def loss_p(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return loss_c(fa, fb)
 
 
+def uses_pair(variant: str) -> bool:
+    """Whether the variant's loss has the pair term, so that a batch
+    needs paired positives. Raises ConfigError for an unknown variant."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    return variant != "SlossOnly"
+
+
+def loss_terms(
+    f_a: np.ndarray | None,
+    f_b: np.ndarray | None,
+    f_neg: np.ndarray | None,
+    p_pos: np.ndarray,
+    p_neg: np.ndarray,
+    weights: LossWeights,
+    variant: str = "full",
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray]:
+    """(total, loss_c, loss_d, loss_s) per row, each term unweighted and
+    None where the variant drops it; total is total_loss. The one place
+    that decides which terms a variant uses."""
+    s = loss_s(p_pos, p_neg, weights.p_floor)
+    total = weights.mu * s
+    if not uses_pair(variant):
+        return total, None, None, s
+    if f_a is None or f_b is None:
+        raise ValueError(f"variant {variant!r} needs the positive pair")
+    c = loss_c(f_a, f_b)
+    total = c + total
+    d = None
+    if variant != "wo-Dloss":
+        if f_neg is None:
+            raise ValueError(f"variant {variant!r} needs negative features")
+        d = loss_d(f_a, f_neg, weights.beta)
+        total = total + weights.lam * d
+    return total, c, d, s
+
+
 def total_loss(
     f_a: np.ndarray | None,
     f_b: np.ndarray | None,
@@ -102,17 +139,4 @@ def total_loss(
     Unused feature arguments may be None; missing required ones raise
     ValueError.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-
-    total = weights.mu * loss_s(p_pos, p_neg, weights.p_floor)
-    if variant == "SlossOnly":
-        return total
-    if f_a is None or f_b is None:
-        raise ValueError(f"variant {variant!r} needs the positive pair")
-    total = loss_c(f_a, f_b) + total
-    if variant != "wo-Dloss":
-        if f_neg is None:
-            raise ValueError(f"variant {variant!r} needs negative features")
-        total = total + weights.lam * loss_d(f_a, f_neg, weights.beta)
-    return total
+    return loss_terms(f_a, f_b, f_neg, p_pos, p_neg, weights, variant)[0]

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, FormatError, NumericalError
-from .loss import VARIANTS, LossWeights, loss_c, loss_d, loss_s, total_loss
+from .loss import LossWeights, loss_terms, total_loss, uses_pair
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4", "W5", "b5")
 
@@ -98,7 +98,7 @@ def _feat_forward(model: Model, X: np.ndarray):
     u1 = X @ model.W1 + model.b1
     r1 = np.maximum(u1, 0.0)
     f = r1 @ model.W2 + model.b2
-    return f, (X, r1)
+    return f, (X, u1, r1)
 
 
 def _clf_forward(model: Model, F: np.ndarray):
@@ -110,7 +110,7 @@ def _clf_forward(model: Model, F: np.ndarray):
     zs = z - z.max(axis=-1, keepdims=True)
     e = np.exp(zs)
     P = e / e.sum(axis=-1, keepdims=True)
-    return P, (F, r3, r4)
+    return P, (F, u3, r3, u4, r4)
 
 
 def forward_features(model: Model, patch: np.ndarray) -> np.ndarray:
@@ -150,6 +150,39 @@ class LossTerms(NamedTuple):
     loss_s: float
 
 
+def _forward(model: Model, batch: TripletBatch, variant: str):
+    """The one forward pass of a triplet batch. Returns the features
+    (f_a, f_b, f_n), f_b None when the variant has no pair term; the
+    softmax outputs (P_a, P_n) of anchors and negatives; and the layer
+    caches ((a, b, n) feature caches, (a, n) classifier caches), which
+    keep the pre-activations u1, u3 and u4.
+
+    The parameters may carry a leading stack axis (one model per slice):
+    the passes broadcast over it, and the three feature streams go
+    through the same layers, so they always share a shape.
+    """
+    pair = uses_pair(variant)  # an unknown variant raises before any forward
+    r = model.dims[0]
+    A, _ = _as_batch(batch.a, r, "triplet anchors")
+    N, _ = _as_batch(batch.n, r, "triplet negatives")
+    if A.shape[0] != N.shape[0]:
+        raise ValueError("anchor/negative batch size mismatch")
+    f_a, cache_a = _feat_forward(model, A)
+    f_n, cache_n = _feat_forward(model, N)
+    f_b = cache_b = None
+    if pair:
+        if batch.b is None:
+            raise ValueError(f"variant {variant!r} needs the paired positives")
+        Bp, _ = _as_batch(batch.b, r, "paired positives")
+        if Bp.shape[0] != A.shape[0]:
+            raise ValueError("pair batch size mismatch")
+        f_b, cache_b = _feat_forward(model, Bp)
+    P_a, clf_cache_a = _clf_forward(model, f_a)
+    P_n, clf_cache_n = _clf_forward(model, f_n)
+    caches = (cache_a, cache_b, cache_n), (clf_cache_a, clf_cache_n)
+    return (f_a, f_b, f_n), (P_a, P_n), caches
+
+
 def backward(
     model: Model,
     batch: TripletBatch,
@@ -157,58 +190,33 @@ def backward(
     variant: str = "full",
 ) -> tuple[dict[str, np.ndarray], LossTerms]:
     """Analytic gradients of the batch-mean combined loss for every
-    parameter, and the LossTerms of the batch, all from one forward pass.
+    parameter, and the LossTerms of the batch, all from one forward pass
+    and one loss_terms evaluation.
 
     LossTerms.loss is the mean of total_loss; loss_c, loss_d and loss_s
     are the means of the pair, discrimination and classification terms
     before weighting.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
-    r = model.dims[0]
-    A, _ = _as_batch(batch.a, r, "triplet anchors")
-    N, _ = _as_batch(batch.n, r, "triplet negatives")
-    if A.shape[0] != N.shape[0]:
-        raise ValueError("anchor/negative batch size mismatch")
-    B = A.shape[0]
-    use_pair = variant != "SlossOnly"
-    use_d = variant not in ("SlossOnly", "wo-Dloss")
-
-    f_a, cache_a = _feat_forward(model, A)
-    f_n, cache_n = _feat_forward(model, N)
-    f_b = None
-    cache_b = None
-    if use_pair:
-        if batch.b is None:
-            raise ValueError(f"variant {variant!r} needs the paired positives")
-        Bp, _ = _as_batch(batch.b, r, "paired positives")
-        if Bp.shape[0] != B:
-            raise ValueError("pair batch size mismatch")
-        f_b, cache_b = _feat_forward(model, Bp)
-    P_a, clf_cache_a = _clf_forward(model, f_a)
-    P_n, clf_cache_n = _clf_forward(model, f_n)
+    (f_a, f_b, f_n), (P_a, P_n), caches = _forward(model, batch, variant)
+    (cache_a, cache_b, cache_n), (clf_cache_a, clf_cache_n) = caches
     p_a, p_n = P_a[:, 1], P_n[:, 1]
-
-    terms = LossTerms(
-        float(np.mean(total_loss(f_a, f_b, f_n, p_a, p_n, weights, variant))),
-        float(np.mean(loss_c(f_a, f_b))) if use_pair else 0.0,
-        float(np.mean(loss_d(f_a, f_n, weights.beta))) if use_d else 0.0,
-        float(np.mean(loss_s(p_a, p_n, weights.p_floor))),
-    )
+    rows = loss_terms(f_a, f_b, f_n, p_a, p_n, weights, variant)
+    terms = LossTerms(*(0.0 if t is None else float(np.mean(t)) for t in rows))
+    _, c, d, _ = rows
+    B = f_a.shape[0]
 
     grads: dict[str, np.ndarray] = {}
     df_a = np.zeros_like(f_a)
     df_n = np.zeros_like(f_n)
-    df_b = None
 
-    if use_pair:
+    if c is not None:
         diff = (2.0 / B) * (f_a - f_b)
         df_a += diff
         df_b = -diff
-    if use_d:
+    if d is not None:
+        # d is exp(-beta * ||f_a - f_n||^2), the factor of its gradient
         dd = f_a - f_n
-        expterm = np.exp(-weights.beta * np.sum(dd * dd, axis=-1))
-        coef = (-2.0 * weights.beta * weights.lam / B) * expterm
+        coef = (-2.0 * weights.beta * weights.lam / B) * d
         df_a += coef[:, None] * dd
         df_n -= coef[:, None] * dd
 
@@ -235,7 +243,7 @@ def backward(
 
     _feat_backward(model, grads, cache_a, df_a)
     _feat_backward(model, grads, cache_n, df_n)
-    if use_pair:
+    if c is not None:
         _feat_backward(model, grads, cache_b, df_b)
 
     # In parameter order, so the error names the first non-finite layer.
@@ -257,7 +265,7 @@ def _accumulate(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
 
 
 def _clf_backward(model: Model, grads, cache, dz: np.ndarray) -> np.ndarray:
-    F, r3, r4 = cache
+    F, _, r3, _, r4 = cache
     _accumulate(grads, "W5", r4.T @ dz)
     _accumulate(grads, "b5", dz.sum(axis=0))
     du4 = (dz @ model.W5.T) * (r4 > 0)
@@ -270,7 +278,7 @@ def _clf_backward(model: Model, grads, cache, dz: np.ndarray) -> np.ndarray:
 
 
 def _feat_backward(model: Model, grads, cache, df: np.ndarray) -> None:
-    X, r1 = cache
+    X, _, r1 = cache
     _accumulate(grads, "W2", r1.T @ df)
     _accumulate(grads, "b2", df.sum(axis=0))
     du1 = (df @ model.W2.T) * (r1 > 0)
@@ -307,30 +315,6 @@ class FDReport:
 # Bytes of stacked parameter copies evaluated per forward pass in
 # finite_diff_check; caps the check's extra memory at any model size.
 FD_CHUNK_BYTES = 2 << 20
-
-
-def _stacked_loss(
-    model: Model,
-    batch: TripletBatch,
-    weights: LossWeights,
-    variant: str,
-) -> np.ndarray:
-    """Batch-mean combined loss, forward passes only, for a model whose
-    parameters may carry a leading stack axis (one model per slice).
-
-    The forward passes broadcast over that axis, and the three feature
-    streams go through the same layers, so they always share a shape.
-    """
-    f_a, _ = _feat_forward(model, batch.a)
-    f_n, _ = _feat_forward(model, batch.n)
-    f_b = None
-    if variant != "SlossOnly":
-        if batch.b is None:
-            raise ValueError(f"variant {variant!r} needs the paired positives")
-        f_b, _ = _feat_forward(model, batch.b)
-    p_a = _clf_forward(model, f_a)[0][..., 1]
-    p_n = _clf_forward(model, f_n)[0][..., 1]
-    return total_loss(f_a, f_b, f_n, p_a, p_n, weights, variant).mean(axis=-1)
 
 
 def finite_diff_check(
@@ -378,15 +362,23 @@ def finite_diff_check(
         # a bias (m,) stacks as (P, 1, m) so it broadcasts over the batch rows
         stack_shape = (1,) * (2 - arr.ndim) + arr.shape
         chunk = max(1, FD_CHUNK_BYTES // (2 * arr.nbytes))
+        # One buffer of copies per parameter: each chunk perturbs its
+        # entries in place and restores them after its forward. Copying the
+        # parameter afresh for every chunk made the check about 10% slower.
+        copies = np.repeat(arr.reshape(1, -1), 2 * min(chunk, arr.size), axis=0)
         worst = 0.0
         for start in range(0, arr.size, chunk):
             flat = np.arange(start, min(start + chunk, arr.size))
             k = flat.size
-            stack = np.repeat(arr.reshape(1, -1), 2 * k, axis=0)
-            stack[np.arange(k), flat] += h
-            stack[np.arange(k, 2 * k), flat] -= h
+            stack = copies[: 2 * k]
+            rows, cols = np.arange(2 * k), np.tile(flat, 2)
+            stack[rows[:k], flat] += h
+            stack[rows[k:], flat] -= h
             perturbed = replace(model, **{name: stack.reshape((2 * k,) + stack_shape)})
-            loss = _stacked_loss(perturbed, batch, weights, variant)
+            (f_a, f_b, f_n), (P_a, P_n), _ = _forward(perturbed, batch, variant)
+            p_a, p_n = P_a[..., 1], P_n[..., 1]
+            loss = total_loss(f_a, f_b, f_n, p_a, p_n, weights, variant).mean(axis=-1)
+            stack[rows, cols] = arr.reshape(-1)[cols]
             numeric = (loss[:k] - loss[k:]) / (2.0 * h)
             a = grad[flat]
             rel = np.abs(a - numeric) / np.maximum(
@@ -424,33 +416,20 @@ def conditioned_batch(
     [p_margin, 1 - p_margin] are redrawn. A weight perturbation of h
     moves a pre-activation by at most ~h * ||x|| ~ 3e-5 here, so the
     default margin keeps a ~30x safety factor while staying findable
-    even for wide layers (hundreds of taps must all clear it).
+    even for wide layers (hundreds of taps must all clear it). A NaN
+    pre-activation or probability redraws the batch too.
     """
     r = model.dims[0]
     for _ in range(max_tries):
-        streams = [rng.normal(0.0, scale, size=(B, r)) for _ in range(3)]
-        feats = []
-        ok = True
-        for X in streams:
-            u1 = X @ model.W1 + model.b1
-            if np.min(np.abs(u1)) < kink_margin:
-                ok = False
-                break
-            feats.append(np.maximum(u1, 0.0) @ model.W2 + model.b2)
-        if not ok:
-            continue
-        for f in (feats[0], feats[2]):  # classifier runs on anchors and negatives
-            u3 = f @ model.W3 + model.b3
-            u4 = np.maximum(u3, 0.0) @ model.W4 + model.b4
-            if min(np.min(np.abs(u3)), np.min(np.abs(u4))) < kink_margin:
-                ok = False
-                break
-            P, _ = _clf_forward(model, f)
-            if np.min(P[:, 1]) < p_margin or np.max(P[:, 1]) > 1.0 - p_margin:
-                ok = False
-                break
-        if ok:
-            return TripletBatch(a=streams[0], b=streams[1], n=streams[2])
+        batch = TripletBatch(*(rng.normal(0.0, scale, size=(B, r)) for _ in range(3)))
+        _, (P_a, P_n), (feat_caches, clf_caches) = _forward(model, batch, "full")
+        # u1 of all three streams; u3, u4 of anchors and negatives
+        pre = [c[1] for c in feat_caches] + [u for c in clf_caches for u in (c[1], c[3])]
+        p = np.concatenate([P_a[:, 1], P_n[:, 1]])
+        if all(np.all(np.abs(u) >= kink_margin) for u in pre) and np.all(
+            (p >= p_margin) & (p <= 1.0 - p_margin)
+        ):
+            return batch
     raise NumericalError(
         f"no well-conditioned batch found in {max_tries} tries; "
         "the model may be saturated"

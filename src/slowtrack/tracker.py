@@ -198,5 +198,8 @@ def read_results(path: str | Path) -> list[TrackResult]:
             updated = {"0": False, "1": True}[parts[6]]
         except (ValueError, KeyError) as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        # finite, positive size; a NaN score is legal (carried-forward frames)
+        if not (w > 0 and h > 0 and all(map(math.isfinite, (x, y, w, h)))):
+            raise FormatError(f"{path}:{lineno}: box {x},{y},{w},{h} is not a valid box")
         records.append(TrackResult(frame, BBox(x, y, w, h), score, updated))
     return records

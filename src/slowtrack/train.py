@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import Frame, Sequence
 from .errors import ConfigError, NumericalError, SamplerExhausted
 from .geometry import BBox, crop_many
-from .loss import VARIANTS, LossWeights
+from .loss import VARIANTS, LossWeights, uses_pair
 from .net import Model, TripletBatch, backward
 from .sampler import Sampler, SamplerConfig
 
@@ -275,6 +275,7 @@ def train_offline(
 
     sampler = Sampler(sampler_config)
     rng = np.random.default_rng(tc.seed)
+    paired = uses_pair(tc.variant)
 
     def draw() -> TripletBatch:
         si, t = pairs[int(rng.integers(len(pairs)))]
@@ -286,7 +287,7 @@ def train_offline(
             tc.batch_size,
             (seq.frames[t], seq.groundtruth[t], t),
             (seq.frames[b_t], seq.groundtruth[b_t], b_t),
-            paired=tc.variant != "SlossOnly",
+            paired=paired,
         )
 
     return _fit(model, tc, weights, tc.variant, draw)

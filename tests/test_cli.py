@@ -339,6 +339,33 @@ class TestEval:
         assert rc == 1
         assert "outside sequence" in caplog.text
 
+    def test_config_section_rejected(self, pipeline, tmp_path, caplog):
+        # eval reads no section, so a config file can only hold typos
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("trackr.m = 5\n")
+        with caplog.at_level(logging.ERROR):
+            rc = run(
+                "eval",
+                "--run", "full", pipeline / "run" / "results-seq-a.csv", pipeline / "seq-a",
+                "--config", cfg, "--out", tmp_path / "evals",
+            )
+        assert rc == 1
+        assert "unknown section(s) ['trackr']" in caplog.text
+
+    def test_zero_width_result_box_exits_one(self, pipeline, tmp_path, caplog):
+        lines = (pipeline / "run" / "results-seq-a.csv").read_text().splitlines()
+        frame, x, y, _, h, score, updated = lines[1].split(",")
+        lines[1] = ",".join([frame, x, y, "0.0", h, score, updated])
+        results = tmp_path / "results.csv"
+        results.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.ERROR):
+            rc = run(
+                "eval", "--run", "full", results, pipeline / "seq-a",
+                "--out", tmp_path / "evals",
+            )
+        assert rc == 1
+        assert f"{results}:2: box" in caplog.text
+
     def test_duplicate_series_rejected(self, pipeline, tmp_path, caplog):
         results = pipeline / "run" / "results-seq-a.csv"
         with caplog.at_level(logging.ERROR):

@@ -142,6 +142,14 @@ class TestSaveLoad:
         assert load_sequence(d, one_based=False).groundtruth[0] == BBox(10, 20, 30, 40)
         assert load_sequence(d, one_based=True).groundtruth[0] == BBox(9, 19, 30, 40)
 
+    @pytest.mark.parametrize("flag", ["2", "x", "true"])
+    def test_bad_occlusion_flag_names_file_and_line(self, tmp_path, flag):
+        d = tmp_path / "s"
+        save_sequence(generate(SynthSpec(T=3, seed=0)), d)
+        (d / "occlusion.txt").write_text(f"0\n1\n{flag}\n")
+        with pytest.raises(FormatError, match=f"occlusion.txt:3: flag '{flag}'"):
+            load_sequence(d)
+
     def test_count_mismatch_raises_format_error(self, tmp_path):
         d = tmp_path / "s"
         save_sequence(generate(SynthSpec(T=2, seed=0)), d)

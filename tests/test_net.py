@@ -6,8 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from slowtrack import loss as loss_module
+from slowtrack import net as net_module
 from slowtrack.errors import ConfigError, FormatError, NumericalError
-from slowtrack.loss import VARIANTS, LossWeights, loss_c, loss_d, loss_s, total_loss
+from slowtrack.loss import (
+    VARIANTS,
+    LossWeights,
+    loss_c,
+    loss_d,
+    loss_s,
+    loss_terms,
+    total_loss,
+)
 from slowtrack.net import (
     LossTerms,
     Model,
@@ -198,9 +208,41 @@ class TestBackward:
             if variant != "wo-Dloss":
                 d_val = float(np.mean(loss_d(f_a, f_n, w.beta)))
         s_val = float(np.mean(loss_s(p_a, p_n, w.p_floor)))
-        total = float(np.mean(total_loss(f_a, f_b, f_n, p_a, p_n, w, variant=variant)))
+        rows = total_loss(f_a, f_b, f_n, p_a, p_n, w, variant=variant)
+        total = float(np.mean(rows))
         assert terms == (total, c_val, d_val, s_val)
         assert all(type(v) is float for v in terms)
+        # loss_terms is total_loss bit for bit, None for a dropped term
+        got = loss_terms(f_a, f_b, f_n, p_a, p_n, w, variant=variant)
+        assert got[0].tobytes() == rows.tobytes()
+        dropped = [variant == "SlossOnly", variant in ("SlossOnly", "wo-Dloss"), False]
+        assert [t is None for t in got[1:]] == dropped
+
+    def test_one_loss_evaluation_per_backward(self, monkeypatch):
+        # Counted wherever the term functions are looked up, in loss or
+        # in net.
+        calls = {"loss_d": 0, "loss_s": 0}
+        for name in calls:
+            real = getattr(loss_module, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(loss_module, name, counted)
+            monkeypatch.setattr(net_module, name, counted, raising=False)
+        m = init_model(DIMS, seed=13)
+        backward(m, rand_batch(np.random.default_rng(25)), LossWeights())
+        assert calls == {"loss_d": 1, "loss_s": 1}
+
+    def test_unknown_variant_rejected_before_any_forward(self, monkeypatch):
+        def forward(*args):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(net_module, "_feat_forward", forward)
+        with pytest.raises(ConfigError, match="nope"):
+            backward(init_model(DIMS, seed=0), rand_batch(np.random.default_rng(0)),
+                     LossWeights(), variant="nope")
 
     def test_doubling_lam_doubles_discrimination_gradient(self):
         # With identical paired positives and mu=0, the discrimination
@@ -230,6 +272,59 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(m, batch, LossWeights())
         backward(m, batch, LossWeights(), variant="SlossOnly")  # fine
+
+
+def hand_written_conditioned_batch(
+    model, rng, B=4, scale=0.3, kink_margin=1e-3, p_margin=0.01, max_tries=200
+):
+    """Reference for conditioned_batch: its fc1-fc4 layers written out by
+    hand, checking every pre-activation and probability it looks at."""
+    r = model.dims[0]
+    for _ in range(max_tries):
+        streams = [rng.normal(0.0, scale, size=(B, r)) for _ in range(3)]
+        feats = []
+        ok = True
+        for X in streams:
+            u1 = X @ model.W1 + model.b1
+            if np.min(np.abs(u1)) < kink_margin:
+                ok = False
+                break
+            feats.append(np.maximum(u1, 0.0) @ model.W2 + model.b2)
+        if not ok:
+            continue
+        for f in (feats[0], feats[2]):  # classifier runs on anchors and negatives
+            u3 = f @ model.W3 + model.b3
+            u4 = np.maximum(u3, 0.0) @ model.W4 + model.b4
+            if min(np.min(np.abs(u3)), np.min(np.abs(u4))) < kink_margin:
+                ok = False
+                break
+            P, _ = _clf_forward(model, f)
+            if np.min(P[:, 1]) < p_margin or np.max(P[:, 1]) > 1.0 - p_margin:
+                ok = False
+                break
+        if ok:
+            return TripletBatch(a=streams[0], b=streams[1], n=streams[2])
+    raise NumericalError("no well-conditioned batch")
+
+
+class TestConditionedBatch:
+    @pytest.mark.parametrize("dims", [DIMS, (64, 32, 16, 16, 8, 2)])
+    def test_matches_hand_written_layers(self, dims):
+        for seed in range(10):
+            m = init_model(dims, seed=400 + seed)
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = conditioned_batch(m, got_rng)
+            want = hand_written_conditioned_batch(m, want_rng)
+            for name in ("a", "b", "n"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert got_rng.normal() == want_rng.normal()
+
+    @pytest.mark.parametrize("param", ["b1", "b3", "b5"])
+    def test_nan_rejects_the_batch(self, param):
+        m = init_model(DIMS, seed=401)
+        getattr(m, param)[0] = np.nan
+        with pytest.raises(NumericalError, match="no well-conditioned"):
+            conditioned_batch(m, np.random.default_rng(0), max_tries=5)
 
 
 class TestFiniteDiff:

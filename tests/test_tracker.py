@@ -389,3 +389,13 @@ class TestResultsCsv:
         path.write_text(RESULTS_HEADER + "\n2,1.0,2.0,3.0,4.0,0.5,yes\n")
         with pytest.raises(FormatError, match=":2"):
             read_results(path)
+
+    @pytest.mark.parametrize(
+        "box", ["1.0,2.0,0.0,4.0", "1.0,2.0,3.0,-4.0", "nan,2.0,3.0,4.0", "1.0,inf,3.0,4.0",
+                "1.0,2.0,nan,4.0", "1.0,2.0,3.0,inf"],
+    )
+    def test_impossible_box_rejected_with_line_number(self, tmp_path, box):
+        path = tmp_path / "r.csv"
+        path.write_text(RESULTS_HEADER + f"\n2,1.0,2.0,3.0,4.0,0.5,0\n3,{box},nan,0\n")
+        with pytest.raises(FormatError, match=f"{path}:3: box"):
+            read_results(path)
