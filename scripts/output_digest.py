@@ -25,7 +25,14 @@ removed on exit:
 * cli/ from `slowtrack gen`, `train` and `track` with the configs of
   tests/test_cli.py, and cli/gradcheck-<variant>.txt, the printed report
   of `slowtrack gradcheck --models 2` for three loss variants, which
-  covers `conditioned_batch`, `backward` and `finite_diff_check`.
+  covers `conditioned_batch`, `backward` and `finite_diff_check`;
+* cli/abl/ from `slowtrack ablate` on seq-a and seq-b, with the train
+  and track settings joined in one config, and its printed table in
+  cli/ablate.txt;
+* cli/evals/ from `slowtrack eval` on the `track` result and the ablated
+  `full` result (table, curve CSVs and SVGs), printed to cli/eval.txt;
+* cli/bound/ from `slowtrack verify-bound` at its default trial count,
+  printed to cli/verify-bound.txt.
 
 It takes a few seconds.
 """
@@ -59,21 +66,24 @@ RGB_DIMS = (192, 16, 8, 8, 4, 2)
 SIDE32_DIMS = (1024, 32, 16, 16, 8, 2)
 
 # The configs of tests/test_cli.py's pipeline fixture.
+TRAIN_CFG = (
+    "net.dims = 64,16,8,8,4,2\nnet.seed = 0\n"
+    "train.iterations = 40\ntrain.optimizer = sgd\ntrain.learning_rate = 0.01\n"
+    "train.batch_size = 8\ntrain.seed = 1\nsampler.seed = 2\n"
+)
+TRACK_CFG = (
+    "tracker.m = 100\ntracker.top_k = 3\n"
+    "init_train.iterations = 30\ninit_train.learning_rate = 0.01\n"
+    "init_train.batch_size = 8\n"
+    "update_train.iterations = 10\nupdate_train.batch_size = 8\n"
+)
 CLI_CONFIGS = {
     "gen-a.cfg": "synth.T = 8\nsynth.velocity = 1.0,0.0\nsynth.seed = 5\n",
     "gen-b.cfg": "synth.T = 8\nsynth.velocity = 0.5,0.5\nsynth.seed = 6\n",
-    "train.cfg": (
-        "net.dims = 64,16,8,8,4,2\nnet.seed = 0\n"
-        "train.iterations = 40\ntrain.optimizer = sgd\ntrain.learning_rate = 0.01\n"
-        "train.batch_size = 8\ntrain.seed = 1\nsampler.seed = 2\n"
-    ),
-    "track.cfg": (
-        "tracker.m = 100\ntracker.top_k = 3\nsampler.seed = 4\n"
-        "init_train.iterations = 30\ninit_train.learning_rate = 0.01\n"
-        "init_train.batch_size = 8\ninit_train.seed = 5\n"
-        "update_train.iterations = 10\nupdate_train.batch_size = 8\n"
-        "update_train.seed = 6\n"
-    ),
+    "train.cfg": TRAIN_CFG,
+    "track.cfg": "sampler.seed = 4\n" + TRACK_CFG,
+    # A key may appear once, so ablate shares train.cfg's sampler.seed.
+    "ablate.cfg": TRAIN_CFG + TRACK_CFG,
 }
 
 
@@ -96,7 +106,7 @@ def write_training(out: Path) -> None:
 
 def write_finetunes(out: Path) -> None:
     seq = generate(SynthSpec(T=8, velocity=(1.0, 0.0), seed=0))
-    tc = TrainConfig(iterations=40, optimizer="sgd", learning_rate=0.01, seed=3, batch_size=8)
+    tc = TrainConfig(iterations=40, optimizer="sgd", learning_rate=0.01, batch_size=8)
     first = finetune_initial(
         init_model(DIMS, seed=0), seq.frames[0], seq.groundtruth[0], tc, SamplerConfig(seed=4)
     )
@@ -122,8 +132,8 @@ def write_tracking(out: Path) -> None:
         m=100,
         top_k=3,
         sampler=SamplerConfig(seed=5),
-        init_train=replace(online, iterations=30, seed=6),
-        update_train=replace(online, seed=7),
+        init_train=replace(online, iterations=30),
+        update_train=online,
     )
     always = replace(cfg, update_score_threshold=-1.0)
     runs = [
@@ -170,6 +180,25 @@ def write_cli(out: Path) -> None:
     runs = [(argv, None) for argv in commands] + [
         (["gradcheck", "--models", 2, "--variant", v], out / f"gradcheck-{v}.txt")
         for v in ("full", "SlossOnly", "wo-Dloss")
+    ]
+    runs += [
+        (
+            [
+                "ablate", out / "seq-a", out / "seq-b", "--track", out / "seq-b",
+                "--config", out / "ablate.cfg", "--out", out / "abl",
+            ],
+            out / "ablate.txt",
+        ),
+        (
+            [
+                "eval",
+                "--run", "full", out / "run" / "results-seq-a.csv", out / "seq-a",
+                "--run", "ablate", out / "abl" / "full" / "results-seq-b.csv", out / "seq-b",
+                "--out", out / "evals",
+            ],
+            out / "eval.txt",
+        ),
+        (["verify-bound", "--out", out / "bound"], out / "verify-bound.txt"),
     ]
     for argv, keep in runs:
         stdout = io.StringIO()

@@ -34,6 +34,7 @@ Z_99 = 2.3263478740408408
 
 GENERATORS = ("gaussian", "uniform", "bernoulli")
 PREDICTORS = ("truth", "noisy", "adversarial")
+TRIALS = 10_000  # default trial count of both verifiers
 
 # Cap on float64 elements drawn per simulation chunk (~128 MB).
 _CHUNK_ELEMS = 1 << 24
@@ -163,7 +164,7 @@ def verify_chebyshev(
     params: BoundParams,
     noise: str = "gaussian",
     noise_var: float | None = None,
-    trials: int = 10_000,
+    trials: int = TRIALS,
     seed: int = 0,
     label: str | None = None,
 ) -> BoundReport:
@@ -282,7 +283,7 @@ def _predict(
 def verify_error_bound(
     params: BoundParams,
     scenario: Scenario,
-    trials: int = 10_000,
+    trials: int = TRIALS,
     seed: int = 0,
     label: str | None = None,
 ) -> BoundReport:

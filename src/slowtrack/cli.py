@@ -28,6 +28,7 @@ import numpy as np
 
 from .bound import (
     GENERATORS,
+    TRIALS,
     BoundParams,
     standard_scenario,
     verify_chebyshev,
@@ -38,6 +39,7 @@ from .config import build, check_known_sections, load_config, split_sections
 from .dataset import SynthSpec, generate, load_sequence, save_sequence
 from .errors import ConfigError, SlowTrackError
 from .evaluate import (
+    EVAL_TABLE_HEADER,
     auc,
     emit_plots,
     precision_at,
@@ -46,7 +48,7 @@ from .evaluate import (
     write_eval_table,
 )
 from .loss import VARIANTS, LossWeights
-from .net import conditioned_batch, finite_diff_check, init_model, load_model, save_model
+from .net import FD_TOL, conditioned_batch, finite_diff_check, init_model, load_model, save_model
 from .sampler import SamplerConfig
 from .tracker import TrackerConfig, read_results, track_sequence, write_results
 from .train import TrainConfig, train_offline, write_trace
@@ -120,6 +122,14 @@ def _training_configs(sections: dict, master: int):
         _section(sections, "sampler", SamplerConfig, master),
         _section(sections, "loss", LossWeights, master),
     )
+
+
+def _write_table(rows, path: Path) -> None:
+    """The aggregate table, to path and, at four decimals, to stdout."""
+    write_eval_table(rows, path)
+    print(EVAL_TABLE_HEADER)
+    for tracker, sequence, p20, area in sorted(rows):
+        print(f"{tracker},{sequence},{p20:.4f},{area:.4f}")
 
 
 def _eval_records(records, sequence):
@@ -208,10 +218,7 @@ def cmd_eval(args) -> int:
         succ_curves, args.out, stem="success",
         x_label="overlap threshold (IoU)", y_label="success rate",
     )
-    write_eval_table(rows, args.out / "table.csv")
-    print("tracker,sequence,prec@20,auc")
-    for tracker, sequence, p20, area in sorted(rows):
-        print(f"{tracker},{sequence},{p20:.4f},{area:.4f}")
+    _write_table(rows, args.out / "table.csv")
     return 0
 
 
@@ -242,19 +249,14 @@ def cmd_verify_bound(args) -> int:
         verify_chebyshev(params, noise=gen, trials=args.trials, seed=seed)
         for gen in GENERATORS
     ]
-    reports.append(
-        verify_error_bound(
-            params, standard_scenario(params), trials=args.trials, seed=seed,
-            label="error-bound-standard",
-        )
-    )
-    reports.append(
-        verify_error_bound(
-            params,
-            standard_scenario(params, predictor="adversarial", predictor_scale=50.0),
-            trials=args.trials, seed=seed, label="error-bound-adversarial",
-        )
-    )
+    scenarios = {
+        "standard": standard_scenario(params),
+        "adversarial": standard_scenario(params, predictor="adversarial", predictor_scale=50.0),
+    }
+    reports += [
+        verify_error_bound(params, sc, trials=args.trials, seed=seed, label=f"error-bound-{name}")
+        for name, sc in scenarios.items()
+    ]
     args.out.mkdir(parents=True, exist_ok=True)
     write_reports(reports, args.out / "bound-report.csv")
     for r in reports:
@@ -270,6 +272,8 @@ def cmd_ablate(args) -> int:
     sections = _read_config(
         args, {"net", "train", "sampler", "loss", "tracker", "init_train", "update_train"}
     )
+    if "variant" in sections.get("train", {}):
+        raise ConfigError("train.variant: ablate runs every variant; drop the key")
     corpus = [load_sequence(p) for p in args.sequences]
     track_seq = load_sequence(args.track)
     net_cfg, base_tc, sampler, weights = _training_configs(sections, args.seed)
@@ -288,10 +292,7 @@ def cmd_ablate(args) -> int:
         pc, sc = _eval_records(records, track_seq)
         rows.append((variant, track_seq.name, precision_at(pc), auc(sc)))
         log.info("variant %s done: auc %.4f", variant, rows[-1][3])
-    write_eval_table(rows, args.out / "ablation.csv")
-    print("tracker,sequence,prec@20,auc")
-    for tracker, sequence, p20, area in sorted(rows):
-        print(f"{tracker},{sequence},{p20:.4f},{area:.4f}")
+    _write_table(rows, args.out / "ablation.csv")
     return 0
 
 
@@ -337,13 +338,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient report")
     p.add_argument("--dims", default=GRADCHECK_DIMS, help="comma-separated layer sizes")
     p.add_argument("--models", type=int, default=5, help="number of random models")
-    p.add_argument("--tol", type=float, default=1e-4, help="relative error tolerance")
+    p.add_argument("--tol", type=float, default=FD_TOL, help="relative error tolerance")
     p.add_argument("--variant", default="full", choices=VARIANTS)
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("verify-bound", help="Monte Carlo guarantee verification")
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=int, default=TRIALS)
     common(p)
     p.set_defaults(func=cmd_verify_bound)
 

@@ -59,9 +59,8 @@ class Model:
                 raise NumericalError(f"non-finite values in parameter {name}")
 
 
-def init_model(dims: tuple[int, ...], seed: int) -> Model:
-    """Fan-in-scaled uniform init (limit sqrt(6/fan_in), i.e. std
-    sqrt(2/fan_in)), zero biases. Deterministic given seed."""
+def _checked_dims(dims) -> tuple[int, ...]:
+    """dims as ints: six positive layer sizes ending in the two classes."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != 6:
         raise ConfigError(f"dims must have 6 entries, got {dims}")
@@ -69,6 +68,13 @@ def init_model(dims: tuple[int, ...], seed: int) -> Model:
         raise ConfigError(f"all dims must be positive, got {dims}")
     if dims[5] != 2:
         raise ConfigError(f"the classifier is two-class; dims[5] must be 2, got {dims[5]}")
+    return dims
+
+
+def init_model(dims: tuple[int, ...], seed: int) -> Model:
+    """Fan-in-scaled uniform init (limit sqrt(6/fan_in), i.e. std
+    sqrt(2/fan_in)), zero biases. Deterministic given seed."""
+    dims = _checked_dims(dims)
     rng = np.random.default_rng(seed)
     kw = {}
     for i in range(5):
@@ -315,6 +321,7 @@ class FDReport:
 # Bytes of stacked parameter copies evaluated per forward pass in
 # finite_diff_check; caps the check's extra memory at any model size.
 FD_CHUNK_BYTES = 2 << 20
+FD_TOL = 1e-4  # default relative-error tolerance of finite_diff_check
 
 
 def finite_diff_check(
@@ -322,7 +329,7 @@ def finite_diff_check(
     batch: TripletBatch,
     weights: LossWeights,
     h: float = 1e-5,
-    tol: float = 1e-4,
+    tol: float = FD_TOL,
     variant: str = "full",
     params: list[str] | None = None,
     analytic: dict[str, np.ndarray] | None = None,
@@ -459,11 +466,11 @@ def load_model(path: str | Path) -> Model:
     if len(lines) < 3:
         raise FormatError(f"{path}: truncated header")
     try:
-        dims = tuple(int(t) for t in lines[1].split())
+        dims = _checked_dims(lines[1].split())
     except ValueError:
         raise FormatError(f"{path}:2: unparsable dims line {lines[1]!r}") from None
-    if len(dims) != 6:
-        raise FormatError(f"{path}:2: expected 6 dims, got {len(dims)}")
+    except ConfigError as exc:
+        raise FormatError(f"{path}:2: {exc}") from None
     nonlinearity = lines[2].strip()
     if nonlinearity != "relu":
         raise FormatError(f"{path}:3: unknown nonlinearity {nonlinearity!r}")

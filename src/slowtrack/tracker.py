@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -28,7 +28,7 @@ from .geometry import BBox, average_boxes, crop_many
 from .loss import LossWeights
 from .net import Model, forward_classifier, forward_features
 from .sampler import Sampler, SamplerConfig
-from .train import TrainConfig, _patch_side, finetune_initial, finetune_update
+from .train import StepConfig, _patch_side, finetune_initial, finetune_update
 
 log = logging.getLogger(__name__)
 
@@ -42,13 +42,9 @@ class TrackerConfig:
     top_k: int = 5
     update_period: int = 5
     update_score_threshold: float = 0.95
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    init_train: TrainConfig = field(
-        default_factory=lambda: TrainConfig(iterations=300, optimizer="sgd")
-    )
-    update_train: TrainConfig = field(
-        default_factory=lambda: TrainConfig(iterations=50, optimizer="sgd")
-    )
+    sampler: SamplerConfig = SamplerConfig()
+    init_train: StepConfig = StepConfig(iterations=300, optimizer="sgd")
+    update_train: StepConfig = StepConfig(iterations=50, optimizer="sgd")
 
     def __post_init__(self) -> None:
         if self.m < 1:

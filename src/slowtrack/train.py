@@ -36,9 +36,9 @@ FEATURE_PARAMS = ("W1", "b1", "W2", "b2")
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """One training phase's knobs. Defaults fit the offline phase; the
-    online phases construct their own instances (SGD, fewer steps)."""
+class StepConfig:
+    """The step loop's knobs, all that the online phases read. Defaults
+    fit the offline phase; TrackerConfig holds the online ones."""
 
     iterations: int = 2000
     learning_rate: float = 0.001
@@ -47,9 +47,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     batch_size: int = 16
-    variant: str = "full"
-    seed: int = 0
-    skip_occluded: bool = True
     classifier_only: bool = False
 
     def __post_init__(self) -> None:
@@ -61,12 +58,25 @@ class TrainConfig:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise ConfigError("adam betas must lie in [0, 1)")
         if self.adam_eps <= 0:
             raise ConfigError("adam_eps must be > 0")
+
+
+@dataclass(frozen=True)
+class TrainConfig(StepConfig):
+    """The offline phase's knobs: the step loop's plus the loss variant,
+    the frame-pair seed and whether occluded pairs are skipped."""
+
+    variant: str = "full"
+    seed: int = 0
+    skip_occluded: bool = True
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
 @dataclass
@@ -111,7 +121,7 @@ def optimizer_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: OptState,
-    config: TrainConfig,
+    config: StepConfig,
 ) -> tuple[dict[str, np.ndarray], OptState]:
     """Apply one SGD or Adam step in place; returns (params, state)."""
     for name, p in params.items():
@@ -221,7 +231,7 @@ def _draw_triplets(
 
 
 def _fit(
-    model: Model, tc: TrainConfig, weights: LossWeights, variant: str, draw: Callable
+    model: Model, tc: StepConfig, weights: LossWeights, variant: str, draw: Callable
 ) -> tuple[Model, list[TraceRow]]:
     """The step loop of all three training phases: tc.iterations optimizer
     steps on a copy of model, each on a fresh draw(). "tarspec" freezes
@@ -297,7 +307,7 @@ def finetune_initial(
     model: Model,
     frame: Frame,
     gt: BBox,
-    train_config: TrainConfig,
+    train_config: StepConfig,
     sampler_config: SamplerConfig,
     weights: LossWeights = LossWeights(),
 ) -> Model:
@@ -322,7 +332,7 @@ def finetune_update(
     model: Model,
     frame: Frame,
     pred: BBox,
-    train_config: TrainConfig,
+    train_config: StepConfig,
     sampler_config: SamplerConfig,
     weights: LossWeights = LossWeights(),
     frame_index: int | None = None,

@@ -17,7 +17,7 @@ from slowtrack.loss import VARIANTS
 from slowtrack.net import load_model
 from slowtrack.sampler import SamplerConfig
 from slowtrack.tracker import TrackerConfig, read_results
-from slowtrack.train import TrainConfig
+from slowtrack.train import StepConfig
 
 DIMS = "64,16,8,8,4,2"
 
@@ -31,9 +31,8 @@ TRAIN = (
 TRACK = (
     "tracker.m = 100\ntracker.top_k = 3\nsampler.seed = 4\n"
     "init_train.iterations = 30\ninit_train.learning_rate = 0.01\n"
-    "init_train.batch_size = 8\ninit_train.seed = 5\n"
+    "init_train.batch_size = 8\n"
     "update_train.iterations = 10\nupdate_train.batch_size = 8\n"
-    "update_train.seed = 6\n"
 )
 
 
@@ -241,12 +240,8 @@ class TestTrackerConfig:
         assert _tracker_config({}, 3) == TrackerConfig(
             m=800, top_k=5, update_period=5, update_score_threshold=0.95,
             sampler=SamplerConfig(seed=derive_seed(3, "sampler")),
-            init_train=TrainConfig(
-                iterations=300, optimizer="sgd", seed=derive_seed(3, "init_train")
-            ),
-            update_train=TrainConfig(
-                iterations=50, optimizer="sgd", seed=derive_seed(3, "update_train")
-            ),
+            init_train=StepConfig(iterations=300, optimizer="sgd"),
+            update_train=StepConfig(iterations=50, optimizer="sgd"),
         )
 
     def test_track_sections_overlay_the_defaults(self):
@@ -254,12 +249,10 @@ class TestTrackerConfig:
         assert _tracker_config(sections, 0) == TrackerConfig(
             m=100, top_k=3,
             sampler=SamplerConfig(seed=4),
-            init_train=TrainConfig(
-                iterations=30, optimizer="sgd", learning_rate=0.01, batch_size=8, seed=5
+            init_train=StepConfig(
+                iterations=30, optimizer="sgd", learning_rate=0.01, batch_size=8
             ),
-            update_train=TrainConfig(
-                iterations=10, optimizer="sgd", batch_size=8, seed=6
-            ),
+            update_train=StepConfig(iterations=10, optimizer="sgd", batch_size=8),
         )
 
     def test_sub_config_as_tracker_key_exits_one(self, pipeline, tmp_path, caplog):
@@ -273,6 +266,23 @@ class TestTrackerConfig:
             )
         assert rc == 1
         assert "tracker.init_train: unknown key" in caplog.text
+
+    @pytest.mark.parametrize("section", ["init_train", "update_train"])
+    @pytest.mark.parametrize(
+        "key, value", [("variant", "full"), ("seed", "5"), ("skip_occluded", "true")]
+    )
+    def test_offline_only_key_exits_one(self, pipeline, tmp_path, caplog, section, key, value):
+        # The online phases read no variant, seed or occlusion switch.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{section}.{key} = {value}\n")
+        with caplog.at_level(logging.ERROR):
+            rc = run(
+                "track", pipeline / "seq-a",
+                "--model", pipeline / "run" / "model.txt",
+                "--config", cfg, "--out", tmp_path / "o",
+            )
+        assert rc == 1
+        assert f"{section}.{key}: unknown key" in caplog.text
 
 
 class TestEval:
@@ -443,6 +453,17 @@ class TestAblate:
         for variant in VARIANTS:
             assert (out / variant / "model.txt").exists()
             assert (out / variant / f"results-seq-b.csv").exists()
+
+    def test_variant_key_exits_one(self, pipeline, tmp_path, caplog):
+        cfg = tmp_path / "ablate.cfg"
+        cfg.write_text("train.variant = full\n")
+        with caplog.at_level(logging.ERROR):
+            rc = run(
+                "ablate", pipeline / "seq-a", "--track", pipeline / "seq-b",
+                "--config", cfg, "--out", tmp_path / "abl",
+            )
+        assert rc == 1
+        assert "train.variant: ablate runs every variant" in caplog.text
 
 
 class TestParserShape:

@@ -13,7 +13,7 @@ from slowtrack.config import (
 from slowtrack.dataset import SynthSpec
 from slowtrack.errors import ConfigError
 from slowtrack.sampler import SamplerConfig
-from slowtrack.train import TrainConfig
+from slowtrack.train import StepConfig, TrainConfig
 
 
 class TestParse:
@@ -173,16 +173,16 @@ class TestBuild:
             build(SamplerConfig, {"lo": "0.9", "hi": "0.1"})
 
     def test_instance_keeps_unmentioned_fields(self):
-        base = TrainConfig(iterations=300, optimizer="sgd")
-        tc = build(base, {"seed": "7", "learning_rate": "0.01"}, section="init_train")
-        assert tc == TrainConfig(
-            iterations=300, optimizer="sgd", seed=7, learning_rate=0.01
+        base = StepConfig(iterations=300, optimizer="sgd")
+        tc = build(base, {"batch_size": "7", "learning_rate": "0.01"}, section="init_train")
+        assert tc == StepConfig(
+            iterations=300, optimizer="sgd", batch_size=7, learning_rate=0.01
         )
-        assert base == TrainConfig(iterations=300, optimizer="sgd")
+        assert base == StepConfig(iterations=300, optimizer="sgd")
 
     def test_instance_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match=r"init_train\.bogus: unknown key"):
-            build(TrainConfig(iterations=300), {"bogus": "1"}, section="init_train")
+            build(StepConfig(iterations=300), {"bogus": "1"}, section="init_train")
 
     def test_instance_validation_still_runs(self):
         with pytest.raises(ConfigError):

@@ -470,3 +470,20 @@ class TestSaveLoad:
         p.write_text(p.read_text().replace("relu", "gelu", 1))
         with pytest.raises(FormatError):
             load_model(p)
+
+    @pytest.mark.parametrize(
+        "dims, why",
+        [((4, 3, 2, 3, 3, 3), "two-class"), ((4, 3, 0, 3, 3, 2), "positive")],
+    )
+    def test_dims_init_model_rejects_are_rejected(self, tmp_path, dims, why):
+        # Saved without init_model's checks: a three-class head would
+        # score one entry of a three-way softmax, a zero-width feature
+        # layer 0.5 for every input.
+        kw = {}
+        for i in range(5):
+            kw[f"W{i + 1}"] = np.ones((dims[i], dims[i + 1]))
+            kw[f"b{i + 1}"] = np.zeros(dims[i + 1])
+        p = tmp_path / "m.txt"
+        save_model(Model(dims=dims, **kw), p)
+        with pytest.raises(FormatError, match=f":2: .*{why}"):
+            load_model(p)

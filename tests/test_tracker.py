@@ -25,14 +25,14 @@ from slowtrack.tracker import (
     track_sequence,
     write_results,
 )
-from slowtrack.train import TrainConfig, train_offline
+from slowtrack.train import StepConfig, TrainConfig, train_offline
 
 DIMS = (64, 16, 8, 8, 4, 2)
 
 ZERO_NOISE = SamplerConfig(sigma_xy=0.0, sigma_scale=0.0, seed=1)
 
-FAST_INIT = TrainConfig(iterations=60, optimizer="sgd", learning_rate=0.01, seed=2, batch_size=8)
-FAST_UPDATE = TrainConfig(iterations=20, optimizer="sgd", learning_rate=0.01, seed=3, batch_size=8)
+FAST_INIT = StepConfig(iterations=60, optimizer="sgd", learning_rate=0.01, batch_size=8)
+FAST_UPDATE = StepConfig(iterations=20, optimizer="sgd", learning_rate=0.01, batch_size=8)
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +179,7 @@ class TestTrackSequence:
         seq = generate(SynthSpec(T=8, velocity=(0.0, 0.0), seed=0))
         cfg = TrackerConfig(
             m=16, top_k=4, update_score_threshold=1.01,
-            sampler=ZERO_NOISE, init_train=TrainConfig(iterations=0),
+            sampler=ZERO_NOISE, init_train=StepConfig(iterations=0),
         )
         _, records = track_sequence(init_model(DIMS, seed=0), seq, cfg)
         for record, gt in zip(records, seq.groundtruth[1:]):
@@ -244,7 +244,7 @@ class TestTrackSequence:
         cfg = TrackerConfig(
             m=1, top_k=1, update_score_threshold=-1.0,
             sampler=SamplerConfig(sigma_xy=1e6),
-            init_train=TrainConfig(iterations=0, optimizer="sgd"),
+            init_train=StepConfig(iterations=0, optimizer="sgd"),
         )
         with caplog.at_level("WARNING", logger="slowtrack.tracker"):
             model, records = track_sequence(trained_model, easy_sequence, cfg)

@@ -7,7 +7,7 @@ budgeted versions live in the acceptance suite.
 """
 
 import logging
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from slowtrack.train import (
     CLASSIFIER_PARAMS,
     FEATURE_PARAMS,
     OptState,
+    StepConfig,
     TrainConfig,
     _draw_triplets,
     _fit,
@@ -505,7 +506,7 @@ class TestFinetuneInitial:
     def test_zero_iterations_returns_equal_copy(self):
         m0 = init_model(DIMS, seed=0)
         m1 = finetune_initial(
-            m0, self.frame, self.gt, TrainConfig(iterations=0), SamplerConfig()
+            m0, self.frame, self.gt, StepConfig(iterations=0), SamplerConfig()
         )
         assert m1 is not m0
         assert_params_equal(m0, m1)
@@ -514,14 +515,14 @@ class TestFinetuneInitial:
         m0 = init_model(DIMS, seed=0)
         with pytest.raises(ConfigError, match="visible"):
             finetune_initial(
-                m0, self.frame, BBox(-50.0, -50.0, 10.0, 10.0), TrainConfig(), SamplerConfig()
+                m0, self.frame, BBox(-50.0, -50.0, 10.0, 10.0), StepConfig(), SamplerConfig()
             )
 
     def test_matches_cropping_every_step(self):
         # The step loop fed by the crop-everything draw, kept as the
         # reference: cropping positives once per finetune changes no bit.
         m0 = init_model(DIMS, seed=0)
-        tc = TrainConfig(iterations=30, optimizer="sgd", learning_rate=0.01, seed=3, batch_size=8)
+        tc = StepConfig(iterations=30, optimizer="sgd", learning_rate=0.01, batch_size=8)
         got = finetune_initial(m0, self.frame, self.gt, tc, SamplerConfig(seed=4))
         sampler, view = Sampler(SamplerConfig(seed=4)), (self.frame, self.gt, None)
 
@@ -535,7 +536,7 @@ class TestFinetuneInitial:
 
     def test_deterministic(self):
         m0 = init_model(DIMS, seed=0)
-        tc = TrainConfig(iterations=5, optimizer="sgd", learning_rate=0.01, seed=3, batch_size=4)
+        tc = StepConfig(iterations=5, optimizer="sgd", learning_rate=0.01, batch_size=4)
         a = finetune_initial(m0, self.frame, self.gt, tc, SamplerConfig(seed=4))
         b = finetune_initial(m0, self.frame, self.gt, tc, SamplerConfig(seed=4))
         assert_params_equal(a, b)
@@ -543,8 +544,8 @@ class TestFinetuneInitial:
     def test_separates_target_from_background(self):
         # Pilot at these seeds: mean p(pos) 0.94, mean p(neg) 0.0003.
         m0 = init_model(DIMS, seed=0)
-        tc = TrainConfig(
-            iterations=100, optimizer="sgd", learning_rate=0.01, seed=3, batch_size=8
+        tc = StepConfig(
+            iterations=100, optimizer="sgd", learning_rate=0.01, batch_size=8
         )
         m1 = finetune_initial(m0, self.frame, self.gt, tc, SamplerConfig(seed=4))
         probe = Sampler(SamplerConfig(seed=77))
@@ -558,8 +559,8 @@ class TestFinetuneInitial:
 
     def test_classifier_only_freezes_features(self):
         m0 = init_model(DIMS, seed=0)
-        tc = TrainConfig(
-            iterations=5, optimizer="sgd", learning_rate=0.01, seed=3, batch_size=4,
+        tc = StepConfig(
+            iterations=5, optimizer="sgd", learning_rate=0.01, batch_size=4,
             classifier_only=True,
         )
         m1 = finetune_initial(m0, self.frame, self.gt, tc, SamplerConfig(seed=4))
@@ -572,7 +573,7 @@ class TestFinetuneInitial:
         m = init_model((65, 8, 4, 4, 3, 2), seed=0)
         with pytest.raises(ConfigError, match="square"):
             finetune_initial(
-                m, self.frame, self.gt, TrainConfig(iterations=1), SamplerConfig()
+                m, self.frame, self.gt, StepConfig(iterations=1), SamplerConfig()
             )
 
 
@@ -580,20 +581,20 @@ class TestFinetuneUpdate:
     def setup_method(self):
         self.seq = generate(SynthSpec(T=12, velocity=(1.0, 0.0), seed=0))
         m0 = init_model(DIMS, seed=0)
-        tc = TrainConfig(
-            iterations=100, optimizer="sgd", learning_rate=0.01, seed=3, batch_size=8
+        tc = StepConfig(
+            iterations=100, optimizer="sgd", learning_rate=0.01, batch_size=8
         )
         self.model = finetune_initial(
             m0, self.seq.frames[0], self.seq.groundtruth[0], tc, SamplerConfig(seed=4)
         )
-        self.update_tc = TrainConfig(
-            iterations=30, optimizer="sgd", learning_rate=0.01, seed=5, batch_size=8
+        self.update_tc = StepConfig(
+            iterations=30, optimizer="sgd", learning_rate=0.01, batch_size=8
         )
 
     def test_zero_iterations_returns_equal_copy(self):
         frame, box = self.seq.frames[4], self.seq.groundtruth[4]
         out = finetune_update(
-            self.model, frame, box, TrainConfig(iterations=0), SamplerConfig(seed=6)
+            self.model, frame, box, StepConfig(iterations=0), SamplerConfig(seed=6)
         )
         assert out is not self.model
         assert_params_equal(out, self.model)
@@ -644,3 +645,21 @@ class TestFinetuneUpdate:
         a = finetune_update(self.model, frame, box, self.update_tc, SamplerConfig(seed=6))
         b = finetune_update(self.model, frame, box, self.update_tc, SamplerConfig(seed=6))
         assert_params_equal(a, b)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(StepConfig)])
+    def test_every_step_setting_changes_the_model(self, name):
+        # A field the step loop ignores would be a setting that changes
+        # nothing; a new field without a value here fails with KeyError.
+        moved = {
+            "iterations": 4, "learning_rate": 0.01, "optimizer": "adam",
+            "adam_beta1": 0.5, "adam_beta2": 0.5, "adam_eps": 1e-3,
+            "batch_size": 5, "classifier_only": True,
+        }[name]
+        base = StepConfig(iterations=3, batch_size=4, optimizer="sgd")
+        if name.startswith("adam_"):
+            base = replace(base, optimizer="adam")
+        frame, box = self.seq.frames[4], self.seq.groundtruth[4]
+        m0 = init_model(DIMS, seed=0)
+        a = finetune_update(m0, frame, box, base, SamplerConfig(seed=6))
+        b = finetune_update(m0, frame, box, replace(base, **{name: moved}), SamplerConfig(seed=6))
+        assert any(not np.array_equal(x, y) for (_, x), (_, y) in zip(a.params(), b.params()))
