@@ -32,7 +32,10 @@ removed on exit:
 * cli/evals/ from `slowtrack eval` on the `track` result and the ablated
   `full` result (table, curve CSVs and SVGs), printed to cli/eval.txt;
 * cli/bound/ from `slowtrack verify-bound` at its default trial count,
-  printed to cli/verify-bound.txt.
+  printed to cli/verify-bound.txt, and cli/bound-wide/ from a run at
+  n = 7, m = 2341 and 1,100 trials, whose trials span two of the
+  verifiers' chunks of random draws, printed to
+  cli/verify-bound-wide.txt.
 
 It takes a few seconds.
 """
@@ -84,6 +87,8 @@ CLI_CONFIGS = {
     "track.cfg": "sampler.seed = 4\n" + TRACK_CFG,
     # A key may appear once, so ablate shares train.cfg's sampler.seed.
     "ablate.cfg": TRAIN_CFG + TRACK_CFG,
+    # n * m is odd, and 1,100 trials span two of the verifiers' chunks.
+    "bound.cfg": "bound.n = 7\nbound.m = 2341\nbound.delta = 0.06\nbound.K = 0.01\n",
 }
 
 
@@ -199,6 +204,13 @@ def write_cli(out: Path) -> None:
             out / "eval.txt",
         ),
         (["verify-bound", "--out", out / "bound"], out / "verify-bound.txt"),
+        (
+            [
+                "verify-bound", "--config", out / "bound.cfg", "--trials", 1100,
+                "--out", out / "bound-wide",
+            ],
+            out / "verify-bound-wide.txt",
+        ),
     ]
     for argv, keep in runs:
         stdout = io.StringIO()

@@ -187,8 +187,10 @@ def generate(spec: SynthSpec) -> Sequence:
     target_tex = rng.integers(0, 256, size=tex_shape).astype(np.float64)
     movers = []
     for _ in range(spec.distractors):
-        mw = spec.target_w * rng.uniform(0.8, 1.2)
-        mh = spec.target_h * rng.uniform(0.8, 1.2)
+        # A distractor larger than the frame is clamped to it; the draws
+        # stay the same, so sequences that never needed it are unchanged.
+        mw = min(spec.target_w * rng.uniform(0.8, 1.2), spec.frame_w)
+        mh = min(spec.target_h * rng.uniform(0.8, 1.2), spec.frame_h)
         movers.append(
             _Mover(
                 x=rng.uniform(0, spec.frame_w - mw),

@@ -117,7 +117,13 @@ def track_sequence(
 ) -> tuple[Model, list[TrackResult]]:
     """Run the full loop over a sequence: initial finetune on frame 1,
     then one TrackResult per frame t = 2..T. Returns the final model
-    (it evolves through updates) and the records."""
+    (it evolves through updates) and the records.
+
+    Tracking never aborts mid-sequence: once frame 2 is reached, a
+    frame that fails carries the previous box forward and a failed
+    update leaves the model as it was. The first-frame finetune runs
+    before that and is not covered: its SamplerExhausted or
+    NumericalError propagates, and no record is returned."""
     if sequence.T < 2:
         raise ConfigError(
             f"sequence {sequence.name!r} has {sequence.T} frame(s); need >= 2"

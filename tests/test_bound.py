@@ -7,13 +7,17 @@ comments come from pilot runs at the pinned seeds.
 """
 
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
+from slowtrack import bound
 from slowtrack.bound import (
     CSV_HEADER,
     GENERATORS,
+    PREDICTORS,
     BoundParams,
     Scenario,
     bound_value,
@@ -259,6 +263,77 @@ class TestVerifyErrorBound:
         a = verify_error_bound(p, standard_scenario(p), trials=500, seed=11)
         b = verify_error_bound(p, standard_scenario(p), trials=500, seed=11)
         assert a == b
+
+
+class TestStreamedBlocks:
+    """The verifiers hold one block of whole trials at a time; the block
+    size must change no report, within and across the stream's chunks."""
+
+    TRIALS = 3001
+
+    def _reports(self, params):
+        reports = [
+            verify_chebyshev(params, noise=g, trials=self.TRIALS, seed=5) for g in GENERATORS
+        ]
+        for g in GENERATORS:
+            for predictor in PREDICTORS:
+                sc = standard_scenario(params, noise=g, predictor=predictor, predictor_scale=5.0)
+                reports.append(verify_error_bound(params, sc, trials=self.TRIALS, seed=6))
+        return reports
+
+    # n * m is odd for both, so a one-trial block splits the bernoulli
+    # draws at an odd element count.
+    @pytest.mark.parametrize(
+        "params",
+        [BoundParams(n=3, m=33, delta=0.35, K=0.05), BoundParams(n=1, m=33, delta=0.18, K=0.01)],
+        ids=["n3", "n1"],
+    )
+    @pytest.mark.parametrize("block_trials", [1, 2])
+    def test_block_size_changes_no_report(self, monkeypatch, params, block_trials):
+        per_trial = params.n * params.m
+        # 3001 trials in chunks of 1000: four chunks, the last of one trial.
+        monkeypatch.setattr(bound, "_CHUNK_ELEMS", 1000 * per_trial)
+        monkeypatch.setattr(bound, "_BLOCK_ELEMS", 1000 * per_trial)
+        whole = self._reports(params)
+        # Rates strictly inside (0, 1), so a shifted stream would show.
+        # The truth predictor never errs, and at n = 3 the n * delta
+        # slack keeps the error bound from failing on any trial.
+        if params.n == 1:
+            shown = [r for r in whole if not r.label.endswith("-truth")]
+        else:
+            shown = whole[: len(GENERATORS)]
+        assert all(0.0 < r.violation_rate < 1.0 for r in shown)
+        monkeypatch.setattr(bound, "_BLOCK_ELEMS", block_trials * per_trial)
+        assert self._reports(params) == whole
+
+
+class TestVerifierMemory:
+    """At the learned model's sizes a trial holds 25,600 draws, so a
+    verifier that kept all trials at once would need 20 MiB per 100."""
+
+    PARAMS = BoundParams(n=32, m=800, delta=0.5)
+
+    @staticmethod
+    def _peak(run, trials: int) -> int:
+        tracemalloc.start()
+        try:
+            run(trials=trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("noise", GENERATORS)
+    @pytest.mark.parametrize("verifier", ["chebyshev", "error-bound"])
+    def test_peak_is_capped_and_flat_in_trials(self, verifier, noise):
+        p = self.PARAMS
+        if verifier == "chebyshev":
+            run = partial(verify_chebyshev, p, noise=noise)
+        else:
+            run = partial(verify_error_bound, p, standard_scenario(p, noise=noise))
+        run(trials=2)  # keep one-off first-call allocations out of the peaks
+        small, large = self._peak(run, 100), self._peak(run, 400)
+        assert max(small, large) < 24 * 2**20
+        assert abs(large - small) <= 2**20
 
 
 class TestReportCsv:

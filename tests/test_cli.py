@@ -193,6 +193,16 @@ class TestGen:
         for name in frames_a:
             assert (a / "img" / name).read_bytes() == (b / "img" / name).read_bytes()
 
+    def test_distractor_wider_than_frame_exits_zero(self, tmp_path):
+        # Distractors are drawn at 0.8-1.2x the target's size, so at 34
+        # of 35 columns any drawn above 1.03x is clamped to the frame.
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(
+            "synth.T = 4\nsynth.frame_w = 35\nsynth.target_w = 34\nsynth.distractors = 5\n"
+        )
+        assert run("gen", "--config", cfg, "--out", tmp_path / "seq") == 0
+        assert load_sequence(tmp_path / "seq").T == 4
+
 
 class TestTrain:
     def test_artifacts_exist(self, pipeline):
@@ -233,6 +243,17 @@ class TestTrack:
         assert (tmp_path / "run2" / "results-seq-a.csv").read_bytes() == (
             pipeline / "run" / "results-seq-a.csv"
         ).read_bytes()
+
+    def test_first_frame_exhaustion_exits_one(self, pipeline, tmp_path, caplog):
+        cfg = tmp_path / "track.cfg"
+        cfg.write_text(TRACK.replace("sampler.seed = 4\n", "sampler.max_rejections = 1\n"))
+        code = run(
+            "track", pipeline / "seq-a", "--model", pipeline / "run" / "model.txt",
+            "--config", cfg, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert "positive sampling gave up" in caplog.text
+        assert not (tmp_path / "out" / "results-seq-a.csv").exists()
 
 
 class TestTrackerConfig:

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from slowtrack.dataset import SynthSpec, generate
-from slowtrack.errors import ConfigError, FormatError, TrackingFailure
+from slowtrack.errors import (
+    ConfigError,
+    FormatError,
+    NumericalError,
+    SamplerExhausted,
+    TrackingFailure,
+)
 from slowtrack.geometry import BBox, average_boxes, center_distance
 from slowtrack.net import init_model
 from slowtrack.sampler import Sampler, SamplerConfig
@@ -235,6 +241,24 @@ class TestTrackSequence:
             assert math.isnan(r.score)
             assert not r.updated  # NaN never clears the threshold
         assert any("carrying previous box" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize(
+        "sampler, init_train, error",
+        [
+            # One draw cannot yield the 16 first-frame positives.
+            (SamplerConfig(max_rejections=1), FAST_INIT, SamplerExhausted),
+            (SamplerConfig(), replace(FAST_INIT, learning_rate=1e8), NumericalError),
+        ],
+        ids=["sampler-exhausted", "diverged"],
+    )
+    def test_first_frame_failure_propagates(
+        self, easy_sequence, trained_model, sampler, init_train, error
+    ):
+        # The first-frame finetune runs before frame 2, outside the
+        # never-abort-mid-sequence contract.
+        cfg = TrackerConfig(m=16, top_k=4, sampler=sampler, init_train=init_train)
+        with pytest.raises(error):
+            track_sequence(trained_model, easy_sequence, cfg)
 
     def test_real_sampler_exhaustion_carries_previous_box(
         self, easy_sequence, trained_model, caplog
