@@ -18,6 +18,9 @@ removed on exit:
 * track/results-*.csv from `track_sequence` on three sequences (one
   RGB, one starting partly off the frame); the first two fire online
   updates every fifth frame;
+* track/results-exhausted.csv from `track_sequence` with m = 3
+  candidates drawn a million box sizes away, so candidate sampling
+  spends its 1000 * m proposals and carries the box forward every frame;
 * track/results-side32-*.csv from `track_sequence` with a 1024-input
   model, whose 32x32 patches upsample a 24 px target as the tracking
   benchmark does, and whose crops of a 72 px target read more than
@@ -145,6 +148,16 @@ def write_tracking(out: Path) -> None:
         ("drift", model, SynthSpec(T=16, velocity=(1.5, -0.5), seed=21), always),
         ("rgb", rgb_model, SynthSpec(T=16, velocity=(1.0, 1.0), rgb=True, seed=22), always),
         ("edge", model, SynthSpec(T=12, start_x=-6.0, velocity=(2.0, 0.0), seed=23), cfg),
+        (
+            "exhausted",
+            model,
+            SynthSpec(T=6, velocity=(1.0, 0.0), seed=26),
+            # No first-frame finetune: its negatives could not be drawn either.
+            replace(
+                cfg, m=3, sampler=SamplerConfig(sigma_xy=1e6, seed=5),
+                init_train=replace(online, iterations=0),
+            ),
+        ),
     ]
     side32, _ = train_offline(
         [generate(SynthSpec(T=10, velocity=(1.0, 0.5), seed=14))],

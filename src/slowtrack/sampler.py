@@ -10,6 +10,8 @@ draw is a deterministic function of (inputs, seed, call order):
   previous prediction,
 * update batches: positives and negatives drawn inside a search window
   of twice the predicted box size.
+
+All four draw through one capped rejection loop, Sampler._draw_until.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from .geometry import BBox, clip_boxes, iou_many
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs shared by all sampling protocols."""
+    """The sampling protocols' settings. max_rejections caps the
+    proposals of one positive, negative or update draw; a candidate draw
+    of m boxes is capped at 1000 * m proposals instead."""
 
     lo: float = 0.2
     hi: float = 0.6
@@ -96,30 +100,17 @@ class Sampler:
         1 <= max(|dx|,|dy|) <= shift_max, as an (m_p, 4) x/y/w/h array.
         Size is never changed; a copy with no overlap with the frame is
         redrawn, up to max_rejections draws in all."""
-        cfg = self.config
-        out = [np.zeros((0, 4))]
-        n = attempts = 0
-        while n < cfg.m_p:
-            # A round draws only the offsets still missing, so it makes no
-            # draw that one draw per box would not; rng.integers(m, size=k)
-            # gives the values of k single calls and leaves the stream in
-            # the same place.
-            k = min(cfg.m_p - n, cfg.max_rejections - attempts)
-            if k <= 0:
-                raise SamplerExhausted(
-                    f"positive sampling gave up after {attempts} attempts"
-                    + _at(frame)
-                )
-            attempts += k
+
+        def propose(k: int) -> np.ndarray:
             d = self._offsets[self.rng.integers(len(self._offsets), size=k)]
-            boxes = np.stack(
+            return np.stack(
                 [gt.x + d[:, 0], gt.y + d[:, 1], np.full(k, gt.w), np.full(k, gt.h)], axis=1
             )
-            clip = clip_boxes(boxes, frame_w, frame_h)
-            keep = boxes[~((clip[:, 2] <= 0) | (clip[:, 3] <= 0))]
-            out.append(keep)
-            n += len(keep)
-        return np.concatenate(out)
+
+        return self._draw_until(
+            self.config.m_p, propose, lambda prop: _on_frame(prop, frame_w, frame_h),
+            "positive sampling", frame, overdraw=False,
+        )
 
     # -- negatives ---------------------------------------------------------
 
@@ -152,29 +143,23 @@ class Sampler:
         """Draw m candidate boxes around prev as an (m, 4) x/y/w/h array:
         centers jittered by a zero-mean Gaussian with std
         sigma_xy * max(w, h), sizes scaled by exp(N(0, sigma_scale)),
-        clipped to the frame. Draws that end up entirely outside the
-        frame are redrawn."""
+        clipped to the frame. A draw whose clipped box has no positive
+        size, which crop_many would reject, is redrawn, up to 1000 * m
+        draws in all."""
         cfg = self.config
         step = cfg.sigma_xy * max(prev.w, prev.h)
-        out = [np.zeros((0, 4))]
-        n = 0
-        attempts = 0
-        while n < m:
-            k = m - n
-            attempts += k
-            if attempts > 1000 * max(m, 1):
-                raise SamplerExhausted(
-                    f"candidate sampling stuck around {prev}; is it in view?"
-                )
+
+        def propose(k: int) -> np.ndarray:
             prop = self._perturb(prev, k, step, cfg.sigma_scale)
             x, y, w, h = prop.T
             inside = (x >= 0) & (y >= 0) & (x + w <= frame_w) & (y + h <= frame_h)
             # Only outside rows are clipped: (x + w) - x need not equal w.
-            prop = np.where(inside[:, None], prop, clip_boxes(prop, frame_w, frame_h))
-            keep = inside | ~((prop[:, 2] <= 0) | (prop[:, 3] <= 0))
-            out.append(prop[keep])
-            n += int(keep.sum())
-        return np.concatenate(out)
+            return np.where(inside[:, None], prop, clip_boxes(prop, frame_w, frame_h))
+
+        return self._draw_until(
+            m, propose, lambda prop: _on_frame(prop, frame_w, frame_h),
+            "candidate sampling", None, overdraw=False, cap=1000 * max(m, 1),
+        )
 
     # -- online update batches ---------------------------------------------
 
@@ -236,17 +221,23 @@ class Sampler:
     # -- internals -----------------------------------------------------------
 
     def _draw_until(
-        self, need: int, propose: Callable, accept: Callable, what: str, frame: int | None
+        self, need: int, propose: Callable, accept: Callable, what: str,
+        frame: int | None, overdraw: bool = True, cap: int | None = None,
     ) -> np.ndarray:
-        """The capped rejection loop: propose(k) gives a (k, 4) box array,
-        k = min(max(4 * remaining, 64), unspent max_rejections), and the
-        rows the mask accept(prop) selects are kept in order until `need`
-        are found. Returns a (need, 4) array; raises SamplerExhausted,
-        naming `what` and the frame, once the cap is spent."""
+        """The capped rejection loop of every protocol: propose(k) gives a
+        (k, 4) box array and the rows the mask accept(prop) selects are
+        kept in order until `need` are found. A round asks for
+        max(4 * remaining, 64) boxes, or with overdraw=False only the
+        remaining ones (then it makes no draw that one draw per box would
+        not), and at most the unspent cap, max_rejections by default.
+        Returns a (need, 4) array; raises SamplerExhausted as "<what>
+        found n/need in k attempts[ (frame t)]" once the cap is spent."""
+        cap = self.config.max_rejections if cap is None else cap
         out = np.empty((need, 4))
         n = attempts = 0
         while n < need:
-            k = min(max(4 * (need - n), 64), self.config.max_rejections - attempts)
+            rem = need - n
+            k = min(max(4 * rem, 64) if overdraw else rem, cap - attempts)
             if k <= 0:
                 raise SamplerExhausted(
                     f"{what} found {n}/{need} in {attempts} attempts{_at(frame)}"
@@ -283,6 +274,13 @@ class Sampler:
 def _iou_between(boxes: np.ndarray, ref: BBox, lo: float, hi: float) -> np.ndarray:
     iou = iou_many(boxes, ref)
     return (iou >= lo) & (iou <= hi)
+
+
+def _on_frame(boxes: np.ndarray, frame_w: float, frame_h: float) -> np.ndarray:
+    """Rows whose clipped box has positive size, as crop_many requires;
+    a NaN row fails too."""
+    clip = clip_boxes(boxes, frame_w, frame_h)
+    return (clip[:, 2] > 0) & (clip[:, 3] > 0)
 
 
 def _centers_in(boxes: np.ndarray, window: BBox) -> np.ndarray:

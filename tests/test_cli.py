@@ -252,7 +252,7 @@ class TestTrack:
             "--config", cfg, "--out", tmp_path / "out",
         )
         assert code == 1
-        assert "positive sampling gave up" in caplog.text
+        assert "positive sampling found 1/16 in 1 attempts" in caplog.text
         assert not (tmp_path / "out" / "results-seq-a.csv").exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slowtrack.errors import ConfigError, SamplerExhausted
-from slowtrack.geometry import BBox, iou, iou_many
+from slowtrack.geometry import BBox, clip_boxes, crop_many, iou, iou_many
 from slowtrack.sampler import (
     Sampler,
     SamplerConfig,
@@ -92,7 +92,9 @@ def reference_positives(smp, gt, frame_w, frame_h):
     attempts = 0
     while len(out) < cfg.m_p:
         if attempts >= cfg.max_rejections:
-            raise SamplerExhausted(f"positive sampling gave up after {attempts} attempts")
+            raise SamplerExhausted(
+                f"positive sampling found {len(out)}/{cfg.m_p} in {attempts} attempts"
+            )
         attempts += 1
         dx, dy = offsets[int(smp.rng.integers(len(offsets)))]
         box = gt.shifted(float(dx), float(dy))
@@ -156,7 +158,7 @@ class TestPositivesMatchPerDrawLoop:
 
     def test_exhaustion_names_frame(self):
         smp = make_sampler(max_rejections=5)
-        with pytest.raises(SamplerExhausted, match=r"after 5 attempts \(frame 3\)$"):
+        with pytest.raises(SamplerExhausted, match=r"found 0/16 in 5 attempts \(frame 3\)$"):
             smp.sample_positives(BBox(-3.0, -3.0, 1.0, 1.0), FRAME_W, FRAME_H, frame=3)
 
 
@@ -262,6 +264,19 @@ class TestCandidates:
         b = make_sampler(seed=3).sample_candidates(prev, 100, FRAME_W, FRAME_H)
         assert np.array_equal(a, b)
 
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("sigma_scale", [10.0, 50.0, 1000.0])
+    def test_every_row_crops(self, sigma_scale):
+        # Such scale noise draws widths below one ulp of x, which clip to
+        # zero size, and overflows exp into NaN rows; crop_many cannot
+        # crop either, so neither may be returned.
+        image = np.zeros((FRAME_H, FRAME_W))
+        for seed in range(20):
+            smp = make_sampler(seed=seed, sigma_scale=sigma_scale)
+            cands = smp.sample_candidates(BBox(50, 40, 20, 20), 800, FRAME_W, FRAME_H)
+            assert np.isfinite(cands).all()
+            assert crop_many(image, cands, 4).shape == (800, 4, 4)
+
     def test_center_std_tracks_sigma(self):
         # Monte Carlo check: empirical center std within 5% of
         # sigma_xy * max(w, h) over 1e4 draws (big frame, no clipping).
@@ -271,6 +286,65 @@ class TestCandidates:
         target = 0.25 * 30
         for vals in (cands[:, 0] + cands[:, 2] / 2, cands[:, 1] + cands[:, 3] / 2):
             assert abs(np.std(vals) - target) / target < 0.05
+
+
+def reference_candidates(smp, prev, m, frame_w, frame_h):
+    """The per-round loop sample_candidates replaced, kept as the
+    reference: a round perturbs the boxes still missing, clips the ones
+    outside the frame, and keeps every inside box and every clipped box
+    of positive size. It raises rather than start a round that would pass
+    1000 * m proposals. Returns the boxes and the proposals spent."""
+    cfg = smp.config
+    step = cfg.sigma_xy * max(prev.w, prev.h)
+    out = [np.zeros((0, 4))]
+    n = attempts = 0
+    while n < m:
+        k = m - n
+        if attempts + k > 1000 * max(m, 1):
+            raise SamplerExhausted(f"candidate sampling found {n}/{m} in {attempts} attempts")
+        attempts += k
+        prop = smp._perturb(prev, k, step, cfg.sigma_scale)
+        x, y, w, h = prop.T
+        inside = (x >= 0) & (y >= 0) & (x + w <= frame_w) & (y + h <= frame_h)
+        prop = np.where(inside[:, None], prop, clip_boxes(prop, frame_w, frame_h))
+        keep = inside | ~((prop[:, 2] <= 0) | (prop[:, 3] <= 0))
+        out.append(prop[keep])
+        n += int(keep.sum())
+    return np.concatenate(out), attempts
+
+
+# A centred box, and a box with only a 2x4 px corner on the frame, whose
+# kept proposals are all clipped and about two in five are redrawn.
+CANDIDATE_PREVS = [BBox(50.0, 40.0, 20.0, 20.0), BBox(-14.0, -12.0, 16.0, 16.0)]
+
+
+class TestCandidatesMatchPerRoundLoop:
+    @pytest.mark.parametrize("m", [1, 5, 17, 800])
+    @pytest.mark.parametrize("prev", CANDIDATE_PREVS)
+    def test_same_boxes_and_stream(self, prev, m):
+        redrawn = 0
+        for seed in range(20):
+            new, ref = make_sampler(seed=seed), make_sampler(seed=seed)
+            got = new.sample_candidates(prev, m, FRAME_W, FRAME_H)
+            want, attempts = reference_candidates(ref, prev, m, FRAME_W, FRAME_H)
+            assert got.shape == (m, 4)
+            assert got.tobytes() == want.tobytes()
+            assert stream_after(new) == stream_after(ref)
+            redrawn += attempts > m
+        assert (redrawn > 0) == (prev is CANDIDATE_PREVS[1])
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_exhausts_after_the_same_proposals(self, m):
+        # A candidate drawn a million box sizes away is never on the frame.
+        for seed in range(20):
+            new, ref = make_sampler(sigma_xy=1e6, seed=seed), make_sampler(sigma_xy=1e6, seed=seed)
+            with pytest.raises(SamplerExhausted) as want:
+                reference_candidates(ref, CANDIDATE_PREVS[0], m, FRAME_W, FRAME_H)
+            with pytest.raises(SamplerExhausted) as got:
+                new.sample_candidates(CANDIDATE_PREVS[0], m, FRAME_W, FRAME_H)
+            assert str(got.value) == str(want.value)
+            assert str(got.value) == f"candidate sampling found 0/{m} in {1000 * m} attempts"
+            assert stream_after(new) == stream_after(ref)
 
 
 class TestUpdateBatch:
