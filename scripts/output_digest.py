@@ -35,10 +35,12 @@ removed on exit:
 * cli/evals/ from `slowtrack eval` on the `track` result and the ablated
   `full` result (table, curve CSVs and SVGs), printed to cli/eval.txt;
 * cli/bound/ from `slowtrack verify-bound` at its default trial count,
-  printed to cli/verify-bound.txt, and cli/bound-wide/ from a run at
-  n = 7, m = 2341 and 1,100 trials, whose trials span two of the
-  verifiers' chunks of random draws, printed to
-  cli/verify-bound-wide.txt.
+  printed to cli/verify-bound.txt; cli/bound-wide/ from a run at n = 7,
+  m = 2341 and 1,100 trials, which span 36 of the verifiers' 4 MiB
+  blocks, printed to cli/verify-bound-wide.txt; and cli/bound-n1/ from
+  a run at n = 1, where both error-bound satisfactions lie inside
+  (0, 1), so the prediction stream shows, printed to
+  cli/verify-bound-n1.txt.
 
 It takes a few seconds.
 """
@@ -90,8 +92,10 @@ CLI_CONFIGS = {
     "track.cfg": "sampler.seed = 4\n" + TRACK_CFG,
     # A key may appear once, so ablate shares train.cfg's sampler.seed.
     "ablate.cfg": TRAIN_CFG + TRACK_CFG,
-    # n * m is odd, and 1,100 trials span two of the verifiers' chunks.
+    # n * m is odd, and 1,100 trials span 36 of the verifiers' blocks.
     "bound.cfg": "bound.n = 7\nbound.m = 2341\nbound.delta = 0.06\nbound.K = 0.01\n",
+    # At n = 1 an error-bound trial can fail, whatever the predictor.
+    "bound-n1.cfg": "bound.n = 1\nbound.m = 20\nbound.delta = 0.3\nbound.K = 0.05\n",
 }
 
 
@@ -223,6 +227,10 @@ def write_cli(out: Path) -> None:
                 "--out", out / "bound-wide",
             ],
             out / "verify-bound-wide.txt",
+        ),
+        (
+            ["verify-bound", "--config", out / "bound-n1.cfg", "--out", out / "bound-n1"],
+            out / "verify-bound-n1.txt",
         ),
     ]
     for argv, keep in runs:

@@ -15,11 +15,14 @@ and K a cap on the per-dimension feature drift per unit time. The two
 verifiers below estimate both probabilities by direct simulation and
 compare them against the closed forms, with a one-sided binomial slack
 so a tight bound does not flake on finite trials.
+
+The noise comes from ``np.random.default_rng(seed)``; the error-bound
+verifier draws its predictions from a second generator spawned from the
+same seed, so neither stream depends on how the trials are split up.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -37,15 +40,10 @@ GENERATORS = ("gaussian", "uniform", "bernoulli")
 PREDICTORS = ("truth", "noisy", "adversarial")
 TRIALS = 10_000  # default trial count of both verifiers
 
-# Float64 elements per simulation chunk. This fixes the layout of the
-# random stream, not memory: verify_error_bound draws the noise of a
-# chunk's _CHUNK_ELEMS // (m * n) trials (at least one) before that
-# chunk's predictions, so changing it would change the error-bound
-# reports of every run longer than one chunk.
-_CHUNK_ELEMS = 1 << 24
-
 # Float64 elements per block (4 MiB). Both verifiers hold one block of
-# whole trials at a time, so their memory does not grow with trials.
+# whole trials at a time, so their memory does not grow with trials,
+# and each random stream continues across blocks, so the size changes
+# no report.
 # Not smaller: freeing a 4 MiB block raises glibc's dynamic mmap
 # threshold above the 2 MiB temporaries of `net.finite_diff_check`, so
 # a process that runs both reuses heap memory for those temporaries
@@ -165,10 +163,10 @@ def _binomial_slack(level: float, trials: int) -> float:
     return Z_99 * math.sqrt(level * (1.0 - level) / trials)
 
 
-def _trial_runs(trials: int, per_trial_elems: int, cap: int):
-    """Split trials into consecutive runs of at most cap elements (at
-    least one trial each); yields the run lengths."""
-    run = max(1, cap // max(1, per_trial_elems))
+def _trial_runs(trials: int, per_trial_elems: int):
+    """Split trials into consecutive blocks of at most _BLOCK_ELEMS
+    elements (at least one trial each); yields the block lengths."""
+    run = max(1, _BLOCK_ELEMS // max(1, per_trial_elems))
     for done in range(0, trials, run):
         yield min(run, trials - done)
 
@@ -198,9 +196,7 @@ def verify_chebyshev(
     rng = np.random.default_rng(seed)
     n, m = params.n, params.m
     flagged = 0
-    # The noise is the only draw, and a draw split at any element count
-    # continues the same stream, so blocks need no chunk layout here.
-    for k in _trial_runs(trials, m * n, _BLOCK_ELEMS):
+    for k in _trial_runs(trials, m * n):
         draws = sample_noise(noise, var, rng, (k, m, n))
         deviated = np.abs(draws.mean(axis=1)) >= params.delta
         flagged += int(np.count_nonzero(deviated.any(axis=1)))
@@ -338,26 +334,18 @@ def verify_error_bound(
     if scenario.predictor_scale < 0:
         raise ConfigError("predictor_scale must be >= 0")
 
-    rng = np.random.default_rng(seed)
+    noise_rng = np.random.default_rng(seed)
+    pred_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     truth_next = base + drift
     offset = n * (params.delta + cap)
     satisfied = 0
-    for chunk in _trial_runs(trials, m * n, _CHUNK_ELEMS):
-        # The chunk's predictions follow all its noise in the stream:
-        # skip the noise block by block to reach them, then replay it
-        # from a copy of the generator taken at the chunk's start.
-        noise_rng = copy.deepcopy(rng)
-        for k in _trial_runs(chunk, m * n, _BLOCK_ELEMS):
-            sample_noise(scenario.noise, scenario.noise_var, rng, (k, m, n))
-        for k in _trial_runs(chunk, m * n, _BLOCK_ELEMS):
-            samples = base + sample_noise(
-                scenario.noise, scenario.noise_var, noise_rng, (k, m, n)
-            )
-            pred = _predict(scenario, truth_next, rng, k)
-            err = np.linalg.norm(pred - truth_next, axis=1)
-            dist = np.linalg.norm(pred[:, None, :] - samples, axis=2)
-            ceiling = dist.mean(axis=1) + offset
-            satisfied += int(np.count_nonzero(err <= ceiling))
+    for k in _trial_runs(trials, m * n):
+        samples = base + sample_noise(scenario.noise, scenario.noise_var, noise_rng, (k, m, n))
+        pred = _predict(scenario, truth_next, pred_rng, k)
+        err = np.linalg.norm(pred - truth_next, axis=1)
+        dist = np.linalg.norm(pred[:, None, :] - samples, axis=2)
+        ceiling = dist.mean(axis=1) + offset
+        satisfied += int(np.count_nonzero(err <= ceiling))
     level = rho(params)
     satisfaction = satisfied / trials
     slack = _binomial_slack(level, trials)

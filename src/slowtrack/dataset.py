@@ -22,10 +22,9 @@ from .geometry import BBox
 
 @dataclass
 class Frame:
-    """One video frame: a uint8 pixel array plus its 0-based index."""
+    """One video frame: a uint8 pixel array."""
 
     pixels: np.ndarray
-    index: int
 
     @property
     def width(self) -> int:
@@ -226,7 +225,7 @@ def generate(spec: SynthSpec) -> Sequence:
                 0.0,
                 255.0,
             )
-        frames.append(Frame(np.clip(canvas, 0, 255).astype(np.uint8), index=t))
+        frames.append(Frame(np.clip(canvas, 0, 255).astype(np.uint8)))
         groundtruth.append(gt)
         occluded.append(hidden)
     return Sequence(f"synth-{spec.seed}", frames, groundtruth, occluded)
@@ -295,7 +294,7 @@ def load_sequence(directory: str | Path, one_based: bool = False) -> Sequence:
             f"{directory}: {len(paths)} frames but {len(boxes)} ground-truth lines"
         )
 
-    frames = [Frame(_read_netpbm(p), index=i) for i, p in enumerate(paths)]
+    frames = [Frame(_read_netpbm(p)) for p in paths]
     occluded = []
     occ_path = directory / "occlusion.txt"
     if occ_path.is_file():

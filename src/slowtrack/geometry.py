@@ -129,6 +129,18 @@ def clip_boxes(boxes, frame_w: float, frame_h: float) -> np.ndarray:
     return np.stack([x0, y0, x1 - x0, y1 - y0], axis=1)
 
 
+def _has_size(clip: np.ndarray) -> np.ndarray:
+    """Rows of a clipped (N, 4) array with positive width and height; a
+    NaN row has neither."""
+    return (clip[:, 2] > 0) & (clip[:, 3] > 0)
+
+
+def on_frame(boxes, frame_w: float, frame_h: float) -> np.ndarray:
+    """Rows whose box, clipped to the frame, has positive size: the boxes
+    crop_many accepts."""
+    return _has_size(clip_boxes(boxes, frame_w, frame_h))
+
+
 # Boxes resampled per pass of crop_many. It bounds the gather, lerped-row
 # and weight temporaries to a few (CROP_CHUNK, S, S[, C]) arrays whatever
 # the number of boxes; only the (N, S) taps grow with it. One pass over
@@ -152,7 +164,7 @@ def crop_many(image: np.ndarray, boxes, side: int) -> np.ndarray:
     img = np.asarray(image)
     h, w = img.shape[:2]
     clip = clip_boxes(boxes, w, h)
-    bad = np.flatnonzero((clip[:, 2] <= 0) | (clip[:, 3] <= 0))
+    bad = np.flatnonzero(~_has_size(clip))
     if bad.size:
         raise OutOfViewError(f"box {bad[0]} has no overlap with the frame")
     out = np.empty((len(clip), side, side) + img.shape[2:], dtype=np.float64)

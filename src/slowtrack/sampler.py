@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, SamplerExhausted
-from .geometry import BBox, clip_boxes, iou_many
+from .geometry import BBox, clip_boxes, iou_many, on_frame
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class Sampler:
             )
 
         return self._draw_until(
-            self.config.m_p, propose, lambda prop: _on_frame(prop, frame_w, frame_h),
+            self.config.m_p, propose, lambda prop: on_frame(prop, frame_w, frame_h),
             "positive sampling", frame, overdraw=False,
         )
 
@@ -157,7 +157,7 @@ class Sampler:
             return np.where(inside[:, None], prop, clip_boxes(prop, frame_w, frame_h))
 
         return self._draw_until(
-            m, propose, lambda prop: _on_frame(prop, frame_w, frame_h),
+            m, propose, lambda prop: on_frame(prop, frame_w, frame_h),
             "candidate sampling", None, overdraw=False, cap=1000 * max(m, 1),
         )
 
@@ -274,13 +274,6 @@ class Sampler:
 def _iou_between(boxes: np.ndarray, ref: BBox, lo: float, hi: float) -> np.ndarray:
     iou = iou_many(boxes, ref)
     return (iou >= lo) & (iou <= hi)
-
-
-def _on_frame(boxes: np.ndarray, frame_w: float, frame_h: float) -> np.ndarray:
-    """Rows whose clipped box has positive size, as crop_many requires;
-    a NaN row fails too."""
-    clip = clip_boxes(boxes, frame_w, frame_h)
-    return (clip[:, 2] > 0) & (clip[:, 3] > 0)
 
 
 def _centers_in(boxes: np.ndarray, window: BBox) -> np.ndarray:

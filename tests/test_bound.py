@@ -267,7 +267,7 @@ class TestVerifyErrorBound:
 
 class TestStreamedBlocks:
     """The verifiers hold one block of whole trials at a time; the block
-    size must change no report, within and across the stream's chunks."""
+    size must change no report."""
 
     TRIALS = 3001
 
@@ -291,8 +291,7 @@ class TestStreamedBlocks:
     @pytest.mark.parametrize("block_trials", [1, 2])
     def test_block_size_changes_no_report(self, monkeypatch, params, block_trials):
         per_trial = params.n * params.m
-        # 3001 trials in chunks of 1000: four chunks, the last of one trial.
-        monkeypatch.setattr(bound, "_CHUNK_ELEMS", 1000 * per_trial)
+        # 3001 trials in blocks of 1000: four blocks, the last of one trial.
         monkeypatch.setattr(bound, "_BLOCK_ELEMS", 1000 * per_trial)
         whole = self._reports(params)
         # Rates strictly inside (0, 1), so a shifted stream would show.
@@ -305,6 +304,19 @@ class TestStreamedBlocks:
         assert all(0.0 < r.violation_rate < 1.0 for r in shown)
         monkeypatch.setattr(bound, "_BLOCK_ELEMS", block_trials * per_trial)
         assert self._reports(params) == whole
+
+    def test_error_bound_draws_each_noise_element_once(self, monkeypatch):
+        params = BoundParams(n=3, m=33, delta=0.35, K=0.05)
+        drawn = []
+
+        def counted(kind, var, rng, shape):
+            drawn.append(math.prod(shape))
+            return sample_noise(kind, var, rng, shape)
+
+        monkeypatch.setattr(bound, "sample_noise", counted)
+        monkeypatch.setattr(bound, "_BLOCK_ELEMS", 1000 * params.n * params.m)
+        verify_error_bound(params, standard_scenario(params), trials=self.TRIALS, seed=6)
+        assert sum(drawn) == self.TRIALS * params.m * params.n
 
 
 class TestVerifierMemory:

@@ -308,6 +308,12 @@ class TestCropMany:
         with pytest.raises(OutOfViewError, match=f"box {CROP_CHUNK + 3} "):
             crop_many(img, boxes, side=4)
 
+    @pytest.mark.parametrize("box", [[math.nan, 10, 5, 5], [10, 10, math.nan, 5]])
+    def test_nan_box_is_out_of_view(self, box):
+        img = np.zeros((120, 160), dtype=np.uint8)
+        with pytest.raises(OutOfViewError, match="box 0 "):
+            crop_many(img, np.array([box]), side=4)
+
     def test_empty_batch(self):
         img = np.zeros((20, 20), dtype=np.uint8)
         assert crop_many(img, np.zeros((0, 4)), side=4).shape == (0, 4, 4)

@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from slowtrack.dataset import Frame, Sequence, SynthSpec, generate
+from slowtrack.dataset import Sequence, SynthSpec, generate
 from slowtrack.errors import ConfigError, OutOfViewError
 from slowtrack.geometry import BBox, crop_many
 from slowtrack.loss import LossWeights
