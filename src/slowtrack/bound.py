@@ -102,18 +102,20 @@ def rho(params: BoundParams) -> float:
     return params.n * params.max_var / (params.m * params.delta**2)
 
 
-def bound_value(continuity_losses, params: BoundParams) -> float:
+def bound_value(continuity_losses, params: BoundParams):
     """Closed-form error ceiling from m squared prediction-to-sample
-    distances."""
+    distances: a float for an (m,) array, one ceiling per row of a
+    (..., m) array."""
     losses = np.asarray(continuity_losses, dtype=float)
-    if losses.shape != (params.m,):
+    if losses.ndim < 1 or losses.shape[-1] != params.m:
         raise ValueError(
             f"expected {params.m} continuity losses, got shape {losses.shape}"
         )
     if losses.size and losses.min() < 0:
         raise ValueError(f"continuity losses must be >= 0, min is {losses.min()}")
     slack = params.n * (params.delta + params.K * params.dt)
-    return float(np.sqrt(losses).mean() + slack)
+    ceiling = np.sqrt(losses).mean(axis=-1) + slack
+    return float(ceiling) if losses.ndim == 1 else ceiling
 
 
 def sample_noise(
@@ -337,15 +339,13 @@ def verify_error_bound(
     noise_rng = np.random.default_rng(seed)
     pred_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     truth_next = base + drift
-    offset = n * (params.delta + cap)
     satisfied = 0
     for k in _trial_runs(trials, m * n):
         samples = base + sample_noise(scenario.noise, scenario.noise_var, noise_rng, (k, m, n))
         pred = _predict(scenario, truth_next, pred_rng, k)
         err = np.linalg.norm(pred - truth_next, axis=1)
-        dist = np.linalg.norm(pred[:, None, :] - samples, axis=2)
-        ceiling = dist.mean(axis=1) + offset
-        satisfied += int(np.count_nonzero(err <= ceiling))
+        losses = np.square(pred[:, None, :] - samples).sum(axis=2)
+        satisfied += int(np.count_nonzero(err <= bound_value(losses, params)))
     level = rho(params)
     satisfaction = satisfied / trials
     slack = _binomial_slack(level, trials)

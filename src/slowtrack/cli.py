@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 usage or validation failure (including failed
 checks), 2 internal error. All randomness fans out from one --seed via
 sha256-derived per-module seeds, so a single number reproduces a whole
 experiment; a seed written explicitly in the config file wins over the
-fan-out. The SLOWTRACK_LOG environment variable overrides --log-level.
+fan-out.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import logging
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -55,7 +54,6 @@ from .train import TrainConfig, train_offline, write_trace
 
 log = logging.getLogger(__name__)
 
-LOG_ENV = "SLOWTRACK_LOG"
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 DEFAULT_DIMS = "1024,128,32,32,16,2"
@@ -197,7 +195,6 @@ def cmd_track(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _read_config(args, set())
     prec_curves, succ_curves, rows = {}, {}, []
     for label, results_path, seq_dir in args.run:
         records = read_results(results_path)
@@ -223,7 +220,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
+    dims = build(NetConfig, {"dims": args.dims}, "gradcheck").dims
     weights = LossWeights()
     rng = np.random.default_rng(derive_seed(args.seed, "gradcheck-batch"))
     all_passed = True
@@ -332,12 +329,17 @@ def build_parser() -> _Parser:
         metavar=("LABEL", "RESULTS", "SEQDIR"),
         help="one evaluation run; repeatable",
     )
-    common(p)
+    p.add_argument("--out", required=True, type=Path, help="output directory")
     p.set_defaults(func=cmd_eval)
+
+    def count(text: str) -> int:  # argparse names it in "invalid count value"
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+        return int(text)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient report")
     p.add_argument("--dims", default=GRADCHECK_DIMS, help="comma-separated layer sizes")
-    p.add_argument("--models", type=int, default=5, help="number of random models")
+    p.add_argument("--models", type=count, default=5, help="number of random models")
     p.add_argument("--tol", type=float, default=FD_TOL, help="relative error tolerance")
     p.add_argument("--variant", default="full", choices=VARIANTS)
     p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -357,17 +359,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _init_logging(level_flag: str) -> None:
-    name = os.environ.get(LOG_ENV, level_flag).upper()
-    if name not in LOG_LEVELS:
-        raise ConfigError(
-            f"{LOG_ENV}={name!r} is not a log level; pick one of {LOG_LEVELS}"
-        )
-    logging.basicConfig(
-        level=getattr(logging, name), format="%(levelname)s %(name)s: %(message)s"
-    )
-
-
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
@@ -378,8 +369,10 @@ def dispatch(argv) -> int:
         return 1
     except SystemExit as exc:  # --help exits 0 through here
         return int(exc.code or 0)
+    logging.basicConfig(
+        level=args.log_level, format="%(levelname)s %(name)s: %(message)s"
+    )
     try:
-        _init_logging(args.log_level)
         return args.func(args)
     except SlowTrackError as exc:
         log.error("%s", exc)

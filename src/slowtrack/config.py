@@ -124,19 +124,25 @@ def build(dc, entries: dict[str, str], section: str = ""):
     """
     dc_type = dc if isinstance(dc, type) else type(dc)
     label = section or dc_type.__name__
-    hints = typing.get_type_hints(dc_type)
-    names = {
-        f.name
-        for f in dataclasses.fields(dc_type)
-        if not dataclasses.is_dataclass(hints[f.name])
-    }
+    hints = settable_fields(dc_type)
     kwargs = {}
     for key, raw in entries.items():
-        if key not in names:
-            known = ", ".join(sorted(names))
+        if key not in hints:
+            known = ", ".join(sorted(hints))
             raise ConfigError(f"{label}.{key}: unknown key (known: {known})")
         kwargs[key] = _convert(raw, hints[key], f"{label}.{key}")
     return dc(**kwargs) if dc is dc_type else dataclasses.replace(dc, **kwargs)
+
+
+def settable_fields(dc_type) -> dict[str, object]:
+    """The keys build accepts for a config dataclass, with their types:
+    every field but those that are themselves dataclasses."""
+    hints = typing.get_type_hints(dc_type)
+    return {
+        f.name: hints[f.name]
+        for f in dataclasses.fields(dc_type)
+        if not dataclasses.is_dataclass(hints[f.name])
+    }
 
 
 def check_known_sections(

@@ -62,30 +62,22 @@ def _check_pairs(results: Sequence[BBox], groundtruth: Sequence[BBox]) -> None:
         raise ValueError("nothing to evaluate: no frames")
 
 
-def precision_curve(
-    results: Sequence[BBox],
-    groundtruth: Sequence[BBox],
-    thresholds: Sequence[float] = PRECISION_THRESHOLDS,
-) -> Curve:
-    """Fraction of frames with center error <= tau, per tau."""
+def precision_curve(results: Sequence[BBox], groundtruth: Sequence[BBox]) -> Curve:
+    """Fraction of frames with center error <= tau, per tau of
+    PRECISION_THRESHOLDS."""
     _check_pairs(results, groundtruth)
     d = np.array([center_distance(r, g) for r, g in zip(results, groundtruth)])
-    taus = np.asarray(thresholds, dtype=float)
-    values = (d[:, None] <= taus[None, :]).mean(axis=0)
-    return Curve(tuple(float(t) for t in thresholds), tuple(float(v) for v in values))
+    values = (d[:, None] <= np.array(PRECISION_THRESHOLDS)).mean(axis=0)
+    return Curve(PRECISION_THRESHOLDS, tuple(float(v) for v in values))
 
 
-def success_curve(
-    results: Sequence[BBox],
-    groundtruth: Sequence[BBox],
-    thresholds: Sequence[float] = SUCCESS_THRESHOLDS,
-) -> Curve:
-    """Fraction of frames with IoU strictly above tau, per tau."""
+def success_curve(results: Sequence[BBox], groundtruth: Sequence[BBox]) -> Curve:
+    """Fraction of frames with IoU strictly above tau, per tau of
+    SUCCESS_THRESHOLDS."""
     _check_pairs(results, groundtruth)
     overlaps = np.array([iou(r, g) for r, g in zip(results, groundtruth)])
-    taus = np.asarray(thresholds, dtype=float)
-    values = (overlaps[:, None] > taus[None, :]).mean(axis=0)
-    return Curve(tuple(float(t) for t in thresholds), tuple(float(v) for v in values))
+    values = (overlaps[:, None] > np.array(SUCCESS_THRESHOLDS)).mean(axis=0)
+    return Curve(SUCCESS_THRESHOLDS, tuple(float(v) for v in values))
 
 
 def auc(curve: Curve) -> float:
@@ -95,9 +87,9 @@ def auc(curve: Curve) -> float:
     return float(np.mean(curve.values))
 
 
-def precision_at(curve: Curve, tau: float = PRECISION_RANK_PIXELS) -> float:
+def precision_at(curve: Curve) -> float:
     """The ranking scalar of a precision curve: its value at 20 px."""
-    return curve.at(tau)
+    return curve.at(PRECISION_RANK_PIXELS)
 
 
 def _fmt(x: float) -> str:

@@ -323,18 +323,29 @@ class FDReport:
 FD_CHUNK_BYTES = 2 << 20
 FD_TOL = 1e-4  # default relative-error tolerance of finite_diff_check
 
+# finite_diff_check's central-difference step, and conditioned_batch's
+# batch: COND_ROWS rows of N(0, COND_SCALE) entries, on which a step moves
+# a pre-activation by at most ~FD_STEP * ||x|| ~ 3e-5. COND_KINK_MARGIN
+# keeps a ~30x safety factor over that while staying findable even for
+# wide layers (hundreds of taps must all clear it).
+FD_STEP = 1e-5
+COND_KINK_MARGIN = 1e-3
+COND_P_MARGIN = 0.01
+COND_ROWS = 4
+COND_SCALE = 0.3
+
 
 def finite_diff_check(
     model: Model,
     batch: TripletBatch,
     weights: LossWeights,
-    h: float = 1e-5,
     tol: float = FD_TOL,
     variant: str = "full",
     params: list[str] | None = None,
     analytic: dict[str, np.ndarray] | None = None,
 ) -> FDReport:
-    """Compare analytic gradients against central finite differences.
+    """Compare analytic gradients against central finite differences of
+    step h = FD_STEP.
 
     The +h and -h copies of one parameter array are stacked along a
     leading axis and evaluated in chunks through the ordinary forward
@@ -379,14 +390,14 @@ def finite_diff_check(
             k = flat.size
             stack = copies[: 2 * k]
             rows, cols = np.arange(2 * k), np.tile(flat, 2)
-            stack[rows[:k], flat] += h
-            stack[rows[k:], flat] -= h
+            stack[rows[:k], flat] += FD_STEP
+            stack[rows[k:], flat] -= FD_STEP
             perturbed = replace(model, **{name: stack.reshape((2 * k,) + stack_shape)})
             (f_a, f_b, f_n), (P_a, P_n), _ = _forward(perturbed, batch, variant)
             p_a, p_n = P_a[..., 1], P_n[..., 1]
             loss = total_loss(f_a, f_b, f_n, p_a, p_n, weights, variant).mean(axis=-1)
             stack[rows, cols] = arr.reshape(-1)[cols]
-            numeric = (loss[:k] - loss[k:]) / (2.0 * h)
+            numeric = (loss[:k] - loss[k:]) / (2.0 * FD_STEP)
             a = grad[flat]
             rel = np.abs(a - numeric) / np.maximum(
                 np.maximum(np.abs(a), np.abs(numeric)), 1e-4
@@ -405,36 +416,27 @@ def finite_diff_check(
 
 
 def conditioned_batch(
-    model: Model,
-    rng: np.random.Generator,
-    B: int = 4,
-    scale: float = 0.3,
-    kink_margin: float = 1e-3,
-    p_margin: float = 0.01,
-    max_tries: int = 200,
+    model: Model, rng: np.random.Generator, max_tries: int = 200
 ) -> TripletBatch:
     """Draw a random triplet batch on which finite differences are a
     trustworthy oracle.
 
-    Central differences at h=1e-5 break down near ReLU kinks (the secant
-    straddles the corner) and in saturated softmax regions (1/p blows up
-    the curvature), so batches whose pre-activations come within
-    `kink_margin` of zero or whose class probabilities leave
-    [p_margin, 1 - p_margin] are redrawn. A weight perturbation of h
-    moves a pre-activation by at most ~h * ||x|| ~ 3e-5 here, so the
-    default margin keeps a ~30x safety factor while staying findable
-    even for wide layers (hundreds of taps must all clear it). A NaN
-    pre-activation or probability redraws the batch too.
+    Central differences break down near ReLU kinks (the secant straddles
+    the corner) and in saturated softmax regions (1/p blows up the
+    curvature), so batches whose pre-activations come within
+    COND_KINK_MARGIN of zero or whose class probabilities leave
+    [COND_P_MARGIN, 1 - COND_P_MARGIN] are redrawn. A NaN pre-activation
+    or probability redraws the batch too.
     """
     r = model.dims[0]
     for _ in range(max_tries):
-        batch = TripletBatch(*(rng.normal(0.0, scale, size=(B, r)) for _ in range(3)))
+        batch = TripletBatch(*(rng.normal(0.0, COND_SCALE, (COND_ROWS, r)) for _ in range(3)))
         _, (P_a, P_n), (feat_caches, clf_caches) = _forward(model, batch, "full")
         # u1 of all three streams; u3, u4 of anchors and negatives
         pre = [c[1] for c in feat_caches] + [u for c in clf_caches for u in (c[1], c[3])]
         p = np.concatenate([P_a[:, 1], P_n[:, 1]])
-        if all(np.all(np.abs(u) >= kink_margin) for u in pre) and np.all(
-            (p >= p_margin) & (p <= 1.0 - p_margin)
+        if all(np.all(np.abs(u) >= COND_KINK_MARGIN) for u in pre) and np.all(
+            (p >= COND_P_MARGIN) & (p <= 1.0 - COND_P_MARGIN)
         ):
             return batch
     raise NumericalError(

@@ -16,6 +16,7 @@ All four draw through one capped rejection loop, Sampler._draw_until.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -117,21 +118,24 @@ class Sampler:
     def sample_negatives(
         self, gt: BBox, frame: int | None = None
     ) -> tuple[list[BBox], np.ndarray]:
-        """The draw of negative_rows as BBox objects, together with their
-        recorded IoUs."""
-        rows = self.negative_rows(gt, frame)
+        """The draw of negative_rows, on a frame with no right or bottom
+        edge, as BBox objects, together with their recorded IoUs."""
+        rows = self.negative_rows(gt, math.inf, math.inf, frame)
         return [BBox(*row) for row in rows], iou_many(rows, gt)
 
-    def negative_rows(self, gt: BBox, frame: int | None = None) -> np.ndarray:
-        """Rejection-sample m_n boxes with lo <= IoU(box, gt) <= hi from a
-        Gaussian translation / log-normal scale perturbation of gt, as an
-        (m_n, 4) x/y/w/h array."""
+    def negative_rows(
+        self, gt: BBox, frame_w: float, frame_h: float, frame: int | None = None
+    ) -> np.ndarray:
+        """Rejection-sample m_n boxes with lo <= IoU(box, gt) <= hi and
+        some overlap with the frame from a Gaussian translation /
+        log-normal scale perturbation of gt, as an (m_n, 4) x/y/w/h
+        array."""
         cfg = self.config
         sigma = cfg.sigma_xy * max(gt.w, gt.h)
         return self._draw_until(
             cfg.m_n,
             lambda k: self._perturb(gt, k, sigma, cfg.sigma_scale),
-            lambda prop: _iou_between(prop, gt, cfg.lo, cfg.hi),
+            lambda p: _iou_between(p, gt, cfg.lo, cfg.hi) & on_frame(p, frame_w, frame_h),
             "negative sampling", frame,
         )
 

@@ -122,9 +122,8 @@ def track_sequence(
     Tracking never aborts mid-sequence: once frame 2 is reached, a
     frame that fails carries the previous box forward and a failed
     update leaves the model as it was. The first-frame finetune runs
-    before that and is not covered: its SamplerExhausted,
-    NumericalError or OutOfViewError propagates, and no record is
-    returned."""
+    before that and is not covered: its SamplerExhausted or
+    NumericalError propagates, and no record is returned."""
     if sequence.T < 2:
         raise ConfigError(
             f"sequence {sequence.name!r} has {sequence.T} frame(s); need >= 2"

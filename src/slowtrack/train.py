@@ -216,7 +216,7 @@ def _draw_triplets(
     pair_frame, pair_gt, pair_t = pair
     a_boxes = sampler.positive_rows(gt, frame.width, frame.height, frame=t)
     b_boxes = sampler.positive_rows(pair_gt, frame.width, frame.height, frame=pair_t)
-    neg_boxes = sampler.negative_rows(gt, frame=t)
+    neg_boxes = sampler.negative_rows(gt, frame.width, frame.height, frame=t)
     js, ks, ls = sampler.build_triplets(len(a_boxes), len(b_boxes), len(neg_boxes), count)
     if memo is not None:
         n = _patches({}, side, frame, neg_boxes[ls])

@@ -100,6 +100,15 @@ class TestClosedForms:
         oracle = sum(math.sqrt(x) for x in losses) / 57 + 3 * (0.9 + 0.2 * 0.5)
         assert bound_value(losses, p) == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [57, 300])
+    def test_bound_value_rows_equal_one_row_calls(self, m):
+        rng = np.random.default_rng(m)
+        p = BoundParams(n=3, m=m, delta=0.9, K=0.2, dt=0.5, max_var=1.0)
+        losses = rng.uniform(0.0, 10.0, size=(6, m))
+        rows = bound_value(losses, p)
+        assert rows.shape == (6,)
+        assert rows.tolist() == [bound_value(row, p) for row in losses]
+
     def test_bound_value_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="expected 100"):
             bound_value([1.0] * 99, BoundParams())

@@ -9,15 +9,16 @@ import logging
 
 import pytest
 
-from slowtrack.cli import _tracker_config, build_parser, derive_seed, dispatch
-from slowtrack.config import parse_config_text, split_sections
-from slowtrack.dataset import load_sequence
+from slowtrack.bound import BoundParams
+from slowtrack.cli import NetConfig, _tracker_config, build_parser, derive_seed, dispatch
+from slowtrack.config import parse_config_text, settable_fields, split_sections
+from slowtrack.dataset import SynthSpec, load_sequence
 from slowtrack.evaluate import read_curve_csv
-from slowtrack.loss import VARIANTS
+from slowtrack.loss import VARIANTS, LossWeights
 from slowtrack.net import load_model
 from slowtrack.sampler import SamplerConfig
 from slowtrack.tracker import TrackerConfig, read_results
-from slowtrack.train import StepConfig
+from slowtrack.train import StepConfig, TrainConfig
 
 DIMS = "64,16,8,8,4,2"
 
@@ -108,14 +109,6 @@ class TestExitCodes:
             rc = run("gen", "--out", tmp_path / "o")
         assert rc == 2
         assert "internal error" in caplog.text
-
-    def test_bad_log_level_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SLOWTRACK_LOG", "CHATTY")
-        assert run("gen", "--out", tmp_path / "o") == 1
-
-    def test_log_level_env_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SLOWTRACK_LOG", "WARNING")
-        assert run("gen", "--out", tmp_path / "o") == 0
 
     def test_unknown_config_key_exits_one(self, tmp_path, caplog):
         cfg = tmp_path / "bad.cfg"
@@ -370,18 +363,17 @@ class TestEval:
         assert rc == 1
         assert "outside sequence" in caplog.text
 
-    def test_config_section_rejected(self, pipeline, tmp_path, caplog):
-        # eval reads no section, so a config file can only hold typos
+    def test_config_section_rejected(self, pipeline, tmp_path, capsys):
+        # eval reads no section, so it takes no config file
         cfg = tmp_path / "typo.cfg"
         cfg.write_text("trackr.m = 5\n")
-        with caplog.at_level(logging.ERROR):
-            rc = run(
-                "eval",
-                "--run", "full", pipeline / "run" / "results-seq-a.csv", pipeline / "seq-a",
-                "--config", cfg, "--out", tmp_path / "evals",
-            )
+        rc = run(
+            "eval",
+            "--run", "full", pipeline / "run" / "results-seq-a.csv", pipeline / "seq-a",
+            "--config", cfg, "--out", tmp_path / "evals",
+        )
         assert rc == 1
-        assert "unknown section(s) ['trackr']" in caplog.text
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_zero_width_result_box_exits_one(self, pipeline, tmp_path, caplog):
         lines = (pipeline / "run" / "results-seq-a.csv").read_text().splitlines()
@@ -420,6 +412,17 @@ class TestGradcheck:
     def test_isolated_variant_flag(self, capsys):
         assert run("gradcheck", "--models", 1, "--variant", "SlossOnly") == 0
         assert "SlossOnly" in capsys.readouterr().out
+
+    def test_bad_dims_token_exits_one(self, caplog):
+        with caplog.at_level(logging.ERROR):
+            assert run("gradcheck", "--dims", "64,32,x,16,8,2") == 1
+        assert "gradcheck.dims: invalid literal for int()" in caplog.text
+        assert "internal error" not in caplog.text
+
+    @pytest.mark.parametrize("models", [0, -1])
+    def test_no_models_is_usage_error(self, capsys, models):
+        assert run("gradcheck", "--models", models) == 1
+        assert f"--models: must be >= 1, got {models}" in capsys.readouterr().err
 
 
 class TestVerifyBound:
@@ -487,13 +490,216 @@ class TestAblate:
         assert "train.variant: ablate runs every variant" in caplog.text
 
 
+def _subparsers():
+    parser = build_parser()
+    sub = next(
+        a for a in parser._actions
+        if isinstance(a, type(parser._subparsers._group_actions[0]))
+    )
+    return sub.choices
+
+
 class TestParserShape:
     def test_all_subcommands_registered(self):
-        parser = build_parser()
-        sub = next(
-            a for a in parser._actions
-            if isinstance(a, type(parser._subparsers._group_actions[0]))
-        )
-        assert set(sub.choices) == {
+        assert set(_subparsers()) == {
             "gen", "train", "track", "eval", "gradcheck", "verify-bound", "ablate"
         }
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        common = {"--config", "--seed", "--out"}
+        flags = {
+            name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in _subparsers().items()
+        }
+        assert flags == {
+            "gen": common,
+            "train": common,
+            "track": common | {"--model"},
+            "eval": {"--run", "--out"},
+            "gradcheck": {"--dims", "--models", "--tol", "--variant", "--seed"},
+            "verify-bound": common | {"--trials"},
+            "ablate": common | {"--track"},
+        }
+
+
+# --- guard: every config field changes its command's output -----------------
+
+# The config dataclass behind each section, and the command the guard
+# runs for it. sampler and loss are read by train, track and ablate;
+# train is the cheapest of them.
+SECTIONS = {
+    "synth": (SynthSpec, "gen"),
+    "net": (NetConfig, "train"),
+    "train": (TrainConfig, "train"),
+    "sampler": (SamplerConfig, "train"),
+    "loss": (LossWeights, "train"),
+    "tracker": (TrackerConfig, "track"),
+    "init_train": (StepConfig, "track"),
+    "update_train": (StepConfig, "track"),
+    "bound": (BoundParams, "verify-bound"),
+}
+
+# Each command's baseline at tiny sizes. The train corpus has an occluded
+# frame, and the track baseline fires an online update on frames 2 and 4
+# (T = 5, update_period = 2, a threshold every score clears), so that
+# the occlusion switch and the update_train fields have something to act
+# on. The bound baseline is at n = 1, where an error-bound trial can fail,
+# so that K and dt can move a satisfaction rate.
+GUARD_BASE = {
+    "gen": {
+        "synth.T": "3", "synth.frame_w": "24", "synth.frame_h": "20",
+        "synth.target_w": "8", "synth.target_h": "8",
+    },
+    "train": {
+        "net.dims": DIMS, "train.iterations": "3", "train.batch_size": "4",
+    },
+    "track": {
+        "tracker.m": "20", "tracker.top_k": "3", "tracker.update_period": "2",
+        "tracker.update_score_threshold": "0.0",
+        "init_train.iterations": "2", "init_train.batch_size": "4",
+        "update_train.iterations": "2", "update_train.batch_size": "4",
+    },
+    "verify-bound": {
+        "bound.n": "1", "bound.m": "20", "bound.delta": "0.4", "bound.K": "0.05",
+    },
+}
+
+# One value off the baseline for every field `build` accepts.
+MOVED = {
+    "synth.T": "4",
+    "synth.frame_w": "28",
+    "synth.frame_h": "24",
+    "synth.target_w": "9",
+    "synth.target_h": "9",
+    "synth.start_x": "2",
+    "synth.start_y": "2",
+    "synth.velocity": "1.0,0.0",
+    "synth.scale_rate": "1.1",
+    "synth.occlusions": "1:1",
+    "synth.distractors": "1",
+    # The generator's only change of the target's appearance over time,
+    # which is what the continuity term is about.
+    "synth.appearance_drift": "5.0",
+    "synth.noise_level": "10.0",
+    "synth.rgb": "true",
+    "synth.seed": "1",
+    "net.dims": "64,12,8,8,4,2",
+    "net.seed": "1",
+    "train.iterations": "4",
+    "train.learning_rate": "0.01",
+    "train.optimizer": "sgd",
+    "train.adam_beta1": "0.5",
+    "train.adam_beta2": "0.5",
+    "train.adam_eps": "1e-3",
+    "train.batch_size": "5",
+    "train.classifier_only": "true",
+    "train.variant": "SlossOnly",
+    "train.seed": "1",
+    # Only a corpus with occluded frames has pairs to skip.
+    "train.skip_occluded": "false",
+    "sampler.lo": "0.3",
+    "sampler.hi": "0.5",
+    "sampler.shift_max": "1",
+    "sampler.m_p": "8",
+    "sampler.m_n": "16",
+    "sampler.sigma_xy": "0.5",
+    "sampler.sigma_scale": "0.1",
+    # The first negative round asks for 4 * m_n = 128 proposals; a cap
+    # below that shortens it, while the default cap never binds.
+    "sampler.max_rejections": "100",
+    "sampler.seed": "1",
+    "loss.lam": "1.0",
+    "loss.mu": "1.0",
+    "loss.beta": "0.5",
+    # The default floor clamps no probability; 0.45 clamps those of an
+    # untrained classifier that stray from 0.5.
+    "loss.p_floor": "0.45",
+    "tracker.m": "30",
+    "tracker.top_k": "2",
+    "tracker.update_period": "3",
+    "tracker.update_score_threshold": "0.999",
+    **{
+        f"{phase}.{name}": value
+        for phase in ("init_train", "update_train")
+        for name, value in [
+            ("iterations", "3"), ("learning_rate", "0.01"), ("optimizer", "adam"),
+            ("adam_beta1", "0.5"), ("adam_beta2", "0.5"), ("adam_eps", "1e-3"),
+            ("batch_size", "5"), ("classifier_only", "true"),
+        ]
+    },
+    "bound.n": "2",
+    "bound.m": "30",
+    "bound.delta": "0.5",
+    "bound.K": "0.1",
+    "bound.dt": "2.0",
+    "bound.max_var": "0.5",
+}
+
+# Baseline entries a field needs to act at all: the online phases train
+# with sgd, which reads no adam_* field.
+NEEDS = {
+    f"{phase}.{name}": {f"{phase}.optimizer": "adam"}
+    for phase in ("init_train", "update_train")
+    for name in ("adam_beta1", "adam_beta2", "adam_eps")
+}
+
+
+@pytest.fixture(scope="module")
+def guard(tmp_path_factory):
+    """outputs(command, entries): the bytes of every file the command
+    writes with that config, memoized, so each baseline runs once."""
+    root = tmp_path_factory.mktemp("guard")
+    memo = {}
+    argv = {"gen": [], "verify-bound": ["--trials", 500]}
+
+    def outputs(command: str, entries: dict[str, str]) -> dict[str, bytes]:
+        text = "".join(f"{k} = {v}\n" for k, v in entries.items())
+        if (command, text) not in memo:
+            cfg, out = root / f"run-{len(memo)}.cfg", root / f"run-{len(memo)}"
+            cfg.write_text(text)
+            assert run(command, *argv[command], "--config", cfg, "--out", out) == 0
+            files = [p for p in out.rglob("*") if p.is_file()]
+            memo[command, text] = {str(p.relative_to(out)): p.read_bytes() for p in files}, out
+        return memo[command, text]
+
+    seqs = [
+        outputs("gen", {**GUARD_BASE["gen"], "synth.T": "5", **extra})[1]
+        for extra in ({}, {"synth.occlusions": "2:2"})
+    ]
+    argv["train"] = seqs
+    _, model = outputs("train", GUARD_BASE["train"])
+    argv["track"] = [seqs[0], "--model", model / "model.txt"]
+    return lambda command, entries: outputs(command, entries)[0]
+
+
+class TestEveryFieldChangesOutput:
+    @pytest.mark.parametrize("key", sorted(MOVED))
+    def test_moving_the_field_changes_bytes(self, guard, key):
+        command = SECTIONS[key.split(".")[0]][1]
+        base = {**GUARD_BASE[command], **NEEDS.get(key, {})}
+        assert guard(command, base) != guard(command, {**base, key: MOVED[key]})
+
+    def test_table_lists_every_built_field(self):
+        built = {
+            f"{section}.{name}"
+            for section, (dc, _) in SECTIONS.items()
+            for name in settable_fields(dc)
+        }
+        assert built == set(MOVED)
+
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
+    def test_ablate_reads_exactly_the_train_and_track_sections(
+        self, pipeline, tmp_path, caplog, section
+    ):
+        cfg = tmp_path / "ablate.cfg"
+        cfg.write_text(f"{section}.bogus = 1\n")
+        with caplog.at_level(logging.ERROR):
+            rc = run(
+                "ablate", pipeline / "seq-a", "--track", pipeline / "seq-b",
+                "--config", cfg, "--out", tmp_path / "abl",
+            )
+        assert rc == 1
+        if SECTIONS[section][1] in ("train", "track"):
+            assert f"{section}.bogus: unknown key" in caplog.text
+        else:
+            assert "unknown section" in caplog.text

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slowtrack.errors import ConfigError, SamplerExhausted
-from slowtrack.geometry import BBox, clip_boxes, crop_many, iou, iou_many
+from slowtrack.geometry import BBox, clip_boxes, crop_many, iou, iou_many, on_frame
 from slowtrack.sampler import (
     Sampler,
     SamplerConfig,
@@ -216,17 +216,28 @@ class TestNegatives:
         gt = BBox(10.5, 20.25, 30, 24)
         boxes_smp, rows_smp = make_sampler(seed=seed), make_sampler(seed=seed)
         boxes, ious = boxes_smp.sample_negatives(gt, frame=3)
-        rows = rows_smp.negative_rows(gt, frame=3)
+        rows = rows_smp.negative_rows(gt, FRAME_W, FRAME_H, frame=3)
         assert rows.shape == (len(boxes), 4)
         assert [BBox(*r) for r in rows.tolist()] == boxes
         assert np.array_equal(iou_many(rows, gt), ious)
         assert stream_after(boxes_smp) == stream_after(rows_smp)
 
+    def test_rows_overlap_the_frame(self):
+        # 19.5 of the box's 24 columns lie left of the frame; negatives
+        # drawn without regard to it included boxes crop_many rejects.
+        gt = BBox(-19.47, 48.0, 24.0, 24.0)
+        rows = make_sampler(m_n=500, max_rejections=50_000, seed=3).negative_rows(
+            gt, FRAME_W, FRAME_H
+        )
+        assert on_frame(rows, FRAME_W, FRAME_H).all()
+        ious = iou_many(rows, gt)
+        assert ((ious >= 0.2) & (ious <= 0.6)).all()
+
     def test_rows_exhaustion_names_frame(self):
         smp = make_sampler(lo=0.9999, hi=1.0, m_n=64, max_rejections=200)
         message = r"negative sampling found 0/64 in 200 attempts \(frame 17\)"
         with pytest.raises(SamplerExhausted, match=message):
-            smp.negative_rows(BBox(60, 50, 24, 20), frame=17)
+            smp.negative_rows(BBox(60, 50, 24, 20), FRAME_W, FRAME_H, frame=17)
 
 
 class TestCandidates:

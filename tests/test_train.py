@@ -228,6 +228,15 @@ class TestTrainOffline:
         last = np.mean([r.loss for r in trace[-20:]])
         assert last < 0.5 * first
 
+    def test_ground_truth_mostly_off_frame_trains(self):
+        # The target drifts left until 19.5 of its 24 columns are off the
+        # frame; every negative must still overlap the frame to be cropped.
+        seq = generate(SynthSpec(T=60, start_x=0, start_y=48, velocity=(-0.33, 0), seed=3))
+        tc = TrainConfig(iterations=10, batch_size=4, seed=0)
+        model, trace = train_offline([seq], init_model(DIMS, seed=0), tc, SamplerConfig(seed=0))
+        assert len(trace) == 10
+        model.assert_finite()
+
     def test_occluded_pairs_are_skipped(self, corpus):
         # Occlude everything after frame 1: the only usable pair is
         # (0, 1), so the run must match training on the two-frame
@@ -410,7 +419,7 @@ class TestCropPools:
         (frame, gt, t), (_, pair_gt, pair_t) = anchor, pair
         a = sampler.positive_rows(gt, frame.width, frame.height, frame=t)
         b = sampler.positive_rows(pair_gt, frame.width, frame.height, frame=pair_t)
-        n = sampler.negative_rows(gt, frame=t)
+        n = sampler.negative_rows(gt, frame.width, frame.height, frame=t)
         js, ks, ls = sampler.build_triplets(len(a), len(b), len(n), 16)
         return a[js], b[ks], n[ls]
 
