@@ -131,17 +131,31 @@ def _write_table(rows, path: Path) -> None:
 
 
 def _eval_records(records, sequence):
+    """Precision and success curves of results that list frames 2..T of
+    `sequence`, each once and in order; any other listing raises
+    ConfigError naming the first repeated or missing frame."""
     if not records:
         raise ConfigError(f"no tracked frames for sequence {sequence.name!r}")
     preds, gts = [], []
-    for r in records:
+    fault = None
+    for want, r in enumerate(records, start=2):
         if not 2 <= r.frame <= sequence.T:
             raise ConfigError(
                 f"results frame {r.frame} outside sequence {sequence.name!r} "
                 f"(T={sequence.T}); wrong sequence for these results?"
             )
+        if r.frame != want:
+            fault = f"repeat frame {r.frame}" if r.frame < want else f"lack frame {want}"
+            break
         preds.append(r.box)
         gts.append(sequence.groundtruth[r.frame - 1])
+    if fault is None and len(records) < sequence.T - 1:
+        fault = f"lack frame {len(records) + 2}"
+    if fault is not None:
+        raise ConfigError(
+            f"results for sequence {sequence.name!r} {fault}; expected frames "
+            f"2..{sequence.T}, each once and in order"
+        )
     return precision_curve(preds, gts), success_curve(preds, gts)
 
 

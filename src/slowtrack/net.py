@@ -157,36 +157,39 @@ class LossTerms(NamedTuple):
 
 
 def _forward(model: Model, batch: TripletBatch, variant: str):
-    """The one forward pass of a triplet batch. Returns the features
-    (f_a, f_b, f_n), f_b None when the variant has no pair term; the
-    softmax outputs (P_a, P_n) of anchors and negatives; and the layer
-    caches ((a, b, n) feature caches, (a, n) classifier caches), which
-    keep the pre-activations u1, u3 and u4.
+    """The one forward pass of a triplet batch. The streams are stacked
+    as rows a | n | b, b only when the variant has a pair term, and go
+    through one feature pass; a | n go through one classifier pass.
+    Returns the features (f_a, f_b, f_n), f_b None without a pair term;
+    the softmax outputs (P_a, P_n) of anchors and negatives, all as row
+    views of the stacked outputs; and the (feature, classifier) layer
+    caches of the stacked rows, which keep the pre-activations u1, u3
+    and u4.
 
     The parameters may carry a leading stack axis (one model per slice):
-    the passes broadcast over it, and the three feature streams go
-    through the same layers, so they always share a shape.
+    the passes broadcast over it, so the views slice the row axis with
+    `...` in front.
     """
     pair = uses_pair(variant)  # an unknown variant raises before any forward
     r = model.dims[0]
     A, _ = _as_batch(batch.a, r, "triplet anchors")
     N, _ = _as_batch(batch.n, r, "triplet negatives")
-    if A.shape[0] != N.shape[0]:
+    B = A.shape[0]
+    if N.shape[0] != B:
         raise ValueError("anchor/negative batch size mismatch")
-    f_a, cache_a = _feat_forward(model, A)
-    f_n, cache_n = _feat_forward(model, N)
-    f_b = cache_b = None
+    streams = [A, N]
     if pair:
         if batch.b is None:
             raise ValueError(f"variant {variant!r} needs the paired positives")
         Bp, _ = _as_batch(batch.b, r, "paired positives")
-        if Bp.shape[0] != A.shape[0]:
+        if Bp.shape[0] != B:
             raise ValueError("pair batch size mismatch")
-        f_b, cache_b = _feat_forward(model, Bp)
-    P_a, clf_cache_a = _clf_forward(model, f_a)
-    P_n, clf_cache_n = _clf_forward(model, f_n)
-    caches = (cache_a, cache_b, cache_n), (clf_cache_a, clf_cache_n)
-    return (f_a, f_b, f_n), (P_a, P_n), caches
+        streams.append(Bp)
+    F, feat_cache = _feat_forward(model, np.concatenate(streams))
+    P, clf_cache = _clf_forward(model, F[..., : 2 * B, :])
+    f_b = F[..., 2 * B :, :] if pair else None
+    feats = F[..., :B, :], f_b, F[..., B : 2 * B, :]
+    return feats, (P[..., :B, :], P[..., B:, :]), (feat_cache, clf_cache)
 
 
 def backward(
@@ -203,8 +206,7 @@ def backward(
     are the means of the pair, discrimination and classification terms
     before weighting.
     """
-    (f_a, f_b, f_n), (P_a, P_n), caches = _forward(model, batch, variant)
-    (cache_a, cache_b, cache_n), (clf_cache_a, clf_cache_n) = caches
+    (f_a, f_b, f_n), (P_a, P_n), (feat_cache, clf_cache) = _forward(model, batch, variant)
     p_a, p_n = P_a[:, 1], P_n[:, 1]
     rows = loss_terms(f_a, f_b, f_n, p_a, p_n, weights, variant)
     terms = LossTerms(*(0.0 if t is None else float(np.mean(t)) for t in rows))
@@ -212,13 +214,14 @@ def backward(
     B = f_a.shape[0]
 
     grads: dict[str, np.ndarray] = {}
-    df_a = np.zeros_like(f_a)
-    df_n = np.zeros_like(f_n)
+    # one gradient row per stacked feature row, a | n | b as in _forward
+    df = np.zeros((feat_cache[0].shape[0], f_a.shape[1]))
+    df_a, df_n, df_b = df[:B], df[B : 2 * B], df[2 * B :]
 
     if c is not None:
         diff = (2.0 / B) * (f_a - f_b)
         df_a += diff
-        df_b = -diff
+        df_b -= diff
     if d is not None:
         # d is exp(-beta * ||f_a - f_n||^2), the factor of its gradient
         dd = f_a - f_n
@@ -241,16 +244,13 @@ def backward(
         1.0 / (1.0 - np.clip(p_n, floor, 1.0 - floor)),
         0.0,
     ) * (weights.mu / B)
-    dz_a = dLdp_a[:, None] * P_a[:, 1:2] * (e1 - P_a)
-    dz_n = dLdp_n[:, None] * P_n[:, 1:2] * (e1 - P_n)
+    dz = np.concatenate([
+        dLdp_a[:, None] * P_a[:, 1:2] * (e1 - P_a),
+        dLdp_n[:, None] * P_n[:, 1:2] * (e1 - P_n),
+    ])
 
-    df_a += _clf_backward(model, grads, clf_cache_a, dz_a)
-    df_n += _clf_backward(model, grads, clf_cache_n, dz_n)
-
-    _feat_backward(model, grads, cache_a, df_a)
-    _feat_backward(model, grads, cache_n, df_n)
-    if c is not None:
-        _feat_backward(model, grads, cache_b, df_b)
+    df[: 2 * B] += _clf_backward(model, grads, clf_cache, dz)
+    _feat_backward(model, grads, feat_cache, df)
 
     # In parameter order, so the error names the first non-finite layer.
     grads = {name: grads[name] for name in PARAM_NAMES}
@@ -260,36 +260,26 @@ def backward(
     return grads, terms
 
 
-def _accumulate(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
-    """grads[name] += g, the first contribution stored as it is rather
-    than added to zeros. That can only keep a -0.0 that 0.0 + -0.0 would
-    have made +0.0, and nothing reads the sign of a zero gradient."""
-    if name in grads:
-        grads[name] += g
-    else:
-        grads[name] = g
-
-
 def _clf_backward(model: Model, grads, cache, dz: np.ndarray) -> np.ndarray:
     F, _, r3, _, r4 = cache
-    _accumulate(grads, "W5", r4.T @ dz)
-    _accumulate(grads, "b5", dz.sum(axis=0))
+    grads["W5"] = r4.T @ dz
+    grads["b5"] = dz.sum(axis=0)
     du4 = (dz @ model.W5.T) * (r4 > 0)
-    _accumulate(grads, "W4", r3.T @ du4)
-    _accumulate(grads, "b4", du4.sum(axis=0))
+    grads["W4"] = r3.T @ du4
+    grads["b4"] = du4.sum(axis=0)
     du3 = (du4 @ model.W4.T) * (r3 > 0)
-    _accumulate(grads, "W3", F.T @ du3)
-    _accumulate(grads, "b3", du3.sum(axis=0))
+    grads["W3"] = F.T @ du3
+    grads["b3"] = du3.sum(axis=0)
     return du3 @ model.W3.T
 
 
 def _feat_backward(model: Model, grads, cache, df: np.ndarray) -> None:
     X, _, r1 = cache
-    _accumulate(grads, "W2", r1.T @ df)
-    _accumulate(grads, "b2", df.sum(axis=0))
+    grads["W2"] = r1.T @ df
+    grads["b2"] = df.sum(axis=0)
     du1 = (df @ model.W2.T) * (r1 > 0)
-    _accumulate(grads, "W1", X.T @ du1)
-    _accumulate(grads, "b1", du1.sum(axis=0))
+    grads["W1"] = X.T @ du1
+    grads["b1"] = du1.sum(axis=0)
 
 
 @dataclass
@@ -431,9 +421,9 @@ def conditioned_batch(
     r = model.dims[0]
     for _ in range(max_tries):
         batch = TripletBatch(*(rng.normal(0.0, COND_SCALE, (COND_ROWS, r)) for _ in range(3)))
-        _, (P_a, P_n), (feat_caches, clf_caches) = _forward(model, batch, "full")
+        _, (P_a, P_n), (feat_cache, clf_cache) = _forward(model, batch, "full")
         # u1 of all three streams; u3, u4 of anchors and negatives
-        pre = [c[1] for c in feat_caches] + [u for c in clf_caches for u in (c[1], c[3])]
+        pre = (feat_cache[1], clf_cache[1], clf_cache[3])
         p = np.concatenate([P_a[:, 1], P_n[:, 1]])
         if all(np.all(np.abs(u) >= COND_KINK_MARGIN) for u in pre) and np.all(
             (p >= COND_P_MARGIN) & (p <= 1.0 - COND_P_MARGIN)

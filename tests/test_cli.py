@@ -389,6 +389,29 @@ class TestEval:
         assert rc == 1
         assert f"{results}:2: box" in caplog.text
 
+    @pytest.mark.parametrize("frames, fault", [
+        ([2, 2, 2, 2], "repeat frame 2"),  # scored Prec@20 1.0 and AUC 0.9524
+        ([2, 4, 5], "lack frame 3"),
+        ([2, 3, 4], "lack frame 5"),
+    ])
+    def test_repeated_or_missing_frames_exit_one(self, tmp_path, caplog, frames, fault):
+        cfg = tmp_path / "five.cfg"
+        cfg.write_text("synth.T = 5\nsynth.seed = 5\n")
+        assert run("gen", "--config", cfg, "--out", tmp_path / "seq-five") == 0
+        b = load_sequence(tmp_path / "seq-five").groundtruth[1]
+        lines = ["frame,x,y,w,h,score,updated"]
+        lines += [f"{t},{b.x!r},{b.y!r},{b.w!r},{b.h!r},1.0,0" for t in frames]
+        results = tmp_path / "results.csv"
+        results.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.ERROR):
+            rc = run(
+                "eval", "--run", "full", results, tmp_path / "seq-five",
+                "--out", tmp_path / "evals",
+            )
+        assert rc == 1
+        assert f"{fault}; expected frames 2..5, each once and in order" in caplog.text
+        assert not (tmp_path / "evals").exists()
+
     def test_duplicate_series_rejected(self, pipeline, tmp_path, caplog):
         results = pipeline / "run" / "results-seq-a.csv"
         with caplog.at_level(logging.ERROR):

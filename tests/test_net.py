@@ -17,12 +17,17 @@ from slowtrack.loss import (
     loss_s,
     loss_terms,
     total_loss,
+    uses_pair,
 )
 from slowtrack.net import (
+    PARAM_NAMES,
     LossTerms,
     Model,
     TripletBatch,
+    _clf_backward,
     _clf_forward,
+    _feat_backward,
+    _feat_forward,
     backward,
     conditioned_batch,
     finite_diff_check,
@@ -34,6 +39,7 @@ from slowtrack.net import (
 )
 
 DIMS = (6, 5, 4, 4, 3, 2)
+BIG_DIMS = (1024, 128, 32, 32, 16, 2)  # the tracker's 32x32 grey model
 
 
 def rand_batch(rng, r=DIMS[0], B=3):
@@ -161,6 +167,52 @@ class TestForwardClassifier:
             forward_classifier(init_model(DIMS, seed=0), np.zeros(DIMS[2] + 1))
 
 
+def per_stream_backward(model, batch, weights, variant):
+    """Reference for backward: each stream through its own layer passes,
+    three feature forwards (two without a pair term) and two classifier
+    forwards, and the weight gradients of the streams summed in the
+    order a, n, b."""
+    f_a, feat_a = _feat_forward(model, batch.a)
+    f_n, feat_n = _feat_forward(model, batch.n)
+    f_b = feat_b = None
+    if uses_pair(variant):
+        f_b, feat_b = _feat_forward(model, batch.b)
+    P_a, clf_a = _clf_forward(model, f_a)
+    P_n, clf_n = _clf_forward(model, f_n)
+    p_a, p_n = P_a[:, 1], P_n[:, 1]
+    _, c, d, _ = loss_terms(f_a, f_b, f_n, p_a, p_n, weights, variant)
+    B = f_a.shape[0]
+    df_a, df_n = np.zeros_like(f_a), np.zeros_like(f_n)
+    if c is not None:
+        df_a += (2.0 / B) * (f_a - f_b)
+        df_b = -((2.0 / B) * (f_a - f_b))
+    if d is not None:
+        coef = (-2.0 * weights.beta * weights.lam / B) * d
+        df_a += coef[:, None] * (f_a - f_n)
+        df_n -= coef[:, None] * (f_a - f_n)
+    lo, hi = weights.p_floor, 1.0 - weights.p_floor
+    dLdp_a = np.where((p_a > lo) & (p_a < hi), -1.0 / np.clip(p_a, lo, hi), 0.0)
+    dLdp_n = np.where((p_n > lo) & (p_n < hi), 1.0 / (1.0 - np.clip(p_n, lo, hi)), 0.0)
+    e1 = np.array([0.0, 1.0])
+    parts = []
+    for feat, clf, df, dLdp, P in [
+        (feat_a, clf_a, df_a, dLdp_a * (weights.mu / B), P_a),
+        (feat_n, clf_n, df_n, dLdp_n * (weights.mu / B), P_n),
+    ]:
+        g = {}
+        df = df + _clf_backward(model, g, clf, dLdp[:, None] * P[:, 1:2] * (e1 - P))
+        _feat_backward(model, g, feat, df)
+        parts.append(g)
+    if c is not None:
+        parts.append({})
+        _feat_backward(model, parts[-1], feat_b, df_b)
+    grads = {}
+    for g in parts:  # a, n, b
+        for name, v in g.items():
+            grads[name] = grads[name] + v if name in grads else v
+    return grads
+
+
 class TestBackward:
     def test_identical_positives_zero_weights_zero_grads(self):
         rng = np.random.default_rng(11)
@@ -234,6 +286,38 @@ class TestBackward:
         m = init_model(DIMS, seed=13)
         backward(m, rand_batch(np.random.default_rng(25)), LossWeights())
         assert calls == {"loss_d": 1, "loss_s": 1}
+
+    @pytest.mark.parametrize("dims", [DIMS, BIG_DIMS])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_per_stream_reference(self, dims, variant):
+        # The stacked streams reorder the sums inside each GEMM, so the
+        # gradients may move in the last bits: the tolerance is fixed from
+        # float64 at 1e-12 of each parameter's largest entry. B = 1 and 4
+        # are sizes where stacked and per-stream forward rows differ.
+        rng = np.random.default_rng(26)
+        m = init_model(dims, seed=14)
+        w = LossWeights(lam=3.0, mu=7.0, beta=0.5)
+        for B in (1, 3, 4, 16):
+            batch = TripletBatch(*(rng.normal(0.0, 0.3, (B, dims[0])) for _ in range(3)))
+            if not uses_pair(variant):
+                batch.b = None
+            grads, _ = backward(m, batch, w, variant=variant)
+            want = per_stream_backward(m, batch, w, variant)
+            assert list(grads) == list(PARAM_NAMES)
+            for name in PARAM_NAMES:
+                err = np.max(np.abs(grads[name] - want[name]))
+                assert err <= 1e-12 * np.max(np.abs(want[name])), (name, B)
+
+    def test_one_pass_per_layer_group(self, monkeypatch):
+        calls = count_layer_passes(monkeypatch)
+        m = init_model(DIMS, seed=13)
+        for variant in VARIANTS:
+            batch = rand_batch(np.random.default_rng(27))
+            if not uses_pair(variant):
+                batch.b = None
+            calls.update(_feat_forward=0, _clf_forward=0)
+            backward(m, batch, LossWeights(), variant=variant)
+            assert calls == {"_feat_forward": 1, "_clf_forward": 1}, variant
 
     def test_unknown_variant_rejected_before_any_forward(self, monkeypatch):
         def forward(*args):
@@ -327,6 +411,20 @@ class TestConditionedBatch:
             conditioned_batch(m, np.random.default_rng(0), max_tries=5)
 
 
+def count_layer_passes(monkeypatch):
+    """Count the calls of net's feature and classifier forwards."""
+    calls = {}
+    for name in ("_feat_forward", "_clf_forward"):
+        real = getattr(net_module, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(net_module, name, counted)
+    return calls
+
+
 class TestFiniteDiff:
     def test_random_models_pass(self):
         rng = np.random.default_rng(16)
@@ -345,6 +443,27 @@ class TestFiniteDiff:
             batch.b = None
         rep = finite_diff_check(m, batch, LossWeights(), variant=variant)
         assert rep.passed, str(rep)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_row_batch_passes(self, variant):
+        rng = np.random.default_rng(28)
+        m = init_model(DIMS, seed=206)
+        batch = conditioned_batch(m, rng)
+        batch = TripletBatch(batch.a[:1], None if variant == "SlossOnly" else batch.b[:1],
+                             batch.n[:1])
+        rep = finite_diff_check(m, batch, LossWeights(), variant=variant)
+        assert rep.passed and rep.entries_checked == m.n_params(), str(rep)
+
+    def test_one_pass_per_layer_group_per_chunk(self, monkeypatch):
+        m = init_model(DIMS, seed=207)
+        batch = conditioned_batch(m, np.random.default_rng(29))
+        grads, _ = backward(m, batch, LossWeights())
+        monkeypatch.setattr("slowtrack.net.FD_CHUNK_BYTES", 1)  # one entry per chunk
+        calls = count_layer_passes(monkeypatch)
+        calls.update(_feat_forward=0, _clf_forward=0)
+        rep = finite_diff_check(m, batch, LossWeights(), analytic=grads)
+        assert rep.passed
+        assert calls == {"_feat_forward": m.n_params(), "_clf_forward": m.n_params()}
 
     def test_each_term_in_isolation(self):
         rng = np.random.default_rng(18)
