@@ -14,9 +14,12 @@ removed on exit:
   a 64-16-8-8-4-2 model) for every loss variant, for `classifier_only`
   training and for an RGB corpus;
 * finetune/{initial,update}.txt, the models `finetune_initial` and
-  `finetune_update` return;
-* track/results-*.csv from `track_sequence` on three sequences (one
-  RGB, one starting partly off the frame); the first two fire online
+  `finetune_update` return, and
+  finetune/{initial,update}-classifier-only-{sgd,adam}.txt, the same
+  two phases with the feature layers frozen, under each optimizer;
+* track/results-*.csv from `track_sequence` on four sequences (one
+  RGB, one starting partly off the frame, one with the feature layers
+  frozen in both online phases); all but the off-frame one fire online
   updates every fifth frame;
 * track/results-exhausted.csv from `track_sequence` with m = 3
   candidates drawn a million box sizes away, so candidate sampling
@@ -129,6 +132,18 @@ def write_finetunes(out: Path) -> None:
     out.mkdir(parents=True)
     save_model(first, out / "initial.txt")
     save_model(updated, out / "update.txt")
+    for optimizer in ("sgd", "adam"):
+        frozen = replace(tc, optimizer=optimizer, classifier_only=True)
+        first = finetune_initial(
+            init_model(DIMS, seed=0), seq.frames[0], seq.groundtruth[0], frozen,
+            SamplerConfig(seed=4),
+        )
+        updated = finetune_update(
+            first, seq.frames[4], seq.groundtruth[4], replace(frozen, iterations=20),
+            SamplerConfig(seed=6), frame_index=5,
+        )
+        save_model(first, out / f"initial-classifier-only-{optimizer}.txt")
+        save_model(updated, out / f"update-classifier-only-{optimizer}.txt")
 
 
 def write_tracking(out: Path) -> None:
@@ -148,8 +163,14 @@ def write_tracking(out: Path) -> None:
         update_train=online,
     )
     always = replace(cfg, update_score_threshold=-1.0)
+    frozen = replace(
+        always,
+        init_train=replace(always.init_train, classifier_only=True),
+        update_train=replace(online, classifier_only=True),
+    )
     runs = [
         ("drift", model, SynthSpec(T=16, velocity=(1.5, -0.5), seed=21), always),
+        ("classifier-only", model, SynthSpec(T=16, velocity=(1.0, -1.0), seed=27), frozen),
         ("rgb", rgb_model, SynthSpec(T=16, velocity=(1.0, 1.0), rgb=True, seed=22), always),
         ("edge", model, SynthSpec(T=12, start_x=-6.0, velocity=(2.0, 0.0), seed=23), cfg),
         (
