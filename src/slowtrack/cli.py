@@ -290,19 +290,19 @@ def cmd_ablate(args) -> int:
     net_cfg, base_tc, sampler, weights = _training_configs(sections, args.seed)
     tracker_cfg = _tracker_config(sections, args.seed)
     rows = []
-    for variant in VARIANTS:
-        tc = replace(base_tc, variant=variant)
+    # Every variant's config is checked before the first one trains.
+    for tc in [replace(base_tc, variant=v) for v in VARIANTS]:
         model = init_model(net_cfg.dims, seed=net_cfg.seed)
         trained, trace = train_offline(corpus, model, tc, sampler, weights)
-        vdir = args.out / variant
+        vdir = args.out / tc.variant
         vdir.mkdir(parents=True, exist_ok=True)
         save_model(trained, vdir / "model.txt")
         write_trace(trace, vdir / "loss.csv")
         _, records = track_sequence(trained, track_seq, tracker_cfg, weights)
         write_results(records, vdir / f"results-{track_seq.name}.csv")
         pc, sc = _eval_records(records, track_seq)
-        rows.append((variant, track_seq.name, precision_at(pc), auc(sc)))
-        log.info("variant %s done: auc %.4f", variant, rows[-1][3])
+        rows.append((tc.variant, track_seq.name, precision_at(pc), auc(sc)))
+        log.info("variant %s done: auc %.4f", tc.variant, rows[-1][3])
     _write_table(rows, args.out / "ablation.csv")
     return 0
 

@@ -253,12 +253,8 @@ def save_sequence(seq: Sequence, directory: str | Path) -> None:
         (directory / "occlusion.txt").write_text(occ_text)
 
 
-def load_sequence(directory: str | Path, one_based: bool = False) -> Sequence:
-    """Load a sequence directory written by save_sequence or benchmark-style.
-
-    one_based subtracts 1 from ground-truth x and y for annotations that
-    index pixels from 1.
-    """
+def load_sequence(directory: str | Path) -> Sequence:
+    """Load a sequence directory written by save_sequence or benchmark-style."""
     directory = Path(directory)
     img_dir = directory / "img"
     if not img_dir.is_dir():
@@ -285,9 +281,6 @@ def load_sequence(directory: str | Path, one_based: bool = False) -> Sequence:
             x, y, w, h = (float(p) for p in parts)
         except ValueError as exc:
             raise FormatError(f"{gt_path}:{lineno}: {exc}") from None
-        if one_based:
-            x -= 1.0
-            y -= 1.0
         boxes.append(BBox(x, y, w, h))
     if len(boxes) != len(paths):
         raise FormatError(

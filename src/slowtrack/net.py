@@ -19,6 +19,9 @@ from .errors import ConfigError, FormatError, NumericalError
 from .loss import LossWeights, loss_terms, total_loss, uses_pair
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4", "W5", "b5")
+# The two layer groups: the feature embedding and the centroid classifier.
+FEATURE_PARAMS = PARAM_NAMES[:4]
+CLASSIFIER_PARAMS = PARAM_NAMES[4:]
 
 # FeatureVec is a plain (n,) float64 array; no wrapper class.
 
@@ -197,14 +200,17 @@ def backward(
     batch: TripletBatch,
     weights: LossWeights,
     variant: str = "full",
+    names: tuple[str, ...] = PARAM_NAMES,
 ) -> tuple[dict[str, np.ndarray], LossTerms]:
-    """Analytic gradients of the batch-mean combined loss for every
-    parameter, and the LossTerms of the batch, all from one forward pass
-    and one loss_terms evaluation.
+    """Analytic gradients of the batch-mean combined loss for the
+    parameters in `names`, and the LossTerms of the batch, all from one
+    forward pass and one loss_terms evaluation. Without a feature
+    parameter in `names` the feature layers are not differentiated.
 
     LossTerms.loss is the mean of total_loss; loss_c, loss_d and loss_s
     are the means of the pair, discrimination and classification terms
-    before weighting.
+    before weighting. Raises NumericalError on a non-finite gradient of
+    a parameter in `names`.
     """
     (f_a, f_b, f_n), (P_a, P_n), (feat_cache, clf_cache) = _forward(model, batch, variant)
     p_a, p_n = P_a[:, 1], P_n[:, 1]
@@ -212,22 +218,6 @@ def backward(
     terms = LossTerms(*(0.0 if t is None else float(np.mean(t)) for t in rows))
     _, c, d, _ = rows
     B = f_a.shape[0]
-
-    grads: dict[str, np.ndarray] = {}
-    # one gradient row per stacked feature row, a | n | b as in _forward
-    df = np.zeros((feat_cache[0].shape[0], f_a.shape[1]))
-    df_a, df_n, df_b = df[:B], df[B : 2 * B], df[2 * B :]
-
-    if c is not None:
-        diff = (2.0 / B) * (f_a - f_b)
-        df_a += diff
-        df_b -= diff
-    if d is not None:
-        # d is exp(-beta * ||f_a - f_n||^2), the factor of its gradient
-        dd = f_a - f_n
-        coef = (-2.0 * weights.beta * weights.lam / B) * d
-        df_a += coef[:, None] * dd
-        df_n -= coef[:, None] * dd
 
     # Classification term: d/dp of -log(p_a_c) and -log(1 - p_n_c), gated
     # to zero where the probability clamp is active, then through softmax
@@ -249,11 +239,27 @@ def backward(
         dLdp_n[:, None] * P_n[:, 1:2] * (e1 - P_n),
     ])
 
-    df[: 2 * B] += _clf_backward(model, grads, clf_cache, dz)
-    _feat_backward(model, grads, feat_cache, df)
+    grads: dict[str, np.ndarray] = {}
+    df_clf = _clf_backward(model, grads, clf_cache, dz)
+    if not set(names).isdisjoint(FEATURE_PARAMS):
+        # one gradient row per stacked feature row, a | n | b as in _forward
+        df = np.zeros((feat_cache[0].shape[0], f_a.shape[1]))
+        df_a, df_n, df_b = df[:B], df[B : 2 * B], df[2 * B :]
+        if c is not None:
+            diff = (2.0 / B) * (f_a - f_b)
+            df_a += diff
+            df_b -= diff
+        if d is not None:
+            # d is exp(-beta * ||f_a - f_n||^2), the factor of its gradient
+            dd = f_a - f_n
+            coef = (-2.0 * weights.beta * weights.lam / B) * d
+            df_a += coef[:, None] * dd
+            df_n -= coef[:, None] * dd
+        df[: 2 * B] += df_clf
+        _feat_backward(model, grads, feat_cache, df)
 
     # In parameter order, so the error names the first non-finite layer.
-    grads = {name: grads[name] for name in PARAM_NAMES}
+    grads = {name: grads[name] for name in PARAM_NAMES if name in names}
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient in layer {name}")
@@ -359,7 +365,7 @@ def finite_diff_check(
         return FDReport(True, 0.0, 0, {n: 0.0 for n in names}, [])
 
     if analytic is None:
-        analytic, _ = backward(model, batch, weights, variant)
+        analytic, _ = backward(model, batch, weights, variant, names)
     max_rel = 0.0
     per_param: dict[str, float] = {}
     failures: list[FDFailure] = []

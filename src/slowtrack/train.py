@@ -22,17 +22,12 @@ from .dataset import Frame, Sequence
 from .errors import ConfigError, NumericalError, SamplerExhausted
 from .geometry import BBox, crop_many
 from .loss import VARIANTS, LossWeights, uses_pair
-from .net import Model, TripletBatch, backward
+from .net import CLASSIFIER_PARAMS, FEATURE_PARAMS, Model, TripletBatch, backward
 from .sampler import Sampler, SamplerConfig
 
 log = logging.getLogger(__name__)
 
 OPTIMIZERS = ("adam", "sgd")
-
-# Parameters frozen by the "tarspec" variant during offline training and
-# the ones kept when finetuning is restricted to the classifier.
-CLASSIFIER_PARAMS = ("W3", "b3", "W4", "b4", "W5", "b5")
-FEATURE_PARAMS = ("W1", "b1", "W2", "b2")
 
 
 @dataclass(frozen=True)
@@ -77,6 +72,11 @@ class TrainConfig(StepConfig):
         super().__post_init__()
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.variant == "tarspec" and self.classifier_only:
+            raise ConfigError(
+                "variant 'tarspec' freezes the classifier and classifier_only the "
+                "features; together they train nothing"
+            )
 
 
 @dataclass
@@ -237,19 +237,18 @@ def _fit(
     steps on a copy of model, each on a fresh draw(). "tarspec" freezes
     the classifier layers, tc.classifier_only the feature layers. Returns
     the copy and its loss trace; raises NumericalError on a non-finite
-    parameter."""
+    parameter or trained gradient. Frozen layers are not differentiated."""
     model = model.copy()
     model.assert_finite()
-    params = dict(model.params())
-    state = OptState()
     freeze = CLASSIFIER_PARAMS if variant == "tarspec" else ()
     if tc.classifier_only:
         freeze += FEATURE_PARAMS
+    params = {name: arr for name, arr in model.params() if name not in freeze}
+    names = tuple(params)
+    state = OptState()
     trace: list[TraceRow] = []
     for step in range(tc.iterations):
-        grads, terms = backward(model, draw(), weights, variant=variant)
-        for name in freeze:
-            grads[name][:] = 0.0
+        grads, terms = backward(model, draw(), weights, variant, names)
         optimizer_step(params, grads, state, tc)
         model.assert_finite()
         trace.append(TraceRow(step, *terms))

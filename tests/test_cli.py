@@ -221,6 +221,30 @@ class TestTrain:
                 pipeline / "run" / name
             ).read_bytes()
 
+    def test_tarspec_with_classifier_only_exits_one(self, pipeline, tmp_path, caplog):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN + "train.variant = tarspec\ntrain.classifier_only = true\n")
+        with caplog.at_level(logging.ERROR):
+            rc = run("train", pipeline / "seq-a", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == 1
+        assert "train nothing" in caplog.text
+        assert not (tmp_path / "o" / "model.txt").exists()
+
+    def test_ablate_with_classifier_only_exits_before_training(
+        self, pipeline, tmp_path, caplog
+    ):
+        # tarspec, the last variant, cannot run with the features frozen.
+        cfg = tmp_path / "ablate.cfg"
+        cfg.write_text(TRAIN + "train.classifier_only = true\n")
+        with caplog.at_level(logging.ERROR):
+            rc = run(
+                "ablate", pipeline / "seq-a", "--track", pipeline / "seq-b",
+                "--config", cfg, "--out", tmp_path / "abl",
+            )
+        assert rc == 1
+        assert "train nothing" in caplog.text
+        assert not (tmp_path / "abl").exists()
+
 
 class TestTrack:
     def test_results_round_trip(self, pipeline):

@@ -135,13 +135,6 @@ class TestSaveLoad:
             save_sequence(Sequence("empty", [], []), tmp_path / "s")
         assert not (tmp_path / "s").exists()
 
-    def test_one_based_subtracts_one(self, tmp_path):
-        d = tmp_path / "s"
-        save_sequence(generate(SynthSpec(T=1, seed=0)), d)
-        (d / "groundtruth_rect.txt").write_text("10,20,30,40\n")
-        assert load_sequence(d, one_based=False).groundtruth[0] == BBox(10, 20, 30, 40)
-        assert load_sequence(d, one_based=True).groundtruth[0] == BBox(9, 19, 30, 40)
-
     @pytest.mark.parametrize("flag", ["2", "x", "true"])
     def test_bad_occlusion_flag_names_file_and_line(self, tmp_path, flag):
         d = tmp_path / "s"

@@ -20,6 +20,8 @@ from slowtrack.loss import (
     uses_pair,
 )
 from slowtrack.net import (
+    CLASSIFIER_PARAMS,
+    FEATURE_PARAMS,
     PARAM_NAMES,
     LossTerms,
     Model,
@@ -308,6 +310,35 @@ class TestBackward:
                 err = np.max(np.abs(grads[name] - want[name]))
                 assert err <= 1e-12 * np.max(np.abs(want[name])), (name, B)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_named_gradients_bit_equal_to_full(self, variant):
+        rng = np.random.default_rng(28)
+        m = init_model(DIMS, seed=15)
+        batch = rand_batch(rng)
+        if not uses_pair(variant):
+            batch.b = None
+        w = LossWeights(lam=3.0, mu=7.0, beta=0.5)
+        full, full_terms = backward(m, batch, w, variant)
+        for names in (FEATURE_PARAMS, CLASSIFIER_PARAMS, ("W1",), ("b5", "W2"), ()):
+            grads, terms = backward(m, batch, w, variant, names)
+            assert list(grads) == [n for n in PARAM_NAMES if n in names]
+            assert terms == full_terms
+            for name, g in grads.items():
+                assert g.tobytes() == full[name].tobytes(), (names, name)
+
+    def test_feature_layers_differentiated_only_when_named(self, monkeypatch):
+        calls = []
+        real = net_module._feat_backward
+        monkeypatch.setattr(
+            net_module, "_feat_backward", lambda *args: calls.append(1) or real(*args)
+        )
+        m = init_model(DIMS, seed=16)
+        batch = rand_batch(np.random.default_rng(29))
+        for names, want in [(PARAM_NAMES, 1), (CLASSIFIER_PARAMS, 0), (("b1",), 1), ((), 0)]:
+            calls.clear()
+            backward(m, batch, LossWeights(), names=names)
+            assert len(calls) == want, names
+
     def test_one_pass_per_layer_group(self, monkeypatch):
         calls = count_layer_passes(monkeypatch)
         m = init_model(DIMS, seed=13)
@@ -517,6 +548,16 @@ class TestFiniteDiff:
         rep = finite_diff_check(m, batch, LossWeights(), analytic=grads)
         assert not rep.passed
         assert [(f.param, f.index) for f in rep.failures] == [("W2", (0, 0))]
+
+    def test_classifier_subset_differentiates_only_the_classifier(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("feature layers differentiated")
+
+        m = init_model(DIMS, seed=206)
+        batch = conditioned_batch(m, np.random.default_rng(24))
+        monkeypatch.setattr(net_module, "_feat_backward", fail)
+        rep = finite_diff_check(m, batch, LossWeights(), params=CLASSIFIER_PARAMS)
+        assert rep.passed and list(rep.per_param) == list(CLASSIFIER_PARAMS)
 
     def test_no_parameters_is_vacuous_pass(self):
         rng = np.random.default_rng(20)

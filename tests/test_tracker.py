@@ -6,10 +6,13 @@ The accuracy probe uses a model trained offline at small scale (pilot:
 """
 
 import math
+import traceback
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slowtrack.dataset import SynthSpec, generate
 from slowtrack.errors import (
@@ -365,6 +368,90 @@ class TestTrackSequence:
         for r in ra:
             assert r.box.x >= 0 and r.box.y >= 0
             assert r.box.x + r.box.w <= fw and r.box.y + r.box.h <= fh
+
+
+@st.composite
+def small_runs(draw):
+    """A small synthetic spec and a tracker config that constructs: frame
+    and target sizes (targets up to 1.1x the frame), starts partly off the
+    frame, motion, distractors, candidate sampling and online learning
+    rates up to 1e4, with or without the feature layers frozen online."""
+    fw, fh = draw(st.integers(8, 90)), draw(st.integers(8, 90))
+    tw = draw(st.floats(2.0, 1.1 * fw))
+    th = draw(st.floats(2.0, 1.1 * fh))
+    spec = SynthSpec(
+        T=draw(st.integers(2, 7)),
+        frame_w=fw,
+        frame_h=fh,
+        target_w=tw,
+        target_h=th,
+        start_x=draw(st.floats(-tw / 2, fw - tw / 2)),
+        start_y=draw(st.floats(-th / 2, fh - th / 2)),
+        velocity=(draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))),
+        scale_rate=draw(st.floats(0.8, 1.25)),
+        distractors=draw(st.integers(0, 3)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    m = draw(st.integers(1, 40))
+
+    def phase(iterations):
+        return StepConfig(
+            iterations=iterations,
+            learning_rate=10.0 ** draw(st.floats(-3.0, 4.0)),
+            optimizer=draw(st.sampled_from(["sgd", "adam"])),
+            batch_size=4,
+            classifier_only=draw(st.booleans()),
+        )
+
+    config = TrackerConfig(
+        m=m,
+        top_k=draw(st.integers(1, min(m, 5))),
+        update_period=draw(st.integers(1, 3)),
+        update_score_threshold=draw(st.sampled_from([-1.0, 0.5])),
+        sampler=SamplerConfig(
+            sigma_scale=draw(st.floats(0.0, 2.0)),
+            max_rejections=draw(st.sampled_from([1, 50, 500, 5000])),
+            seed=draw(st.integers(0, 2**16)),
+        ),
+        init_train=phase(3),
+        update_train=phase(2),
+    )
+    return spec, config
+
+
+FUZZ_MODEL = init_model(DIMS, seed=0)
+
+
+class TestNeverAbortsFuzz:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(small_runs())
+    # A distractor drawn wider than its 35 px frame.
+    @example(
+        (
+            SynthSpec(T=3, frame_w=35, target_w=34.0, distractors=5),
+            TrackerConfig(m=8, init_train=StepConfig(iterations=3, optimizer="sgd")),
+        )
+    )
+    def test_tracking_never_aborts_mid_sequence(self, run):
+        # generate returns or rejects the spec; tracking either fails in
+        # the first-frame finetune, outside the contract, or returns one
+        # finite box for every frame 2..T.
+        spec, config = run
+        try:
+            seq = generate(spec)
+        except ConfigError:
+            return
+        try:
+            _, records = track_sequence(FUZZ_MODEL, seq, config)
+        except (SamplerExhausted, NumericalError, ConfigError) as exc:
+            where = [f.name for f in traceback.extract_tb(exc.__traceback__)]
+            assert "finetune_initial" in where, where
+            return
+        assert [r.frame for r in records] == list(range(2, seq.T + 1))
+        for r in records:
+            assert all(map(math.isfinite, r.box.as_tuple())), r
+            assert r.box.w > 0 and r.box.h > 0, r
 
 
 class TestResultsCsv:

@@ -12,11 +12,20 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from slowtrack import net as net_module
+from slowtrack import train as train_module
 from slowtrack.dataset import Sequence, SynthSpec, generate
-from slowtrack.errors import ConfigError, OutOfViewError
+from slowtrack.errors import ConfigError, NumericalError, OutOfViewError
 from slowtrack.geometry import BBox, crop_many
 from slowtrack.loss import LossWeights
-from slowtrack.net import Model, TripletBatch, forward_classifier, forward_features, init_model
+from slowtrack.net import (
+    PARAM_NAMES,
+    Model,
+    TripletBatch,
+    forward_classifier,
+    forward_features,
+    init_model,
+)
 from slowtrack.sampler import Sampler, SamplerConfig, _positive_offsets
 from slowtrack.train import (
     CLASSIFIER_PARAMS,
@@ -78,6 +87,8 @@ class TestTrainConfig:
             {"adam_beta1": 1.0},
             {"adam_beta2": -0.5},
             {"adam_eps": 0.0},
+            # each freezes one of the two layer groups: nothing would train
+            {"variant": "tarspec", "classifier_only": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -312,6 +323,75 @@ class TestVariants:
         for name in FEATURE_PARAMS:
             assert np.array_equal(p0[name], p1[name]), name
         assert_params_differ(m0, m1, ("W3", "W5"))
+
+
+class TestTrainableSet:
+    """Each phase differentiates and steps only the layers it trains."""
+
+    def run(self, phase, corpus, **step):
+        m0 = init_model(DIMS, seed=0)
+        tc = TrainConfig(iterations=3, batch_size=4, seed=7, **step)
+        seq = corpus[0]
+        if phase == "offline":
+            return train_offline(corpus, m0, tc, SamplerConfig(seed=8))[0]
+        t = 0 if phase == "initial" else 4
+        tune = finetune_initial if phase == "initial" else finetune_update
+        return tune(m0, seq.frames[t], seq.groundtruth[t], tc, SamplerConfig(seed=8))
+
+    @pytest.mark.parametrize("phase", ["offline", "initial", "update"])
+    def test_feature_backward_once_per_step_unless_frozen(self, monkeypatch, corpus, phase):
+        calls = []
+        real = net_module._feat_backward
+        monkeypatch.setattr(
+            net_module, "_feat_backward", lambda *args: calls.append(1) or real(*args)
+        )
+        self.run(phase, corpus)
+        assert len(calls) == 3
+        calls.clear()
+        self.run(phase, corpus, classifier_only=True)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "patched, layer, frozen",
+        [
+            ("_feat_backward", "W1", {"classifier_only": True}),
+            ("_clf_backward", "W5", {"variant": "tarspec"}),
+        ],
+    )
+    def test_non_finite_gradient_of_a_frozen_layer_is_not_checked(
+        self, monkeypatch, corpus, patched, layer, frozen
+    ):
+        real = getattr(net_module, patched)
+
+        def poisoned(model, grads, cache, delta):
+            out = real(model, grads, cache, delta)
+            grads[layer][0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(net_module, patched, poisoned)
+        with pytest.raises(NumericalError, match=f"layer {layer}"):
+            self.run("offline", corpus)
+        self.run("offline", corpus, **frozen).assert_finite()
+
+    @pytest.mark.parametrize(
+        "frozen, trained",
+        [
+            ({}, PARAM_NAMES),
+            ({"classifier_only": True}, CLASSIFIER_PARAMS),
+            ({"variant": "tarspec"}, FEATURE_PARAMS),
+        ],
+    )
+    def test_adam_moments_only_for_trained_layers(self, monkeypatch, corpus, frozen, trained):
+        states = []
+        real = train_module.optimizer_step
+
+        def spy(params, grads, state, config):
+            states.append(state)
+            return real(params, grads, state, config)
+
+        monkeypatch.setattr(train_module, "optimizer_step", spy)
+        self.run("offline", corpus, **frozen)
+        assert list(states[-1].m) == list(states[-1].v) == list(trained)
 
 
 def _probe_scores(model, frame, boxes):
