@@ -21,6 +21,9 @@ removed on exit:
   RGB, one starting partly off the frame, one with the feature layers
   frozen in both online phases); all but the off-frame one fire online
   updates every fifth frame;
+* track/results-diverging-update.csv from `track_sequence` on the
+  drift sequence with every online update at learning rate 1e6, so each
+  update overflows and is dropped;
 * track/results-exhausted.csv from `track_sequence` with m = 3
   candidates drawn a million box sizes away, so candidate sampling
   spends its 1000 * m proposals and carries the box forward every frame;
@@ -173,6 +176,12 @@ def write_tracking(out: Path) -> None:
         ("classifier-only", model, SynthSpec(T=16, velocity=(1.0, -1.0), seed=27), frozen),
         ("rgb", rgb_model, SynthSpec(T=16, velocity=(1.0, 1.0), rgb=True, seed=22), always),
         ("edge", model, SynthSpec(T=12, start_x=-6.0, velocity=(2.0, 0.0), seed=23), cfg),
+        (
+            "diverging-update",
+            model,
+            SynthSpec(T=16, velocity=(1.5, -0.5), seed=21),
+            replace(always, update_train=replace(online, learning_rate=1e6)),
+        ),
         (
             "exhausted",
             model,
