@@ -130,7 +130,7 @@ def write_finetunes(out: Path) -> None:
     )
     updated = finetune_update(
         first, seq.frames[4], seq.groundtruth[4], replace(tc, iterations=20),
-        SamplerConfig(seed=6), frame_index=5,
+        SamplerConfig(seed=6),
     )
     out.mkdir(parents=True)
     save_model(first, out / "initial.txt")
@@ -143,7 +143,7 @@ def write_finetunes(out: Path) -> None:
         )
         updated = finetune_update(
             first, seq.frames[4], seq.groundtruth[4], replace(frozen, iterations=20),
-            SamplerConfig(seed=6), frame_index=5,
+            SamplerConfig(seed=6),
         )
         save_model(first, out / f"initial-classifier-only-{optimizer}.txt")
         save_model(updated, out / f"update-classifier-only-{optimizer}.txt")

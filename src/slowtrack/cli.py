@@ -351,10 +351,16 @@ def build_parser() -> _Parser:
             raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
         return int(text)
 
+    def tolerance(text: str) -> float:  # argparse names it in "invalid tolerance value"
+        # inf passes every entry and 0, a negative or NaN fails them all
+        if not 0 < float(text) < np.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+        return float(text)
+
     p = sub.add_parser("gradcheck", help="finite-difference gradient report")
     p.add_argument("--dims", default=GRADCHECK_DIMS, help="comma-separated layer sizes")
     p.add_argument("--models", type=count, default=5, help="number of random models")
-    p.add_argument("--tol", type=float, default=FD_TOL, help="relative error tolerance")
+    p.add_argument("--tol", type=tolerance, default=FD_TOL, help="relative error tolerance")
     p.add_argument("--variant", default="full", choices=VARIANTS)
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.set_defaults(func=cmd_gradcheck)

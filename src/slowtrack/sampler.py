@@ -87,16 +87,12 @@ class Sampler:
 
     # -- positives ---------------------------------------------------------
 
-    def sample_positives(
-        self, gt: BBox, frame_w: float, frame_h: float, frame: int | None = None
-    ) -> list[BBox]:
+    def sample_positives(self, gt: BBox, frame_w: float, frame_h: float) -> list[BBox]:
         """The draw of positive_rows as BBox objects."""
-        rows = self.positive_rows(gt, frame_w, frame_h, frame)
+        rows = self.positive_rows(gt, frame_w, frame_h)
         return [BBox(*row) for row in rows.tolist()]
 
-    def positive_rows(
-        self, gt: BBox, frame_w: float, frame_h: float, frame: int | None = None
-    ) -> np.ndarray:
+    def positive_rows(self, gt: BBox, frame_w: float, frame_h: float) -> np.ndarray:
         """Draw m_p copies of gt shifted by a uniform integer offset with
         1 <= max(|dx|,|dy|) <= shift_max, as an (m_p, 4) x/y/w/h array.
         Size is never changed; a copy with no overlap with the frame is
@@ -110,22 +106,18 @@ class Sampler:
 
         return self._draw_until(
             self.config.m_p, propose, lambda prop: on_frame(prop, frame_w, frame_h),
-            "positive sampling", frame, overdraw=False,
+            "positive sampling", overdraw=False,
         )
 
     # -- negatives ---------------------------------------------------------
 
-    def sample_negatives(
-        self, gt: BBox, frame: int | None = None
-    ) -> tuple[list[BBox], np.ndarray]:
+    def sample_negatives(self, gt: BBox) -> tuple[list[BBox], np.ndarray]:
         """The draw of negative_rows, on a frame with no right or bottom
         edge, as BBox objects, together with their recorded IoUs."""
-        rows = self.negative_rows(gt, math.inf, math.inf, frame)
+        rows = self.negative_rows(gt, math.inf, math.inf)
         return [BBox(*row) for row in rows], iou_many(rows, gt)
 
-    def negative_rows(
-        self, gt: BBox, frame_w: float, frame_h: float, frame: int | None = None
-    ) -> np.ndarray:
+    def negative_rows(self, gt: BBox, frame_w: float, frame_h: float) -> np.ndarray:
         """Rejection-sample m_n boxes with lo <= IoU(box, gt) <= hi and
         some overlap with the frame from a Gaussian translation /
         log-normal scale perturbation of gt, as an (m_n, 4) x/y/w/h
@@ -136,7 +128,7 @@ class Sampler:
             cfg.m_n,
             lambda k: self._perturb(gt, k, sigma, cfg.sigma_scale),
             lambda p: _iou_between(p, gt, cfg.lo, cfg.hi) & on_frame(p, frame_w, frame_h),
-            "negative sampling", frame,
+            "negative sampling",
         )
 
     # -- candidates ----------------------------------------------------------
@@ -162,13 +154,13 @@ class Sampler:
 
         return self._draw_until(
             m, propose, lambda prop: on_frame(prop, frame_w, frame_h),
-            "candidate sampling", None, overdraw=False, cap=1000 * max(m, 1),
+            "candidate sampling", overdraw=False, cap=1000 * max(m, 1),
         )
 
     # -- online update batches ---------------------------------------------
 
     def sample_update_batch(
-        self, pred: BBox, frame_w: float, frame_h: float, frame: int | None = None
+        self, pred: BBox, frame_w: float, frame_h: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw the online-update training batch inside a window of twice
         pred's size centered on pred (clipped to the frame): an (m_p, 4)
@@ -181,7 +173,7 @@ class Sampler:
             pred.x - pred.w / 2, pred.y - pred.h / 2, 2 * pred.w, 2 * pred.h
         ).clipped(frame_w, frame_h)
         if window.w <= 0 or window.h <= 0:
-            raise SamplerExhausted(f"update window off-frame for {pred}{_at(frame)}")
+            raise SamplerExhausted(f"update window off-frame for {pred}")
 
         def propose_negatives(k: int) -> np.ndarray:
             cx = self.rng.uniform(window.x, window.x + window.w, size=k)
@@ -195,13 +187,13 @@ class Sampler:
             cfg.m_p,
             lambda k: self._perturb(pred, k, sigma_pos, 0.0),
             lambda prop: (iou_many(prop, pred) >= UPDATE_POS_IOU) & _centers_in(prop, window),
-            "update positives", frame,
+            "update positives",
         )
         negatives = self._draw_until(
             cfg.m_n,
             propose_negatives,
             lambda prop: _iou_between(prop, pred, cfg.lo, UPDATE_NEG_IOU),
-            "update negatives", frame,
+            "update negatives",
         )
         return positives, negatives
 
@@ -226,7 +218,7 @@ class Sampler:
 
     def _draw_until(
         self, need: int, propose: Callable, accept: Callable, what: str,
-        frame: int | None, overdraw: bool = True, cap: int | None = None,
+        overdraw: bool = True, cap: int | None = None,
     ) -> np.ndarray:
         """The capped rejection loop of every protocol: propose(k) gives a
         (k, 4) box array and the rows the mask accept(prop) selects are
@@ -235,7 +227,7 @@ class Sampler:
         remaining ones (then it makes no draw that one draw per box would
         not), and at most the unspent cap, max_rejections by default.
         Returns a (need, 4) array; raises SamplerExhausted as "<what>
-        found n/need in k attempts[ (frame t)]" once the cap is spent."""
+        found n/need in k attempts" once the cap is spent."""
         cap = self.config.max_rejections if cap is None else cap
         out = np.empty((need, 4))
         n = attempts = 0
@@ -243,9 +235,7 @@ class Sampler:
             rem = need - n
             k = min(max(4 * rem, 64) if overdraw else rem, cap - attempts)
             if k <= 0:
-                raise SamplerExhausted(
-                    f"{what} found {n}/{need} in {attempts} attempts{_at(frame)}"
-                )
+                raise SamplerExhausted(f"{what} found {n}/{need} in {attempts} attempts")
             attempts += k
             prop = propose(k)
             kept = prop[accept(prop)][: need - n]
@@ -289,7 +279,3 @@ def _centers_in(boxes: np.ndarray, window: BBox) -> np.ndarray:
         & (cy >= window.y)
         & (cy <= window.y + window.h)
     )
-
-
-def _at(frame: int | None) -> str:
-    return f" (frame {frame})" if frame is not None else ""

@@ -8,8 +8,8 @@ scores them all with a frozen forward pass, averages the top-k boxes
 averaged box through the classifier. Every update_period-th frame whose
 score clears the update threshold triggers a short finetune on samples
 drawn around the current prediction. A frame whose candidate sampling
-fails, or whose top-k scores include NaN, falls back to carrying the
-previous box forward — tracking never aborts mid-sequence.
+fails, or whose top-k scores include NaN, carries the previous box
+forward, and a failed update is dropped — tracking never aborts mid-sequence.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import Frame, Sequence
-from .errors import ConfigError, FormatError, SamplerExhausted, TrackingFailure
+from .errors import ConfigError, FormatError, NumericalError, SamplerExhausted, TrackingFailure
 from .geometry import BBox, average_boxes, crop_many
 from .loss import LossWeights
 from .net import Model, forward_classifier, forward_features
@@ -120,10 +120,11 @@ def track_sequence(
     (it evolves through updates) and the records.
 
     Tracking never aborts mid-sequence: once frame 2 is reached, a
-    frame that fails carries the previous box forward and a failed
-    update leaves the model as it was. The first-frame finetune runs
-    before that and is not covered: its SamplerExhausted or
-    NumericalError propagates, and no record is returned."""
+    frame that fails carries the previous box forward, and an update
+    that raises SamplerExhausted or NumericalError is dropped; both are
+    logged. The first-frame finetune runs before that and is not
+    covered: its SamplerExhausted or NumericalError propagates, and no
+    record is returned."""
     if sequence.T < 2:
         raise ConfigError(
             f"sequence {sequence.name!r} has {sequence.T} frame(s); need >= 2"
@@ -152,18 +153,13 @@ def track_sequence(
         if updated:
             # A per-frame seed keeps update draws independent of each
             # other while leaving the candidate stream untouched.
-            update_sampler = replace(
-                config.sampler, seed=config.sampler.seed + t
-            )
-            model = finetune_update(
-                model,
-                frame,
-                pred,
-                config.update_train,
-                update_sampler,
-                weights,
-                frame_index=t,
-            )
+            update_sampler = replace(config.sampler, seed=config.sampler.seed + t)
+            try:
+                model = finetune_update(
+                    model, frame, pred, config.update_train, update_sampler, weights
+                )
+            except (SamplerExhausted, NumericalError) as exc:
+                log.warning("frame %d: online update dropped: %s", t, exc)
         records.append(TrackResult(t, pred, float(score), updated))
         prev = pred
     return model, records

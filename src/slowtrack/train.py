@@ -10,7 +10,6 @@ are forwarded to the loss/net layer.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,10 +21,16 @@ from .dataset import Frame, Sequence
 from .errors import ConfigError, NumericalError, SamplerExhausted
 from .geometry import BBox, crop_many
 from .loss import VARIANTS, LossWeights, uses_pair
-from .net import CLASSIFIER_PARAMS, FEATURE_PARAMS, Model, TripletBatch, backward
+from .net import (
+    CLASSIFIER_PARAMS,
+    FEATURE_PARAMS,
+    Model,
+    TripletBatch,
+    backward,
+    forward_classifier,
+    forward_features,
+)
 from .sampler import Sampler, SamplerConfig
-
-log = logging.getLogger(__name__)
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -202,8 +207,8 @@ def _draw_triplets(
     memo: dict | None = None,
 ) -> TripletBatch:
     """One offline or first-frame batch. `anchor` and `pair` are (frame,
-    box, frame index or None): positives and negatives around the anchor
-    box, paired positives around the pair box, `count` random triplets.
+    box) pairs: positives and negatives around the anchor box, paired
+    positives around the pair box, `count` random triplets.
     Only the rows the triplets use are cropped: anchors and negatives in
     one call, paired positives in one call on their own frame. The calls
     share a fresh memo when the pair is on the anchor's Frame object.
@@ -212,11 +217,11 @@ def _draw_triplets(
     passed in, for the first-frame finetune where both positive pools
     are shifts of one box on one frame, keeps the positives across draws;
     the negatives never repeat, so they are cropped apart."""
-    frame, gt, t = anchor
-    pair_frame, pair_gt, pair_t = pair
-    a_boxes = sampler.positive_rows(gt, frame.width, frame.height, frame=t)
-    b_boxes = sampler.positive_rows(pair_gt, frame.width, frame.height, frame=pair_t)
-    neg_boxes = sampler.negative_rows(gt, frame.width, frame.height, frame=t)
+    frame, gt = anchor
+    pair_frame, pair_gt = pair
+    a_boxes = sampler.positive_rows(gt, frame.width, frame.height)
+    b_boxes = sampler.positive_rows(pair_gt, frame.width, frame.height)
+    neg_boxes = sampler.negative_rows(gt, frame.width, frame.height)
     js, ks, ls = sampler.build_triplets(len(a_boxes), len(b_boxes), len(neg_boxes), count)
     if memo is not None:
         n = _patches({}, side, frame, neg_boxes[ls])
@@ -265,7 +270,8 @@ def train_offline(
     """Joint offline training: each step samples a consecutive frame pair
     from a random sequence, draws positives/negatives, and applies one
     optimizer step on the batch-mean combined loss. Returns a trained
-    copy of the model and the per-step loss trace."""
+    copy of the model and the per-step loss trace. SamplerExhausted
+    names the sequence and the pair's first frame, numbered from 1."""
     if not sequences:
         raise ConfigError("train_offline needs at least one sequence")
     for seq in sequences:
@@ -290,14 +296,17 @@ def train_offline(
         si, t = pairs[int(rng.integers(len(pairs)))]
         seq = sequences[si]
         b_t = t if tc.variant == "wo-C-learning" else t + 1
-        return _draw_triplets(
-            sampler,
-            _patch_side(model, seq.frames[t]),
-            tc.batch_size,
-            (seq.frames[t], seq.groundtruth[t], t),
-            (seq.frames[b_t], seq.groundtruth[b_t], b_t),
-            paired=paired,
-        )
+        try:
+            return _draw_triplets(
+                sampler,
+                _patch_side(model, seq.frames[t]),
+                tc.batch_size,
+                (seq.frames[t], seq.groundtruth[t]),
+                (seq.frames[b_t], seq.groundtruth[b_t]),
+                paired=paired,
+            )
+        except SamplerExhausted as exc:
+            raise SamplerExhausted(f"{seq.name} frame {t + 1}: {exc}") from exc
 
     return _fit(model, tc, weights, tc.variant, draw)
 
@@ -317,7 +326,7 @@ def finetune_initial(
         raise ConfigError(f"first-frame ground truth {gt} is not a visible box")
     sampler = Sampler(sampler_config)
     side = _patch_side(model, frame)
-    view = (frame, gt, None)
+    view = (frame, gt)
     # The positives are at most 24 shifts of gt, drawn again every step.
     memo: dict[bytes, np.ndarray] = {}
 
@@ -334,24 +343,19 @@ def finetune_update(
     train_config: StepConfig,
     sampler_config: SamplerConfig,
     weights: LossWeights = LossWeights(),
-    frame_index: int | None = None,
 ) -> Model:
     """Periodic online update: draw one update batch around the current
     prediction (`Sampler.sample_update_batch`, two box arrays), crop it
     once, then take the configured number of SGD/Adam steps on random
     triplets of those patches, positives paired with positives.
-    Tracking must not die here: sampler exhaustion skips the update, and
-    an update that diverges (NumericalError) is rolled back; in both
-    cases the model passed in is returned as it is."""
+    Raises SamplerExhausted when the batch cannot be drawn, and
+    NumericalError when the update diverges: a parameter or gradient
+    turns non-finite, or the batch's positives no longer outscore its
+    negatives on average by more than 0 and more than half their margin
+    before the update. The caller decides what to keep."""
     tc = train_config
-    try:
-        sampler = Sampler(sampler_config)
-        pos_boxes, neg_boxes = sampler.sample_update_batch(
-            pred, frame.width, frame.height, frame=frame_index
-        )
-    except SamplerExhausted as exc:
-        log.warning("online update skipped: %s", exc)
-        return model
+    sampler = Sampler(sampler_config)
+    pos_boxes, neg_boxes = sampler.sample_update_batch(pred, frame.width, frame.height)
     side = _patch_side(model, frame)
     # Continuous draws never repeat, so there is nothing to memoize.
     boxes = np.concatenate([pos_boxes, neg_boxes])
@@ -362,8 +366,15 @@ def finetune_update(
         js, ks, ls = sampler.build_triplets(len(pos), len(pos), len(negs), tc.batch_size)
         return TripletBatch(a=pos[js], b=pos[ks], n=negs[ls])
 
-    try:
-        return _fit(model, tc, weights, "full", draw)[0]
-    except NumericalError as exc:
-        log.warning("online update rolled back: %s", exc)
-        return model
+    def margin(m: Model) -> float:
+        scores = forward_classifier(m, forward_features(m, patches))
+        return scores[: len(pos)].mean() - scores[len(pos) :].mean()
+
+    before = margin(model)
+    model = _fit(model, tc, weights, "full", draw)[0]
+    after = margin(model)
+    # A finite update can still wreck the model: after a huge step the
+    # ReLUs die and nearly every patch scores alike. NaN fails here too.
+    if not after > max(before, 0.0) / 2:
+        raise NumericalError(f"update cut the score margin from {before:.3g} to {after:.3g}")
+    return model

@@ -471,6 +471,12 @@ class TestGradcheck:
         assert run("gradcheck", "--models", models) == 1
         assert f"--models: must be >= 1, got {models}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "0", "-1", "nan"])
+    def test_tolerance_that_decides_alone_is_usage_error(self, capsys, tol):
+        # inf passed every entry, and 0, -1 and nan failed all of them
+        assert run("gradcheck", "--models", 1, "--tol", tol) == 1
+        assert f"--tol: must be finite and > 0, got {tol}" in capsys.readouterr().err
+
 
 class TestVerifyBound:
     def test_report_written_and_passes(self, tmp_path, capsys):

@@ -157,9 +157,10 @@ class TestPositivesMatchPerDrawLoop:
         assert exhausted > 0
 
     def test_exhaustion_names_frame(self):
+        # The message ends at the attempts; the caller adds the frame.
         smp = make_sampler(max_rejections=5)
-        with pytest.raises(SamplerExhausted, match=r"found 0/16 in 5 attempts \(frame 3\)$"):
-            smp.sample_positives(BBox(-3.0, -3.0, 1.0, 1.0), FRAME_W, FRAME_H, frame=3)
+        with pytest.raises(SamplerExhausted, match=r"^positive sampling found 0/16 in 5 attempts$"):
+            smp.sample_positives(BBox(-3.0, -3.0, 1.0, 1.0), FRAME_W, FRAME_H)
 
 
 class TestNegatives:
@@ -202,8 +203,9 @@ class TestNegatives:
         # be satisfied by the wide default proposals before the cap.
         gt = BBox(60, 50, 24, 20)
         smp = make_sampler(lo=0.9999, hi=1.0, m_n=64, max_rejections=200)
-        with pytest.raises(SamplerExhausted, match="frame 17"):
-            smp.sample_negatives(gt, frame=17)
+        message = r"^negative sampling found 0/64 in 200 attempts$"
+        with pytest.raises(SamplerExhausted, match=message):
+            smp.sample_negatives(gt)
 
     def test_deterministic(self):
         gt = BBox(10, 10, 30, 30)
@@ -215,8 +217,8 @@ class TestNegatives:
     def test_rows_are_the_same_draw(self, seed):
         gt = BBox(10.5, 20.25, 30, 24)
         boxes_smp, rows_smp = make_sampler(seed=seed), make_sampler(seed=seed)
-        boxes, ious = boxes_smp.sample_negatives(gt, frame=3)
-        rows = rows_smp.negative_rows(gt, FRAME_W, FRAME_H, frame=3)
+        boxes, ious = boxes_smp.sample_negatives(gt)
+        rows = rows_smp.negative_rows(gt, FRAME_W, FRAME_H)
         assert rows.shape == (len(boxes), 4)
         assert [BBox(*r) for r in rows.tolist()] == boxes
         assert np.array_equal(iou_many(rows, gt), ious)
@@ -235,9 +237,9 @@ class TestNegatives:
 
     def test_rows_exhaustion_names_frame(self):
         smp = make_sampler(lo=0.9999, hi=1.0, m_n=64, max_rejections=200)
-        message = r"negative sampling found 0/64 in 200 attempts \(frame 17\)"
+        message = r"^negative sampling found 0/64 in 200 attempts$"
         with pytest.raises(SamplerExhausted, match=message):
-            smp.negative_rows(BBox(60, 50, 24, 20), FRAME_W, FRAME_H, frame=17)
+            smp.negative_rows(BBox(60, 50, 24, 20), FRAME_W, FRAME_H)
 
 
 class TestCandidates:
@@ -394,15 +396,16 @@ class TestUpdateBatch:
     def test_positive_exhaustion_names_frame(self):
         # A cap of eight proposals cannot yield sixteen positives.
         smp = make_sampler(max_rejections=8)
-        with pytest.raises(SamplerExhausted, match="update positives found 5/16.*frame 9"):
-            smp.sample_update_batch(BBox(60, 50, 24, 20), FRAME_W, FRAME_H, frame=9)
+        with pytest.raises(SamplerExhausted, match=r"^update positives found 5/16 in 8 attempts$"):
+            smp.sample_update_batch(BBox(60, 50, 24, 20), FRAME_W, FRAME_H)
 
     def test_negative_exhaustion_names_frame(self):
         # lo = 0.5999 leaves an IoU band of width 1e-4 for the negatives;
         # the positives still fill within the same budget.
         smp = make_sampler(lo=0.5999, max_rejections=300)
-        with pytest.raises(SamplerExhausted, match="update negatives found 0/32.*frame 9"):
-            smp.sample_update_batch(BBox(60, 50, 24, 20), FRAME_W, FRAME_H, frame=9)
+        message = r"^update negatives found 0/32 in 300 attempts$"
+        with pytest.raises(SamplerExhausted, match=message):
+            smp.sample_update_batch(BBox(60, 50, 24, 20), FRAME_W, FRAME_H)
 
 
 class TestTriplets:

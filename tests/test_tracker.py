@@ -6,6 +6,7 @@ The accuracy probe uses a model trained offline at small scale (pilot:
 """
 
 import math
+import re
 import traceback
 from dataclasses import replace
 
@@ -34,7 +35,7 @@ from slowtrack.tracker import (
     track_sequence,
     write_results,
 )
-from slowtrack.train import StepConfig, TrainConfig, train_offline
+from slowtrack.train import StepConfig, TrainConfig, finetune_initial, train_offline
 
 DIMS = (64, 16, 8, 8, 4, 2)
 
@@ -215,15 +216,67 @@ class TestTrackSequence:
             )
             return track_sequence(trained_model, easy_sequence, cfg)[1]
 
-        with caplog.at_level("WARNING", logger="slowtrack.train"):
+        with caplog.at_level("WARNING", logger="slowtrack.tracker"):
             records = run(replace(FAST_UPDATE, learning_rate=1e8))
         assert [r.frame for r in records] == list(range(2, easy_sequence.T + 1))
         assert [r.frame for r in records if r.updated] == [5, 10]
-        rolled = [r for r in caplog.records if "update rolled back" in r.message]
-        assert len(rolled) == 2
-        # a rolled-back update leaves tracking as if it had not run
+        dropped = [r.message for r in caplog.records if "update dropped" in r.message]
+        assert [m.split(":")[0] for m in dropped] == ["frame 5", "frame 10"]
+        # a dropped update leaves tracking as if it had not run
         key = lambda rs: [(r.frame, r.box, r.score, r.updated) for r in rs]
         assert key(records) == key(run(replace(FAST_UPDATE, iterations=0)))
+
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "changes, dropped",
+        [
+            ({}, None),
+            (
+                # No first-frame step, so only the update needs a negative
+                # from the 1e-4-wide IoU band.
+                {
+                    "sampler": SamplerConfig(lo=0.5999, max_rejections=300, seed=1),
+                    "init_train": StepConfig(iterations=0),
+                },
+                "update negatives found 0/32 in 300 attempts",
+            ),
+            (
+                {"update_train": replace(FAST_UPDATE, learning_rate=1e8)},
+                "non-finite gradient in layer W1",
+            ),
+            # Two SGD steps at 10 leave finite weights that score every
+            # update patch alike.
+            (
+                {"update_train": replace(FAST_UPDATE, iterations=2, learning_rate=10.0)},
+                r"update cut the score margin from 0\.\d+ to 0",
+            ),
+        ],
+        ids=["kept", "sampler-exhausted", "overflow", "collapsed-margin"],
+    )
+    def test_update_outcome(self, easy_sequence, trained_model, caplog, changes, dropped):
+        cfg = TrackerConfig(
+            m=32, top_k=5, update_score_threshold=-1.0, sampler=SamplerConfig(seed=1),
+            init_train=FAST_INIT, update_train=FAST_UPDATE,
+        )
+        cfg = replace(cfg, **changes)
+        first = finetune_initial(
+            trained_model, easy_sequence.frames[0], easy_sequence.groundtruth[0],
+            cfg.init_train, cfg.sampler,
+        )
+        with caplog.at_level("WARNING", logger="slowtrack.tracker"):
+            model, records = track_sequence(trained_model, easy_sequence, cfg)
+        assert [r.frame for r in records if r.updated] == [5, 10]
+        warned = [r.message for r in caplog.records if "online update" in r.message]
+        unchanged = all(np.array_equal(arr, getattr(first, name)) for name, arr in model.params())
+        if dropped is None:
+            assert warned == []
+            assert not unchanged
+        else:
+            # every update dropped: the first-frame model, bit for bit
+            assert unchanged
+            assert len(warned) == 2
+            for t, message in zip((5, 10), warned):
+                assert re.fullmatch(f"frame {t}: online update dropped: {dropped}", message)
 
     def test_per_frame_failure_carries_previous_box(
         self, easy_sequence, trained_model, monkeypatch, caplog
@@ -431,6 +484,20 @@ class TestNeverAbortsFuzz:
         (
             SynthSpec(T=3, frame_w=35, target_w=34.0, distractors=5),
             TrackerConfig(m=8, init_train=StepConfig(iterations=3, optimizer="sgd")),
+        )
+    )
+    # Updates at frames 2, 4 and 6 each collapse the score margin and
+    # raise NumericalError, which the tracker drops.
+    @example(
+        (
+            SynthSpec(T=7),
+            TrackerConfig(
+                m=8, top_k=1, update_period=2, update_score_threshold=-1.0,
+                init_train=StepConfig(iterations=3, optimizer="sgd", batch_size=4),
+                update_train=StepConfig(
+                    iterations=2, learning_rate=1e4, optimizer="sgd", batch_size=4
+                ),
+            ),
         )
     )
     def test_tracking_never_aborts_mid_sequence(self, run):

@@ -6,7 +6,6 @@ pinned from deterministic pilot runs at small scale; the full-scale
 budgeted versions live in the acceptance suite.
 """
 
-import logging
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 from slowtrack import net as net_module
 from slowtrack import train as train_module
 from slowtrack.dataset import Sequence, SynthSpec, generate
-from slowtrack.errors import ConfigError, NumericalError, OutOfViewError
+from slowtrack.errors import ConfigError, NumericalError, OutOfViewError, SamplerExhausted
 from slowtrack.geometry import BBox, crop_many
 from slowtrack.loss import LossWeights
 from slowtrack.net import (
@@ -263,6 +262,19 @@ class TestTrainOffline:
         assert ta == tb
         assert_params_equal(ma, mb)
 
+    def test_exhaustion_names_sequence_and_frame(self, corpus):
+        # Only frames 5 and 6 (index 4 and 5) are unoccluded, and one
+        # proposal per draw cannot yield 16 positives.
+        seq = corpus[0]
+        flags = [True] * 4 + [False, False] + [True] * (seq.T - 6)
+        shrouded = Sequence("shrouded", seq.frames, seq.groundtruth, flags)
+        message = r"^shrouded frame 5: positive sampling found 1/16 in 1 attempts$"
+        with pytest.raises(SamplerExhausted, match=message):
+            train_offline(
+                [shrouded], init_model(DIMS, seed=0), TrainConfig(iterations=1),
+                SamplerConfig(max_rejections=1),
+            )
+
     def test_skip_occluded_off_uses_occluded_frames(self, corpus):
         seq = corpus[0]
         flags = [False, False] + [True] * (seq.T - 2)
@@ -407,10 +419,10 @@ def assert_bit_equal(a: np.ndarray, b: np.ndarray) -> None:
 def _reference_draw(sampler, side, count, anchor, pair, paired=True):
     """The draw that _draw_triplets replaced, kept as the reference: crop
     every drawn box of each pool, then index the rows the triplets use."""
-    (frame, gt, t), (pair_frame, pair_gt, pair_t) = anchor, pair
-    a = sampler.sample_positives(gt, frame.width, frame.height, frame=t)
-    b = sampler.sample_positives(pair_gt, frame.width, frame.height, frame=pair_t)
-    n, _ = sampler.sample_negatives(gt, frame=t)
+    (frame, gt), (pair_frame, pair_gt) = anchor, pair
+    a = sampler.sample_positives(gt, frame.width, frame.height)
+    b = sampler.sample_positives(pair_gt, frame.width, frame.height)
+    n, _ = sampler.sample_negatives(gt)
     js, ks, ls = sampler.build_triplets(len(a), len(b), len(n), count)
 
     def matrix(f, boxes):
@@ -496,17 +508,17 @@ class TestCropPools:
         """The boxes a _draw_triplets call with this sampler seed uses:
         (anchors, paired positives, negatives), one row per triplet."""
         sampler = Sampler(SamplerConfig(seed=seed))
-        (frame, gt, t), (_, pair_gt, pair_t) = anchor, pair
-        a = sampler.positive_rows(gt, frame.width, frame.height, frame=t)
-        b = sampler.positive_rows(pair_gt, frame.width, frame.height, frame=pair_t)
-        n = sampler.negative_rows(gt, frame.width, frame.height, frame=t)
+        (frame, gt), (_, pair_gt) = anchor, pair
+        a = sampler.positive_rows(gt, frame.width, frame.height)
+        b = sampler.positive_rows(pair_gt, frame.width, frame.height)
+        n = sampler.negative_rows(gt, frame.width, frame.height)
         js, ks, ls = sampler.build_triplets(len(a), len(b), len(n), 16)
         return a[js], b[ks], n[ls]
 
     @pytest.mark.parametrize("layout", ["next frame", "no pair", "first frame"])
     def test_draw_crop_calls(self, monkeypatch, layout):
-        t0, t1 = (self.f0, self.gt0, 0), (self.f1, self.gt1, 1)
-        first = (self.f0, self.gt0, None)
+        t0, t1 = (self.f0, self.gt0), (self.f1, self.gt1)
+        first = (self.f0, self.gt0)
         memo = None
         if layout == "first frame":
             # every positive of gt0 already in the memo
@@ -536,8 +548,8 @@ class TestCropPools:
 
     @pytest.mark.parametrize("layout", ["next frame", "same frame", "no pair", "first frame"])
     def test_draw_matches_cropping_every_drawn_box(self, layout):
-        t0, t1 = (self.f0, self.gt0, 0), (self.f1, self.gt1, 1)
-        first = (self.f0, self.gt0, None)
+        t0, t1 = (self.f0, self.gt0), (self.f1, self.gt1)
+        first = (self.f0, self.gt0)
         anchor, pair, paired = {
             "next frame": (t0, t1, True),  # train_offline
             "same frame": (t0, t0, True),  # wo-C-learning
@@ -565,7 +577,7 @@ class TestCropPools:
             return crop_many(image, boxes, side)
 
         monkeypatch.setattr(train_mod, "crop_many", recording)
-        first = (self.f0, self.gt0, None)
+        first = (self.f0, self.gt0)
         memo = {}
         # one memo across draws, as in finetune_initial
         for seed in range(5):
@@ -613,7 +625,7 @@ class TestFinetuneInitial:
         m0 = init_model(DIMS, seed=0)
         tc = StepConfig(iterations=30, optimizer="sgd", learning_rate=0.01, batch_size=8)
         got = finetune_initial(m0, self.frame, self.gt, tc, SamplerConfig(seed=4))
-        sampler, view = Sampler(SamplerConfig(seed=4)), (self.frame, self.gt, None)
+        sampler, view = Sampler(SamplerConfig(seed=4)), (self.frame, self.gt)
 
         def draw():
             a, b, n = _reference_draw(sampler, SIDE, tc.batch_size, view, view)
@@ -688,26 +700,33 @@ class TestFinetuneUpdate:
         assert out is not self.model
         assert_params_equal(out, self.model)
 
-    def test_exhaustion_skips_and_warns(self, caplog):
+    def test_exhaustion_raises(self):
         frame = self.seq.frames[4]
         lost = BBox(-100.0, -100.0, 10.0, 10.0)
-        with caplog.at_level(logging.WARNING, logger="slowtrack.train"):
-            out = finetune_update(
-                self.model, frame, lost, self.update_tc, SamplerConfig(seed=6)
-            )
-        assert out is self.model  # untouched, not even copied
-        assert any("update skipped" in r.message for r in caplog.records)
+        before = self.model.copy()
+        # The message ends at the sampler's; the tracker adds the frame.
+        with pytest.raises(SamplerExhausted, match=r"^update window off-frame for BBox"):
+            finetune_update(self.model, frame, lost, self.update_tc, SamplerConfig(seed=6))
+        assert_params_equal(self.model, before)
 
     @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
-    def test_diverging_update_rolls_back_and_warns(self, caplog):
+    def test_diverging_update_raises(self):
         frame, box = self.seq.frames[4], self.seq.groundtruth[4]
         before = self.model.copy()
         diverging = replace(self.update_tc, learning_rate=1e8)
-        with caplog.at_level(logging.WARNING, logger="slowtrack.train"):
-            out = finetune_update(self.model, frame, box, diverging, SamplerConfig(seed=6))
-        assert_params_equal(out, before)
+        with pytest.raises(NumericalError, match="non-finite"):
+            finetune_update(self.model, frame, box, diverging, SamplerConfig(seed=6))
         assert_params_equal(self.model, before)
-        assert any("update rolled back" in r.message for r in caplog.records)
+
+    def test_wrecked_finite_update_raises(self):
+        # Five SGD steps at 1e4 leave weights near 7e107, all finite, and
+        # kill the ReLUs: every positive and 30 of 32 negatives score 1.
+        frame, box = self.seq.frames[4], self.seq.groundtruth[4]
+        wrecking = replace(self.update_tc, iterations=5, learning_rate=1e4)
+        before = self.model.copy()
+        with pytest.raises(NumericalError, match=r"score margin from 0\.\d+ to 0\.0625$"):
+            finetune_update(self.model, frame, box, wrecking, SamplerConfig(seed=6))
+        assert_params_equal(self.model, before)
 
     def test_update_does_not_degrade_target_score(self):
         # Pilot: mean p over fresh positives 0.938 before, 0.953 after.
