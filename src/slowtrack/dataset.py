@@ -9,7 +9,6 @@ sequences additionally carry per-frame occlusion flags (written to an
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .geometry import BBox
+from .geometry import BBox, box_array, on_frame, usable
 
 
 @dataclass
@@ -113,17 +112,17 @@ def _validate_spec(spec: SynthSpec) -> None:
         raise ConfigError(f"T must be >= 1, got {spec.T}")
     if spec.frame_w < 4 or spec.frame_h < 4:
         raise ConfigError(f"frame {spec.frame_w}x{spec.frame_h} too small")
-    if spec.target_w <= 0 or spec.target_h <= 0:
-        raise ConfigError("target size must be positive")
     if spec.scale_rate <= 0:
         raise ConfigError(f"scale_rate must be positive, got {spec.scale_rate}")
-    for t in range(spec.T):
-        clipped = spec.box_at(t).clipped(spec.frame_w, spec.frame_h)
-        if clipped.w <= 0 or clipped.h <= 0:
-            raise ConfigError(
-                f"target fully exits the frame at frame {t}; "
-                "reduce velocity/scale_rate or enlarge the frame"
-            )
+    boxes = box_array([spec.box_at(t) for t in range(spec.T)])
+    if not usable(boxes[:1])[0]:
+        raise ConfigError("target size must be positive")
+    off = np.flatnonzero(~on_frame(boxes, spec.frame_w, spec.frame_h))
+    if off.size:
+        raise ConfigError(
+            f"target fully exits the frame at frame {off[0]}; "
+            "reduce velocity/scale_rate or enlarge the frame"
+        )
 
 
 def _paint_rect(canvas: np.ndarray, box: BBox, texture: np.ndarray) -> None:
@@ -281,7 +280,10 @@ def load_sequence(directory: str | Path) -> Sequence:
             x, y, w, h = (float(p) for p in parts)
         except ValueError as exc:
             raise FormatError(f"{gt_path}:{lineno}: {exc}") from None
-        boxes.append(BBox(x, y, w, h))
+        box = BBox(x, y, w, h)
+        if not usable([box])[0]:
+            raise FormatError(f"{gt_path}:{lineno}: box {x},{y},{w},{h} is not a valid box")
+        boxes.append(box)
     if len(boxes) != len(paths):
         raise FormatError(
             f"{directory}: {len(paths)} frames but {len(boxes)} ground-truth lines"

@@ -27,7 +27,3 @@ class SamplerExhausted(SlowTrackError):
 
 class NumericalError(SlowTrackError):
     """NaN/Inf appeared where finite values are required."""
-
-
-class TrackingFailure(SlowTrackError):
-    """A single frame could not produce a usable prediction."""

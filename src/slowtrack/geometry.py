@@ -49,31 +49,24 @@ class BBox:
 
 
 def _require_valid(box: BBox, name: str = "box") -> None:
-    if box.w <= 0 or box.h <= 0:
-        raise ValueError(f"degenerate {name}: w={box.w}, h={box.h}")
+    if not usable([box])[0]:
+        raise ValueError(f"{name} {box} is not a box with finite values and positive size")
 
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection-over-union of two boxes, in [0, 1]."""
     _require_valid(a, "first box")
     _require_valid(b, "second box")
-    # Work entirely in corner coordinates: deriving widths as x2 - x makes
-    # iou(a, a) == 1.0 exact and keeps the result <= 1 under rounding.
-    ax2, ay2 = a.x + a.w, a.y + a.h
-    bx2, by2 = b.x + b.w, b.y + b.h
-    area_a = (ax2 - a.x) * (ay2 - a.y)
-    area_b = (bx2 - b.x) * (by2 - b.y)
-    ix = max(min(ax2, bx2) - max(a.x, b.x), 0.0)
-    iy = max(min(ay2, by2) - max(a.y, b.y), 0.0)
-    inter = ix * iy
-    union = area_a + area_b - inter
-    return inter / union
+    return float(iou_many(box_array([a]), b)[0])
 
 
 def iou_many(boxes: np.ndarray, ref: BBox) -> np.ndarray:
     """IoU of each row of an (N, 4) x/y/w/h array against one reference box."""
     _require_valid(ref, "reference box")
     boxes = np.asarray(boxes, dtype=np.float64)
+    # Work entirely in corner coordinates: deriving widths as x2 - x makes
+    # the IoU of a box with itself exactly 1.0 and keeps the result <= 1
+    # under rounding.
     x2 = boxes[:, 0] + boxes[:, 2]
     y2 = boxes[:, 1] + boxes[:, 3]
     rx2, ry2 = ref.x + ref.w, ref.y + ref.h
@@ -129,16 +122,28 @@ def clip_boxes(boxes, frame_w: float, frame_h: float) -> np.ndarray:
     return np.stack([x0, y0, x1 - x0, y1 - y0], axis=1)
 
 
-def _has_size(clip: np.ndarray) -> np.ndarray:
-    """Rows of a clipped (N, 4) array with positive width and height; a
-    NaN row has neither."""
-    return (clip[:, 2] > 0) & (clip[:, 3] > 0)
+def usable(boxes) -> np.ndarray:
+    """Rows of an (N, 4) x/y/w/h array or a list of BBox whose four values
+    are finite and whose width and height are positive: the one test of
+    a box every module asks."""
+    if not isinstance(boxes, np.ndarray):
+        boxes = box_array(boxes)
+    return np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0)
 
 
 def on_frame(boxes, frame_w: float, frame_h: float) -> np.ndarray:
-    """Rows whose box, clipped to the frame, has positive size: the boxes
+    """Rows whose box, clipped to the frame, is usable: the boxes
     crop_many accepts."""
-    return _has_size(clip_boxes(boxes, frame_w, frame_h))
+    return usable(clip_boxes(boxes, frame_w, frame_h))
+
+
+def clip_outside(boxes: np.ndarray, frame_w: float, frame_h: float) -> np.ndarray:
+    """clip_boxes applied only to the rows of an (N, 4) array that reach
+    outside the frame; a row inside it comes back bit for bit, since
+    (x + w) - x need not equal w."""
+    x, y, w, h = boxes.T
+    inside = (x >= 0) & (y >= 0) & (x + w <= frame_w) & (y + h <= frame_h)
+    return np.where(inside[:, None], boxes, clip_boxes(boxes, frame_w, frame_h))
 
 
 # Boxes resampled per pass of crop_many. It bounds the gather, lerped-row
@@ -164,7 +169,7 @@ def crop_many(image: np.ndarray, boxes, side: int) -> np.ndarray:
     img = np.asarray(image)
     h, w = img.shape[:2]
     clip = clip_boxes(boxes, w, h)
-    bad = np.flatnonzero(~_has_size(clip))
+    bad = np.flatnonzero(~usable(clip))
     if bad.size:
         raise OutOfViewError(f"box {bad[0]} has no overlap with the frame")
     out = np.empty((len(clip), side, side) + img.shape[2:], dtype=np.float64)

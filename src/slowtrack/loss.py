@@ -55,7 +55,7 @@ def loss_c(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return np.sum(d * d, axis=-1)
 
 
-def loss_d(fp: np.ndarray, fn: np.ndarray, beta: float = 1.0) -> np.ndarray:
+def loss_d(fp: np.ndarray, fn: np.ndarray, beta: float = LossWeights.beta) -> np.ndarray:
     """exp(-beta * ||fp - fn||^2): near 1 when a positive/negative pair
     collapses together, decaying to 0 as they separate."""
     if beta <= 0:
@@ -64,7 +64,7 @@ def loss_d(fp: np.ndarray, fn: np.ndarray, beta: float = 1.0) -> np.ndarray:
 
 
 def loss_s(
-    p_pos: np.ndarray, p_neg: np.ndarray, p_floor: float = 1e-12
+    p_pos: np.ndarray, p_neg: np.ndarray, p_floor: float = LossWeights.p_floor
 ) -> np.ndarray:
     """Pairwise cross entropy -log((1 - p_neg) * p_pos), with both
     probabilities clamped into [p_floor, 1 - p_floor] to guard log(0)."""

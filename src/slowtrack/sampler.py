@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, SamplerExhausted
-from .geometry import BBox, clip_boxes, iou_many, on_frame
+from .geometry import BBox, clip_outside, iou_many, on_frame, usable
 
 
 @dataclass(frozen=True)
@@ -145,15 +145,10 @@ class Sampler:
         cfg = self.config
         step = cfg.sigma_xy * max(prev.w, prev.h)
 
-        def propose(k: int) -> np.ndarray:
-            prop = self._perturb(prev, k, step, cfg.sigma_scale)
-            x, y, w, h = prop.T
-            inside = (x >= 0) & (y >= 0) & (x + w <= frame_w) & (y + h <= frame_h)
-            # Only outside rows are clipped: (x + w) - x need not equal w.
-            return np.where(inside[:, None], prop, clip_boxes(prop, frame_w, frame_h))
-
         return self._draw_until(
-            m, propose, lambda prop: on_frame(prop, frame_w, frame_h),
+            m,
+            lambda k: clip_outside(self._perturb(prev, k, step, cfg.sigma_scale), frame_w, frame_h),
+            lambda prop: on_frame(prop, frame_w, frame_h),
             "candidate sampling", overdraw=False, cap=1000 * max(m, 1),
         )
 
@@ -172,7 +167,7 @@ class Sampler:
         window = BBox(
             pred.x - pred.w / 2, pred.y - pred.h / 2, 2 * pred.w, 2 * pred.h
         ).clipped(frame_w, frame_h)
-        if window.w <= 0 or window.h <= 0:
+        if not usable([window])[0]:
             raise SamplerExhausted(f"update window off-frame for {pred}")
 
         def propose_negatives(k: int) -> np.ndarray:

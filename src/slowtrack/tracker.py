@@ -23,8 +23,8 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import Frame, Sequence
-from .errors import ConfigError, FormatError, NumericalError, SamplerExhausted, TrackingFailure
-from .geometry import BBox, average_boxes, crop_many
+from .errors import ConfigError, FormatError, NumericalError, SamplerExhausted
+from .geometry import BBox, average_boxes, box_array, clip_outside, crop_many, usable
 from .loss import LossWeights
 from .net import Model, forward_classifier, forward_features
 from .sampler import Sampler, SamplerConfig
@@ -81,17 +81,13 @@ def track_frame(
 
     Returns (predicted box, score of the averaged patch, top-k detail
     as (candidate index, score, box) in selection order). The model is
-    only read. Raises TrackingFailure when no usable candidate can be
-    drawn around prev_box, or when a selected top-k score is NaN.
+    only read. Raises SamplerExhausted when no usable candidate can be
+    drawn around prev_box, and NumericalError when a selected top-k
+    score is NaN.
     """
-    if prev_box.w <= 0 or prev_box.h <= 0:
-        raise ValueError(f"previous box must have positive size, got {prev_box}")
-    try:
-        candidates = sampler.sample_candidates(
-            prev_box, config.m, frame.width, frame.height
-        )
-    except SamplerExhausted as exc:
-        raise TrackingFailure(str(exc)) from exc
+    if not usable([prev_box])[0]:
+        raise ValueError(f"previous box must be finite with positive size, got {prev_box}")
+    candidates = sampler.sample_candidates(prev_box, config.m, frame.width, frame.height)
     side = _patch_side(model, frame)
     patches = crop_many(frame.pixels, candidates, side).reshape(config.m, -1)
     scores = forward_classifier(model, forward_features(model, patches))
@@ -101,7 +97,7 @@ def track_frame(
     # numbers; averaging unranked candidates would move the box at random.
     nan = int(np.isnan(scores[order]).sum())
     if nan:
-        raise TrackingFailure(f"{nan} of the top {len(order)} candidate scores are NaN")
+        raise NumericalError(f"{nan} of the top {len(order)} candidate scores are NaN")
     top = [(int(i), float(scores[i]), BBox(*candidates[i])) for i in order]
     pred = average_boxes([box for _, _, box in top])
     patch = crop_many(frame.pixels, [pred], side).ravel()
@@ -135,16 +131,14 @@ def track_sequence(
         model, first, sequence.groundtruth[0], config.init_train, config.sampler, weights
     )
     sampler = Sampler(config.sampler)
-    prev = sequence.groundtruth[0]
-    if prev.x < 0 or prev.y < 0 or prev.x + prev.w > fw or prev.y + prev.h > fh:
-        prev = prev.clipped(fw, fh)
+    prev = BBox(*clip_outside(box_array(sequence.groundtruth[:1]), fw, fh)[0].tolist())
 
     records: list[TrackResult] = []
     for t in range(2, sequence.T + 1):
         frame = sequence.frames[t - 1]
         try:
             pred, score, _ = track_frame(model, frame, prev, config, sampler)
-        except TrackingFailure as exc:
+        except (SamplerExhausted, NumericalError) as exc:
             log.warning("frame %d: %s; carrying previous box", t, exc)
             pred, score = prev, math.nan
         updated = (
@@ -196,8 +190,9 @@ def read_results(path: str | Path) -> list[TrackResult]:
             updated = {"0": False, "1": True}[parts[6]]
         except (ValueError, KeyError) as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        # finite, positive size; a NaN score is legal (carried-forward frames)
-        if not (w > 0 and h > 0 and all(map(math.isfinite, (x, y, w, h)))):
+        box = BBox(x, y, w, h)
+        # a NaN score is legal (carried-forward frames); a NaN box is not
+        if not usable([box])[0]:
             raise FormatError(f"{path}:{lineno}: box {x},{y},{w},{h} is not a valid box")
-        records.append(TrackResult(frame, BBox(x, y, w, h), score, updated))
+        records.append(TrackResult(frame, box, score, updated))
     return records

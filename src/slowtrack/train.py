@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Frame, Sequence
 from .errors import ConfigError, NumericalError, SamplerExhausted
-from .geometry import BBox, crop_many
+from .geometry import BBox, crop_many, on_frame, usable
 from .loss import VARIANTS, LossWeights, uses_pair
 from .net import (
     CLASSIFIER_PARAMS,
@@ -321,8 +321,7 @@ def finetune_initial(
 ) -> Model:
     """First-frame finetuning: same-frame positive pairs (two positive
     pools), negatives from the usual IoU window, full combined loss."""
-    clipped = gt.clipped(frame.width, frame.height)
-    if gt.w <= 0 or gt.h <= 0 or clipped.w <= 0 or clipped.h <= 0:
+    if not (usable([gt]) & on_frame([gt], frame.width, frame.height))[0]:
         raise ConfigError(f"first-frame ground truth {gt} is not a visible box")
     sampler = Sampler(sampler_config)
     side = _patch_side(model, frame)

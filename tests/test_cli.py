@@ -413,6 +413,22 @@ class TestEval:
         assert rc == 1
         assert f"{results}:2: box" in caplog.text
 
+    def test_zero_size_groundtruth_exits_one(self, pipeline, tmp_path, caplog):
+        seq = tmp_path / "seq-a"
+        assert run("gen", "--config", pipeline / "gen-a.cfg", "--out", seq) == 0
+        gt = seq / "groundtruth_rect.txt"
+        lines = gt.read_text().splitlines()
+        lines[3] = "0,0,0,0"
+        gt.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.ERROR):
+            rc = run(
+                "eval", "--run", "full", pipeline / "run" / "results-seq-a.csv", seq,
+                "--out", tmp_path / "evals",
+            )
+        assert rc == 1
+        assert f"{gt}:4: box 0.0,0.0,0.0,0.0 is not a valid box" in caplog.text
+        assert not (tmp_path / "evals").exists()
+
     @pytest.mark.parametrize("frames, fault", [
         ([2, 2, 2, 2], "repeat frame 2"),  # scored Prec@20 1.0 and AUC 0.9524
         ([2, 4, 5], "lack frame 3"),

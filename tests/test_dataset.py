@@ -157,6 +157,18 @@ class TestSaveLoad:
         with pytest.raises(FormatError, match=":2"):
             load_sequence(d)
 
+    @pytest.mark.parametrize("line", ["0,0,0,0", "10,10,-5,8", "nan,nan,nan,nan", "inf,1,2,3"])
+    def test_unusable_box_names_file_and_line(self, tmp_path, line):
+        # eval cannot score a frame against such a box
+        d = tmp_path / "s"
+        save_sequence(generate(SynthSpec(T=5, seed=0)), d)
+        gt = d / "groundtruth_rect.txt"
+        lines = gt.read_text().splitlines()
+        lines[3] = line
+        gt.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=rf"groundtruth_rect.txt:4: box .* is not a valid box$"):
+            load_sequence(d)
+
     def test_missing_groundtruth_raises(self, tmp_path):
         d = tmp_path / "s"
         save_sequence(generate(SynthSpec(T=1, seed=0)), d)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from slowtrack.geometry import (
     average_boxes,
     center_distance,
     clip_boxes,
+    clip_outside,
     crop_many,
     iou,
     iou_many,
+    on_frame,
+    usable,
 )
 
 
@@ -59,6 +63,37 @@ class TestIou:
         for row, v in zip(rows, many):
             assert v == pytest.approx(iou(BBox(*row), ref), abs=1e-12)
 
+    def test_iou_many_matches_exact_fractions(self):
+        # An oracle independent of both functions: the IoU of the boxes'
+        # float values in exact rational arithmetic.
+        def exact(a, b):
+            ax, ay, aw, ah = map(Fraction, a)
+            bx, by, bw, bh = map(Fraction, b)
+            ix = max(min(ax + aw, bx + bw) - max(ax, bx), 0)
+            iy = max(min(ay + ah, by + bh) - max(ay, by), 0)
+            inter = ix * iy
+            return inter / (aw * ah + bw * bh - inter)
+
+        rng = np.random.default_rng(7)
+        ref = BBox(10.3, 9.7, 20.1, 15.9)
+        rows = rng.uniform([0, 0, 1, 1], [40, 40, 30, 30], size=(50, 4))
+        rows = np.vstack([rows, [ref.as_tuple(), (30.4, 9.7, 5, 5), (50, 50, 3, 3)]])
+        for row, v in zip(rows, iou_many(rows, ref)):
+            assert abs(v - float(exact(row, ref.as_tuple()))) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_box_rejected(self, bad):
+        good = BBox(0, 0, 10, 10)
+        for box in (BBox(bad, 0, 10, 10), BBox(0, 0, 10, bad)):
+            with pytest.raises(ValueError, match="not a box with finite values"):
+                iou(box, good)
+            with pytest.raises(ValueError, match="second box"):
+                iou(good, box)
+            with pytest.raises(ValueError, match="reference box"):
+                iou_many(np.array([good.as_tuple()]), box)
+            with pytest.raises(ValueError, match="first box"):
+                center_distance(box, good)
+
 
 class TestCenterDistance:
     def test_coincident_centers(self):
@@ -69,6 +104,67 @@ class TestCenterDistance:
 
     def test_horizontal_offset(self):
         assert center_distance(BBox(0, 0, 2, 2), BBox(10, 0, 2, 2)) == 10.0
+
+
+# (row, usable, on a 100 x 80 frame)
+BOX_RULE_TABLE = [
+    ((10.0, 20.0, 30.0, 40.0), True, True),
+    ((-5.0, -5.0, 10.0, 10.0), True, True),
+    ((95.0, 75.0, 10.0, 10.0), True, True),
+    ((100.0, 20.0, 5.0, 5.0), True, False),  # touches the right edge only
+    ((-10.0, 20.0, 10.0, 5.0), True, False),  # touches the left edge only
+    ((200.0, 20.0, 5.0, 5.0), True, False),
+    ((10.0, 20.0, 0.0, 5.0), False, False),
+    ((10.0, 20.0, 5.0, 0.0), False, False),
+    ((10.0, 20.0, -5.0, 5.0), False, False),
+    ((10.0, 20.0, 5.0, -5.0), False, False),
+    # finite, but x + w overflows: usable, and its clip is not
+    ((1e308, 0.0, 1e308, 1.0), True, False),
+    ((-1e308, 0.0, 1e308, 1.0), True, False),
+] + [
+    (tuple(bad if i == col else v for i, v in enumerate((10.0, 20.0, 30.0, 40.0))), False, on)
+    for col in range(4)
+    for bad, on in ((math.nan, False), (-math.inf, False), (math.inf, col >= 2))
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestBoxRule:
+    """usable, on_frame and clip_outside: the one box rule."""
+
+    @pytest.mark.parametrize("row, want_usable, want_on_frame", BOX_RULE_TABLE)
+    def test_table(self, row, want_usable, want_on_frame):
+        boxes = np.array([row])
+        assert usable(boxes).tolist() == [want_usable]
+        assert usable([BBox(*row)]).tolist() == [want_usable]
+        # an infinite width or height clips to the frame edge
+        assert on_frame(boxes, 100, 80).tolist() == [want_on_frame]
+
+    def test_whole_table_at_once(self):
+        rows = np.array([row for row, _, _ in BOX_RULE_TABLE])
+        assert usable(rows).tolist() == [u for _, u, _ in BOX_RULE_TABLE]
+        assert on_frame(rows, 100, 80).tolist() == [o for _, _, o in BOX_RULE_TABLE]
+
+    def test_empty(self):
+        assert usable(np.zeros((0, 4))).shape == (0,)
+        assert on_frame([], 100, 80).shape == (0,)
+
+    def test_clip_outside_keeps_inside_rows_bit_for_bit(self):
+        # (x + w) - x is not w for this row, so clipping it would move it
+        row = (0.1, 0.7, 0.2, 0.3)
+        assert (row[0] + row[2]) - row[0] != row[2]
+        got = clip_outside(np.array([row]), 100, 80)
+        assert got[0].tolist() == list(row)
+
+    @pytest.mark.parametrize("row", [
+        (-5.3, 10.1, 20.3, 30.9), (90.7, 70.2, 20.3, 30.9), (-1.0, -1.0, 200.0, 200.0),
+        (0.0, 79.9, 0.2, 0.3), (99.9, 0.0, 0.3, 0.2),
+    ])
+    def test_clip_outside_matches_bbox_clipped(self, row):
+        boxes = np.array([row, (10.1, 20.3, 5.7, 4.9)])
+        got = clip_outside(boxes, 100, 80)
+        assert BBox(*got[0]) == BBox(*row).clipped(100, 80)
+        assert got[1].tolist() == boxes[1].tolist()
 
 
 class TestAverageBoxes:

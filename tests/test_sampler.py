@@ -156,7 +156,7 @@ class TestPositivesMatchPerDrawLoop:
             assert stream_after(new) == stream_after(ref)
         assert exhausted > 0
 
-    def test_exhaustion_names_frame(self):
+    def test_exhaustion_message(self):
         # The message ends at the attempts; the caller adds the frame.
         smp = make_sampler(max_rejections=5)
         with pytest.raises(SamplerExhausted, match=r"^positive sampling found 0/16 in 5 attempts$"):
@@ -198,7 +198,7 @@ class TestNegatives:
         rate = float(((ious >= cfg.lo) & (ious <= cfg.hi)).mean())
         assert 0.661 * 0.8 <= rate <= 0.661 * 1.2
 
-    def test_exhaustion_names_frame(self):
+    def test_exhaustion_message(self):
         # An impossible window (lo barely below hi, both extreme) cannot
         # be satisfied by the wide default proposals before the cap.
         gt = BBox(60, 50, 24, 20)
@@ -235,7 +235,7 @@ class TestNegatives:
         ious = iou_many(rows, gt)
         assert ((ious >= 0.2) & (ious <= 0.6)).all()
 
-    def test_rows_exhaustion_names_frame(self):
+    def test_rows_exhaustion_message(self):
         smp = make_sampler(lo=0.9999, hi=1.0, m_n=64, max_rejections=200)
         message = r"^negative sampling found 0/64 in 200 attempts$"
         with pytest.raises(SamplerExhausted, match=message):
@@ -393,13 +393,13 @@ class TestUpdateBatch:
         )
         assert (pos.shape, neg.shape) == ((5, 4), (9, 4))
 
-    def test_positive_exhaustion_names_frame(self):
+    def test_positive_exhaustion_message(self):
         # A cap of eight proposals cannot yield sixteen positives.
         smp = make_sampler(max_rejections=8)
         with pytest.raises(SamplerExhausted, match=r"^update positives found 5/16 in 8 attempts$"):
             smp.sample_update_batch(BBox(60, 50, 24, 20), FRAME_W, FRAME_H)
 
-    def test_negative_exhaustion_names_frame(self):
+    def test_negative_exhaustion_message(self):
         # lo = 0.5999 leaves an IoU band of width 1e-4 for the negatives;
         # the positives still fill within the same budget.
         smp = make_sampler(lo=0.5999, max_rejections=300)

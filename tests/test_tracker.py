@@ -21,7 +21,6 @@ from slowtrack.errors import (
     FormatError,
     NumericalError,
     SamplerExhausted,
-    TrackingFailure,
 )
 from slowtrack.geometry import BBox, average_boxes, center_distance
 from slowtrack.net import init_model
@@ -150,7 +149,7 @@ class TestTrackFrame:
         # A box far outside the frame makes every candidate invisible.
         model = init_model(DIMS, seed=0)
         cfg = TrackerConfig(m=8, top_k=2, sampler=SamplerConfig(sigma_xy=0.01, seed=0))
-        with pytest.raises(TrackingFailure):
+        with pytest.raises(SamplerExhausted, match="candidate sampling found"):
             track_frame(
                 model, easy_sequence.frames[1], BBox(-300.0, -300.0, 10.0, 10.0),
                 cfg, Sampler(SamplerConfig(sigma_xy=0.01, seed=0)),
@@ -284,7 +283,7 @@ class TestTrackSequence:
         import slowtrack.tracker as tracker_mod
 
         def explode(model, frame, prev_box, config, sampler):
-            raise TrackingFailure("forced")
+            raise SamplerExhausted("forced")
 
         monkeypatch.setattr(tracker_mod, "track_frame", explode)
         cfg = TrackerConfig(m=16, top_k=4, init_train=FAST_INIT)
@@ -392,7 +391,7 @@ class TestTrackSequence:
         )
         cfg = TrackerConfig(m=16, top_k=3, sampler=SamplerConfig(seed=1))
         frame, prev = easy_sequence.frames[1], easy_sequence.groundtruth[0]
-        with pytest.raises(TrackingFailure, match="1 of the top 3 candidate scores are NaN"):
+        with pytest.raises(NumericalError, match="1 of the top 3 candidate scores are NaN"):
             track_frame(trained_model, frame, prev, cfg, Sampler(cfg.sampler))
         # top_k = 2 selects only numbers and tracks as usual
         pred, score, top = track_frame(

@@ -619,6 +619,24 @@ class TestFinetuneInitial:
                 m0, self.frame, BBox(-50.0, -50.0, 10.0, 10.0), StepConfig(), SamplerConfig()
             )
 
+    @pytest.mark.parametrize("box", [
+        BBox(float("nan"), 10.0, 10.0, 10.0),
+        BBox(10.0, 10.0, float("nan"), 10.0),
+        BBox(10.0, 10.0, float("inf"), 10.0),
+        BBox(10.0, 10.0, 0.0, 10.0),
+    ])
+    def test_unusable_box_raises_before_drawing(self, box, monkeypatch):
+        # Checked before any draw: no proposal of a NaN box is ever
+        # accepted, so drawing would spend all max_rejections first.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("positive_rows was called")
+
+        monkeypatch.setattr(Sampler, "positive_rows", no_draw)
+        with pytest.raises(ConfigError, match="is not a visible box"):
+            finetune_initial(
+                init_model(DIMS, seed=0), self.frame, box, StepConfig(), SamplerConfig()
+            )
+
     def test_matches_cropping_every_step(self):
         # The step loop fed by the crop-everything draw, kept as the
         # reference: cropping positives once per finetune changes no bit.
