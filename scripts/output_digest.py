@@ -14,7 +14,8 @@ removed on exit:
   a 64-16-8-8-4-2 model) for every loss variant, for `classifier_only`
   training and for an RGB corpus;
 * finetune/{initial,update}.txt, the models `finetune_initial` and
-  `finetune_update` return, and
+  `finetune_update` return, finetune/update-adam.txt, the same update
+  under Adam, and
   finetune/{initial,update}-classifier-only-{sgd,adam}.txt, the same
   two phases with the feature layers frozen, under each optimizer;
 * track/results-*.csv from `track_sequence` on four sequences (one
@@ -132,9 +133,14 @@ def write_finetunes(out: Path) -> None:
         first, seq.frames[4], seq.groundtruth[4], replace(tc, iterations=20),
         SamplerConfig(seed=6),
     )
+    adam = finetune_update(
+        first, seq.frames[4], seq.groundtruth[4], replace(tc, iterations=20, optimizer="adam"),
+        SamplerConfig(seed=6),
+    )
     out.mkdir(parents=True)
     save_model(first, out / "initial.txt")
     save_model(updated, out / "update.txt")
+    save_model(adam, out / "update-adam.txt")
     for optimizer in ("sgd", "adam"):
         frozen = replace(tc, optimizer=optimizer, classifier_only=True)
         first = finetune_initial(
