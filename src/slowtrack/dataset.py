@@ -9,6 +9,7 @@ sequences additionally carry per-frame occlusion flags (written to an
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,12 +91,14 @@ class SynthSpec:
 
     def box_at(self, t: int) -> BBox:
         x0, y0 = self.origin()
-        return BBox(
-            x0 + self.velocity[0] * t,
-            y0 + self.velocity[1] * t,
-            self.target_w * self.scale_rate**t,
-            self.target_h * self.scale_rate**t,
-        )
+        try:
+            scale = self.scale_rate**t
+        except OverflowError:
+            scale = math.inf
+        w, h = self.target_w * scale, self.target_h * scale
+        if not (math.isfinite(w) and math.isfinite(h)):
+            raise ConfigError(f"target size overflows at frame {t}; reduce scale_rate or T")
+        return BBox(x0 + self.velocity[0] * t, y0 + self.velocity[1] * t, w, h)
 
     def occluded_at(self, t: int) -> bool:
         return any(a <= t <= b for a, b in self.occlusions)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -57,9 +57,15 @@ class Model:
         return Model(dims=self.dims, **kw)
 
     def assert_finite(self) -> None:
-        for name, arr in self.params():
-            if not np.all(np.isfinite(arr)):
-                raise NumericalError(f"non-finite values in parameter {name}")
+        check_finite(self.params())
+
+
+def check_finite(params: Iterable[tuple[str, np.ndarray]]) -> None:
+    """Raise NumericalError naming the first (name, array) pair that
+    holds a non-finite value."""
+    for name, arr in params:
+        if not np.all(np.isfinite(arr)):
+            raise NumericalError(f"non-finite values in parameter {name}")
 
 
 def _checked_dims(dims) -> tuple[int, ...]:
@@ -149,6 +155,24 @@ class TripletBatch:
     n: np.ndarray
 
 
+@dataclass
+class PoolBatch:
+    """A triplet batch of rows of a fixed pool of K patches: `pre` is the
+    pool's (K, h1) fc1 pre-activations without the bias, and a, b, n are
+    index arrays into its rows, b None without a pair term.
+
+    The rows enter fc1 as one-hot selectors over the pool with `pre` as
+    fc1's weights, so u1 = S·pre + b1 picks each row's pre-activations
+    exactly, and the "W1" gradient backward returns is Sᵀ·du1: the (K, h1)
+    matrix D of du1 summed onto the pool rows. The gradient of W1 itself
+    is poolᵀ·D, so an SGD step moves W1 only within the pool's span."""
+
+    pre: np.ndarray
+    a: np.ndarray
+    b: np.ndarray | None
+    n: np.ndarray
+
+
 class LossTerms(NamedTuple):
     """Batch means from one backward pass: the combined loss and the
     unweighted value of each term, 0.0 for a term the variant drops."""
@@ -159,8 +183,8 @@ class LossTerms(NamedTuple):
     loss_s: float
 
 
-def _forward(model: Model, batch: TripletBatch, variant: str):
-    """The one forward pass of a triplet batch. The streams are stacked
+def _forward(model: Model, batch: TripletBatch | PoolBatch, variant: str):
+    """The one forward pass of a triplet or pool batch. The streams are stacked
     as rows a | n | b, b only when the variant has a pair term, and go
     through one feature pass; a | n go through one classifier pass.
     Returns the features (f_a, f_b, f_n), f_b None without a pair term;
@@ -171,9 +195,15 @@ def _forward(model: Model, batch: TripletBatch, variant: str):
 
     The parameters may carry a leading stack axis (one model per slice):
     the passes broadcast over it, so the views slice the row axis with
-    `...` in front.
+    `...` in front. A PoolBatch's rows are one-hot selectors over the
+    pool, through an fc1 whose weights are its pre-activations.
     """
     pair = uses_pair(variant)  # an unknown variant raises before any forward
+    if isinstance(batch, PoolBatch):
+        select = np.eye(batch.pre.shape[0])
+        rows = (None if i is None else select[i] for i in (batch.a, batch.b, batch.n))
+        model = replace(model, dims=(len(select),) + model.dims[1:], W1=batch.pre)
+        batch = TripletBatch(*rows)
     r = model.dims[0]
     A, _ = _as_batch(batch.a, r, "triplet anchors")
     N, _ = _as_batch(batch.n, r, "triplet negatives")
@@ -197,7 +227,7 @@ def _forward(model: Model, batch: TripletBatch, variant: str):
 
 def backward(
     model: Model,
-    batch: TripletBatch,
+    batch: TripletBatch | PoolBatch,
     weights: LossWeights,
     variant: str = "full",
     names: tuple[str, ...] = PARAM_NAMES,
@@ -209,8 +239,9 @@ def backward(
 
     LossTerms.loss is the mean of total_loss; loss_c, loss_d and loss_s
     are the means of the pair, discrimination and classification terms
-    before weighting. Raises NumericalError on a non-finite gradient of
-    a parameter in `names`.
+    before weighting. For a PoolBatch, "W1" holds the pool coefficients
+    D of the fc1 gradient (see PoolBatch). Raises NumericalError on a
+    non-finite gradient of a parameter in `names`.
     """
     (f_a, f_b, f_n), (P_a, P_n), (feat_cache, clf_cache) = _forward(model, batch, variant)
     p_a, p_n = P_a[:, 1], P_n[:, 1]

@@ -25,8 +25,10 @@ from .net import (
     CLASSIFIER_PARAMS,
     FEATURE_PARAMS,
     Model,
+    PoolBatch,
     TripletBatch,
     backward,
+    check_finite,
     forward_classifier,
     forward_features,
 )
@@ -236,27 +238,57 @@ def _draw_triplets(
 
 
 def _fit(
-    model: Model, tc: StepConfig, weights: LossWeights, variant: str, draw: Callable
+    model: Model,
+    tc: StepConfig,
+    weights: LossWeights,
+    variant: str,
+    draw: Callable,
+    pool: np.ndarray | None = None,
 ) -> tuple[Model, list[TraceRow]]:
     """The step loop of all three training phases: tc.iterations optimizer
     steps on a copy of model, each on a fresh draw(). "tarspec" freezes
     the classifier layers, tc.classifier_only the feature layers. Returns
     the copy and its loss trace; raises NumericalError on a non-finite
-    parameter or trained gradient. Frozen layers are not differentiated."""
+    parameter or trained gradient. Frozen layers are not differentiated,
+    and only the arrays a step changed are checked after it.
+
+    With a `pool`, a fixed (K, r) matrix of patches, draw() returns index
+    arrays (a, b, n) into its rows. Under SGD with fc1 trained, a step
+    moves W1 by -lr·poolᵀ·D (see PoolBatch), and so the pool's (K, h1)
+    pre-activations U = pool·W1 by -lr·(pool·poolᵀ)·D. The loop steps U
+    in W1's place, with (pool·poolᵀ)·D as its gradient, and checks it as
+    W1; it sums D and forms W1₀ - lr·poolᵀ·ΣD once, after the last step.
+    Adam's per-entry step would leave the pool's span, so under Adam, or
+    with fc1 frozen, the rows are gathered into a TripletBatch."""
     model = model.copy()
     model.assert_finite()
     freeze = CLASSIFIER_PARAMS if variant == "tarspec" else ()
     if tc.classifier_only:
         freeze += FEATURE_PARAMS
     params = {name: arr for name, arr in model.params() if name not in freeze}
+    span = pool is not None and tc.optimizer == "sgd" and "W1" in params
+    if span:
+        params["W1"] = pre = pool @ model.W1
+        gram, summed = pool @ pool.T, np.zeros_like(pre)
     names = tuple(params)
     state = OptState()
     trace: list[TraceRow] = []
     for step in range(tc.iterations):
-        grads, terms = backward(model, draw(), weights, variant, names)
+        batch = draw()
+        if span:
+            batch = PoolBatch(pre, *batch)
+        elif pool is not None:
+            batch = TripletBatch(*(pool[rows] for rows in batch))
+        grads, terms = backward(model, batch, weights, variant, names)
+        if span:
+            summed += grads["W1"]
+            grads["W1"] = gram @ grads["W1"]
         optimizer_step(params, grads, state, tc)
-        model.assert_finite()
+        check_finite(params.items())
         trace.append(TraceRow(step, *terms))
+    if span:
+        model.W1 -= tc.learning_rate * (pool.T @ summed)
+        check_finite([("W1", model.W1)])
     return model, trace
 
 
@@ -346,7 +378,9 @@ def finetune_update(
     """Periodic online update: draw one update batch around the current
     prediction (`Sampler.sample_update_batch`, two box arrays), crop it
     once, then take the configured number of SGD/Adam steps on random
-    triplets of those patches, positives paired with positives.
+    triplets of those patches, positives paired with positives. The
+    patches are a fixed pool, so under SGD fc1 trains in their span and
+    no step forms a W1-sized product (see _fit).
     Raises SamplerExhausted when the batch cannot be drawn, and
     NumericalError when the update diverges: a parameter or gradient
     turns non-finite, or the batch's positives no longer outscore its
@@ -359,18 +393,18 @@ def finetune_update(
     # Continuous draws never repeat, so there is nothing to memoize.
     boxes = np.concatenate([pos_boxes, neg_boxes])
     patches = crop_many(frame.pixels, boxes, side).reshape(len(boxes), -1)
-    pos, negs = np.split(patches, [len(pos_boxes)])
+    n_pos, n_neg = len(pos_boxes), len(neg_boxes)
 
-    def draw() -> TripletBatch:
-        js, ks, ls = sampler.build_triplets(len(pos), len(pos), len(negs), tc.batch_size)
-        return TripletBatch(a=pos[js], b=pos[ks], n=negs[ls])
+    def draw() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        js, ks, ls = sampler.build_triplets(n_pos, n_pos, n_neg, tc.batch_size)
+        return js, ks, n_pos + ls
 
     def margin(m: Model) -> float:
         scores = forward_classifier(m, forward_features(m, patches))
-        return scores[: len(pos)].mean() - scores[len(pos) :].mean()
+        return scores[:n_pos].mean() - scores[n_pos:].mean()
 
     before = margin(model)
-    model = _fit(model, tc, weights, "full", draw)[0]
+    model = _fit(model, tc, weights, "full", draw, pool=patches)[0]
     after = margin(model)
     # A finite update can still wreck the model: after a huge step the
     # ReLUs die and nearly every patch scores alike. NaN fails here too.

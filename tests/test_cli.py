@@ -126,6 +126,15 @@ class TestExitCodes:
         assert rc == 1
         assert "synth.velocity: expected a finite number, got 'nan'" in caplog.text
 
+    def test_overflowing_target_size_exits_one(self, tmp_path, caplog):
+        # 24 * 10**307 overflows a float; the spec is rejected, not crashed on.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("synth.T = 400\nsynth.scale_rate = 10.0\n")
+        with caplog.at_level(logging.ERROR):
+            rc = run("gen", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == 1
+        assert "target size overflows at frame 307" in caplog.text
+
     def test_unknown_config_section_exits_one(self, tmp_path, caplog):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("tracker.m = 50\n")  # gen does not read tracker

@@ -50,6 +50,17 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate(SynthSpec(T=60, velocity=(-3.0, 0.0)))
 
+    @pytest.mark.parametrize(
+        "size, frame",
+        # 24 * 10**307 overflows; at 1e-10 the power 10**309 itself does
+        [(24.0, 307), (1e-10, 309)],
+        ids=["product", "power"],
+    )
+    def test_overflowing_target_size_rejected(self, size, frame):
+        spec = SynthSpec(T=400, target_w=size, target_h=size, scale_rate=10.0)
+        with pytest.raises(ConfigError, match=f"^target size overflows at frame {frame};"):
+            generate(spec)
+
     def test_growing_target_stays_in_frame_is_valid(self):
         # Growth around a fixed origin never exits the frame, so this is
         # a legal (if extreme) spec rather than an error.

@@ -20,6 +20,7 @@ from slowtrack.loss import LossWeights
 from slowtrack.net import (
     PARAM_NAMES,
     Model,
+    PoolBatch,
     TripletBatch,
     forward_classifier,
     forward_features,
@@ -405,6 +406,34 @@ class TestTrainableSet:
         self.run("offline", corpus, **frozen)
         assert list(states[-1].m) == list(states[-1].v) == list(trained)
 
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize(
+        "phase, frozen, trained",
+        [
+            (phase, {}, PARAM_NAMES) for phase in ("offline", "initial", "update")
+        ] + [
+            (phase, {"classifier_only": True}, CLASSIFIER_PARAMS)
+            for phase in ("offline", "initial", "update")
+        ] + [("offline", {"variant": "tarspec"}, FEATURE_PARAMS)],
+    )
+    def test_only_stepped_layers_are_checked_after_a_step(
+        self, monkeypatch, corpus, optimizer, phase, frozen, trained
+    ):
+        checked = []
+        real = train_module.check_finite
+
+        def spy(params):
+            params = list(params)
+            checked.append([name for name, _ in params])
+            return real(params)
+
+        monkeypatch.setattr(train_module, "check_finite", spy)
+        self.run(phase, corpus, optimizer=optimizer, **frozen)
+        # the SGD update checks the W1 it forms after its last step
+        span = phase == "update" and optimizer == "sgd" and "W1" in trained
+        extra = [["W1"]] if span else []
+        assert checked == [list(trained)] * 3 + extra
+
 
 def _probe_scores(model, frame, boxes):
     X = crop_many(frame.pixels, boxes, SIDE).reshape(len(boxes), -1)
@@ -738,13 +767,88 @@ class TestFinetuneUpdate:
 
     def test_wrecked_finite_update_raises(self):
         # Five SGD steps at 1e4 leave weights near 7e107, all finite, and
-        # kill the ReLUs: every positive and 30 of 32 negatives score 1.
+        # kill the ReLUs: every positive and 31 of 32 negatives score 0.
         frame, box = self.seq.frames[4], self.seq.groundtruth[4]
         wrecking = replace(self.update_tc, iterations=5, learning_rate=1e4)
         before = self.model.copy()
-        with pytest.raises(NumericalError, match=r"score margin from 0\.\d+ to 0\.0625$"):
+        with pytest.raises(NumericalError, match=r"score margin from 0\.\d+ to -0\.0312$"):
             finetune_update(self.model, frame, box, wrecking, SamplerConfig(seed=6))
         assert_params_equal(self.model, before)
+
+    def reference_update(self, tc, frame, box, sampler):
+        """The update as the generic step loop runs it: the same draws,
+        the patches gathered into a TripletBatch every step."""
+        pos_boxes, neg_boxes = sampler.sample_update_batch(box, frame.width, frame.height)
+        pos, negs = (
+            crop_many(frame.pixels, b, SIDE).reshape(len(b), -1) for b in (pos_boxes, neg_boxes)
+        )
+
+        def draw():
+            js, ks, ls = sampler.build_triplets(len(pos), len(pos), len(negs), tc.batch_size)
+            return TripletBatch(a=pos[js], b=pos[ks], n=negs[ls])
+
+        return _fit(self.model, tc, LossWeights(), "full", draw)[0]
+
+    def spy(self, monkeypatch):
+        """The sampler finetune_update makes, and the batch types it steps on."""
+        made, batches = [], []
+        real_sampler, real_backward = train_module.Sampler, train_module.backward
+
+        def sampler(config):
+            made.append(real_sampler(config))
+            return made[-1]
+
+        def backward(model, batch, *args):
+            batches.append(type(batch))
+            return real_backward(model, batch, *args)
+
+        monkeypatch.setattr(train_module, "Sampler", sampler)
+        monkeypatch.setattr(train_module, "backward", backward)
+        return made, batches
+
+    @pytest.mark.parametrize(
+        "changes, stepped",
+        [
+            ({}, PoolBatch),
+            ({"optimizer": "adam", "learning_rate": 0.001}, TripletBatch),
+            ({"classifier_only": True}, TripletBatch),
+        ],
+        ids=["sgd-span", "adam", "classifier-only"],
+    )
+    def test_update_matches_the_generic_loop(self, monkeypatch, changes, stepped):
+        frame, box = self.seq.frames[4], self.seq.groundtruth[4]
+        tc = replace(self.update_tc, **changes)
+        ref_sampler = Sampler(SamplerConfig(seed=6))
+        ref = self.reference_update(tc, frame, box, ref_sampler)
+        made, batches = self.spy(monkeypatch)
+        out = finetune_update(self.model, frame, box, tc, SamplerConfig(seed=6))
+        assert batches == [stepped] * tc.iterations
+        # the same draws: the sampler stream ends where the reference's does
+        assert made[0].rng.bit_generator.state == ref_sampler.rng.bit_generator.state
+        for name, want in ref.params():
+            got = getattr(out, name)
+            if stepped is TripletBatch:
+                assert_bit_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+        assert_params_differ(self.model, out, ("W3", "W5"))
+
+    def test_non_finite_pool_gradient_is_named_w1(self, monkeypatch):
+        # Every gradient is poisoned; the error names the first in parameter
+        # order, D, which stands in for W1's gradient.
+        real = net_module._feat_backward
+
+        def poisoned(model, grads, cache, delta):
+            real(model, grads, cache, delta)
+            for g in grads.values():
+                g[...] = np.nan
+
+        monkeypatch.setattr(net_module, "_feat_backward", poisoned)
+        frame, box = self.seq.frames[4], self.seq.groundtruth[4]
+        _, batches = self.spy(monkeypatch)
+        with pytest.raises(NumericalError, match="^non-finite gradient in layer W1$"):
+            finetune_update(self.model, frame, box, self.update_tc, SamplerConfig(seed=6))
+        assert batches == [PoolBatch]
 
     def test_update_does_not_degrade_target_score(self):
         # Pilot: mean p over fresh positives 0.938 before, 0.953 after.
