@@ -9,6 +9,7 @@ batch is (B, r) and weights are (fan_in, fan_out), so layers compose as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -60,12 +61,78 @@ class Model:
         check_finite(self.params())
 
 
-def check_finite(params: Iterable[tuple[str, np.ndarray]]) -> None:
-    """Raise NumericalError naming the first (name, array) pair that
-    holds a non-finite value."""
-    for name, arr in params:
+class FlatParams(dict):
+    """Named arrays laid end to end in one flat float64 vector, `vec`:
+    each value is a view of its stretch of `vec`, in insertion order, so
+    one call on `vec` runs an elementwise pass or a check over all of
+    them. `shapes` lists (name, shape) pairs whose sizes add up to
+    `vec.size`."""
+
+    def __init__(self, vec: np.ndarray, shapes: Iterable[tuple[str, tuple[int, ...]]]):
+        super().__init__()
+        self.vec = vec
+        start = 0
+        for name, shape in shapes:
+            size = math.prod(shape)
+            self[name] = vec[start : start + size].reshape(shape)
+            start += size
+        if start != vec.size:
+            raise ValueError(f"shapes hold {start} entries, the vector {vec.size}")
+
+    @classmethod
+    def of(cls, arrays: Iterable[tuple[str, np.ndarray]]) -> "FlatParams":
+        """A FlatParams holding a copy of each (name, array) pair."""
+        arrays = list(arrays)
+        vec = np.concatenate([np.ravel(arr) for _, arr in arrays] or [np.empty(0)])
+        return cls(vec, [(name, np.shape(arr)) for name, arr in arrays])
+
+    def zeros(self) -> "FlatParams":
+        """A FlatParams of zeros laid out like this one."""
+        return FlatParams(np.zeros_like(self.vec), self.shapes())
+
+    def run(self, names: Iterable[str]) -> "FlatParams":
+        """The arrays `names`, consecutive here, as a FlatParams whose
+        vector is a slice of this one's."""
+        names, keys = list(names), list(self)
+        first = keys.index(names[0]) if names else 0
+        if keys[first : first + len(names)] != names:
+            raise ValueError(f"{names} are not consecutive in {keys}")
+        start = sum(self[name].size for name in keys[:first])
+        size = sum(self[name].size for name in names)
+        return FlatParams(self.vec[start : start + size], self.shapes(names))
+
+    def shapes(self, names: Iterable[str] | None = None) -> list[tuple[str, tuple[int, ...]]]:
+        return [(name, self[name].shape) for name in (self if names is None else names)]
+
+
+def _first_non_finite(
+    arrays: Iterable[tuple[str, np.ndarray]], vec: np.ndarray | None = None
+) -> str | None:
+    """The name of the first (name, array) pair holding a non-finite
+    value, or None. `vec`, one flat array of exactly the pairs' entries,
+    is checked first with one reduction, and the pairs are searched only
+    when that fails: vec·vec is NaN or inf when an entry is, and finite
+    otherwise unless it overflows (entries past about 1e154), a false
+    alarm that the search clears."""
+    if vec is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(np.dot(vec, vec)):
+                return None
+    for name, arr in arrays:
         if not np.all(np.isfinite(arr)):
-            raise NumericalError(f"non-finite values in parameter {name}")
+            return name
+    return None
+
+
+def check_finite(
+    params: Iterable[tuple[str, np.ndarray]], vec: np.ndarray | None = None
+) -> None:
+    """Raise NumericalError naming the first (name, array) pair that
+    holds a non-finite value. With `vec`, a flat array of exactly the
+    pairs' entries, the check is one reduction unless it fails."""
+    name = _first_non_finite(params, vec)
+    if name is not None:
+        raise NumericalError(f"non-finite values in parameter {name}")
 
 
 def _checked_dims(dims) -> tuple[int, ...]:
@@ -109,8 +176,8 @@ def _as_batch(X: np.ndarray, r: int, what: str) -> tuple[np.ndarray, bool]:
     return X, single
 
 
-def _feat_forward(model: Model, X: np.ndarray):
-    u1 = X @ model.W1 + model.b1
+def _feat_forward(model: Model, X: np.ndarray, pre: np.ndarray | None = None):
+    u1 = (X @ model.W1 if pre is None else pre) + model.b1
     r1 = np.maximum(u1, 0.0)
     f = r1 @ model.W2 + model.b2
     return f, (X, u1, r1)
@@ -128,10 +195,14 @@ def _clf_forward(model: Model, F: np.ndarray):
     return P, (F, u3, r3, u4, r4)
 
 
-def forward_features(model: Model, patch: np.ndarray) -> np.ndarray:
-    """Embed flattened patches: fc2(relu(fc1(x))). Accepts (r,) or (B, r)."""
+def forward_features(
+    model: Model, patch: np.ndarray, pre: np.ndarray | None = None
+) -> np.ndarray:
+    """Embed flattened patches: fc2(relu(fc1(x))). Accepts (r,) or (B, r).
+    A caller that holds the patches' fc1 products `patch @ W1` passes
+    them as `pre`, which skips that GEMM and changes no bit."""
     X, single = _as_batch(patch, model.dims[0], "forward_features")
-    f, _ = _feat_forward(model, X)
+    f, _ = _feat_forward(model, X, pre)
     return f[0] if single else f
 
 
@@ -230,18 +301,21 @@ def backward(
     batch: TripletBatch | PoolBatch,
     weights: LossWeights,
     variant: str = "full",
-    names: tuple[str, ...] = PARAM_NAMES,
+    names: tuple[str, ...] | FlatParams = PARAM_NAMES,
 ) -> tuple[dict[str, np.ndarray], LossTerms]:
     """Analytic gradients of the batch-mean combined loss for the
     parameters in `names`, and the LossTerms of the batch, all from one
     forward pass and one loss_terms evaluation. Without a feature
     parameter in `names` the feature layers are not differentiated.
+    When `names` is a FlatParams, each gradient is written into its
+    view, by the same operations, and all are checked with one
+    reduction over its vector.
 
     LossTerms.loss is the mean of total_loss; loss_c, loss_d and loss_s
     are the means of the pair, discrimination and classification terms
     before weighting. For a PoolBatch, "W1" holds the pool coefficients
-    D of the fc1 gradient (see PoolBatch). Raises NumericalError on a
-    non-finite gradient of a parameter in `names`.
+    D of the fc1 gradient (see PoolBatch). Raises NumericalError naming
+    the first parameter in `names` whose gradient is not finite.
     """
     (f_a, f_b, f_n), (P_a, P_n), (feat_cache, clf_cache) = _forward(model, batch, variant)
     p_a, p_n = P_a[:, 1], P_n[:, 1]
@@ -270,7 +344,7 @@ def backward(
         dLdp_n[:, None] * P_n[:, 1:2] * (e1 - P_n),
     ])
 
-    grads: dict[str, np.ndarray] = {}
+    grads: dict[str, np.ndarray] = dict(names) if isinstance(names, FlatParams) else {}
     df_clf = _clf_backward(model, grads, clf_cache, dz)
     if not set(names).isdisjoint(FEATURE_PARAMS):
         # one gradient row per stacked feature row, a | n | b as in _forward
@@ -291,32 +365,36 @@ def backward(
 
     # In parameter order, so the error names the first non-finite layer.
     grads = {name: grads[name] for name in PARAM_NAMES if name in names}
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient in layer {name}")
+    bad = _first_non_finite(grads.items(), names.vec if isinstance(names, FlatParams) else None)
+    if bad is not None:
+        raise NumericalError(f"non-finite gradient in layer {bad}")
     return grads, terms
+
+
+# The two layer backwards write each gradient into the array `grads`
+# already holds under its name, if any, and add it otherwise.
 
 
 def _clf_backward(model: Model, grads, cache, dz: np.ndarray) -> np.ndarray:
     F, _, r3, _, r4 = cache
-    grads["W5"] = r4.T @ dz
-    grads["b5"] = dz.sum(axis=0)
+    grads["W5"] = np.matmul(r4.T, dz, out=grads.get("W5"))
+    grads["b5"] = np.sum(dz, axis=0, out=grads.get("b5"))
     du4 = (dz @ model.W5.T) * (r4 > 0)
-    grads["W4"] = r3.T @ du4
-    grads["b4"] = du4.sum(axis=0)
+    grads["W4"] = np.matmul(r3.T, du4, out=grads.get("W4"))
+    grads["b4"] = np.sum(du4, axis=0, out=grads.get("b4"))
     du3 = (du4 @ model.W4.T) * (r3 > 0)
-    grads["W3"] = F.T @ du3
-    grads["b3"] = du3.sum(axis=0)
+    grads["W3"] = np.matmul(F.T, du3, out=grads.get("W3"))
+    grads["b3"] = np.sum(du3, axis=0, out=grads.get("b3"))
     return du3 @ model.W3.T
 
 
 def _feat_backward(model: Model, grads, cache, df: np.ndarray) -> None:
     X, _, r1 = cache
-    grads["W2"] = r1.T @ df
-    grads["b2"] = df.sum(axis=0)
+    grads["W2"] = np.matmul(r1.T, df, out=grads.get("W2"))
+    grads["b2"] = np.sum(df, axis=0, out=grads.get("b2"))
     du1 = (df @ model.W2.T) * (r1 > 0)
-    grads["W1"] = X.T @ du1
-    grads["b1"] = du1.sum(axis=0)
+    grads["W1"] = np.matmul(X.T, du1, out=grads.get("W1"))
+    grads["b1"] = np.sum(du1, axis=0, out=grads.get("b1"))
 
 
 @dataclass
@@ -482,7 +560,7 @@ def save_model(model: Model, path: str | Path) -> None:
     lines = [MAGIC, " ".join(str(d) for d in model.dims), "relu"]
     for _, arr in model.params():
         for row in np.atleast_2d(arr):
-            lines.append(" ".join(repr(float(v)) for v in row))
+            lines.append(" ".join(map(repr, row.tolist())))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -11,7 +11,7 @@ are forwarded to the loss/net layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -24,6 +24,8 @@ from .loss import VARIANTS, LossWeights, uses_pair
 from .net import (
     CLASSIFIER_PARAMS,
     FEATURE_PARAMS,
+    PARAM_NAMES,
+    FlatParams,
     Model,
     PoolBatch,
     TripletBatch,
@@ -112,11 +114,23 @@ def write_trace(trace: Iterable[TraceRow], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# Entries per block of optimizer_step. Adam makes 14 elementwise passes
+# per step; over one block its six arrays (parameter, gradient, two
+# moments, two scratch rows) stay in a core's 2 MiB L2 from pass to
+# pass, where the train-offline model's W1 alone is six 1 MiB arrays.
+# Measured on that model's 137k-entry Adam step (2-vCPU Xeon, medians
+# of seven runs of 300 steps): 1.22 ms unblocked, 1.07 ms at 65,536,
+# 1.06 ms at 32,768 and 1.08 ms at 16,384 entries. Smaller blocks pay
+# the Python cost of 14 calls per block more often.
+STEP_BLOCK = 32768
+
+
 @dataclass
 class OptState:
-    """Adam moment estimates, created when a parameter is first stepped,
-    plus two scratch rows reused by every step (fresh arrays each step
-    cost more than the arithmetic). SGD uses only the scratch."""
+    """Adam's step count and moment estimates, each a FlatParams laid out
+    like the parameters when first stepped, plus two scratch rows of at
+    most STEP_BLOCK entries reused by every step. SGD uses only the
+    scratch."""
 
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -130,43 +144,57 @@ def optimizer_step(
     state: OptState,
     config: StepConfig,
 ) -> tuple[dict[str, np.ndarray], OptState]:
-    """Apply one SGD or Adam step in place; returns (params, state)."""
+    """Apply one SGD or Adam step in place; returns (params, state).
+
+    The step runs over one flat vector of parameters and one of
+    gradients: FlatParams laid out alike, as _fit passes them, are
+    stepped in their vectors; other dicts are joined into a copy that is
+    stepped and written back. It runs block by block, STEP_BLOCK entries
+    at a time, and every pass is elementwise, so each entry sees the same
+    operations, in the same order, as when each array is stepped alone."""
     for name, p in params.items():
         if grads[name].shape != p.shape:
             raise ValueError(
                 f"gradient shape {grads[name].shape} != parameter shape "
                 f"{p.shape} for {name}"
             )
+    flat = params if isinstance(params, FlatParams) else FlatParams.of(params.items())
+    if not isinstance(grads, FlatParams):
+        grads = FlatParams.of((name, grads[name]) for name in params)
+    p, g = flat.vec, grads.vec
+    width = min(p.size, STEP_BLOCK)
+    if state.scratch.shape[1] < width:
+        state.scratch = np.empty((2, width))
     lr = config.learning_rate
-    size = max((p.size for p in params.values()), default=0)
-    if state.scratch.shape[1] < size:
-        state.scratch = np.empty((2, size))
-    if config.optimizer == "sgd":
-        for name, p in params.items():
-            p -= np.multiply(grads[name], lr, out=state.scratch[0, : p.size].reshape(p.shape))
-        return params, state
-
-    state.t += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    c1 = 1.0 - b1**state.t
-    c2 = 1.0 - b2**state.t
-    for name, p in params.items():
-        g = grads[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m, v = state.m[name], state.v[name]
+    adam = config.optimizer == "adam"
+    if adam:
+        state.t += 1
+        if not state.m:
+            state.m, state.v = flat.zeros(), flat.zeros()
+        b1, b2 = config.adam_beta1, config.adam_beta2
+        c1 = 1.0 - b1**state.t
+        c2 = 1.0 - b2**state.t
+    for start in range(0, p.size, STEP_BLOCK):
+        block = slice(start, start + STEP_BLOCK)
+        pb, gb = p[block], g[block]
+        step, denom = state.scratch[:, : pb.size]
+        if not adam:
+            pb -= np.multiply(gb, lr, out=step)
+            continue
+        m, v = state.m.vec[block], state.v.vec[block]
         # Same operations in the same order as
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps), bit for bit.
-        step, denom = (row[: p.size].reshape(p.shape) for row in state.scratch)
         m *= b1
-        m += np.multiply(g, 1.0 - b1, out=step)
+        m += np.multiply(gb, 1.0 - b1, out=step)
         v *= b2
-        v += np.multiply(np.multiply(g, g, out=denom), 1.0 - b2, out=denom)
+        v += np.multiply(np.multiply(gb, gb, out=denom), 1.0 - b2, out=denom)
         np.multiply(np.divide(m, c1, out=step), lr, out=step)
         np.sqrt(np.divide(v, c2, out=denom), out=denom)
         denom += config.adam_eps
-        p -= np.divide(step, denom, out=step)
+        pb -= np.divide(step, denom, out=step)
+    if flat is not params:
+        for name, arr in params.items():
+            arr[...] = flat[name]
     return params, state
 
 
@@ -237,13 +265,19 @@ def _draw_triplets(
     return TripletBatch(a=an[:count], b=b, n=an[count:])
 
 
+def _quiet():
+    """numpy's floating-point warnings off: in training, the NumericalError
+    checks decide what an overflow or a NaN means."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _fit(
     model: Model,
     tc: StepConfig,
     weights: LossWeights,
     variant: str,
     draw: Callable,
-    pool: np.ndarray | None = None,
+    pool: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Model, list[TraceRow]]:
     """The step loop of all three training phases: tc.iterations optimizer
     steps on a copy of model, each on a fresh draw(). "tarspec" freezes
@@ -252,43 +286,60 @@ def _fit(
     parameter or trained gradient. Frozen layers are not differentiated,
     and only the arrays a step changed are checked after it.
 
-    With a `pool`, a fixed (K, r) matrix of patches, draw() returns index
-    arrays (a, b, n) into its rows. Under SGD with fc1 trained, a step
-    moves W1 by -lr·poolᵀ·D (see PoolBatch), and so the pool's (K, h1)
-    pre-activations U = pool·W1 by -lr·(pool·poolᵀ)·D. The loop steps U
-    in W1's place, with (pool·poolᵀ)·D as its gradient, and checks it as
-    W1; it sums D and forms W1₀ - lr·poolᵀ·ΣD once, after the last step.
-    Adam's per-entry step would leave the pool's span, so under Adam, or
-    with fc1 frozen, the rows are gathered into a TripletBatch."""
-    model = model.copy()
+    The copy's arrays are views of one FlatParams in PARAM_NAMES order.
+    The frozen layers are a run at one end of it, so the trained arrays
+    are one slice: their gradients are written into one flat vector
+    allocated here, and the optimizer step and the checks of both run
+    once over a vector each.
+
+    A `pool` is a fixed (K, r) matrix of patches and its (K, h1) product
+    with model.W1; draw() then returns index arrays (a, b, n) into its
+    rows. Under SGD with fc1 trained, a step moves W1 by -lr·poolᵀ·D
+    (see PoolBatch), and so the pool's pre-activations U = pool·W1 by
+    -lr·(pool·poolᵀ)·D. The loop steps U in W1's slot, with
+    (pool·poolᵀ)·D as its gradient, and checks it as W1; it sums D and
+    forms W1₀ - lr·poolᵀ·ΣD once, after the last step. Adam's per-entry
+    step would leave the pool's span, so under Adam, or with fc1
+    frozen, the rows are gathered into a TripletBatch."""
     model.assert_finite()
     freeze = CLASSIFIER_PARAMS if variant == "tarspec" else ()
     if tc.classifier_only:
         freeze += FEATURE_PARAMS
-    params = {name: arr for name, arr in model.params() if name not in freeze}
-    span = pool is not None and tc.optimizer == "sgd" and "W1" in params
+    names = [name for name in PARAM_NAMES if name not in freeze]
+    span = pool is not None and tc.optimizer == "sgd" and "W1" in names
+    if pool is not None:
+        pool, pre = pool
+    flat = FlatParams.of(
+        (name, pre if span and name == "W1" else arr) for name, arr in model.params()
+    )
+    # On the span path the copy keeps W1 until it is formed at the end.
+    model = replace(model, **{n: a for n, a in flat.items() if not (span and n == "W1")})
+    params = flat.run(names)
+    grads = params.zeros()
     if span:
-        params["W1"] = pre = pool @ model.W1
         gram, summed = pool @ pool.T, np.zeros_like(pre)
-    names = tuple(params)
     state = OptState()
     trace: list[TraceRow] = []
-    for step in range(tc.iterations):
-        batch = draw()
+    with _quiet():
+        for step in range(tc.iterations):
+            batch = draw()
+            if span:
+                batch = PoolBatch(params["W1"], *batch)
+            elif pool is not None:
+                batch = TripletBatch(*(pool[rows] for rows in batch))
+            terms = backward(model, batch, weights, variant, grads)[1]
+            if span:
+                summed += grads["W1"]
+                np.matmul(gram, grads["W1"], out=grads["W1"])
+            optimizer_step(params, grads, state, tc)
+            check_finite(params.items(), params.vec)
+            trace.append(TraceRow(step, *terms))
         if span:
-            batch = PoolBatch(pre, *batch)
-        elif pool is not None:
-            batch = TripletBatch(*(pool[rows] for rows in batch))
-        grads, terms = backward(model, batch, weights, variant, names)
-        if span:
-            summed += grads["W1"]
-            grads["W1"] = gram @ grads["W1"]
-        optimizer_step(params, grads, state, tc)
-        check_finite(params.items())
-        trace.append(TraceRow(step, *terms))
-    if span:
-        model.W1 -= tc.learning_rate * (pool.T @ summed)
-        check_finite([("W1", model.W1)])
+            # W1₀ - lr·poolᵀ·ΣD in the product's buffer: one W1-sized array
+            delta = pool.T @ summed
+            delta *= tc.learning_rate
+            model.W1 = np.subtract(model.W1, delta, out=delta)
+            check_finite([("W1", model.W1)])
     return model, trace
 
 
@@ -399,13 +450,16 @@ def finetune_update(
         js, ks, ls = sampler.build_triplets(n_pos, n_pos, n_neg, tc.batch_size)
         return js, ks, n_pos + ls
 
-    def margin(m: Model) -> float:
-        scores = forward_classifier(m, forward_features(m, patches))
+    def margin(m: Model, pre: np.ndarray | None = None) -> float:
+        scores = forward_classifier(m, forward_features(m, patches, pre))
         return scores[:n_pos].mean() - scores[n_pos:].mean()
 
-    before = margin(model)
-    model = _fit(model, tc, weights, "full", draw, pool=patches)[0]
-    after = margin(model)
+    with _quiet():
+        # fc1 of the pool, formed once: the first margin's and _fit's
+        pre = patches @ model.W1
+        before = margin(model, pre)
+        model = _fit(model, tc, weights, "full", draw, pool=(patches, pre))[0]
+        after = margin(model)
     # A finite update can still wreck the model: after a huge step the
     # ReLUs die and nearly every patch scores alike. NaN fails here too.
     if not after > max(before, 0.0) / 2:

@@ -22,7 +22,9 @@ from slowtrack.loss import (
 from slowtrack.net import (
     CLASSIFIER_PARAMS,
     FEATURE_PARAMS,
+    MAGIC,
     PARAM_NAMES,
+    FlatParams,
     LossTerms,
     Model,
     TripletBatch,
@@ -31,6 +33,7 @@ from slowtrack.net import (
     _feat_backward,
     _feat_forward,
     backward,
+    check_finite,
     conditioned_batch,
     finite_diff_check,
     forward_classifier,
@@ -132,6 +135,11 @@ class TestForwardFeatures:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             forward_features(init_model(DIMS, seed=0), np.zeros(DIMS[0] + 1))
+
+    def test_given_fc1_products_bit_equal(self):
+        m = init_model(BIG_DIMS, seed=5)
+        X = np.random.default_rng(9).normal(size=(48, BIG_DIMS[0]))
+        assert forward_features(m, X, X @ m.W1).tobytes() == forward_features(m, X).tobytes()
 
 
 class TestForwardClassifier:
@@ -326,6 +334,39 @@ class TestBackward:
             for name, g in grads.items():
                 assert g.tobytes() == full[name].tobytes(), (names, name)
 
+    @pytest.mark.parametrize("names", [PARAM_NAMES, FEATURE_PARAMS, CLASSIFIER_PARAMS])
+    def test_flat_gradients_written_in_place_bit_equal(self, names):
+        rng = np.random.default_rng(30)
+        m = init_model(DIMS, seed=17)
+        batch = rand_batch(rng)
+        want, want_terms = backward(m, batch, LossWeights(), "full", names)
+        out = FlatParams.of((name, np.full_like(want[name], np.nan)) for name in names)
+        grads, terms = backward(m, batch, LossWeights(), "full", out)
+        assert terms == want_terms
+        assert list(grads) == list(names)
+        for name, g in grads.items():
+            assert g is out[name]
+            assert g.tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("value, named", [(np.nan, "W4"), (np.inf, "W4"), (1e200, None)])
+    def test_flat_gradient_check_names_first_bad_layer(self, monkeypatch, value, named):
+        real = net_module._clf_backward
+
+        def poisoned(model, grads, cache, dz):
+            out = real(model, grads, cache, dz)
+            grads["W4"].flat[0] = grads["b5"].flat[-1] = value
+            return out
+
+        monkeypatch.setattr(net_module, "_clf_backward", poisoned)
+        m = init_model(DIMS, seed=18)
+        out = FlatParams.of((name, getattr(m, name)) for name in PARAM_NAMES)
+        batch = rand_batch(np.random.default_rng(31))
+        if named is None:  # huge but finite: squaring overflows, the search clears it
+            backward(m, batch, LossWeights(), "full", out)
+        else:
+            with pytest.raises(NumericalError, match=f"^non-finite gradient in layer {named}$"):
+                backward(m, batch, LossWeights(), "full", out)
+
     def test_feature_layers_differentiated_only_when_named(self, monkeypatch):
         calls = []
         real = net_module._feat_backward
@@ -387,6 +428,58 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(m, batch, LossWeights())
         backward(m, batch, LossWeights(), variant="SlossOnly")  # fine
+
+
+class TestFlatParams:
+    def test_views_lie_end_to_end_in_one_vector(self):
+        m = init_model(DIMS, seed=19)
+        flat = FlatParams.of(m.params())
+        assert list(flat) == list(PARAM_NAMES)
+        assert flat.vec.size == m.n_params()
+        assert np.array_equal(flat.vec, np.concatenate([a.ravel() for _, a in m.params()]))
+        for name, arr in m.params():
+            assert flat[name].shape == arr.shape
+            assert np.shares_memory(flat[name], flat.vec)
+            assert not np.shares_memory(flat[name], arr)
+        flat["b3"][0] = 7.0
+        assert 7.0 in flat.vec
+
+    def test_run_is_a_slice_of_the_same_vector(self):
+        flat = FlatParams.of(init_model(DIMS, seed=20).params())
+        run = flat.run(CLASSIFIER_PARAMS)
+        assert list(run) == list(CLASSIFIER_PARAMS)
+        assert run.vec.base is flat.vec
+        start = sum(flat[name].size for name in FEATURE_PARAMS)
+        assert np.array_equal(run.vec, flat.vec[start:])
+        for name in CLASSIFIER_PARAMS:
+            assert np.shares_memory(run[name], flat[name])
+        assert flat.run(()).vec.size == 0
+        with pytest.raises(ValueError, match="not consecutive"):
+            flat.run(("W1", "W2"))
+
+    def test_zeros_and_layout_checks(self):
+        flat = FlatParams.of([("a", np.ones((2, 3))), ("b", np.ones(4))])
+        zeros = flat.zeros()
+        assert zeros.shapes() == flat.shapes() == [("a", (2, 3)), ("b", (4,))]
+        assert not zeros.vec.any() and flat.vec.all()
+        with pytest.raises(ValueError, match="9 entries, the vector 10"):
+            FlatParams(np.zeros(10), [("a", (3, 3))])
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [({}, None), ({"b2": np.nan}, "b2"), ({"W5": -np.inf, "W3": np.inf}, "W3"),
+         ({"W1": 1e200, "b5": -1e300}, None)],
+    )
+    def test_check_finite_with_vector(self, bad, named):
+        flat = FlatParams.of(init_model(DIMS, seed=21).params())
+        for name, value in bad.items():
+            flat[name].flat[0] = value
+        for vec in (flat.vec, None):  # one reduction, or the search alone
+            if named is None:
+                check_finite(flat.items(), vec)
+                continue
+            with pytest.raises(NumericalError, match=f"^non-finite values in parameter {named}$"):
+                check_finite(flat.items(), vec)
 
 
 def hand_written_conditioned_batch(
@@ -585,6 +678,18 @@ class TestSaveLoad:
         assert m2.dims == m.dims
         for (_, a), (_, b) in zip(m.params(), m2.params()):
             assert np.array_equal(a, b)
+
+    def test_rows_are_repr_of_each_entry(self, tmp_path):
+        # The writer formats whole rows; the reference formats each
+        # entry as a float, as the writer once did.
+        m = init_model(DIMS, seed=307)
+        m.b2[:] = [0.1, -0.0, 1e-300, 2.5]
+        p = tmp_path / "model.txt"
+        save_model(m, p)
+        want = [MAGIC, " ".join(map(str, m.dims)), "relu"]
+        for _, arr in m.params():
+            want += [" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(arr)]
+        assert p.read_text() == "\n".join(want) + "\n"
 
     def test_save_load_save_byte_identical(self, tmp_path):
         m = init_model(DIMS, seed=301)

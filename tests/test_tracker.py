@@ -205,7 +205,7 @@ class TestTrackSequence:
         fired = [r.frame for r in records if r.updated]
         assert fired == [t for t in range(2, easy_sequence.T + 1) if t % 5 == 0]
 
-    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_update_is_rolled_back(self, easy_sequence, trained_model, caplog):
         def run(update_train):
             cfg = TrackerConfig(

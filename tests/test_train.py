@@ -22,6 +22,8 @@ from slowtrack.net import (
     Model,
     PoolBatch,
     TripletBatch,
+    backward,
+    check_finite,
     forward_classifier,
     forward_features,
     init_model,
@@ -30,6 +32,7 @@ from slowtrack.sampler import Sampler, SamplerConfig, _positive_offsets
 from slowtrack.train import (
     CLASSIFIER_PARAMS,
     FEATURE_PARAMS,
+    STEP_BLOCK,
     OptState,
     StepConfig,
     TrainConfig,
@@ -422,10 +425,13 @@ class TestTrainableSet:
         checked = []
         real = train_module.check_finite
 
-        def spy(params):
+        def spy(params, *vec):
             params = list(params)
             checked.append([name for name, _ in params])
-            return real(params)
+            if vec:  # the flat vector holds exactly the named arrays
+                assert vec[0].size == sum(arr.size for _, arr in params)
+                assert all(np.shares_memory(vec[0], arr) for _, arr in params)
+            return real(params, *vec)
 
         monkeypatch.setattr(train_module, "check_finite", spy)
         self.run(phase, corpus, optimizer=optimizer, **frozen)
@@ -433,6 +439,168 @@ class TestTrainableSet:
         span = phase == "update" and optimizer == "sgd" and "W1" in trained
         extra = [["W1"]] if span else []
         assert checked == [list(trained)] * 3 + extra
+
+    @pytest.mark.parametrize(
+        "poisoned, named", [(("W4",), "W4"), (("W5", "b3"), "b3"), (("b5", "W3", "W4"), "W3")]
+    )
+    def test_first_non_finite_classifier_gradient_is_named(
+        self, monkeypatch, corpus, poisoned, named
+    ):
+        real = net_module._clf_backward
+
+        def poison(model, grads, cache, dz):
+            out = real(model, grads, cache, dz)
+            for layer in poisoned:
+                grads[layer].flat[-1] = np.nan
+            return out
+
+        monkeypatch.setattr(net_module, "_clf_backward", poison)
+        with pytest.raises(NumericalError, match=f"^non-finite gradient in layer {named}$"):
+            self.run("offline", corpus)
+
+    @pytest.mark.parametrize(
+        "phase, poisoned, named",
+        [
+            ("offline", ("b4",), "b4"),
+            ("offline", ("W5", "W2", "b1"), "b1"),
+            ("update", ("b2", "W1"), "W1"),  # the pool's fc1 products, in W1's slot
+        ],
+    )
+    def test_first_non_finite_parameter_is_named(
+        self, monkeypatch, corpus, phase, poisoned, named
+    ):
+        real = train_module.optimizer_step
+
+        def step(params, grads, state, config):
+            real(params, grads, state, config)
+            for layer in poisoned:
+                params[layer].flat[0] = np.inf
+            return params, state
+
+        monkeypatch.setattr(train_module, "optimizer_step", step)
+        with pytest.raises(NumericalError, match=f"^non-finite values in parameter {named}$"):
+            self.run(phase, corpus, optimizer="sgd")
+
+
+def reference_step(params, grads, state, config):
+    """The optimizer step as it ran before the flat vector, kept as the
+    reference: SGD or Adam on each array in turn, moments per name."""
+    lr = config.learning_rate
+    if config.optimizer == "sgd":
+        for name, p in params.items():
+            p -= lr * grads[name]
+        return
+    state.t += 1
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+    for name, p in params.items():
+        g = grads[name]
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += g * (1.0 - b1)
+        v *= b2
+        v += (g * g) * (1.0 - b2)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+
+
+def reference_fit(model, tc, weights, variant, draw, pool=None):
+    """_fit as it ran before the flat vector, kept as the reference: a
+    copied model, fresh gradient arrays each step, the per-array step,
+    and each stepped array checked on its own."""
+    model = model.copy()
+    freeze = CLASSIFIER_PARAMS if variant == "tarspec" else ()
+    if tc.classifier_only:
+        freeze += FEATURE_PARAMS
+    params = {name: arr for name, arr in model.params() if name not in freeze}
+    span = pool is not None and tc.optimizer == "sgd" and "W1" in params
+    if span:
+        params["W1"] = pre = pool @ model.W1
+        gram, summed = pool @ pool.T, np.zeros_like(pre)
+    state, trace = OptState(), []
+    for step in range(tc.iterations):
+        batch = draw()
+        if span:
+            batch = PoolBatch(pre, *batch)
+        elif pool is not None:
+            batch = TripletBatch(*(pool[rows] for rows in batch))
+        grads, terms = backward(model, batch, weights, variant, tuple(params))
+        if span:
+            summed += grads["W1"]
+            grads["W1"] = gram @ grads["W1"]
+        reference_step(params, grads, state, tc)
+        for name, arr in params.items():
+            check_finite([(name, arr)])
+        trace.append(train_module.TraceRow(step, *terms))
+    if span:
+        model.W1 -= tc.learning_rate * (pool.T @ summed)
+    return model, trace
+
+
+class TestFlatStep:
+    """_fit steps the trained arrays as one flat vector, in blocks of
+    STEP_BLOCK entries; the model and trace are bit-equal to the loop
+    that steps each array alone."""
+
+    @staticmethod
+    def draws(dims, seed, pool_rows=0, batch=4):
+        """A fresh draw() of random patch triplets, or of row indices into
+        a pool of pool_rows patches."""
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            if pool_rows:
+                return tuple(rng.integers(pool_rows, size=batch) for _ in range(3))
+            return TripletBatch(*(rng.normal(0.0, 0.3, (batch, dims[0])) for _ in range(3)))
+
+        return draw
+
+    def assert_same_fit(self, dims, tc, variant="full", pool_rows=0):
+        model = init_model(dims, seed=3)
+        pool = None
+        if pool_rows:
+            pool = np.random.default_rng(4).normal(0.0, 0.3, (pool_rows, dims[0]))
+        want, want_trace = reference_fit(
+            model, tc, LossWeights(), variant, self.draws(dims, 5, pool_rows), pool
+        )
+        got, trace = _fit(
+            model, tc, LossWeights(), variant, self.draws(dims, 5, pool_rows),
+            None if pool is None else (pool, pool @ model.W1),
+        )
+        assert trace == want_trace
+        for name, arr in want.params():
+            assert_bit_equal(getattr(got, name), arr)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize(
+        "variant, changes",
+        [("full", {}), ("full", {"classifier_only": True}), ("tarspec", {})],
+        ids=["all", "classifier-only", "tarspec"],
+    )
+    def test_bit_equal_to_per_array_loop(self, optimizer, variant, changes):
+        tc = StepConfig(iterations=12, optimizer=optimizer, learning_rate=0.05, **changes)
+        self.assert_same_fit(DIMS, tc, variant)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_pool_bit_equal_to_per_array_loop(self, optimizer):
+        # under SGD the span path, stepping the pool's fc1 products
+        tc = StepConfig(iterations=12, optimizer=optimizer, learning_rate=0.05)
+        self.assert_same_fit(DIMS, tc, pool_rows=10)
+
+    def test_adam_over_several_blocks(self):
+        # W1 of the 1024-128 model spans several blocks, so block edges
+        # fall inside one array.
+        dims = (1024, 128, 32, 32, 16, 2)
+        assert dims[0] * dims[1] > 2 * STEP_BLOCK
+        self.assert_same_fit(dims, StepConfig(iterations=4, learning_rate=0.01))
+
+    def test_model_arrays_are_views_of_one_vector(self):
+        tc = StepConfig(iterations=2, learning_rate=0.01)
+        model, _ = _fit(init_model(DIMS, seed=3), tc, LossWeights(), "full", self.draws(DIMS, 5))
+        base = model.W1.base
+        assert base is not None and base.size == model.n_params()
+        assert all(arr.base is base for _, arr in model.params())
 
 
 def _probe_scores(model, frame, boxes):
@@ -756,7 +924,7 @@ class TestFinetuneUpdate:
             finetune_update(self.model, frame, lost, self.update_tc, SamplerConfig(seed=6))
         assert_params_equal(self.model, before)
 
-    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_update_raises(self):
         frame, box = self.seq.frames[4], self.seq.groundtruth[4]
         before = self.model.copy()
@@ -849,6 +1017,27 @@ class TestFinetuneUpdate:
         with pytest.raises(NumericalError, match="^non-finite gradient in layer W1$"):
             finetune_update(self.model, frame, box, self.update_tc, SamplerConfig(seed=6))
         assert batches == [PoolBatch]
+
+    def test_pool_fc1_products_formed_once(self, monkeypatch):
+        # The first margin scores the very products the span path steps
+        # from; only the updated model's margin forms them again.
+        seen = []
+        real_fit, real_features = train_module._fit, train_module.forward_features
+
+        def fit(*args, pool):
+            seen.append(pool[1])
+            return real_fit(*args, pool=pool)
+
+        def features(model, patch, pre=None):
+            seen.append(pre)
+            return real_features(model, patch, pre)
+
+        monkeypatch.setattr(train_module, "_fit", fit)
+        monkeypatch.setattr(train_module, "forward_features", features)
+        frame, box = self.seq.frames[4], self.seq.groundtruth[4]
+        finetune_update(self.model, frame, box, self.update_tc, SamplerConfig(seed=6))
+        first, pooled, after = seen
+        assert first is pooled and after is None
 
     def test_update_does_not_degrade_target_score(self):
         # Pilot: mean p over fresh positives 0.938 before, 0.953 after.
