@@ -65,7 +65,7 @@ from pathlib import Path
 from slowtrack.cli import dispatch
 from slowtrack.dataset import SynthSpec, generate
 from slowtrack.loss import VARIANTS
-from slowtrack.net import init_model, save_model
+from slowtrack.net import FlatParams, init_model, load_model, save_model
 from slowtrack.sampler import SamplerConfig
 from slowtrack.tracker import TrackerConfig, track_sequence, write_results
 from slowtrack.train import (
@@ -279,6 +279,19 @@ def write_cli(out: Path) -> None:
             keep.write_text(stdout.getvalue())
 
 
+def is_model(rel: Path) -> bool:
+    return rel.name == "model.txt" or rel.parts[0] == "finetune"
+
+
+def digest(path: Path, rel: Path) -> str:
+    if not is_model(rel):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    model = load_model(path)
+    h = hashlib.sha256(" ".join(map(str, model.dims)).encode() + b"\n")
+    h.update(FlatParams.of(model.params()).vec.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -287,8 +300,8 @@ def main() -> None:
         write_tracking(root / "track")
         write_cli(root / "cli")
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(root)}")
+            rel = path.relative_to(root)
+            print(f"{digest(path, rel)}  {rel}")
 
 
 if __name__ == "__main__":
