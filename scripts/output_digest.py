@@ -279,12 +279,9 @@ def write_cli(out: Path) -> None:
             keep.write_text(stdout.getvalue())
 
 
-def is_model(rel: Path) -> bool:
-    return rel.name == "model.txt" or rel.parts[0] == "finetune"
-
-
 def digest(path: Path, rel: Path) -> str:
-    if not is_model(rel):
+    """sha256 of a file's bytes, or of a saved model's dims and parameters."""
+    if rel.name != "model.txt" and rel.parts[0] != "finetune":
         return hashlib.sha256(path.read_bytes()).hexdigest()
     model = load_model(path)
     h = hashlib.sha256(" ".join(map(str, model.dims)).encode() + b"\n")

@@ -22,7 +22,7 @@ import types
 import typing
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -44,12 +44,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def load_config(path: str | Path) -> dict[str, str]:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(read_text(path, ConfigError), source=str(path))
 
 
 def split_sections(entries: dict[str, str]) -> dict[str, dict[str, str]]:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, read_text
 from .geometry import BBox, box_array, on_frame, usable
 
 
@@ -272,7 +272,7 @@ def load_sequence(directory: str | Path) -> Sequence:
     if not gt_path.is_file():
         raise FormatError(f"{directory}: missing groundtruth_rect.txt")
     boxes = []
-    lines = gt_path.read_text().splitlines()
+    lines = read_text(gt_path).splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -296,7 +296,7 @@ def load_sequence(directory: str | Path) -> Sequence:
     occluded = []
     occ_path = directory / "occlusion.txt"
     if occ_path.is_file():
-        for lineno, line in enumerate(occ_path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(read_text(occ_path).splitlines(), start=1):
             for tok in line.split():
                 if tok not in ("0", "1"):
                     raise FormatError(f"{occ_path}:{lineno}: flag {tok!r} is not 0 or 1")

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one reader of
+text input files.
 
 Everything raised on purpose derives from SlowTrackError so the CLI can
 distinguish validation failures (exit 1) from genuine bugs (exit 2).
 """
+
+from pathlib import Path
 
 
 class SlowTrackError(Exception):
@@ -27,3 +30,12 @@ class SamplerExhausted(SlowTrackError):
 
 class NumericalError(SlowTrackError):
     """NaN/Inf appeared where finite values are required."""
+
+
+def read_text(path: str | Path, error: type[SlowTrackError] = FormatError) -> str:
+    """The contents of the UTF-8 text file at `path`. A file that cannot
+    be read, or is not UTF-8, raises `error` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import read_text
 from .geometry import BBox, center_distance, iou
 
 # 0..50 pixels in 1-pixel steps; 0..1 IoU in 0.05 steps. Built by
@@ -204,7 +205,7 @@ def emit_plots(
 
 
 def read_curve_csv(path: str | Path) -> Curve:
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != "threshold,value":
         raise ValueError(f"{path}: not a curve CSV")
     taus, vals = [], []

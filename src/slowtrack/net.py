@@ -9,6 +9,8 @@ batch is (B, r) and weights are (fan_in, fan_out), so layers compose as
 
 from __future__ import annotations
 
+import base64
+import binascii
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -550,65 +552,53 @@ def conditioned_batch(
     )
 
 
-MAGIC = "CDNN1"
+MAGIC = "CDNN2"
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    """Text format: magic, dims line, the nonlinearity line (always
-    "relu"), then one line of round-trip-exact decimal floats per
-    weight-matrix row / bias vector."""
-    lines = [MAGIC, " ".join(str(d) for d in model.dims), "relu"]
-    for _, arr in model.params():
-        for row in np.atleast_2d(arr):
-            lines.append(" ".join(map(repr, row.tolist())))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the model in the CDNN2 format: three lines, the magic, the
+    six dims, and every parameter in PARAM_NAMES order as little-endian
+    float64, base64-encoded (standard alphabet, padded). The format is
+    exact: load_model returns bit-equal arrays."""
+    vec = FlatParams.of(model.params()).vec.astype("<f8", copy=False)
+    with open(path, "wb") as f:
+        f.write(f"{MAGIC}\n{' '.join(map(str, model.dims))}\n".encode())
+        f.write(base64.b64encode(vec))
+        f.write(b"\n")
 
 
 def load_model(path: str | Path) -> Model:
+    """Read a model written by save_model. Its arrays are views of one
+    writable float64 vector. Raises FormatError naming the line at fault,
+    and NumericalError naming a parameter that is not finite."""
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != MAGIC:
-        got = lines[0] if lines else "<empty>"
-        raise FormatError(f"{path}:1: bad magic {got!r}, expected {MAGIC!r}")
-    if len(lines) < 3:
-        raise FormatError(f"{path}: truncated header")
+    lines = path.read_bytes().split(b"\n")
+    if lines[0] != MAGIC.encode():
+        raise FormatError(f"{path}:1: bad magic {lines[0][:16]!r}, expected {MAGIC!r}")
+    if len(lines) < 4:
+        raise FormatError(f"{path}:{len(lines)}: missing line or newline; a model has 3 lines")
+    if len(lines) > 4 or lines[3]:
+        raise FormatError(f"{path}:4: content after the payload line")
     try:
         dims = _checked_dims(lines[1].split())
     except ValueError:
         raise FormatError(f"{path}:2: unparsable dims line {lines[1]!r}") from None
     except ConfigError as exc:
         raise FormatError(f"{path}:2: {exc}") from None
-    nonlinearity = lines[2].strip()
-    if nonlinearity != "relu":
-        raise FormatError(f"{path}:3: unknown nonlinearity {nonlinearity!r}")
 
     shapes = []
     for i in range(5):
-        shapes.append((f"W{i + 1}", (dims[i], dims[i + 1])))
-        shapes.append((f"b{i + 1}", (dims[i + 1],)))
-    kw = {}
-    lineno = 3
-    for name, shape in shapes:
-        rows = shape[0] if len(shape) == 2 else 1
-        cols = shape[-1]
-        mat = np.empty((rows, cols))
-        for j in range(rows):
-            lineno += 1
-            if lineno > len(lines):
-                raise FormatError(f"{path}: truncated in {name} (line {lineno} missing)")
-            toks = lines[lineno - 1].split()
-            if len(toks) != cols:
-                raise FormatError(
-                    f"{path}:{lineno}: expected {cols} values for {name}, got {len(toks)}"
-                )
-            try:
-                mat[j] = [float(t) for t in toks]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-        kw[name] = mat.reshape(shape)
-    for extra in lines[lineno:]:
-        if extra.strip():
-            raise FormatError(f"{path}: trailing content after parameters")
-    model = Model(dims=dims, **kw)
-    model.assert_finite()
-    return model
+        shapes += [(f"W{i + 1}", (dims[i], dims[i + 1])), (f"b{i + 1}", (dims[i + 1],))]
+    size = 8 * sum(math.prod(shape) for _, shape in shapes)
+    try:
+        raw = base64.b64decode(lines[2], validate=True)
+    except binascii.Error as exc:
+        raise FormatError(f"{path}:3: payload is not base64: {exc}") from None
+    if len(raw) != size:
+        raise FormatError(f"{path}:3: payload holds {len(raw)} bytes, dims {dims} need {size}")
+    # astype copies: frombuffer's view of the decoded bytes is read-only
+    params = FlatParams(np.frombuffer(raw, "<f8").astype(np.float64), shapes)
+    bad = _first_non_finite(params.items(), params.vec)
+    if bad is not None:
+        raise NumericalError(f"{path}:3: non-finite values in parameter {bad}")
+    return Model(dims=dims, **params)

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import Frame, Sequence
-from .errors import ConfigError, FormatError, NumericalError, SamplerExhausted
+from .errors import ConfigError, FormatError, NumericalError, SamplerExhausted, read_text
 from .geometry import BBox, average_boxes, box_array, clip_outside, crop_many, usable
 from .loss import LossWeights
 from .net import Model, forward_classifier, forward_features
@@ -176,7 +176,7 @@ def write_results(records: Iterable[TrackResult], path: str | Path) -> None:
 
 
 def read_results(path: str | Path) -> list[TrackResult]:
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != RESULTS_HEADER:
         raise FormatError(f"{path}: expected header {RESULTS_HEADER!r}")
     records = []

@@ -135,6 +135,32 @@ class TestExitCodes:
         assert rc == 1
         assert "target size overflows at frame 307" in caplog.text
 
+    @pytest.mark.parametrize("what", ["config", "groundtruth", "results", "model"])
+    def test_non_utf8_input_exits_one(self, pipeline, tmp_path, caplog, what):
+        seq = tmp_path / "seq-a"
+        assert run("gen", "--config", pipeline / "gen-a.cfg", "--out", seq) == 0
+        cfg, model, results = tmp_path / "gen.cfg", tmp_path / "model.txt", tmp_path / "r.csv"
+        cfg.write_bytes((pipeline / "gen-a.cfg").read_bytes())
+        model.write_bytes((pipeline / "run" / "model.txt").read_bytes())
+        results.write_bytes((pipeline / "run" / "results-seq-a.csv").read_bytes())
+        bad = {
+            "config": cfg, "groundtruth": seq / "groundtruth_rect.txt",
+            "results": results, "model": model,
+        }[what]
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        out = tmp_path / "o"
+        track = ["track", seq, "--model", model, "--config", pipeline / "track.cfg", "--out", out]
+        argv = {
+            "config": ["gen", "--config", cfg, "--out", out],
+            "groundtruth": track,
+            "results": ["eval", "--run", "full", results, seq, "--out", out],
+            "model": track,
+        }[what]
+        with caplog.at_level(logging.ERROR):
+            rc = run(*argv)
+        assert rc == 1
+        assert str(bad) in caplog.text
+
     def test_unknown_config_section_exits_one(self, tmp_path, caplog):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("tracker.m = 50\n")  # gen does not read tracker

@@ -49,6 +49,12 @@ class TestParse:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.cfg")
 
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"synth.T = 4\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"cannot read .*bad\.cfg: 'utf-8' codec"):
+            load_config(p)
+
     def test_parse_error_names_the_file(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("oops\n")

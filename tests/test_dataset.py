@@ -168,6 +168,15 @@ class TestSaveLoad:
         with pytest.raises(FormatError, match=":2"):
             load_sequence(d)
 
+    @pytest.mark.parametrize("name", ["groundtruth_rect.txt", "occlusion.txt"])
+    def test_non_utf8_text_file_names_the_file(self, tmp_path, name):
+        d = tmp_path / "s"
+        save_sequence(generate(SynthSpec(T=2, occlusions=((1, 1),), seed=0)), d)
+        path = d / name
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(FormatError, match=f"cannot read .*{name}: 'utf-8' codec"):
+            load_sequence(d)
+
     @pytest.mark.parametrize("line", ["0,0,0,0", "10,10,-5,8", "nan,nan,nan,nan", "inf,1,2,3"])
     def test_unusable_box_names_file_and_line(self, tmp_path, line):
         # eval cannot score a frame against such a box

@@ -25,6 +25,7 @@ from slowtrack.evaluate import (
     success_curve,
     write_eval_table,
 )
+from slowtrack.errors import FormatError
 from slowtrack.geometry import BBox
 
 
@@ -217,6 +218,12 @@ class TestEmitPlots:
         emit_plots(curves, tmp_path, stem="s")
         back = read_curve_csv(tmp_path / "s-full.csv")
         assert back == curves["full"]
+
+    def test_non_utf8_curve_csv_rejected(self, tmp_path):
+        path = tmp_path / "s-full.csv"
+        path.write_bytes(b"threshold,value\n0.0,\xff\n")
+        with pytest.raises(FormatError, match=f"cannot read {path}: 'utf-8' codec"):
+            read_curve_csv(path)
 
     def test_identical_inputs_identical_svg_bytes(self, tmp_path):
         emit_plots(self._curves(), tmp_path / "a", stem="s")

@@ -1,7 +1,10 @@
 """Tests for the model: init, forwards, analytic backward, FD checking,
-and the text serialization format."""
+and the model file format."""
 
+import base64
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +25,6 @@ from slowtrack.loss import (
 from slowtrack.net import (
     CLASSIFIER_PARAMS,
     FEATURE_PARAMS,
-    MAGIC,
     PARAM_NAMES,
     FlatParams,
     LossTerms,
@@ -679,17 +681,24 @@ class TestSaveLoad:
         for (_, a), (_, b) in zip(m.params(), m2.params()):
             assert np.array_equal(a, b)
 
-    def test_rows_are_repr_of_each_entry(self, tmp_path):
-        # The writer formats whole rows; the reference formats each
-        # entry as a float, as the writer once did.
+    def test_payload_is_base64_of_each_entry(self, tmp_path):
+        # The writer encodes one flat vector; the reference packs each
+        # entry as a little-endian double, in parameter order.
         m = init_model(DIMS, seed=307)
         m.b2[:] = [0.1, -0.0, 1e-300, 2.5]
         p = tmp_path / "model.txt"
         save_model(m, p)
-        want = [MAGIC, " ".join(map(str, m.dims)), "relu"]
-        for _, arr in m.params():
-            want += [" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(arr)]
-        assert p.read_text() == "\n".join(want) + "\n"
+        values = [float(v) for _, arr in m.params() for v in arr.ravel()]
+        payload = base64.b64encode(struct.pack(f"<{len(values)}d", *values))
+        assert p.read_bytes() == b"CDNN2\n6 5 4 4 3 2\n" + payload + b"\n"
+
+    def test_loaded_arrays_are_views_of_one_writable_vector(self, tmp_path):
+        p = tmp_path / "model.txt"
+        save_model(init_model(DIMS, seed=308), p)
+        m = load_model(p)
+        base = m.W1.base
+        assert base is not None and base.flags.writeable
+        assert all(arr.base is base for _, arr in m.params())
 
     def test_save_load_save_byte_identical(self, tmp_path):
         m = init_model(DIMS, seed=301)
@@ -701,38 +710,21 @@ class TestSaveLoad:
     def test_wrong_magic_named(self, tmp_path):
         p = tmp_path / "m.txt"
         save_model(init_model(DIMS, seed=302), p)
-        p.write_text(p.read_text().replace("CDNN1", "CDNN9", 1))
+        p.write_bytes(p.read_bytes().replace(b"CDNN2", b"CDNN9", 1))
         with pytest.raises(FormatError, match="CDNN9"):
             load_model(p)
 
     def test_truncated_file_rejected(self, tmp_path):
         p = tmp_path / "m.txt"
         save_model(init_model(DIMS, seed=303), p)
-        lines = p.read_text().splitlines()
-        p.write_text("\n".join(lines[:10]) + "\n")
+        p.write_bytes(p.read_bytes()[:100])
         with pytest.raises(FormatError):
-            load_model(p)
-
-    def test_bad_token_reports_line(self, tmp_path):
-        p = tmp_path / "m.txt"
-        save_model(init_model(DIMS, seed=304), p)
-        lines = p.read_text().splitlines()
-        lines[4] = lines[4].replace(lines[4].split()[0], "oops", 1)
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=":5"):
             load_model(p)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         p = tmp_path / "m.txt"
         save_model(init_model(DIMS, seed=305), p)
         p.write_text(p.read_text() + "1.0 2.0\n")
-        with pytest.raises(FormatError):
-            load_model(p)
-
-    def test_unknown_nonlinearity_rejected(self, tmp_path):
-        p = tmp_path / "m.txt"
-        save_model(init_model(DIMS, seed=306), p)
-        p.write_text(p.read_text().replace("relu", "gelu", 1))
         with pytest.raises(FormatError):
             load_model(p)
 
@@ -751,4 +743,77 @@ class TestSaveLoad:
         p = tmp_path / "m.txt"
         save_model(Model(dims=dims, **kw), p)
         with pytest.raises(FormatError, match=f":2: .*{why}"):
+            load_model(p)
+
+
+def _line(i, edit):
+    """A saved file's lines -> the file with line i + 1 passed through `edit`."""
+    return lambda lines: b"\n".join(lines[:i] + [edit(lines[i])] + lines[i + 1 :])
+
+
+def _payload(edit):
+    """A saved file's lines -> the file with its payload decoded, passed
+    through `edit` and encoded again."""
+    return _line(2, lambda line: base64.b64encode(edit(base64.b64decode(line))))
+
+
+class TestLoadModelRejects:
+    """Every way load_model refuses a file, each triggered on purpose:
+    (edit of a saved DIMS model's lines, exception, message after the path)."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        pytest.param(
+            lambda lines: b"CDNN1\n6 5 4 4 3 2\nrelu\n0.5 -0.25\n", FormatError,
+            ":1: bad magic b'CDNN1', expected 'CDNN2'", id="cdnn1-text",
+        ),
+        pytest.param(
+            lambda lines: np.random.default_rng(0).bytes(4096), FormatError, ":1: bad magic",
+            id="random-bytes",
+        ),
+        pytest.param(
+            lambda lines: b"\n".join(lines[:2] + [b""]), FormatError,
+            ":3: missing line or newline; a model has 3 lines", id="missing-line",
+        ),
+        pytest.param(
+            # the nonlinearity line of the old text format
+            lambda lines: b"\n".join(lines[:2] + [b"relu"] + lines[2:]), FormatError,
+            ":4: content after the payload line", id="extra-line",
+        ),
+        pytest.param(
+            _line(1, lambda _: b"6 5 four 4 3 2"), FormatError,
+            ":2: unparsable dims line b'6 5 four 4 3 2'", id="unparsable-dims",
+        ),
+        pytest.param(
+            _line(1, lambda _: b"6 5 4 4 3 3"), FormatError, ":2: the classifier is two-class",
+            id="three-class-head",
+        ),
+        pytest.param(
+            _line(1, lambda _: b"6 5 0 4 3 2"), FormatError, ":2: all dims must be positive",
+            id="zero-width",
+        ),
+        pytest.param(
+            # lenient base64 would skip the inserted character and load
+            _line(2, lambda line: line[:8] + b"*" + line[8:]), FormatError,
+            ":3: payload is not base64", id="outside-alphabet",
+        ),
+        pytest.param(
+            _payload(lambda raw: raw[:-8]), FormatError,
+            ":3: payload holds 808 bytes, dims (6, 5, 4, 4, 3, 2) need 816",
+            id="one-float-short",
+        ),
+        pytest.param(
+            _payload(lambda raw: raw + struct.pack("<d", 0.5)), FormatError,
+            ":3: payload holds 824 bytes, dims (6, 5, 4, 4, 3, 2) need 816",
+            id="one-float-long",
+        ),
+        pytest.param(
+            _payload(lambda raw: raw[:-8] + struct.pack("<d", math.nan)), NumericalError,
+            ":3: non-finite values in parameter b5", id="nan",
+        ),
+    ])
+    def test_rejects(self, tmp_path, make, error, message):
+        p = tmp_path / "m.txt"
+        save_model(init_model(DIMS, seed=309), p)
+        p.write_bytes(make(p.read_bytes().split(b"\n")))
+        with pytest.raises(error, match=re.escape(f"{p}{message}")):
             load_model(p)

@@ -556,6 +556,12 @@ class TestResultsCsv:
         with pytest.raises(FormatError, match="header"):
             read_results(path)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(RESULTS_HEADER.encode() + b"\n2,1.0,2.0,3.0,4.0,0.5,0\xff\n")
+        with pytest.raises(FormatError, match=f"cannot read {path}: 'utf-8' codec"):
+            read_results(path)
+
     def test_short_line_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(RESULTS_HEADER + "\n2,1.0,2.0\n")
