@@ -24,9 +24,9 @@ same seed, so neither stream depends on how the trials are split up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -90,11 +90,6 @@ class BoundParams:
                 f"delta={self.delta} gives no guarantee: it must exceed "
                 f"sqrt(n/m * max_var) = {floor}"
             )
-
-
-def epsilon(params: BoundParams) -> float:
-    """Worst-case between-frame feature drift, summed over dimensions."""
-    return params.n * params.K * params.dt
 
 
 def rho(params: BoundParams) -> float:
@@ -214,29 +209,6 @@ def verify_chebyshev(
         slack=slack,
         passed=violation <= level + slack,
     )
-
-
-def chebyshev_m_sweep(
-    params: BoundParams,
-    ms: Sequence[int],
-    noise: str = "gaussian",
-    trials: int = 2_000,
-    seed: int = 0,
-) -> list[BoundReport]:
-    """Re-run the concentration check at several sample counts m.
-
-    Illustrates how more samples per frame buy a smaller violation
-    rate; each m must still satisfy the admissibility condition."""
-    return [
-        verify_chebyshev(
-            replace(params, m=m),
-            noise=noise,
-            trials=trials,
-            seed=seed,
-            label=f"chebyshev-{noise}-m{m}",
-        )
-        for m in ms
-    ]
 
 
 @dataclass

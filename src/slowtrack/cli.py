@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import logging
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -209,6 +210,13 @@ def cmd_track(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # Labels and sequence names go into CSV rows, file names and SVG text.
+    for label, _, seq_dir in args.run:
+        for what, name in (("label", label), ("sequence name", Path(seq_dir).name)):
+            if not re.fullmatch(r"[\w.-]+", name):
+                raise ConfigError(
+                    f"eval --run {what} {name!r}: use letters, digits, '.', '_' and '-'"
+                )
     prec_curves, succ_curves, rows = {}, {}, []
     for label, results_path, seq_dir in args.run:
         records = read_results(results_path)

@@ -356,12 +356,3 @@ def _read_netpbm(path: Path) -> np.ndarray:
     arr = np.frombuffer(data, dtype=np.uint8)
     shape = (height, width, 3) if channels == 3 else (height, width)
     return arr.reshape(shape)
-
-
-def sequences_equal(a: Sequence, b: Sequence) -> bool:
-    """Pixel-, ground-truth- and occlusion-exact equality (name ignored)."""
-    if a.T != b.T or a.occluded != b.occluded or a.groundtruth != b.groundtruth:
-        return False
-    return all(
-        np.array_equal(fa.pixels, fb.pixels) for fa, fb in zip(a.frames, b.frames)
-    )

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import read_text
 from .geometry import BBox, center_distance, iou
 
 # 0..50 pixels in 1-pixel steps; 0..1 IoU in 0.05 steps. Built by
@@ -202,18 +201,6 @@ def emit_plots(
     svg_path.write_text(_svg_line_plot(ordered, x_label, y_label))
     written.append(svg_path)
     return written
-
-
-def read_curve_csv(path: str | Path) -> Curve:
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != "threshold,value":
-        raise ValueError(f"{path}: not a curve CSV")
-    taus, vals = [], []
-    for line in lines[1:]:
-        t, v = line.split(",")
-        taus.append(float(t))
-        vals.append(float(v))
-    return Curve(tuple(taus), tuple(vals))
 
 
 EVAL_TABLE_HEADER = "tracker,sequence,prec@20,auc"

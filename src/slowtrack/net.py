@@ -59,9 +59,6 @@ class Model:
         kw = {name: arr.copy() for name, arr in self.params()}
         return Model(dims=self.dims, **kw)
 
-    def assert_finite(self) -> None:
-        check_finite(self.params())
-
 
 class FlatParams(dict):
     """Named arrays laid end to end in one flat float64 vector, `vec`:
@@ -107,32 +104,25 @@ class FlatParams(dict):
         return [(name, self[name].shape) for name in (self if names is None else names)]
 
 
-def _first_non_finite(
-    arrays: Iterable[tuple[str, np.ndarray]], vec: np.ndarray | None = None
-) -> str | None:
-    """The name of the first (name, array) pair holding a non-finite
-    value, or None. `vec`, one flat array of exactly the pairs' entries,
-    is checked first with one reduction, and the pairs are searched only
-    when that fails: vec·vec is NaN or inf when an entry is, and finite
-    otherwise unless it overflows (entries past about 1e154), a false
-    alarm that the search clears."""
-    if vec is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if np.isfinite(np.dot(vec, vec)):
-                return None
-    for name, arr in arrays:
+def _first_non_finite(params: FlatParams) -> str | None:
+    """The name of the first array of params holding a non-finite value,
+    or None. The vector is checked first with one reduction, and the
+    arrays are searched only when that fails: vec·vec is NaN or inf when
+    an entry is, and finite otherwise unless it overflows (entries past
+    about 1e154), a false alarm that the search clears."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.dot(params.vec, params.vec)):
+            return None
+    for name, arr in params.items():
         if not np.all(np.isfinite(arr)):
             return name
     return None
 
 
-def check_finite(
-    params: Iterable[tuple[str, np.ndarray]], vec: np.ndarray | None = None
-) -> None:
-    """Raise NumericalError naming the first (name, array) pair that
-    holds a non-finite value. With `vec`, a flat array of exactly the
-    pairs' entries, the check is one reduction unless it fails."""
-    name = _first_non_finite(params, vec)
+def check_finite(params: FlatParams) -> None:
+    """Raise NumericalError naming the first array of params that holds a
+    non-finite value; one reduction unless the check fails."""
+    name = _first_non_finite(params)
     if name is not None:
         raise NumericalError(f"non-finite values in parameter {name}")
 
@@ -298,27 +288,37 @@ def _forward(model: Model, batch: TripletBatch | PoolBatch, variant: str):
     return feats, (P[..., :B, :], P[..., B:, :]), (feat_cache, clf_cache)
 
 
+def _zero_grads(model: Model, names: Iterable[str] = PARAM_NAMES) -> FlatParams:
+    """A zeroed gradient buffer for the parameters `names`, in PARAM_NAMES
+    order."""
+    shapes = [(name, arr.shape) for name, arr in model.params() if name in names]
+    return FlatParams(np.zeros(sum(math.prod(shape) for _, shape in shapes)), shapes)
+
+
 def backward(
     model: Model,
     batch: TripletBatch | PoolBatch,
     weights: LossWeights,
     variant: str = "full",
-    names: tuple[str, ...] | FlatParams = PARAM_NAMES,
-) -> tuple[dict[str, np.ndarray], LossTerms]:
-    """Analytic gradients of the batch-mean combined loss for the
-    parameters in `names`, and the LossTerms of the batch, all from one
-    forward pass and one loss_terms evaluation. Without a feature
-    parameter in `names` the feature layers are not differentiated.
-    When `names` is a FlatParams, each gradient is written into its
-    view, by the same operations, and all are checked with one
-    reduction over its vector.
+    grads: FlatParams | None = None,
+) -> tuple[FlatParams, LossTerms]:
+    """Analytic gradients of the batch-mean combined loss, and the
+    LossTerms of the batch, all from one forward pass and one loss_terms
+    evaluation. Each gradient is written into its view in `grads`, whose
+    names are the parameters differentiated (all ten when None, in a
+    fresh buffer); without a feature parameter in it the feature layers
+    are not differentiated. Returns `grads`.
 
     LossTerms.loss is the mean of total_loss; loss_c, loss_d and loss_s
     are the means of the pair, discrimination and classification terms
     before weighting. For a PoolBatch, "W1" holds the pool coefficients
-    D of the fc1 gradient (see PoolBatch). Raises NumericalError naming
-    the first parameter in `names` whose gradient is not finite.
+    D of the fc1 gradient, so its slot in `grads` is (K, h1) (see
+    PoolBatch). Raises NumericalError naming the first parameter in
+    `grads` whose gradient is not finite, checked with one reduction
+    over its vector.
     """
+    if grads is None:
+        grads = _zero_grads(model)
     (f_a, f_b, f_n), (P_a, P_n), (feat_cache, clf_cache) = _forward(model, batch, variant)
     p_a, p_n = P_a[:, 1], P_n[:, 1]
     rows = loss_terms(f_a, f_b, f_n, p_a, p_n, weights, variant)
@@ -346,9 +346,8 @@ def backward(
         dLdp_n[:, None] * P_n[:, 1:2] * (e1 - P_n),
     ])
 
-    grads: dict[str, np.ndarray] = dict(names) if isinstance(names, FlatParams) else {}
     df_clf = _clf_backward(model, grads, clf_cache, dz)
-    if not set(names).isdisjoint(FEATURE_PARAMS):
+    if not grads.keys().isdisjoint(FEATURE_PARAMS):
         # one gradient row per stacked feature row, a | n | b as in _forward
         df = np.zeros((feat_cache[0].shape[0], f_a.shape[1]))
         df_a, df_n, df_b = df[:B], df[B : 2 * B], df[2 * B :]
@@ -365,38 +364,36 @@ def backward(
         df[: 2 * B] += df_clf
         _feat_backward(model, grads, feat_cache, df)
 
-    # In parameter order, so the error names the first non-finite layer.
-    grads = {name: grads[name] for name in PARAM_NAMES if name in names}
-    bad = _first_non_finite(grads.items(), names.vec if isinstance(names, FlatParams) else None)
+    bad = _first_non_finite(grads)
     if bad is not None:
         raise NumericalError(f"non-finite gradient in layer {bad}")
     return grads, terms
 
 
-# The two layer backwards write each gradient into the array `grads`
-# already holds under its name, if any, and add it otherwise.
+def _layer_grads(grads: FlatParams, i: int, x: np.ndarray, du: np.ndarray) -> None:
+    """Layer i's weight gradient xᵀ·du and bias gradient, du summed over
+    rows, each written into grads if it holds that parameter."""
+    if f"W{i}" in grads:
+        np.matmul(x.T, du, out=grads[f"W{i}"])
+    if f"b{i}" in grads:
+        np.sum(du, axis=0, out=grads[f"b{i}"])
 
 
-def _clf_backward(model: Model, grads, cache, dz: np.ndarray) -> np.ndarray:
+def _clf_backward(model: Model, grads: FlatParams, cache, dz: np.ndarray) -> np.ndarray:
     F, _, r3, _, r4 = cache
-    grads["W5"] = np.matmul(r4.T, dz, out=grads.get("W5"))
-    grads["b5"] = np.sum(dz, axis=0, out=grads.get("b5"))
+    _layer_grads(grads, 5, r4, dz)
     du4 = (dz @ model.W5.T) * (r4 > 0)
-    grads["W4"] = np.matmul(r3.T, du4, out=grads.get("W4"))
-    grads["b4"] = np.sum(du4, axis=0, out=grads.get("b4"))
+    _layer_grads(grads, 4, r3, du4)
     du3 = (du4 @ model.W4.T) * (r3 > 0)
-    grads["W3"] = np.matmul(F.T, du3, out=grads.get("W3"))
-    grads["b3"] = np.sum(du3, axis=0, out=grads.get("b3"))
+    _layer_grads(grads, 3, F, du3)
     return du3 @ model.W3.T
 
 
-def _feat_backward(model: Model, grads, cache, df: np.ndarray) -> None:
+def _feat_backward(model: Model, grads: FlatParams, cache, df: np.ndarray) -> None:
     X, _, r1 = cache
-    grads["W2"] = np.matmul(r1.T, df, out=grads.get("W2"))
-    grads["b2"] = np.sum(df, axis=0, out=grads.get("b2"))
+    _layer_grads(grads, 2, r1, df)
     du1 = (df @ model.W2.T) * (r1 > 0)
-    grads["W1"] = np.matmul(X.T, du1, out=grads.get("W1"))
-    grads["b1"] = np.sum(du1, axis=0, out=grads.get("b1"))
+    _layer_grads(grads, 1, X, du1)
 
 
 @dataclass
@@ -476,7 +473,7 @@ def finite_diff_check(
         return FDReport(True, 0.0, 0, {n: 0.0 for n in names}, [])
 
     if analytic is None:
-        analytic, _ = backward(model, batch, weights, variant, names)
+        analytic, _ = backward(model, batch, weights, variant, _zero_grads(model, names))
     max_rel = 0.0
     per_param: dict[str, float] = {}
     failures: list[FDFailure] = []
@@ -598,7 +595,7 @@ def load_model(path: str | Path) -> Model:
         raise FormatError(f"{path}:3: payload holds {len(raw)} bytes, dims {dims} need {size}")
     # astype copies: frombuffer's view of the decoded bytes is read-only
     params = FlatParams(np.frombuffer(raw, "<f8").astype(np.float64), shapes)
-    bad = _first_non_finite(params.items(), params.vec)
+    bad = _first_non_finite(params)
     if bad is not None:
         raise NumericalError(f"{path}:3: non-finite values in parameter {bad}")
     return Model(dims=dims, **params)

@@ -198,12 +198,8 @@ class Sampler:
         self, n_pos_t: int, n_pos_t1: int, n_neg_t: int, count: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pair three pools of the given sizes into `count` uniformly
-        random triplets; returns one index array into each pool."""
-        if count == 0:
-            empty = np.zeros(0, dtype=np.intp)
-            return empty, empty, empty
-        if not (n_pos_t and n_pos_t1 and n_neg_t):
-            raise ValueError("build_triplets needs all three pools non-empty")
+        random triplets; returns one index array into each pool. An empty
+        pool raises ValueError unless count is 0."""
         js = self.rng.integers(n_pos_t, size=count)
         ks = self.rng.integers(n_pos_t1, size=count)
         ls = self.rng.integers(n_neg_t, size=count)

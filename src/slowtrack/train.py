@@ -133,35 +133,25 @@ class OptState:
     scratch."""
 
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: FlatParams | None = None
+    v: FlatParams | None = None
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)))
 
 
 def optimizer_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: OptState,
-    config: StepConfig,
-) -> tuple[dict[str, np.ndarray], OptState]:
-    """Apply one SGD or Adam step in place; returns (params, state).
+    params: FlatParams, grads: FlatParams, state: OptState, config: StepConfig
+) -> tuple[FlatParams, OptState]:
+    """Apply one SGD or Adam step in place to the vector of params, whose
+    gradients grads holds laid out alike; returns (params, state).
 
-    The step runs over one flat vector of parameters and one of
-    gradients: FlatParams laid out alike, as _fit passes them, are
-    stepped in their vectors; other dicts are joined into a copy that is
-    stepped and written back. It runs block by block, STEP_BLOCK entries
-    at a time, and every pass is elementwise, so each entry sees the same
-    operations, in the same order, as when each array is stepped alone."""
-    for name, p in params.items():
-        if grads[name].shape != p.shape:
-            raise ValueError(
-                f"gradient shape {grads[name].shape} != parameter shape "
-                f"{p.shape} for {name}"
-            )
-    flat = params if isinstance(params, FlatParams) else FlatParams.of(params.items())
-    if not isinstance(grads, FlatParams):
-        grads = FlatParams.of((name, grads[name]) for name in params)
-    p, g = flat.vec, grads.vec
+    It runs block by block, STEP_BLOCK entries at a time, and every pass
+    is elementwise, so each entry sees the same operations, in the same
+    order, as when each array is stepped alone."""
+    if params.shapes() != grads.shapes():
+        raise ValueError(
+            f"gradient layout {grads.shapes()} != parameter layout {params.shapes()}"
+        )
+    p, g = params.vec, grads.vec
     width = min(p.size, STEP_BLOCK)
     if state.scratch.shape[1] < width:
         state.scratch = np.empty((2, width))
@@ -169,8 +159,8 @@ def optimizer_step(
     adam = config.optimizer == "adam"
     if adam:
         state.t += 1
-        if not state.m:
-            state.m, state.v = flat.zeros(), flat.zeros()
+        if state.m is None:
+            state.m, state.v = params.zeros(), params.zeros()
         b1, b2 = config.adam_beta1, config.adam_beta2
         c1 = 1.0 - b1**state.t
         c2 = 1.0 - b2**state.t
@@ -192,9 +182,6 @@ def optimizer_step(
         np.sqrt(np.divide(v, c2, out=denom), out=denom)
         denom += config.adam_eps
         pb -= np.divide(step, denom, out=step)
-    if flat is not params:
-        for name, arr in params.items():
-            arr[...] = flat[name]
     return params, state
 
 
@@ -301,7 +288,6 @@ def _fit(
     forms W1₀ - lr·poolᵀ·ΣD once, after the last step. Adam's per-entry
     step would leave the pool's span, so under Adam, or with fc1
     frozen, the rows are gathered into a TripletBatch."""
-    model.assert_finite()
     freeze = CLASSIFIER_PARAMS if variant == "tarspec" else ()
     if tc.classifier_only:
         freeze += FEATURE_PARAMS
@@ -312,6 +298,9 @@ def _fit(
     flat = FlatParams.of(
         (name, pre if span and name == "W1" else arr) for name, arr in model.params()
     )
+    # Before any step, on the copy; on the span path W1's slot holds
+    # pool·W1, which is not finite where W1 is not (0·inf is NaN).
+    check_finite(flat)
     # On the span path the copy keeps W1 until it is formed at the end.
     model = replace(model, **{n: a for n, a in flat.items() if not (span and n == "W1")})
     params = flat.run(names)
@@ -332,14 +321,14 @@ def _fit(
                 summed += grads["W1"]
                 np.matmul(gram, grads["W1"], out=grads["W1"])
             optimizer_step(params, grads, state, tc)
-            check_finite(params.items(), params.vec)
+            check_finite(params)
             trace.append(TraceRow(step, *terms))
         if span:
             # W1₀ - lr·poolᵀ·ΣD in the product's buffer: one W1-sized array
             delta = pool.T @ summed
             delta *= tc.learning_rate
             model.W1 = np.subtract(model.W1, delta, out=delta)
-            check_finite([("W1", model.W1)])
+            check_finite(FlatParams(model.W1.reshape(-1), [("W1", model.W1.shape)]))
     return model, trace
 
 

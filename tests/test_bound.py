@@ -21,8 +21,6 @@ from slowtrack.bound import (
     BoundParams,
     Scenario,
     bound_value,
-    chebyshev_m_sweep,
-    epsilon,
     rho,
     sample_noise,
     standard_scenario,
@@ -69,13 +67,6 @@ class TestBoundParams:
 
 
 class TestClosedForms:
-    def test_epsilon_static_appearance(self):
-        assert epsilon(BoundParams(K=0.0)) == 0.0
-
-    def test_epsilon_examples(self):
-        assert epsilon(BoundParams(n=4, K=0.1, dt=1.0)) == pytest.approx(0.4, rel=1e-12)
-        assert epsilon(BoundParams(n=10, K=0.05, dt=2.0)) == pytest.approx(1.0, rel=1e-12)
-
     def test_rho_examples(self):
         assert rho(BoundParams(n=4, m=100, delta=0.5, max_var=1.0)) == pytest.approx(
             0.16, rel=1e-12
@@ -190,20 +181,6 @@ class TestVerifyChebyshev:
         b = verify_chebyshev(BoundParams(), trials=800, seed=7)
         assert a == b
 
-    def test_m_sweep_labels_and_admissibility(self):
-        reports = chebyshev_m_sweep(BoundParams(), [40, 100, 400], trials=500, seed=2)
-        assert [r.label for r in reports] == [
-            "chebyshev-gaussian-m40",
-            "chebyshev-gaussian-m100",
-            "chebyshev-gaussian-m400",
-        ]
-        for r in reports:
-            assert r.passed
-
-    def test_m_sweep_rejects_inadmissible_m(self):
-        # m=16 pushes the floor to sqrt(4/16) = 0.5, level with delta.
-        with pytest.raises(ConfigError):
-            chebyshev_m_sweep(BoundParams(), [16], trials=10)
 
 
 class TestVerifyErrorBound:

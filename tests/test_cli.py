@@ -6,6 +6,7 @@ codes, and determinism guarantees.
 """
 
 import logging
+import shutil
 
 import pytest
 
@@ -13,7 +14,6 @@ from slowtrack.bound import BoundParams
 from slowtrack.cli import NetConfig, _tracker_config, build_parser, derive_seed, dispatch
 from slowtrack.config import parse_config_text, settable_fields, split_sections
 from slowtrack.dataset import SynthSpec, load_sequence
-from slowtrack.evaluate import read_curve_csv
 from slowtrack.loss import VARIANTS, LossWeights
 from slowtrack.net import load_model
 from slowtrack.sampler import SamplerConfig
@@ -376,9 +376,39 @@ class TestEval:
         assert 0.0 <= float(area) <= 1.0
 
     def test_curve_csv_round_trips(self, pipeline):
-        curve = read_curve_csv(pipeline / "evals" / "precision-full-seq-a.csv")
-        assert curve.thresholds[0] == 0.0
-        assert curve.thresholds[-1] == 50.0
+        text = (pipeline / "evals" / "precision-full-seq-a.csv").read_text()
+        header, *rows = text.splitlines()
+        assert header == "threshold,value"
+        thresholds = [float(row.split(",")[0]) for row in rows]
+        assert thresholds[0] == 0.0
+        assert thresholds[-1] == 50.0
+
+    # Before the check, "a,b" wrote a 5-field table row under the 4-field
+    # header and "a&b" an SVG that is not well-formed XML, both exiting 0;
+    # "x/y" exited 1 on an OSError after creating the output directory.
+    @pytest.mark.parametrize("label", ["a,b", "a&b", "x/y"], ids=["comma", "amp", "slash"])
+    def test_bad_label_rejected_before_any_output(self, pipeline, tmp_path, caplog, label):
+        with caplog.at_level(logging.ERROR):
+            rc = run(
+                "eval", "--run", label, pipeline / "run" / "results-seq-a.csv",
+                pipeline / "seq-a", "--out", tmp_path / "evals",
+            )
+        assert rc == 1
+        assert f"eval --run label {label!r}: use letters" in caplog.text
+        assert not (tmp_path / "evals").exists()
+
+    def test_bad_sequence_name_rejected_before_any_output(self, pipeline, tmp_path, caplog):
+        # the series and the table row take the name of the sequence directory
+        seq = tmp_path / "seq&a"
+        shutil.copytree(pipeline / "seq-a", seq)
+        with caplog.at_level(logging.ERROR):
+            rc = run(
+                "eval", "--run", "full", pipeline / "run" / "results-seq-a.csv", seq,
+                "--out", tmp_path / "evals",
+            )
+        assert rc == 1
+        assert "eval --run sequence name 'seq&a': use letters" in caplog.text
+        assert not (tmp_path / "evals").exists()
 
     def test_stdout_echoes_table(self, pipeline, capsys):
         assert run(

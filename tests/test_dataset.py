@@ -9,10 +9,16 @@ from slowtrack.dataset import (
     generate,
     load_sequence,
     save_sequence,
-    sequences_equal,
 )
 from slowtrack.errors import ConfigError, FormatError
 from slowtrack.geometry import BBox
+
+
+def sequences_equal(a: Sequence, b: Sequence) -> bool:
+    """Pixel-, ground-truth- and occlusion-exact equality (name ignored)."""
+    if a.T != b.T or a.occluded != b.occluded or a.groundtruth != b.groundtruth:
+        return False
+    return all(np.array_equal(fa.pixels, fb.pixels) for fa, fb in zip(a.frames, b.frames))
 
 
 class TestGenerate:

@@ -21,11 +21,9 @@ from slowtrack.evaluate import (
     emit_plots,
     precision_at,
     precision_curve,
-    read_curve_csv,
     success_curve,
     write_eval_table,
 )
-from slowtrack.errors import FormatError
 from slowtrack.geometry import BBox
 
 
@@ -216,14 +214,11 @@ class TestEmitPlots:
     def test_csv_round_trip_full_precision(self, tmp_path):
         curves = self._curves()
         emit_plots(curves, tmp_path, stem="s")
-        back = read_curve_csv(tmp_path / "s-full.csv")
+        header, *rows = (tmp_path / "s-full.csv").read_text().splitlines()
+        assert header == "threshold,value"
+        pairs = [tuple(map(float, row.split(","))) for row in rows]
+        back = Curve(tuple(t for t, _ in pairs), tuple(v for _, v in pairs))
         assert back == curves["full"]
-
-    def test_non_utf8_curve_csv_rejected(self, tmp_path):
-        path = tmp_path / "s-full.csv"
-        path.write_bytes(b"threshold,value\n0.0,\xff\n")
-        with pytest.raises(FormatError, match=f"cannot read {path}: 'utf-8' codec"):
-            read_curve_csv(path)
 
     def test_identical_inputs_identical_svg_bytes(self, tmp_path):
         emit_plots(self._curves(), tmp_path / "a", stem="s")

@@ -34,6 +34,7 @@ from slowtrack.net import (
     _clf_forward,
     _feat_backward,
     _feat_forward,
+    _zero_grads,
     backward,
     check_finite,
     conditioned_batch,
@@ -211,12 +212,12 @@ def per_stream_backward(model, batch, weights, variant):
         (feat_a, clf_a, df_a, dLdp_a * (weights.mu / B), P_a),
         (feat_n, clf_n, df_n, dLdp_n * (weights.mu / B), P_n),
     ]:
-        g = {}
+        g = _zero_grads(model)
         df = df + _clf_backward(model, g, clf, dLdp[:, None] * P[:, 1:2] * (e1 - P))
         _feat_backward(model, g, feat, df)
         parts.append(g)
     if c is not None:
-        parts.append({})
+        parts.append(_zero_grads(model, FEATURE_PARAMS))
         _feat_backward(model, parts[-1], feat_b, df_b)
     grads = {}
     for g in parts:  # a, n, b
@@ -330,7 +331,9 @@ class TestBackward:
         w = LossWeights(lam=3.0, mu=7.0, beta=0.5)
         full, full_terms = backward(m, batch, w, variant)
         for names in (FEATURE_PARAMS, CLASSIFIER_PARAMS, ("W1",), ("b5", "W2"), ()):
-            grads, terms = backward(m, batch, w, variant, names)
+            out = _zero_grads(m, names)
+            grads, terms = backward(m, batch, w, variant, out)
+            assert grads is out
             assert list(grads) == [n for n in PARAM_NAMES if n in names]
             assert terms == full_terms
             for name, g in grads.items():
@@ -341,13 +344,13 @@ class TestBackward:
         rng = np.random.default_rng(30)
         m = init_model(DIMS, seed=17)
         batch = rand_batch(rng)
-        want, want_terms = backward(m, batch, LossWeights(), "full", names)
+        want, want_terms = backward(m, batch, LossWeights(), "full")
         out = FlatParams.of((name, np.full_like(want[name], np.nan)) for name in names)
         grads, terms = backward(m, batch, LossWeights(), "full", out)
         assert terms == want_terms
-        assert list(grads) == list(names)
+        assert grads is out and list(grads) == list(names)
         for name, g in grads.items():
-            assert g is out[name]
+            assert np.shares_memory(g, out.vec)
             assert g.tobytes() == want[name].tobytes(), name
 
     @pytest.mark.parametrize("value, named", [(np.nan, "W4"), (np.inf, "W4"), (1e200, None)])
@@ -379,7 +382,7 @@ class TestBackward:
         batch = rand_batch(np.random.default_rng(29))
         for names, want in [(PARAM_NAMES, 1), (CLASSIFIER_PARAMS, 0), (("b1",), 1), ((), 0)]:
             calls.clear()
-            backward(m, batch, LossWeights(), names=names)
+            backward(m, batch, LossWeights(), grads=_zero_grads(m, names))
             assert len(calls) == want, names
 
     def test_one_pass_per_layer_group(self, monkeypatch):
@@ -476,12 +479,11 @@ class TestFlatParams:
         flat = FlatParams.of(init_model(DIMS, seed=21).params())
         for name, value in bad.items():
             flat[name].flat[0] = value
-        for vec in (flat.vec, None):  # one reduction, or the search alone
-            if named is None:
-                check_finite(flat.items(), vec)
-                continue
-            with pytest.raises(NumericalError, match=f"^non-finite values in parameter {named}$"):
-                check_finite(flat.items(), vec)
+        if named is None:
+            check_finite(flat)
+            return
+        with pytest.raises(NumericalError, match=f"^non-finite values in parameter {named}$"):
+            check_finite(flat)
 
 
 def hand_written_conditioned_batch(

@@ -7,6 +7,7 @@ budgeted versions live in the acceptance suite.
 """
 
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from slowtrack.geometry import BBox, crop_many
 from slowtrack.loss import LossWeights
 from slowtrack.net import (
     PARAM_NAMES,
+    FlatParams,
     Model,
     PoolBatch,
     TripletBatch,
@@ -99,34 +101,40 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
 
+def flat(**arrays):
+    """A FlatParams holding a copy of each named array."""
+    return FlatParams.of((name, np.asarray(arr, dtype=float)) for name, arr in arrays.items())
+
+
 class TestOptimizerStep:
     def test_sgd_zero_gradient_is_identity(self):
-        params = {"W": np.array([[1.0, -2.0], [3.5, 0.25]])}
+        params = flat(W=[[1.0, -2.0], [3.5, 0.25]])
         before = params["W"].copy()
-        grads = {"W": np.zeros((2, 2))}
+        grads = flat(W=np.zeros((2, 2)))
         optimizer_step(params, grads, OptState(), TrainConfig(optimizer="sgd"))
         assert np.array_equal(params["W"], before)
 
     def test_sgd_closed_form(self):
         # theta <- theta - lr * g: 1.0 - 0.1 * 2.0 = 0.8, exactly.
-        params = {"w": np.array([1.0])}
-        grads = {"w": np.array([2.0])}
+        params = flat(w=[1.0])
+        grads = flat(w=[2.0])
         tc = TrainConfig(optimizer="sgd", learning_rate=0.1)
         optimizer_step(params, grads, OptState(), tc)
         assert params["w"][0] == 0.8
 
     def test_sgd_updates_in_place(self):
-        arr = np.array([1.0, 2.0])
-        params = {"w": arr}
+        params = flat(w=[1.0, 2.0], b=[3.0])
+        views = dict(params)
         out, _ = optimizer_step(
             params,
-            {"w": np.ones(2)},
+            flat(w=np.ones(2), b=[2.0]),
             OptState(),
             TrainConfig(optimizer="sgd", learning_rate=0.5),
         )
         assert out is params
-        assert out["w"] is arr
-        assert np.array_equal(arr, [0.5, 1.5])
+        assert all(out[name] is view for name, view in views.items())
+        assert np.array_equal(views["w"], [0.5, 1.5]) and views["b"][0] == 2.0
+        assert np.array_equal(params.vec, [0.5, 1.5, 2.0])
 
     def test_adam_first_step_oracle(self):
         # With zero state the bias corrections cancel the decay exactly:
@@ -134,46 +142,42 @@ class TestOptimizerStep:
         g = np.array([2.0, -0.5, 1e-3])
         lr = 0.001
         tc = TrainConfig(optimizer="adam", learning_rate=lr)
-        params = {"w": np.zeros(3)}
-        optimizer_step(params, {"w": g.copy()}, OptState(), tc)
+        params = flat(w=np.zeros(3))
+        optimizer_step(params, flat(w=g), OptState(), tc)
         expected = -lr * g / (np.abs(g) + tc.adam_eps)
         np.testing.assert_allclose(params["w"], expected, rtol=1e-12)
         # ...which is within eps of a signed constant step.
         np.testing.assert_allclose(params["w"], -lr * np.sign(g), rtol=1e-5)
 
     def test_adam_zero_gradient_is_identity(self):
-        params = {"w": np.array([3.0])}
-        optimizer_step(params, {"w": np.zeros(1)}, OptState(), TrainConfig())
+        params = flat(w=[3.0])
+        optimizer_step(params, flat(w=np.zeros(1)), OptState(), TrainConfig())
         assert params["w"][0] == 3.0
 
     def test_adam_state_advances(self):
         state = OptState()
-        params = {"w": np.zeros(2)}
-        g = {"w": np.ones(2)}
+        params = flat(w=np.zeros(2))
+        g = flat(w=np.ones(2))
         optimizer_step(params, g, state, TrainConfig())
         assert state.t == 1
-        assert set(state.m) == {"w"}
+        assert state.m.shapes() == state.v.shapes() == [("w", (2,))]
         optimizer_step(params, g, state, TrainConfig())
         assert state.t == 2
 
     def test_sgd_leaves_state_untouched(self):
         state = OptState()
-        optimizer_step(
-            {"w": np.ones(1)},
-            {"w": np.ones(1)},
-            state,
-            TrainConfig(optimizer="sgd"),
-        )
-        assert state.t == 0 and not state.m and not state.v
+        optimizer_step(flat(w=np.ones(1)), flat(w=np.ones(1)), state, TrainConfig(optimizer="sgd"))
+        assert state.t == 0 and state.m is None and state.v is None
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            optimizer_step(
-                {"w": np.zeros((2, 2))},
-                {"w": np.zeros((2, 3))},
-                OptState(),
-                TrainConfig(),
-            )
+        # a different shape, name or number of arrays; both layouts named
+        for grads in (
+            flat(w=np.zeros((2, 3))), flat(v=np.zeros((2, 2))), flat(w=np.zeros((2, 2)), b=[0.0])
+        ):
+            want = f"gradient layout {grads.shapes()} != parameter layout [('w', (2, 2))]"
+            with pytest.raises(ValueError) as info:
+                optimizer_step(flat(w=np.zeros((2, 2))), grads, OptState(), TrainConfig())
+            assert str(info.value) == want
 
 
 class TestTrainOffline:
@@ -249,7 +253,7 @@ class TestTrainOffline:
         tc = TrainConfig(iterations=10, batch_size=4, seed=0)
         model, trace = train_offline([seq], init_model(DIMS, seed=0), tc, SamplerConfig(seed=0))
         assert len(trace) == 10
-        model.assert_finite()
+        check_finite(FlatParams.of(model.params()))
 
     def test_occluded_pairs_are_skipped(self, corpus):
         # Occlude everything after frame 1: the only usable pair is
@@ -344,8 +348,8 @@ class TestVariants:
 class TestTrainableSet:
     """Each phase differentiates and steps only the layers it trains."""
 
-    def run(self, phase, corpus, **step):
-        m0 = init_model(DIMS, seed=0)
+    def run(self, phase, corpus, m0=None, **step):
+        m0 = init_model(DIMS, seed=0) if m0 is None else m0
         tc = TrainConfig(iterations=3, batch_size=4, seed=7, **step)
         seq = corpus[0]
         if phase == "offline":
@@ -353,6 +357,31 @@ class TestTrainableSet:
         t = 0 if phase == "initial" else 4
         tune = finetune_initial if phase == "initial" else finetune_update
         return tune(m0, seq.frames[t], seq.groundtruth[t], tc, SamplerConfig(seed=8))
+
+    @pytest.mark.parametrize(
+        "phase, optimizer",
+        [("offline", "adam"), ("initial", "adam"), ("update", "sgd"), ("update", "adam")],
+    )
+    @pytest.mark.parametrize("layer, value", [("b4", np.nan), ("W1", np.inf)])
+    def test_non_finite_model_rejected_before_any_draw(
+        self, monkeypatch, corpus, phase, optimizer, layer, value
+    ):
+        draws = []
+        real = Sampler.build_triplets  # every phase's draw() pairs its pools here
+
+        def spy(self, *args):
+            draws.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(Sampler, "build_triplets", spy)
+        m0 = init_model(DIMS, seed=0)
+        getattr(m0, layer).flat[3] = value
+        with pytest.raises(NumericalError, match=f"^non-finite values in parameter {layer}$"):
+            self.run(phase, corpus, m0, optimizer=optimizer)
+        assert draws == []
+        # the spy sees the draws of a finite model
+        self.run(phase, corpus, optimizer=optimizer)
+        assert len(draws) == 3
 
     @pytest.mark.parametrize("phase", ["offline", "initial", "update"])
     def test_feature_backward_once_per_step_unless_frozen(self, monkeypatch, corpus, phase):
@@ -381,13 +410,14 @@ class TestTrainableSet:
 
         def poisoned(model, grads, cache, delta):
             out = real(model, grads, cache, delta)
-            grads[layer][0, 0] = np.nan
+            if layer in grads:  # a frozen layer has no slot, and no gradient
+                grads[layer][0, 0] = np.nan
             return out
 
         monkeypatch.setattr(net_module, patched, poisoned)
         with pytest.raises(NumericalError, match=f"layer {layer}"):
             self.run("offline", corpus)
-        self.run("offline", corpus, **frozen).assert_finite()
+        check_finite(FlatParams.of(self.run("offline", corpus, **frozen).params()))
 
     @pytest.mark.parametrize(
         "frozen, trained",
@@ -425,20 +455,20 @@ class TestTrainableSet:
         checked = []
         real = train_module.check_finite
 
-        def spy(params, *vec):
-            params = list(params)
-            checked.append([name for name, _ in params])
-            if vec:  # the flat vector holds exactly the named arrays
-                assert vec[0].size == sum(arr.size for _, arr in params)
-                assert all(np.shares_memory(vec[0], arr) for _, arr in params)
-            return real(params, *vec)
+        def spy(params):
+            checked.append(list(params))
+            # the flat vector holds exactly the named arrays
+            assert params.vec.size == sum(arr.size for arr in params.values())
+            assert all(np.shares_memory(params.vec, arr) for arr in params.values())
+            return real(params)
 
         monkeypatch.setattr(train_module, "check_finite", spy)
         self.run(phase, corpus, optimizer=optimizer, **frozen)
-        # the SGD update checks the W1 it forms after its last step
+        # the whole copy before the first step; the SGD update also checks
+        # the W1 it forms after its last step
         span = phase == "update" and optimizer == "sgd" and "W1" in trained
         extra = [["W1"]] if span else []
-        assert checked == [list(trained)] * 3 + extra
+        assert checked == [list(PARAM_NAMES)] + [list(trained)] * 3 + extra
 
     @pytest.mark.parametrize(
         "poisoned, named", [(("W4",), "W4"), (("W5", "b3"), "b3"), (("b5", "W3", "W4"), "W3")]
@@ -518,20 +548,21 @@ def reference_fit(model, tc, weights, variant, draw, pool=None):
     if span:
         params["W1"] = pre = pool @ model.W1
         gram, summed = pool @ pool.T, np.zeros_like(pre)
-    state, trace = OptState(), []
+    state, trace = SimpleNamespace(t=0, m={}, v={}), []
     for step in range(tc.iterations):
         batch = draw()
         if span:
             batch = PoolBatch(pre, *batch)
         elif pool is not None:
             batch = TripletBatch(*(pool[rows] for rows in batch))
-        grads, terms = backward(model, batch, weights, variant, tuple(params))
+        fresh = FlatParams.of((name, np.zeros_like(arr)) for name, arr in params.items())
+        grads, terms = backward(model, batch, weights, variant, fresh)
         if span:
             summed += grads["W1"]
             grads["W1"] = gram @ grads["W1"]
         reference_step(params, grads, state, tc)
         for name, arr in params.items():
-            check_finite([(name, arr)])
+            check_finite(FlatParams.of([(name, arr)]))
         trace.append(train_module.TraceRow(step, *terms))
     if span:
         model.W1 -= tc.learning_rate * (pool.T @ summed)
