@@ -44,11 +44,12 @@ TRIALS = 10_000  # default trial count of both verifiers
 # whole trials at a time, so their memory does not grow with trials,
 # and each random stream continues across blocks, so the size changes
 # no report.
-# Not smaller: freeing a 4 MiB block raises glibc's dynamic mmap
-# threshold above the 2 MiB temporaries of `net.finite_diff_check`, so
-# a process that runs both reuses heap memory for those temporaries
-# instead of page-faulting fresh mappings (about 16k faults per 20
-# checks of the 64-32-16-16-8-2 model, about 140 after such a free).
+# Not below 1 MiB: freeing a block raises glibc's heap trim threshold
+# to twice its size. Each pass of `net.finite_diff_check` allocates and
+# frees 1-2 MiB of activations; until the threshold is above that, the
+# heap gives them back and the next pass page-faults them afresh (about
+# 120k faults per 20 checks of the 64-32-16-16-8-2 model in a fresh
+# process, 12k after freeing a 512 KiB block, none after 1 or 4 MiB).
 _BLOCK_ELEMS = 1 << 19
 
 

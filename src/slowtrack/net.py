@@ -168,23 +168,37 @@ def _as_batch(X: np.ndarray, r: int, what: str) -> tuple[np.ndarray, bool]:
     return X, single
 
 
-def _feat_forward(model: Model, X: np.ndarray, pre: np.ndarray | None = None):
-    u1 = (X @ model.W1 if pre is None else pre) + model.b1
-    r1 = np.maximum(u1, 0.0)
-    f = r1 @ model.W2 + model.b2
-    return f, (X, u1, r1)
+def _layers(model: Model, x: np.ndarray, first: int, last: int, pre: np.ndarray | None):
+    """Layers first..last on x, the input of layer first, with a ReLU
+    after each but the last. `pre`, when given, stands for x @ W_first
+    and skips that GEMM; it may hold more rows than x. Returns layer
+    last's pre-activation and the cache (x, u, relu(u), ...) of the
+    layers before it."""
+    cache = [x]
+    for i in range(first, last + 1):
+        u = (x @ getattr(model, f"W{i}") if pre is None else pre) + getattr(model, f"b{i}")
+        pre = None
+        if i < last:
+            x = np.maximum(u, 0.0)
+            cache += [u, x]
+    return u, tuple(cache)
 
 
-def _clf_forward(model: Model, F: np.ndarray):
-    u3 = F @ model.W3 + model.b3
-    r3 = np.maximum(u3, 0.0)
-    u4 = r3 @ model.W4 + model.b4
-    r4 = np.maximum(u4, 0.0)
-    z = r4 @ model.W5 + model.b5
+def _feat_forward(model: Model, X: np.ndarray, pre: np.ndarray | None = None, first: int = 1):
+    """fc1-fc2 on patches X: the features and the cache (X, u1, r1).
+    Entered at layer first (1 or 2), X is that layer's input."""
+    return _layers(model, X, first, 2, pre)
+
+
+def _clf_forward(model: Model, F: np.ndarray, pre: np.ndarray | None = None, first: int = 3):
+    """fc3-fc5 and the softmax on features F: the class probabilities and
+    the cache (F, u3, r3, u4, r4). Entered at layer first (3, 4 or 5), F
+    is that layer's input."""
+    z, cache = _layers(model, F, first, 5, pre)
     zs = z - z.max(axis=-1, keepdims=True)
     e = np.exp(zs)
     P = e / e.sum(axis=-1, keepdims=True)
-    return P, (F, u3, r3, u4, r4)
+    return P, cache
 
 
 def forward_features(
@@ -254,12 +268,8 @@ def _forward(model: Model, batch: TripletBatch | PoolBatch, variant: str):
     the softmax outputs (P_a, P_n) of anchors and negatives, all as row
     views of the stacked outputs; and the (feature, classifier) layer
     caches of the stacked rows, which keep the pre-activations u1, u3
-    and u4.
-
-    The parameters may carry a leading stack axis (one model per slice):
-    the passes broadcast over it, so the views slice the row axis with
-    `...` in front. A PoolBatch's rows are one-hot selectors over the
-    pool, through an fc1 whose weights are its pre-activations.
+    and u4. A PoolBatch's rows are one-hot selectors over the pool,
+    through an fc1 whose weights are its pre-activations.
     """
     pair = uses_pair(variant)  # an unknown variant raises before any forward
     if isinstance(batch, PoolBatch):
@@ -282,10 +292,16 @@ def _forward(model: Model, batch: TripletBatch | PoolBatch, variant: str):
             raise ValueError("pair batch size mismatch")
         streams.append(Bp)
     F, feat_cache = _feat_forward(model, np.concatenate(streams))
-    P, clf_cache = _clf_forward(model, F[..., : 2 * B, :])
+    P, clf_cache = _clf_forward(model, F[: 2 * B])
+    return _streams(F, B, pair), (P[:B], P[B:]), (feat_cache, clf_cache)
+
+
+def _streams(F: np.ndarray, B: int, pair: bool):
+    """The features (f_a, f_b, f_n) of rows a | n | b stacked as _forward
+    stacks them, on the second-to-last axis of F; f_b None without a
+    pair term."""
     f_b = F[..., 2 * B :, :] if pair else None
-    feats = F[..., :B, :], f_b, F[..., B : 2 * B, :]
-    return feats, (P[..., :B, :], P[..., B:, :]), (feat_cache, clf_cache)
+    return F[..., :B, :], f_b, F[..., B : 2 * B, :]
 
 
 def _zero_grads(model: Model, names: Iterable[str] = PARAM_NAMES) -> FlatParams:
@@ -422,9 +438,13 @@ class FDReport:
         )
 
 
-# Bytes of stacked parameter copies evaluated per forward pass in
-# finite_diff_check; caps the check's extra memory at any model size.
-FD_CHUNK_BYTES = 2 << 20
+# Bytes of stacked layer products one pass of finite_diff_check runs
+# through the later layers (at least one entry's +h/-h pair); with the
+# pass's activations the check holds a few times this, at any model
+# size. On the acceptance gate's checks, 512 KiB and 1 MiB ran within 6%
+# of 256 KiB, 128 KiB 15% and 2 MiB 9% slower. Each pass's activations
+# are fresh allocations; see bound._BLOCK_ELEMS for their page faults.
+FD_CHUNK_BYTES = 256 << 10
 FD_TOL = 1e-4  # default relative-error tolerance of finite_diff_check
 
 # finite_diff_check's central-difference step, and conditioned_batch's
@@ -439,6 +459,24 @@ COND_ROWS = 4
 COND_SCALE = 0.3
 
 
+def _stacked_loss(model, layer, x, copies, feats, weights, variant) -> np.ndarray:
+    """The batch-mean total loss of each copy of layer `layer`'s product
+    x @ W in `copies` (count, rows, fan_out). The layer forwards run from
+    that layer on, on the copies' rows at once; a classifier layer's
+    copies share the clean forward's features `feats`."""
+    B, count = len(feats[0]), len(copies)
+    rows = copies.reshape(-1, copies.shape[2])
+    if layer <= 2:
+        F = _feat_forward(model, x, rows, first=layer)[0].reshape(count, len(x), -1)
+        P = _clf_forward(model, F[:, : 2 * B].reshape(count * 2 * B, -1))[0]
+        feats = _streams(F, B, uses_pair(variant))
+    else:
+        P = _clf_forward(model, x, rows, first=layer)[0]
+    P = P.reshape(count, 2 * B, 2)
+    f_a, f_b, f_n = feats
+    return total_loss(f_a, f_b, f_n, P[:, :B, 1], P[:, B:, 1], weights, variant).mean(axis=-1)
+
+
 def finite_diff_check(
     model: Model,
     batch: TripletBatch,
@@ -451,56 +489,63 @@ def finite_diff_check(
     """Compare analytic gradients against central finite differences of
     step h = FD_STEP.
 
-    The +h and -h copies of one parameter array are stacked along a
-    leading axis and evaluated in chunks through the ordinary forward
-    pass, one pass per chunk; the other parameters stay unstacked, so
-    layers upstream of the perturbed one run once. A chunk holds at
-    most FD_CHUNK_BYTES of stacked copies (at least one entry's pair),
-    which caps the check's extra memory. The model is not modified.
+    A step in W_l[i, j] moves only column j of layer l's pre-activation,
+    by h times column i of the layer's input; a step in b_l[j] moves it
+    by h. So the clean forward runs once, and each chunk of k entries of
+    a parameter stacks 2k copies of that layer's product x @ W_l, each
+    with one column moved by +h or -h, and runs the layers from l on,
+    through the layer forwards that backward differentiates, and the
+    loss on the stack. A chunk holds at most FD_CHUNK_BYTES of stacked products (at least one
+    entry's pair), which caps the check's extra memory. The model is not
+    modified.
 
     Error metric per entry: |analytic - numeric| / max(|analytic|,
     |numeric|, 1e-4), which behaves like a relative error with an
     absolute-tolerance floor of 1e-4 * tol for near-zero gradients.
     Failures are collected in the report, never raised. `params` limits
-    the check to a subset of parameter names; `analytic` substitutes an
-    externally supplied gradient set (for fault-injection tests).
+    the check to a subset of parameter names, each named once; `analytic`
+    substitutes an externally supplied gradient set (for fault-injection
+    tests).
     """
     names = PARAM_NAMES if params is None else tuple(params)
     for name in names:
         if name not in PARAM_NAMES:
             raise ConfigError(f"unknown parameter name {name!r}")
+        if names.count(name) > 1:
+            raise ConfigError(f"parameter name {name!r} given more than once")
     if sum(getattr(model, name).size for name in names) == 0:
         return FDReport(True, 0.0, 0, {n: 0.0 for n in names}, [])
 
     if analytic is None:
         analytic, _ = backward(model, batch, weights, variant, _zero_grads(model, names))
+    feats, _, (feat_cache, clf_cache) = _forward(model, batch, variant)
+    # each layer's input: X and r1 from the feature cache, F, r3 and r4
+    # from the classifier's
+    inputs = feat_cache[::2] + clf_cache[::2]
     max_rel = 0.0
     per_param: dict[str, float] = {}
     failures: list[FDFailure] = []
     checked = 0
     for name in names:
-        arr = getattr(model, name)
+        layer = int(name[1:])
+        arr, W = getattr(model, name), getattr(model, f"W{layer}")
+        x = inputs[layer - 1]
+        pre = x @ W
+        # entry (i, j) moves column j by FD_STEP * x[:, i]; a bias entry
+        # moves it as a weight on an all-ones input would
+        steps = FD_STEP * (x.T if name[0] == "W" else np.ones((1, len(x))))
+        chunk = max(1, FD_CHUNK_BYTES // (2 * pre.nbytes))
         grad = analytic[name].reshape(-1)
-        # a bias (m,) stacks as (P, 1, m) so it broadcasts over the batch rows
-        stack_shape = (1,) * (2 - arr.ndim) + arr.shape
-        chunk = max(1, FD_CHUNK_BYTES // (2 * arr.nbytes))
-        # One buffer of copies per parameter: each chunk perturbs its
-        # entries in place and restores them after its forward. Copying the
-        # parameter afresh for every chunk made the check about 10% slower.
-        copies = np.repeat(arr.reshape(1, -1), 2 * min(chunk, arr.size), axis=0)
         worst = 0.0
         for start in range(0, arr.size, chunk):
             flat = np.arange(start, min(start + chunk, arr.size))
             k = flat.size
-            stack = copies[: 2 * k]
-            rows, cols = np.arange(2 * k), np.tile(flat, 2)
-            stack[rows[:k], flat] += FD_STEP
-            stack[rows[k:], flat] -= FD_STEP
-            perturbed = replace(model, **{name: stack.reshape((2 * k,) + stack_shape)})
-            (f_a, f_b, f_n), (P_a, P_n), _ = _forward(perturbed, batch, variant)
-            p_a, p_n = P_a[..., 1], P_n[..., 1]
-            loss = total_loss(f_a, f_b, f_n, p_a, p_n, weights, variant).mean(axis=-1)
-            stack[rows, cols] = arr.reshape(-1)[cols]
+            i, j = np.divmod(flat, W.shape[1])
+            copies = np.repeat(pre[None], 2 * k, axis=0)
+            plus, step = np.arange(k), steps[i]
+            copies[plus, :, j] += step
+            copies[plus + k, :, j] -= step
+            loss = _stacked_loss(model, layer, x, copies, feats, weights, variant)
             numeric = (loss[:k] - loss[k:]) / (2.0 * FD_STEP)
             a = grad[flat]
             rel = np.abs(a - numeric) / np.maximum(
@@ -508,10 +553,10 @@ def finite_diff_check(
             )
             # np.maximum and ~(rel < tol) let a NaN error fail the check
             worst = float(np.maximum(worst, rel.max()))
-            for j in np.flatnonzero(~(rel < tol)):
-                idx = tuple(int(i) for i in np.unravel_index(flat[j], arr.shape))
+            for e in np.flatnonzero(~(rel < tol)):
+                idx = tuple(int(n) for n in np.unravel_index(flat[e], arr.shape))
                 failures.append(
-                    FDFailure(name, idx, float(a[j]), float(numeric[j]), float(rel[j]))
+                    FDFailure(name, idx, float(a[e]), float(numeric[e]), float(rel[e]))
                 )
             checked += k
         per_param[name] = worst

@@ -5,6 +5,7 @@ import base64
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from slowtrack.loss import (
 )
 from slowtrack.net import (
     CLASSIFIER_PARAMS,
+    FD_STEP,
     FEATURE_PARAMS,
     PARAM_NAMES,
     FlatParams,
@@ -34,6 +36,7 @@ from slowtrack.net import (
     _clf_forward,
     _feat_backward,
     _feat_forward,
+    _forward,
     _zero_grads,
     backward,
     check_finite,
@@ -425,6 +428,20 @@ class TestBackward:
         with pytest.raises(NumericalError, match="W"):
             backward(m, rand_batch(rng), LossWeights())
 
+    @pytest.mark.parametrize("stream", ["b", "n"])
+    def test_stream_batch_size_mismatch_rejected(self, stream):
+        batch = rand_batch(np.random.default_rng(30))
+        setattr(batch, stream, getattr(batch, stream)[:2])
+        which = "pair" if stream == "b" else "anchor/negative"
+        with pytest.raises(ValueError, match=f"{which} batch size mismatch"):
+            backward(init_model(DIMS, seed=12), batch, LossWeights())
+
+    def test_three_dimensional_stream_rejected(self):
+        batch = rand_batch(np.random.default_rng(31))
+        batch.a = batch.a[None]
+        with pytest.raises(ValueError, match="triplet anchors: expected 1-D or 2-D"):
+            backward(init_model(DIMS, seed=12), batch, LossWeights())
+
     def test_missing_pair_rejected_outside_sloss_only(self):
         rng = np.random.default_rng(15)
         m = init_model(DIMS, seed=11)
@@ -539,15 +556,19 @@ class TestConditionedBatch:
             conditioned_batch(m, np.random.default_rng(0), max_tries=5)
 
 
-def count_layer_passes(monkeypatch):
-    """Count the calls of net's feature and classifier forwards."""
+def count_layer_passes(monkeypatch, entered=None):
+    """Count the calls of net's feature and classifier forwards. With a
+    list `entered`, also append (name, first) for each call: the layer
+    it was entered at, None when not given."""
     calls = {}
     for name in ("_feat_forward", "_clf_forward"):
         real = getattr(net_module, name)
 
-        def counted(*args, _real=real, _name=name):
+        def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
-            return _real(*args)
+            if entered is not None:
+                entered.append((_name, kwargs.get("first")))
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(net_module, name, counted)
     return calls
@@ -583,15 +604,27 @@ class TestFiniteDiff:
         assert rep.passed and rep.entries_checked == m.n_params(), str(rep)
 
     def test_one_pass_per_layer_group_per_chunk(self, monkeypatch):
+        # The layers upstream of the stepped one run once per check, in
+        # the clean forward; each chunk enters the layer forwards at the
+        # stepped layer, so a classifier parameter's chunks run no
+        # feature pass.
         m = init_model(DIMS, seed=207)
         batch = conditioned_batch(m, np.random.default_rng(29))
         grads, _ = backward(m, batch, LossWeights())
         monkeypatch.setattr("slowtrack.net.FD_CHUNK_BYTES", 1)  # one entry per chunk
-        calls = count_layer_passes(monkeypatch)
-        calls.update(_feat_forward=0, _clf_forward=0)
-        rep = finite_diff_check(m, batch, LossWeights(), analytic=grads)
-        assert rep.passed
-        assert calls == {"_feat_forward": m.n_params(), "_clf_forward": m.n_params()}
+        entered = []
+        calls = count_layer_passes(monkeypatch, entered)
+        clean = [("_feat_forward", None), ("_clf_forward", None)]
+        for name in PARAM_NAMES:
+            entered.clear()
+            calls.update(_feat_forward=0, _clf_forward=0)
+            rep = finite_diff_check(m, batch, LossWeights(), params=[name], analytic=grads)
+            assert rep.passed
+            layer = int(name[1])
+            chunk = [("_clf_forward", layer)]
+            if layer <= 2:
+                chunk = [("_feat_forward", layer), ("_clf_forward", None)]
+            assert entered == clean + chunk * getattr(m, name).size, name
 
     def test_each_term_in_isolation(self):
         rng = np.random.default_rng(18)
@@ -622,8 +655,11 @@ class TestFiniteDiff:
         batch = conditioned_batch(m, rng)
         w = LossWeights()
         whole = finite_diff_check(m, batch, w)
-        # 7-entry chunks: W1's 30 entries end in a partial chunk
-        monkeypatch.setattr("slowtrack.net.FD_CHUNK_BYTES", 7 * 2 * m.W1.nbytes)
+        # An entry of W1 costs a +h and a -h copy of fc1's (rows, h1)
+        # product, rows a | n | b; 7-entry chunks: W1's 30 entries end in
+        # a partial chunk
+        entry_bytes = 2 * 8 * 3 * len(batch.a) * m.dims[1]
+        monkeypatch.setattr("slowtrack.net.FD_CHUNK_BYTES", 7 * entry_bytes)
         clean = finite_diff_check(m, batch, w)
         assert clean.passed and clean.entries_checked == m.n_params()
         assert clean.per_param == whole.per_param
@@ -635,6 +671,75 @@ class TestFiniteDiff:
         assert not rep.passed
         assert {f.index: f.analytic for f in rep.failures if f.param == "W1"} == corrupt
         assert all(f.param == "W1" for f in rep.failures)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_numeric_gradients_match_brute_force(self, variant):
+        # Every entry's numeric gradient against a central difference of a
+        # model copy with that one entry moved, through _forward and
+        # total_loss. A NaN analytic gradient fails every entry, so the
+        # report lists each entry's numeric value.
+        m = init_model(DIMS, seed=208)
+        batch = conditioned_batch(m, np.random.default_rng(32))
+        if not uses_pair(variant):
+            batch.b = None
+        w = LossWeights()
+        nan = {name: np.full(arr.shape, np.nan) for name, arr in m.params()}
+        rep = finite_diff_check(m, batch, w, variant=variant, analytic=nan)
+        assert len(rep.failures) == rep.entries_checked == m.n_params()
+        for f in rep.failures:
+            losses = []
+            for step in (FD_STEP, -FD_STEP):
+                moved = m.copy()
+                getattr(moved, f.param)[f.index] += step
+                (f_a, f_b, f_n), (P_a, P_n), _ = _forward(moved, batch, variant)
+                losses.append(np.mean(total_loss(f_a, f_b, f_n, P_a[:, 1], P_n[:, 1], w,
+                                                 variant)))
+            brute = (losses[0] - losses[1]) / (2 * FD_STEP)
+            assert abs(f.numeric - brute) <= 1e-8, (f.param, f.index)
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_entry_off_by_one_percent_reported_at_its_index(self, name):
+        m = init_model(DIMS, seed=209)
+        batch = conditioned_batch(m, np.random.default_rng(33))
+        grads, _ = backward(m, batch, LossWeights())
+        idx = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(grads[name])),
+                                                      grads[name].shape))
+        grads[name][idx] *= 1.01
+        rep = finite_diff_check(m, batch, LossWeights(), params=[name], analytic=grads)
+        assert not rep.passed
+        assert [(f.param, f.index) for f in rep.failures] == [(name, idx)]
+
+    def test_extra_memory_capped_by_chunk_bytes(self):
+        # W1 is 8 caps; the check holds a few caps at a time: its clean
+        # forward's stacked rows (1.5 caps here) and one chunk's stacked
+        # fc1 products with their successors, never a copy of W1.
+        cap = net_module.FD_CHUNK_BYTES
+        m = init_model((cap // 16, 16, 4, 4, 3, 2), seed=210)
+        assert m.W1.nbytes == 8 * cap
+        batch = conditioned_batch(m, np.random.default_rng(34))
+        batch = TripletBatch(batch.a[:1], batch.b[:1], batch.n[:1])
+        grads, _ = backward(m, batch, LossWeights())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rep = finite_diff_check(m, batch, LossWeights(), analytic=grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.entries_checked == m.n_params()
+        assert peak - base <= 8 * cap
+
+    def test_repeated_parameter_name_rejected(self):
+        m = init_model(DIMS, seed=203)
+        with pytest.raises(ConfigError, match="'W5' given more than once"):
+            finite_diff_check(m, rand_batch(np.random.default_rng(20)), LossWeights(),
+                              params=["W5", "b5", "W5"])
+
+    def test_unknown_parameter_name_rejected(self):
+        m = init_model(DIMS, seed=203)
+        with pytest.raises(ConfigError, match="unknown parameter name 'W6'"):
+            finite_diff_check(m, rand_batch(np.random.default_rng(20)), LossWeights(),
+                              params=["W5", "W6"])
 
     def test_nan_gradient_entry_fails(self):
         rng = np.random.default_rng(23)
