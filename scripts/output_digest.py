@@ -62,10 +62,12 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from slowtrack.cli import dispatch
 from slowtrack.dataset import SynthSpec, generate
 from slowtrack.loss import VARIANTS
-from slowtrack.net import FlatParams, init_model, load_model, save_model
+from slowtrack.net import init_model, load_model, save_model
 from slowtrack.sampler import SamplerConfig
 from slowtrack.tracker import TrackerConfig, track_sequence, write_results
 from slowtrack.train import (
@@ -285,7 +287,7 @@ def digest(path: Path, rel: Path) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
     model = load_model(path)
     h = hashlib.sha256(" ".join(map(str, model.dims)).encode() + b"\n")
-    h.update(FlatParams.of(model.params()).vec.astype("<f8").tobytes())
+    h.update(np.concatenate([a.ravel() for _, a in model.params()]).astype("<f8").tobytes())
     return h.hexdigest()
 
 
