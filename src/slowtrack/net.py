@@ -12,7 +12,7 @@ from __future__ import annotations
 import base64
 import binascii
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -25,39 +25,6 @@ PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4", "W5", "b5")
 # The two layer groups: the feature embedding and the centroid classifier.
 FEATURE_PARAMS = PARAM_NAMES[:4]
 CLASSIFIER_PARAMS = PARAM_NAMES[4:]
-
-# FeatureVec is a plain (n,) float64 array; no wrapper class.
-
-
-@dataclass
-class Model:
-    """Five fully-connected layers: dims = (r, h1, n, h3, h4, 2).
-
-    fc1-fc2 map a flattened patch to the n-dim feature space (fc2 output
-    is linear); fc3-fc5 map a feature vector to two class logits.
-    """
-
-    dims: tuple[int, int, int, int, int, int]
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    W3: np.ndarray
-    b3: np.ndarray
-    W4: np.ndarray
-    b4: np.ndarray
-    W5: np.ndarray
-    b5: np.ndarray
-
-    def params(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, getattr(self, name)) for name in PARAM_NAMES]
-
-    def n_params(self) -> int:
-        return sum(arr.size for _, arr in self.params())
-
-    def copy(self) -> "Model":
-        kw = {name: arr.copy() for name, arr in self.params()}
-        return Model(dims=self.dims, **kw)
 
 
 class FlatParams(dict):
@@ -78,15 +45,8 @@ class FlatParams(dict):
         if start != vec.size:
             raise ValueError(f"shapes hold {start} entries, the vector {vec.size}")
 
-    @classmethod
-    def of(cls, arrays: Iterable[tuple[str, np.ndarray]]) -> "FlatParams":
-        """A FlatParams holding a copy of each (name, array) pair."""
-        arrays = list(arrays)
-        vec = np.concatenate([np.ravel(arr) for _, arr in arrays] or [np.empty(0)])
-        return cls(vec, [(name, np.shape(arr)) for name, arr in arrays])
-
     def zeros(self) -> "FlatParams":
-        """A FlatParams of zeros laid out like this one."""
+        """Zeros in a FlatParams laid out like this one."""
         return FlatParams(np.zeros_like(self.vec), self.shapes())
 
     def run(self, names: Iterable[str]) -> "FlatParams":
@@ -102,6 +62,53 @@ class FlatParams(dict):
 
     def shapes(self, names: Iterable[str] | None = None) -> list[tuple[str, tuple[int, ...]]]:
         return [(name, self[name].shape) for name in (self if names is None else names)]
+
+
+def _layout(dims) -> list[tuple[str, tuple[int, ...]]]:
+    """The (name, shape) of each parameter of a model of dims, in
+    PARAM_NAMES order: layer i's (fan_in, fan_out) weights, then its bias."""
+    shapes = []
+    for i in range(5):
+        shapes += [(f"W{i + 1}", (dims[i], dims[i + 1])), (f"b{i + 1}", (dims[i + 1],))]
+    return shapes
+
+
+class Model(FlatParams):
+    """Five fully-connected layers: dims = (r, h1, n, h3, h4, 2).
+
+    fc1-fc2 map a flattened patch to the n-dim feature space (fc2 output
+    is linear); fc3-fc5 map a feature vector to two class logits. The
+    parameters W1, b1, ..., W5, b5 are views of one vector `vec`, zeros
+    when none is given, laid out by _layout; `model.W1` reads
+    `model["W1"]`, and cannot be rebound."""
+
+    def __init__(self, dims, vec: np.ndarray | None = None):
+        self.dims = tuple(dims)
+        shapes = _layout(self.dims)
+        if vec is None:
+            vec = np.zeros(sum(math.prod(shape) for _, shape in shapes))
+        super().__init__(vec, shapes)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def __setattr__(self, name: str, value) -> None:
+        # A rebound W1 would leave model["W1"], which the passes read, as it was.
+        if name in PARAM_NAMES:
+            raise AttributeError(f"{name} is a view of the model's vector; write into it")
+        super().__setattr__(name, value)
+
+    def params(self) -> list[tuple[str, np.ndarray]]:
+        return list(self.items())
+
+    def n_params(self) -> int:
+        return self.vec.size
+
+    def copy(self) -> "Model":
+        return Model(self.dims, self.vec.copy())
 
 
 def _first_non_finite(params: FlatParams) -> str | None:
@@ -144,13 +151,12 @@ def init_model(dims: tuple[int, ...], seed: int) -> Model:
     sqrt(2/fan_in)), zero biases. Deterministic given seed."""
     dims = _checked_dims(dims)
     rng = np.random.default_rng(seed)
-    kw = {}
+    model = Model(dims)
     for i in range(5):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        limit = np.sqrt(6.0 / fan_in)
-        kw[f"W{i + 1}"] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        kw[f"b{i + 1}"] = np.zeros(fan_out)
-    return Model(dims=dims, **kw)
+        W = model[f"W{i + 1}"]
+        limit = np.sqrt(6.0 / dims[i])
+        W[...] = rng.uniform(-limit, limit, size=W.shape)
+    return model
 
 
 def _as_batch(X: np.ndarray, r: int, what: str) -> tuple[np.ndarray, bool]:
@@ -176,7 +182,7 @@ def _layers(model: Model, x: np.ndarray, first: int, last: int, pre: np.ndarray 
     layers before it."""
     cache = [x]
     for i in range(first, last + 1):
-        u = (x @ getattr(model, f"W{i}") if pre is None else pre) + getattr(model, f"b{i}")
+        u = (x @ model[f"W{i}"] if pre is None else pre) + model[f"b{i}"]
         pre = None
         if i < last:
             x = np.maximum(u, 0.0)
@@ -195,9 +201,10 @@ def _clf_forward(model: Model, F: np.ndarray, pre: np.ndarray | None = None, fir
     the cache (F, u3, r3, u4, r4). Entered at layer first (3, 4 or 5), F
     is that layer's input."""
     z, cache = _layers(model, F, first, 5, pre)
-    zs = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(zs)
-    P = e / e.sum(axis=-1, keepdims=True)
+    # The max and the sum of the two columns, not reductions over an axis
+    # of length 2, which cost more per row; the bits are the same.
+    e = np.exp(z - np.maximum(z[:, :1], z[:, 1:]))
+    P = e / (e[:, :1] + e[:, 1:])
     return P, cache
 
 
@@ -232,24 +239,6 @@ class TripletBatch:
     n: np.ndarray
 
 
-@dataclass
-class PoolBatch:
-    """A triplet batch of rows of a fixed pool of K patches: `pre` is the
-    pool's (K, h1) fc1 pre-activations without the bias, and a, b, n are
-    index arrays into its rows, b None without a pair term.
-
-    The rows enter fc1 as one-hot selectors over the pool with `pre` as
-    fc1's weights, so u1 = S·pre + b1 picks each row's pre-activations
-    exactly, and the "W1" gradient backward returns is Sᵀ·du1: the (K, h1)
-    matrix D of du1 summed onto the pool rows. The gradient of W1 itself
-    is poolᵀ·D, so an SGD step moves W1 only within the pool's span."""
-
-    pre: np.ndarray
-    a: np.ndarray
-    b: np.ndarray | None
-    n: np.ndarray
-
-
 class LossTerms(NamedTuple):
     """Batch means from one backward pass: the combined loss and the
     unweighted value of each term, 0.0 for a term the variant drops."""
@@ -260,23 +249,17 @@ class LossTerms(NamedTuple):
     loss_s: float
 
 
-def _forward(model: Model, batch: TripletBatch | PoolBatch, variant: str):
-    """The one forward pass of a triplet or pool batch. The streams are stacked
+def _forward(model: Model, batch: TripletBatch, variant: str):
+    """The one forward pass of a triplet batch. The streams are stacked
     as rows a | n | b, b only when the variant has a pair term, and go
     through one feature pass; a | n go through one classifier pass.
     Returns the features (f_a, f_b, f_n), f_b None without a pair term;
     the softmax outputs (P_a, P_n) of anchors and negatives, all as row
     views of the stacked outputs; and the (feature, classifier) layer
     caches of the stacked rows, which keep the pre-activations u1, u3
-    and u4. A PoolBatch's rows are one-hot selectors over the pool,
-    through an fc1 whose weights are its pre-activations.
+    and u4.
     """
     pair = uses_pair(variant)  # an unknown variant raises before any forward
-    if isinstance(batch, PoolBatch):
-        select = np.eye(batch.pre.shape[0])
-        rows = (None if i is None else select[i] for i in (batch.a, batch.b, batch.n))
-        model = replace(model, dims=(len(select),) + model.dims[1:], W1=batch.pre)
-        batch = TripletBatch(*rows)
     r = model.dims[0]
     A, _ = _as_batch(batch.a, r, "triplet anchors")
     N, _ = _as_batch(batch.n, r, "triplet negatives")
@@ -307,13 +290,13 @@ def _streams(F: np.ndarray, B: int, pair: bool):
 def _zero_grads(model: Model, names: Iterable[str] = PARAM_NAMES) -> FlatParams:
     """A zeroed gradient buffer for the parameters `names`, in PARAM_NAMES
     order."""
-    shapes = [(name, arr.shape) for name, arr in model.params() if name in names]
+    shapes = model.shapes([name for name in model if name in names])
     return FlatParams(np.zeros(sum(math.prod(shape) for _, shape in shapes)), shapes)
 
 
 def backward(
     model: Model,
-    batch: TripletBatch | PoolBatch,
+    batch: TripletBatch,
     weights: LossWeights,
     variant: str = "full",
     grads: FlatParams | None = None,
@@ -327,9 +310,7 @@ def backward(
 
     LossTerms.loss is the mean of total_loss; loss_c, loss_d and loss_s
     are the means of the pair, discrimination and classification terms
-    before weighting. For a PoolBatch, "W1" holds the pool coefficients
-    D of the fc1 gradient, so its slot in `grads` is (K, h1) (see
-    PoolBatch). Raises NumericalError naming the first parameter in
+    before weighting. Raises NumericalError naming the first parameter in
     `grads` whose gradient is not finite, checked with one reduction
     over its vector.
     """
@@ -398,17 +379,17 @@ def _layer_grads(grads: FlatParams, i: int, x: np.ndarray, du: np.ndarray) -> No
 def _clf_backward(model: Model, grads: FlatParams, cache, dz: np.ndarray) -> np.ndarray:
     F, _, r3, _, r4 = cache
     _layer_grads(grads, 5, r4, dz)
-    du4 = (dz @ model.W5.T) * (r4 > 0)
+    du4 = (dz @ model["W5"].T) * (r4 > 0)
     _layer_grads(grads, 4, r3, du4)
-    du3 = (du4 @ model.W4.T) * (r3 > 0)
+    du3 = (du4 @ model["W4"].T) * (r3 > 0)
     _layer_grads(grads, 3, F, du3)
-    return du3 @ model.W3.T
+    return du3 @ model["W3"].T
 
 
 def _feat_backward(model: Model, grads: FlatParams, cache, df: np.ndarray) -> None:
     X, _, r1 = cache
     _layer_grads(grads, 2, r1, df)
-    du1 = (df @ model.W2.T) * (r1 > 0)
+    du1 = (df @ model["W2"].T) * (r1 > 0)
     _layer_grads(grads, 1, X, du1)
 
 
@@ -513,7 +494,7 @@ def finite_diff_check(
             raise ConfigError(f"unknown parameter name {name!r}")
         if names.count(name) > 1:
             raise ConfigError(f"parameter name {name!r} given more than once")
-    if sum(getattr(model, name).size for name in names) == 0:
+    if sum(model[name].size for name in names) == 0:
         return FDReport(True, 0.0, 0, {n: 0.0 for n in names}, [])
 
     if analytic is None:
@@ -528,7 +509,7 @@ def finite_diff_check(
     checked = 0
     for name in names:
         layer = int(name[1:])
-        arr, W = getattr(model, name), getattr(model, f"W{layer}")
+        arr, W = model[name], model[f"W{layer}"]
         x = inputs[layer - 1]
         pre = x @ W
         # entry (i, j) moves column j by FD_STEP * x[:, i]; a bias entry
@@ -602,7 +583,7 @@ def save_model(model: Model, path: str | Path) -> None:
     six dims, and every parameter in PARAM_NAMES order as little-endian
     float64, base64-encoded (standard alphabet, padded). The format is
     exact: load_model returns bit-equal arrays."""
-    vec = FlatParams.of(model.params()).vec.astype("<f8", copy=False)
+    vec = model.vec.astype("<f8", copy=False)
     with open(path, "wb") as f:
         f.write(f"{MAGIC}\n{' '.join(map(str, model.dims))}\n".encode())
         f.write(base64.b64encode(vec))
@@ -628,10 +609,7 @@ def load_model(path: str | Path) -> Model:
     except ConfigError as exc:
         raise FormatError(f"{path}:2: {exc}") from None
 
-    shapes = []
-    for i in range(5):
-        shapes += [(f"W{i + 1}", (dims[i], dims[i + 1])), (f"b{i + 1}", (dims[i + 1],))]
-    size = 8 * sum(math.prod(shape) for _, shape in shapes)
+    size = 8 * sum(math.prod(shape) for _, shape in _layout(dims))
     try:
         raw = base64.b64decode(lines[2], validate=True)
     except binascii.Error as exc:
@@ -639,8 +617,8 @@ def load_model(path: str | Path) -> Model:
     if len(raw) != size:
         raise FormatError(f"{path}:3: payload holds {len(raw)} bytes, dims {dims} need {size}")
     # astype copies: frombuffer's view of the decoded bytes is read-only
-    params = FlatParams(np.frombuffer(raw, "<f8").astype(np.float64), shapes)
-    bad = _first_non_finite(params)
+    model = Model(dims, np.frombuffer(raw, "<f8").astype(np.float64))
+    bad = _first_non_finite(model)
     if bad is not None:
         raise NumericalError(f"{path}:3: non-finite values in parameter {bad}")
-    return Model(dims=dims, **params)
+    return model

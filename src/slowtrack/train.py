@@ -11,7 +11,7 @@ are forwarded to the loss/net layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -27,7 +27,6 @@ from .net import (
     PARAM_NAMES,
     FlatParams,
     Model,
-    PoolBatch,
     TripletBatch,
     backward,
     check_finite,
@@ -273,21 +272,23 @@ def _fit(
     parameter or trained gradient. Frozen layers are not differentiated,
     and only the arrays a step changed are checked after it.
 
-    The copy's arrays are views of one FlatParams in PARAM_NAMES order.
-    The frozen layers are a run at one end of it, so the trained arrays
-    are one slice: their gradients are written into one flat vector
-    allocated here, and the optimizer step and the checks of both run
-    once over a vector each.
+    The frozen layers are a run at one end of the copy's vector, so the
+    trained arrays are one slice: their gradients are written into one
+    flat vector allocated here, and the optimizer step and the checks of
+    both run once over a vector each.
 
     A `pool` is a fixed (K, r) matrix of patches and its (K, h1) product
-    with model.W1; draw() then returns index arrays (a, b, n) into its
-    rows. Under SGD with fc1 trained, a step moves W1 by -lr·poolᵀ·D
-    (see PoolBatch), and so the pool's pre-activations U = pool·W1 by
-    -lr·(pool·poolᵀ)·D. The loop steps U in W1's slot, with
-    (pool·poolᵀ)·D as its gradient, and checks it as W1; it sums D and
-    forms W1₀ - lr·poolᵀ·ΣD once, after the last step. Adam's per-entry
-    step would leave the pool's span, so under Adam, or with fc1
-    frozen, the rows are gathered into a TripletBatch."""
+    U = pool·W1; draw() then returns index arrays (a, b, n) into its
+    rows. Under SGD with fc1 trained, a step moves W1 by -lr·poolᵀ·D,
+    where D is du1 summed onto the pool rows, and so U by
+    -lr·(pool·poolᵀ)·D. The loop steps the pool model
+    Model((K,) + dims[1:], [U | b1…b5]) instead of the copy: its batches
+    are one-hot rows over the pool, so its fc1 weights are U and the W1
+    gradient backward returns is D. It steps U with (pool·poolᵀ)·D as
+    the gradient, checks it as W1, sums D and forms W1₀ - lr·poolᵀ·ΣD
+    once, after the last step. Adam's per-entry step would leave the
+    pool's span, so under Adam, or with fc1 frozen, the rows are
+    gathered into a TripletBatch."""
     freeze = CLASSIFIER_PARAMS if variant == "tarspec" else ()
     if tc.classifier_only:
         freeze += FEATURE_PARAMS
@@ -295,28 +296,25 @@ def _fit(
     span = pool is not None and tc.optimizer == "sgd" and "W1" in names
     if pool is not None:
         pool, pre = pool
-    flat = FlatParams.of(
-        (name, pre if span and name == "W1" else arr) for name, arr in model.params()
-    )
-    # Before any step, on the copy; on the span path W1's slot holds
-    # pool·W1, which is not finite where W1 is not (0·inf is NaN).
-    check_finite(flat)
-    # On the span path the copy keeps W1 until it is formed at the end.
-    model = replace(model, **{n: a for n, a in flat.items() if not (span and n == "W1")})
-    params = flat.run(names)
-    grads = params.zeros()
     if span:
-        gram, summed = pool @ pool.T, np.zeros_like(pre)
+        rest = model.vec[model["W1"].size :]  # b1…b5
+        fitted = Model((len(pool),) + model.dims[1:], np.concatenate([pre.ravel(), rest]))
+        rows, gram, summed = np.eye(len(pool)), pool @ pool.T, np.zeros_like(pre)
+    else:
+        fitted, rows = model.copy(), pool
+    # Before any step; on the span path W1's slot holds pool·W1, which is
+    # not finite where W1 is not (0·inf is NaN).
+    check_finite(fitted)
+    params = fitted.run(names)
+    grads = params.zeros()
     state = OptState()
     trace: list[TraceRow] = []
     with _quiet():
         for step in range(tc.iterations):
             batch = draw()
-            if span:
-                batch = PoolBatch(params["W1"], *batch)
-            elif pool is not None:
-                batch = TripletBatch(*(pool[rows] for rows in batch))
-            terms = backward(model, batch, weights, variant, grads)[1]
+            if pool is not None:
+                batch = TripletBatch(*(rows[i] for i in batch))
+            terms = backward(fitted, batch, weights, variant, grads)[1]
             if span:
                 summed += grads["W1"]
                 np.matmul(gram, grads["W1"], out=grads["W1"])
@@ -324,12 +322,15 @@ def _fit(
             check_finite(params)
             trace.append(TraceRow(step, *terms))
         if span:
-            # W1₀ - lr·poolᵀ·ΣD in the product's buffer: one W1-sized array
-            delta = pool.T @ summed
-            delta *= tc.learning_rate
-            model.W1 = np.subtract(model.W1, delta, out=delta)
-            check_finite(FlatParams(model.W1.reshape(-1), [("W1", model.W1.shape)]))
-    return model, trace
+            # W1₀ - lr·poolᵀ·ΣD in the returned model's W1 slot
+            out = Model(model.dims)
+            W1 = np.matmul(pool.T, summed, out=out["W1"])
+            W1 *= tc.learning_rate
+            np.subtract(model["W1"], W1, out=W1)
+            out.vec[W1.size :] = fitted.vec[pre.size :]
+            check_finite(out.run(["W1"]))
+            fitted = out
+    return fitted, trace
 
 
 def train_offline(
@@ -445,7 +446,7 @@ def finetune_update(
 
     with _quiet():
         # fc1 of the pool, formed once: the first margin's and _fit's
-        pre = patches @ model.W1
+        pre = patches @ model["W1"]
         before = margin(model, pre)
         model = _fit(model, tc, weights, "full", draw, pool=(patches, pre))[0]
         after = margin(model)

@@ -53,6 +53,27 @@ DIMS = (6, 5, 4, 4, 3, 2)
 BIG_DIMS = (1024, 128, 32, 32, 16, 2)  # the tracker's 32x32 grey model
 
 
+def flat_of(arrays) -> FlatParams:
+    """A FlatParams holding a copy of each (name, array) pair."""
+    arrays = list(arrays)
+    vec = np.concatenate([np.ravel(arr) for _, arr in arrays] or [np.empty(0)])
+    return FlatParams(vec, [(name, np.shape(arr)) for name, arr in arrays])
+
+
+def assert_one_vector(model: Model) -> None:
+    """The model's arrays are views of model.vec, laid end to end in
+    PARAM_NAMES order."""
+    vec = model.vec
+    assert vec.dtype == np.float64 and vec.ndim == 1 and vec.flags.c_contiguous
+    assert [name for name, _ in model.params()] == list(PARAM_NAMES)
+    start = vec.__array_interface__["data"][0]
+    for name, arr in model.params():
+        assert arr.__array_interface__["data"][0] == start, name
+        assert arr.flags.c_contiguous and np.shares_memory(arr, vec), name
+        start += arr.nbytes
+    assert start == vec.__array_interface__["data"][0] + vec.nbytes
+
+
 def rand_batch(rng, r=DIMS[0], B=3):
     return TripletBatch(
         a=rng.normal(size=(B, r)),
@@ -348,7 +369,7 @@ class TestBackward:
         m = init_model(DIMS, seed=17)
         batch = rand_batch(rng)
         want, want_terms = backward(m, batch, LossWeights(), "full")
-        out = FlatParams.of((name, np.full_like(want[name], np.nan)) for name in names)
+        out = flat_of((name, np.full_like(want[name], np.nan)) for name in names)
         grads, terms = backward(m, batch, LossWeights(), "full", out)
         assert terms == want_terms
         assert grads is out and list(grads) == list(names)
@@ -367,7 +388,7 @@ class TestBackward:
 
         monkeypatch.setattr(net_module, "_clf_backward", poisoned)
         m = init_model(DIMS, seed=18)
-        out = FlatParams.of((name, getattr(m, name)) for name in PARAM_NAMES)
+        out = flat_of(m.params())
         batch = rand_batch(np.random.default_rng(31))
         if named is None:  # huge but finite: squaring overflows, the search clears it
             backward(m, batch, LossWeights(), "full", out)
@@ -455,7 +476,7 @@ class TestBackward:
 class TestFlatParams:
     def test_views_lie_end_to_end_in_one_vector(self):
         m = init_model(DIMS, seed=19)
-        flat = FlatParams.of(m.params())
+        flat = flat_of(m.params())
         assert list(flat) == list(PARAM_NAMES)
         assert flat.vec.size == m.n_params()
         assert np.array_equal(flat.vec, np.concatenate([a.ravel() for _, a in m.params()]))
@@ -467,7 +488,7 @@ class TestFlatParams:
         assert 7.0 in flat.vec
 
     def test_run_is_a_slice_of_the_same_vector(self):
-        flat = FlatParams.of(init_model(DIMS, seed=20).params())
+        flat = flat_of(init_model(DIMS, seed=20).params())
         run = flat.run(CLASSIFIER_PARAMS)
         assert list(run) == list(CLASSIFIER_PARAMS)
         assert run.vec.base is flat.vec
@@ -480,7 +501,7 @@ class TestFlatParams:
             flat.run(("W1", "W2"))
 
     def test_zeros_and_layout_checks(self):
-        flat = FlatParams.of([("a", np.ones((2, 3))), ("b", np.ones(4))])
+        flat = flat_of([("a", np.ones((2, 3))), ("b", np.ones(4))])
         zeros = flat.zeros()
         assert zeros.shapes() == flat.shapes() == [("a", (2, 3)), ("b", (4,))]
         assert not zeros.vec.any() and flat.vec.all()
@@ -493,7 +514,7 @@ class TestFlatParams:
          ({"W1": 1e200, "b5": -1e300}, None)],
     )
     def test_check_finite_with_vector(self, bad, named):
-        flat = FlatParams.of(init_model(DIMS, seed=21).params())
+        flat = flat_of(init_model(DIMS, seed=21).params())
         for name, value in bad.items():
             flat[name].flat[0] = value
         if named is None:
@@ -534,6 +555,52 @@ def hand_written_conditioned_batch(
         if ok:
             return TripletBatch(a=streams[0], b=streams[1], n=streams[2])
     raise NumericalError("no well-conditioned batch")
+
+
+class TestOneVector:
+    """Every way net makes a model leaves its arrays views of model.vec."""
+
+    def test_init_model_draws_each_array_in_place(self):
+        m = init_model(DIMS, seed=40)
+        assert_one_vector(m)
+        rng = np.random.default_rng(40)
+        for i in range(5):
+            limit = np.sqrt(6.0 / DIMS[i])
+            want = rng.uniform(-limit, limit, size=(DIMS[i], DIMS[i + 1]))
+            assert m[f"W{i + 1}"].tobytes() == want.tobytes()
+            assert m[f"b{i + 1}"].tobytes() == np.zeros(DIMS[i + 1]).tobytes()
+
+    def test_copy_has_a_vector_of_its_own(self):
+        m = init_model(DIMS, seed=41)
+        c = m.copy()
+        assert_one_vector(c)
+        assert c.dims == m.dims and c.vec.tobytes() == m.vec.tobytes()
+        assert not np.shares_memory(c.vec, m.vec)
+
+    def test_model_lays_out_the_vector_it_is_given(self):
+        n = init_model(DIMS, seed=43).n_params()
+        vec = np.arange(n, dtype=np.float64)
+        m = Model(DIMS, vec)
+        assert m.vec is vec
+        assert_one_vector(m)
+        assert m["W1"][0, 1] == 1.0 and m["b5"][-1] == n - 1
+        zeros = Model(DIMS)
+        assert_one_vector(zeros)
+        assert zeros.vec.size == n and not zeros.vec.any()
+        with pytest.raises(ValueError, match=f"shapes hold {n} entries, the vector {n + 1}"):
+            Model(DIMS, np.zeros(n + 1))
+        with pytest.raises(ValueError, match="cannot reshape"):
+            Model(DIMS, np.zeros(n - 1))
+
+    def test_parameter_attributes_read_but_never_rebind(self):
+        m = init_model(DIMS, seed=44)
+        assert all(getattr(m, name) is arr for name, arr in m.params())
+        with pytest.raises(AttributeError, match="W6"):
+            m.W6
+        with pytest.raises(AttributeError, match="W1 is a view of the model's vector"):
+            m.W1 = np.zeros_like(m.W1)
+        m.W1[...] = 0.0
+        assert not m["W1"].any()
 
 
 class TestConditionedBatch:
@@ -768,11 +835,7 @@ class TestFiniteDiff:
         assert rep.passed and rep.entries_checked == 0
 
     def test_empty_model_is_vacuous_pass(self):
-        empty = Model(
-            dims=(0, 0, 0, 0, 0, 0),
-            **{f"W{i}": np.zeros((0, 0)) for i in range(1, 6)},
-            **{f"b{i}": np.zeros(0) for i in range(1, 6)},
-        )
+        empty = Model((0, 0, 0, 0, 0, 0), np.zeros(0))
         rng = np.random.default_rng(21)
         rep = finite_diff_check(empty, rand_batch(rng, r=0), LossWeights())
         assert rep.passed and rep.entries_checked == 0
@@ -806,6 +869,7 @@ class TestSaveLoad:
         base = m.W1.base
         assert base is not None and base.flags.writeable
         assert all(arr.base is base for _, arr in m.params())
+        assert_one_vector(m)
 
     def test_save_load_save_byte_identical(self, tmp_path):
         m = init_model(DIMS, seed=301)
@@ -843,12 +907,11 @@ class TestSaveLoad:
         # Saved without init_model's checks: a three-class head would
         # score one entry of a three-way softmax, a zero-width feature
         # layer 0.5 for every input.
-        kw = {}
-        for i in range(5):
-            kw[f"W{i + 1}"] = np.ones((dims[i], dims[i + 1]))
-            kw[f"b{i + 1}"] = np.zeros(dims[i + 1])
+        m = Model(dims)
+        for i in range(1, 6):
+            m[f"W{i}"][...] = 1.0
         p = tmp_path / "m.txt"
-        save_model(Model(dims=dims, **kw), p)
+        save_model(m, p)
         with pytest.raises(FormatError, match=f":2: .*{why}"):
             load_model(p)
 

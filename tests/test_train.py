@@ -22,7 +22,6 @@ from slowtrack.net import (
     PARAM_NAMES,
     FlatParams,
     Model,
-    PoolBatch,
     TripletBatch,
     backward,
     check_finite,
@@ -50,6 +49,7 @@ from slowtrack.train import (
 # Small everywhere: 8x8 grayscale patches keep each optimizer step ~1ms.
 DIMS = (64, 16, 8, 8, 4, 2)
 SIDE = 8
+POOL_ROWS = 48  # an update batch: SamplerConfig's m_p + m_n patches
 
 
 def params_of(model: Model) -> dict[str, np.ndarray]:
@@ -61,6 +61,20 @@ def assert_params_equal(a: Model, b: Model) -> None:
     assert pa.keys() == pb.keys()
     for name in pa:
         assert np.array_equal(pa[name], pb[name]), name
+
+
+def assert_one_vector(model: Model) -> None:
+    """The model's arrays are views of model.vec, laid end to end in
+    PARAM_NAMES order."""
+    vec = model.vec
+    assert vec.dtype == np.float64 and vec.ndim == 1 and vec.flags.c_contiguous
+    assert [name for name, _ in model.params()] == list(PARAM_NAMES)
+    start = vec.__array_interface__["data"][0]
+    for name, arr in model.params():
+        assert arr.__array_interface__["data"][0] == start, name
+        assert arr.flags.c_contiguous and np.shares_memory(arr, vec), name
+        start += arr.nbytes
+    assert start == vec.__array_interface__["data"][0] + vec.nbytes
 
 
 def assert_params_differ(a: Model, b: Model, names) -> None:
@@ -103,7 +117,9 @@ class TestTrainConfig:
 
 def flat(**arrays):
     """A FlatParams holding a copy of each named array."""
-    return FlatParams.of((name, np.asarray(arr, dtype=float)) for name, arr in arrays.items())
+    arrays = {name: np.asarray(arr, dtype=float) for name, arr in arrays.items()}
+    vec = np.concatenate([arr.ravel() for arr in arrays.values()] or [np.empty(0)])
+    return FlatParams(vec, [(name, arr.shape) for name, arr in arrays.items()])
 
 
 class TestOptimizerStep:
@@ -253,7 +269,7 @@ class TestTrainOffline:
         tc = TrainConfig(iterations=10, batch_size=4, seed=0)
         model, trace = train_offline([seq], init_model(DIMS, seed=0), tc, SamplerConfig(seed=0))
         assert len(trace) == 10
-        check_finite(FlatParams.of(model.params()))
+        check_finite(model)
 
     def test_occluded_pairs_are_skipped(self, corpus):
         # Occlude everything after frame 1: the only usable pair is
@@ -417,7 +433,7 @@ class TestTrainableSet:
         monkeypatch.setattr(net_module, patched, poisoned)
         with pytest.raises(NumericalError, match=f"layer {layer}"):
             self.run("offline", corpus)
-        check_finite(FlatParams.of(self.run("offline", corpus, **frozen).params()))
+        check_finite(self.run("offline", corpus, **frozen))
 
     @pytest.mark.parametrize(
         "frozen, trained",
@@ -538,34 +554,40 @@ def reference_step(params, grads, state, config):
 def reference_fit(model, tc, weights, variant, draw, pool=None):
     """_fit as it ran before the flat vector, kept as the reference: a
     copied model, fresh gradient arrays each step, the per-array step,
-    and each stepped array checked on its own."""
+    and each stepped array checked on its own. On the span path it steps
+    a pool model, built here array by array, whose fc1 weights are the
+    pool's fc1 products and whose batches are one-hot rows over the pool."""
     model = model.copy()
     freeze = CLASSIFIER_PARAMS if variant == "tarspec" else ()
     if tc.classifier_only:
         freeze += FEATURE_PARAMS
-    params = {name: arr for name, arr in model.params() if name not in freeze}
-    span = pool is not None and tc.optimizer == "sgd" and "W1" in params
+    span = pool is not None and tc.optimizer == "sgd" and "W1" not in freeze
+    stepped, rows = model, pool
     if span:
-        params["W1"] = pre = pool @ model.W1
-        gram, summed = pool @ pool.T, np.zeros_like(pre)
+        stepped, rows = Model((len(pool),) + model.dims[1:]), np.eye(len(pool))
+        for name, arr in model.params():
+            stepped[name][...] = pool @ arr if name == "W1" else arr
+        gram, summed = pool @ pool.T, np.zeros_like(stepped.W1)
+    params = {name: arr for name, arr in stepped.params() if name not in freeze}
     state, trace = SimpleNamespace(t=0, m={}, v={}), []
     for step in range(tc.iterations):
         batch = draw()
-        if span:
-            batch = PoolBatch(pre, *batch)
-        elif pool is not None:
-            batch = TripletBatch(*(pool[rows] for rows in batch))
-        fresh = FlatParams.of((name, np.zeros_like(arr)) for name, arr in params.items())
-        grads, terms = backward(model, batch, weights, variant, fresh)
+        if pool is not None:
+            batch = TripletBatch(*(rows[i] for i in batch))
+        fresh = flat(**{name: np.zeros_like(arr) for name, arr in params.items()})
+        grads, terms = backward(stepped, batch, weights, variant, fresh)
         if span:
             summed += grads["W1"]
             grads["W1"] = gram @ grads["W1"]
         reference_step(params, grads, state, tc)
         for name, arr in params.items():
-            check_finite(FlatParams.of([(name, arr)]))
+            check_finite(flat(**{name: arr}))
         trace.append(train_module.TraceRow(step, *terms))
     if span:
-        model.W1 -= tc.learning_rate * (pool.T @ summed)
+        for name, arr in stepped.params():
+            if name != "W1":
+                model[name][...] = arr
+        model["W1"] -= tc.learning_rate * (pool.T @ summed)
     return model, trace
 
 
@@ -626,12 +648,37 @@ class TestFlatStep:
         assert dims[0] * dims[1] > 2 * STEP_BLOCK
         self.assert_same_fit(dims, StepConfig(iterations=4, learning_rate=0.01))
 
+    @pytest.mark.parametrize(
+        "variant, changes, pool_rows",
+        [
+            ("full", {"classifier_only": True}, 0),
+            ("tarspec", {}, 0),
+            ("full", {"optimizer": "adam"}, 10),
+            ("full", {}, 10),
+        ],
+        ids=["classifier-only", "tarspec", "gathered", "span"],
+    )
+    def test_frozen_and_pool_paths_return_one_vector(self, variant, changes, pool_rows):
+        model = init_model(DIMS, seed=3)
+        pool = None
+        if pool_rows:
+            patches = np.random.default_rng(4).normal(0.0, 0.3, (pool_rows, DIMS[0]))
+            pool = (patches, patches @ model.W1)
+        tc = StepConfig(iterations=2, optimizer="sgd", learning_rate=0.01)
+        got, _ = _fit(
+            model, replace(tc, **changes), LossWeights(), variant,
+            self.draws(DIMS, 5, pool_rows), pool,
+        )
+        assert_one_vector(got)
+        assert got.dims == DIMS and not np.shares_memory(got.vec, model.vec)
+
     def test_model_arrays_are_views_of_one_vector(self):
         tc = StepConfig(iterations=2, learning_rate=0.01)
         model, _ = _fit(init_model(DIMS, seed=3), tc, LossWeights(), "full", self.draws(DIMS, 5))
         base = model.W1.base
         assert base is not None and base.size == model.n_params()
         assert all(arr.base is base for _, arr in model.params())
+        assert_one_vector(model)
 
 
 def _probe_scores(model, frame, boxes):
@@ -989,7 +1036,8 @@ class TestFinetuneUpdate:
         return _fit(self.model, tc, LossWeights(), "full", draw)[0]
 
     def spy(self, monkeypatch):
-        """The sampler finetune_update makes, and the batch types it steps on."""
+        """The sampler finetune_update makes, and the input size of the model
+        and the batch type each backward call receives."""
         made, batches = [], []
         real_sampler, real_backward = train_module.Sampler, train_module.backward
 
@@ -998,7 +1046,7 @@ class TestFinetuneUpdate:
             return made[-1]
 
         def backward(model, batch, *args):
-            batches.append(type(batch))
+            batches.append((model.dims[0], type(batch)))
             return real_backward(model, batch, *args)
 
         monkeypatch.setattr(train_module, "Sampler", sampler)
@@ -1008,9 +1056,10 @@ class TestFinetuneUpdate:
     @pytest.mark.parametrize(
         "changes, stepped",
         [
-            ({}, PoolBatch),
-            ({"optimizer": "adam", "learning_rate": 0.001}, TripletBatch),
-            ({"classifier_only": True}, TripletBatch),
+            # the span path steps the model of the 48-patch pool
+            ({}, POOL_ROWS),
+            ({"optimizer": "adam", "learning_rate": 0.001}, DIMS[0]),
+            ({"classifier_only": True}, DIMS[0]),
         ],
         ids=["sgd-span", "adam", "classifier-only"],
     )
@@ -1021,16 +1070,26 @@ class TestFinetuneUpdate:
         ref = self.reference_update(tc, frame, box, ref_sampler)
         made, batches = self.spy(monkeypatch)
         out = finetune_update(self.model, frame, box, tc, SamplerConfig(seed=6))
-        assert batches == [stepped] * tc.iterations
+        assert batches == [(stepped, TripletBatch)] * tc.iterations
         # the same draws: the sampler stream ends where the reference's does
         assert made[0].rng.bit_generator.state == ref_sampler.rng.bit_generator.state
         for name, want in ref.params():
             got = getattr(out, name)
-            if stepped is TripletBatch:
+            if stepped == DIMS[0]:
                 assert_bit_equal(got, want)
             else:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
         assert_params_differ(self.model, out, ("W3", "W5"))
+
+    @pytest.mark.parametrize(
+        "changes", [{}, {"optimizer": "adam", "learning_rate": 0.001}], ids=["sgd", "adam"]
+    )
+    def test_update_returns_one_vector(self, changes):
+        frame, box = self.seq.frames[4], self.seq.groundtruth[4]
+        tc = replace(self.update_tc, **changes)
+        out = finetune_update(self.model, frame, box, tc, SamplerConfig(seed=6))
+        assert_one_vector(out)
+        assert out.dims == self.model.dims
 
     def test_non_finite_pool_gradient_is_named_w1(self, monkeypatch):
         # Every gradient is poisoned; the error names the first in parameter
@@ -1047,7 +1106,7 @@ class TestFinetuneUpdate:
         _, batches = self.spy(monkeypatch)
         with pytest.raises(NumericalError, match="^non-finite gradient in layer W1$"):
             finetune_update(self.model, frame, box, self.update_tc, SamplerConfig(seed=6))
-        assert batches == [PoolBatch]
+        assert batches == [(POOL_ROWS, TripletBatch)]
 
     def test_pool_fc1_products_formed_once(self, monkeypatch):
         # The first margin scores the very products the span path steps
