@@ -83,9 +83,7 @@ def _convert(raw: str, hint, key: str):
     origin = typing.get_origin(hint)
     if origin in (types.UnionType, typing.Union):
         members = [a for a in typing.get_args(hint) if a is not type(None)]
-        if raw.lower() in ("none", ""):
-            if len(members) == len(typing.get_args(hint)):
-                raise ConfigError(f"{key}: {raw!r} not allowed here")
+        if raw.lower() in ("none", "") and len(members) < len(typing.get_args(hint)):
             return None
         return _convert(raw, members[0], key)
     if origin is tuple:
