@@ -46,10 +46,11 @@ TRIALS = 10_000  # default trial count of both verifiers
 # no report.
 # Not below 1 MiB: freeing a block raises glibc's heap trim threshold
 # to twice its size. Each pass of `net.finite_diff_check` allocates and
-# frees 1-2 MiB of activations; until the threshold is above that, the
-# heap gives them back and the next pass page-faults them afresh (about
-# 120k faults per 20 checks of the 64-32-16-16-8-2 model in a fresh
-# process, 12k after freeing a 512 KiB block, none after 1 or 4 MiB).
+# frees up to about 1 MiB of activations; until the threshold is above
+# that, the heap gives them back and the next pass page-faults them
+# afresh (checking a 1024-128-32-32-16-2 model in a fresh process takes
+# about 690k faults, 21k after freeing a 512 KiB block, 500 after 1 or
+# 4 MiB).
 _BLOCK_ELEMS = 1 << 19
 
 

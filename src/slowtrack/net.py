@@ -148,14 +148,20 @@ def _checked_dims(dims) -> tuple[int, ...]:
 
 def init_model(dims: tuple[int, ...], seed: int) -> Model:
     """Fan-in-scaled uniform init (limit sqrt(6/fan_in), i.e. std
-    sqrt(2/fan_in)), zero biases. Deterministic given seed."""
+    sqrt(2/fan_in)), zero biases. Deterministic given seed.
+
+    Each weight array is drawn in place into its view of the model's
+    vector, as rng.uniform(-limit, limit) draws it: a uniform [0, 1)
+    draw times high - low, plus low, the same bits without a copy."""
     dims = _checked_dims(dims)
     rng = np.random.default_rng(seed)
     model = Model(dims)
     for i in range(5):
         W = model[f"W{i + 1}"]
         limit = np.sqrt(6.0 / dims[i])
-        W[...] = rng.uniform(-limit, limit, size=W.shape)
+        rng.random(out=W)
+        W *= limit - (-limit)
+        W += -limit
     return model
 
 
@@ -419,12 +425,15 @@ class FDReport:
         )
 
 
-# Bytes of stacked layer products one pass of finite_diff_check runs
-# through the later layers (at least one entry's +h/-h pair); with the
+# Bytes of the stacked layer products and per-entry arrays of one pass
+# of finite_diff_check (at least one entry's +h/-h pair); with the
 # pass's activations the check holds a few times this, at any model
-# size. On the acceptance gate's checks, 512 KiB and 1 MiB ran within 6%
-# of 256 KiB, 128 KiB 15% and 2 MiB 9% slower. Each pass's activations
-# are fresh allocations; see bound._BLOCK_ELEMS for their page faults.
+# size. 256 KiB, not 128, from two measurements of the acceptance
+# gate's 64-32-16-16-8-2 checks: warm, in perfbench's `checks`, 128 KiB
+# ran 16.5% slower (4 alternating pairs, none won); in a fresh process,
+# where each pass's activations are page-faulted afresh (see
+# bound._BLOCK_ELEMS), the gate's 20 checks took about 64k faults and
+# 0.38-0.47 s at 256 KiB, against about 420 and 0.40-0.51 s at 128 KiB.
 FD_CHUNK_BYTES = 256 << 10
 FD_TOL = 1e-4  # default relative-error tolerance of finite_diff_check
 
@@ -476,9 +485,13 @@ def finite_diff_check(
     a parameter stacks 2k copies of that layer's product x @ W_l, each
     with one column moved by +h or -h, and runs the layers from l on,
     through the layer forwards that backward differentiates, and the
-    loss on the stack. A chunk holds at most FD_CHUNK_BYTES of stacked products (at least one
-    entry's pair), which caps the check's extra memory. The model is not
-    modified.
+    loss on the stack. Where a ReLU follows layer l (fc1, fc3 and fc4),
+    the moved column j moves the next layer's product r_l @ W_{l+1} by
+    the outer product of δ = relu(u_l[:, j] ± step) - r_l[:, j] and
+    W_{l+1}[j, :], so the copies are of that narrower product and the
+    layers run from l + 1 on. A chunk holds at most FD_CHUNK_BYTES of
+    stacked products and per-entry arrays (at least one entry's pair),
+    which caps the check's extra memory. The model is not modified.
 
     Error metric per entry: |analytic - numeric| / max(|analytic|,
     |numeric|, 1e-4), which behaves like a relative error with an
@@ -501,8 +514,10 @@ def finite_diff_check(
         analytic, _ = backward(model, batch, weights, variant, _zero_grads(model, names))
     feats, _, (feat_cache, clf_cache) = _forward(model, batch, variant)
     # each layer's input: X and r1 from the feature cache, F, r3 and r4
-    # from the classifier's
+    # from the classifier's; and the pre-activations u1, u3, u4 of the
+    # layers a ReLU follows
     inputs = feat_cache[::2] + clf_cache[::2]
+    relu_pre = {1: feat_cache[1], 3: clf_cache[1], 4: clf_cache[3]}
     max_rel = 0.0
     per_param: dict[str, float] = {}
     failures: list[FDFailure] = []
@@ -511,22 +526,41 @@ def finite_diff_check(
         layer = int(name[1:])
         arr, W = model[name], model[f"W{layer}"]
         x = inputs[layer - 1]
-        pre = x @ W
-        # entry (i, j) moves column j by FD_STEP * x[:, i]; a bias entry
-        # moves it as a weight on an all-ones input would
-        steps = FD_STEP * (x.T if name[0] == "W" else np.ones((1, len(x))))
-        chunk = max(1, FD_CHUNK_BYTES // (2 * pre.nbytes))
+        rows = len(x)
+        # entry (i, j) moves column j of x @ W by FD_STEP * x[:, i]; a bias
+        # entry moves it as a weight on an all-ones input would
+        taps = x.T if name[0] == "W" else np.ones((1, rows))
+        if layer in relu_pre:
+            # a ReLU follows: the copies are of the next layer's product
+            u, r, W_next = relu_pre[layer], inputs[layer], model[f"W{layer + 1}"]
+            enter, x_enter, pre = layer + 1, r, r @ W_next
+            # per entry: the moved columns and their δ (+h and -h), the
+            # step, the clean columns of u and r and the row of W_next
+            extra = 5 * rows + W_next.shape[1]
+        else:
+            enter, x_enter, pre = layer, x, x @ W
+            extra = rows  # per entry: the step
+        # a chunk's stacked products and the per-entry arrays beside them
+        chunk = max(1, FD_CHUNK_BYTES // (8 * (2 * pre.size + extra)))
         grad = analytic[name].reshape(-1)
         worst = 0.0
         for start in range(0, arr.size, chunk):
             flat = np.arange(start, min(start + chunk, arr.size))
             k = flat.size
             i, j = np.divmod(flat, W.shape[1])
-            copies = np.repeat(pre[None], 2 * k, axis=0)
-            plus, step = np.arange(k), steps[i]
-            copies[plus, :, j] += step
-            copies[plus + k, :, j] -= step
-            loss = _stacked_loss(model, layer, x, copies, feats, weights, variant)
+            step = FD_STEP * taps[i]
+            if layer in relu_pre:
+                delta = np.maximum(u[:, j].T + np.stack([step, -step]), 0.0)
+                delta -= r[:, j].T
+                copies = delta[..., None] * W_next[j][:, None, :]
+                copies += pre
+                copies = copies.reshape(2 * k, rows, -1)
+            else:
+                copies = np.repeat(pre[None], 2 * k, axis=0)
+                plus = np.arange(k)
+                copies[plus, :, j] += step
+                copies[plus + k, :, j] -= step
+            loss = _stacked_loss(model, enter, x_enter, copies, feats, weights, variant)
             numeric = (loss[:k] - loss[k:]) / (2.0 * FD_STEP)
             a = grad[flat]
             rel = np.abs(a - numeric) / np.maximum(

@@ -537,6 +537,11 @@ class TestGradcheck:
         assert out.count("PASS") == 2
         assert "worst relative error" in out
 
+    def test_tracker_sized_model_passes(self, capsys):
+        # fc1 at the tracker's 1024-128 width
+        assert run("gradcheck", "--dims", "1024,128,32,32,16,2", "--models", 1) == 0
+        assert "model 0 (full): gradient check PASS: 136946 entries" in capsys.readouterr().out
+
     def test_isolated_variant_flag(self, capsys):
         assert run("gradcheck", "--models", 1, "--variant", "SlossOnly") == 0
         assert "SlossOnly" in capsys.readouterr().out

@@ -623,6 +623,19 @@ class TestConditionedBatch:
             conditioned_batch(m, np.random.default_rng(0), max_tries=5)
 
 
+def brute_force_numeric(m, batch, w, variant, param, index) -> float:
+    """The central difference of the batch-mean total loss of copies of
+    m with the one entry param[index] moved by ±FD_STEP, through _forward
+    and total_loss."""
+    losses = []
+    for step in (FD_STEP, -FD_STEP):
+        moved = m.copy()
+        moved[param][index] += step
+        (f_a, f_b, f_n), (P_a, P_n), _ = _forward(moved, batch, variant)
+        losses.append(np.mean(total_loss(f_a, f_b, f_n, P_a[:, 1], P_n[:, 1], w, variant)))
+    return (losses[0] - losses[1]) / (2 * FD_STEP)
+
+
 def count_layer_passes(monkeypatch, entered=None):
     """Count the calls of net's feature and classifier forwards. With a
     list `entered`, also append (name, first) for each call: the layer
@@ -673,8 +686,9 @@ class TestFiniteDiff:
     def test_one_pass_per_layer_group_per_chunk(self, monkeypatch):
         # The layers upstream of the stepped one run once per check, in
         # the clean forward; each chunk enters the layer forwards at the
-        # stepped layer, so a classifier parameter's chunks run no
-        # feature pass.
+        # stepped layer, or at the next one where a ReLU follows it (fc1,
+        # fc3 and fc4), so a classifier parameter's chunks run no feature
+        # pass.
         m = init_model(DIMS, seed=207)
         batch = conditioned_batch(m, np.random.default_rng(29))
         grads, _ = backward(m, batch, LossWeights())
@@ -688,9 +702,10 @@ class TestFiniteDiff:
             rep = finite_diff_check(m, batch, LossWeights(), params=[name], analytic=grads)
             assert rep.passed
             layer = int(name[1])
-            chunk = [("_clf_forward", layer)]
+            enter = layer + 1 if layer in (1, 3, 4) else layer
+            chunk = [("_clf_forward", enter)]
             if layer <= 2:
-                chunk = [("_feat_forward", layer), ("_clf_forward", None)]
+                chunk = [("_feat_forward", enter), ("_clf_forward", None)]
             assert entered == clean + chunk * getattr(m, name).size, name
 
     def test_each_term_in_isolation(self):
@@ -722,10 +737,13 @@ class TestFiniteDiff:
         batch = conditioned_batch(m, rng)
         w = LossWeights()
         whole = finite_diff_check(m, batch, w)
-        # An entry of W1 costs a +h and a -h copy of fc1's (rows, h1)
-        # product, rows a | n | b; 7-entry chunks: W1's 30 entries end in
-        # a partial chunk
-        entry_bytes = 2 * 8 * 3 * len(batch.a) * m.dims[1]
+        # An entry of W1 costs a +h and a -h copy of fc2's (rows, n)
+        # product, rows a | n | b, with 5 row-long vectors (its moved
+        # columns and their δ, its step, the clean columns of u1 and r1)
+        # and its row of W2; 7-entry chunks: W1's 30 entries end in a
+        # partial chunk
+        rows = 3 * len(batch.a)
+        entry_bytes = 8 * (2 * rows * m.dims[2] + 5 * rows + m.dims[2])
         monkeypatch.setattr("slowtrack.net.FD_CHUNK_BYTES", 7 * entry_bytes)
         clean = finite_diff_check(m, batch, w)
         assert clean.passed and clean.entries_checked == m.n_params()
@@ -754,14 +772,7 @@ class TestFiniteDiff:
         rep = finite_diff_check(m, batch, w, variant=variant, analytic=nan)
         assert len(rep.failures) == rep.entries_checked == m.n_params()
         for f in rep.failures:
-            losses = []
-            for step in (FD_STEP, -FD_STEP):
-                moved = m.copy()
-                getattr(moved, f.param)[f.index] += step
-                (f_a, f_b, f_n), (P_a, P_n), _ = _forward(moved, batch, variant)
-                losses.append(np.mean(total_loss(f_a, f_b, f_n, P_a[:, 1], P_n[:, 1], w,
-                                                 variant)))
-            brute = (losses[0] - losses[1]) / (2 * FD_STEP)
+            brute = brute_force_numeric(m, batch, w, variant, f.param, f.index)
             assert abs(f.numeric - brute) <= 1e-8, (f.param, f.index)
 
     @pytest.mark.parametrize("name", PARAM_NAMES)
@@ -775,6 +786,30 @@ class TestFiniteDiff:
         rep = finite_diff_check(m, batch, LossWeights(), params=[name], analytic=grads)
         assert not rep.passed
         assert [(f.param, f.index) for f in rep.failures] == [(name, idx)]
+
+    def test_fc1_much_wider_than_fc2(self):
+        # fc1's entries enter at fc2's product, a quarter of fc1's width
+        # here: each W1/b1 numeric gradient against the brute-force
+        # central difference, and a W1 and a b1 entry off by 1% reported
+        # at its index.
+        m = init_model((16, 64, 4, 4, 3, 2), seed=211)
+        batch = conditioned_batch(m, np.random.default_rng(35))
+        w = LossWeights()
+        nan = {name: np.full(m[name].shape, np.nan) for name in ("W1", "b1")}
+        rep = finite_diff_check(m, batch, w, params=["W1", "b1"], analytic=nan)
+        assert len(rep.failures) == rep.entries_checked == m.W1.size + m.b1.size
+        for f in rep.failures:
+            brute = brute_force_numeric(m, batch, w, "full", f.param, f.index)
+            assert abs(f.numeric - brute) <= 1e-8, (f.param, f.index)
+        grads, _ = backward(m, batch, w)
+        for name in ("W1", "b1"):
+            idx = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(grads[name])),
+                                                          grads[name].shape))
+            bad = flat_of(grads.items())
+            bad[name][idx] *= 1.01
+            rep = finite_diff_check(m, batch, w, params=[name], analytic=bad)
+            assert not rep.passed
+            assert [(f.param, f.index) for f in rep.failures] == [(name, idx)]
 
     def test_extra_memory_capped_by_chunk_bytes(self):
         # W1 is 8 caps; the check holds a few caps at a time: its clean
