@@ -37,7 +37,8 @@ class Frame:
 
 @dataclass
 class Sequence:
-    """An ordered list of frames with one ground-truth box per frame."""
+    """An ordered list of frames with one ground-truth box and one
+    occlusion flag per frame (all False when none are given)."""
 
     name: str
     frames: list[Frame]
@@ -45,13 +46,12 @@ class Sequence:
     occluded: list[bool] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if len(self.groundtruth) != len(self.frames):
-            raise ValueError(
-                f"{self.name}: {len(self.frames)} frames but "
-                f"{len(self.groundtruth)} ground-truth boxes"
-            )
         if not self.occluded:
             self.occluded = [False] * len(self.frames)
+        counts = {"ground-truth boxes": len(self.groundtruth), "occlusion flags": len(self.occluded)}
+        for what, n in counts.items():
+            if n != len(self.frames):
+                raise ValueError(f"{self.name}: {len(self.frames)} frames but {n} {what}")
 
     @property
     def T(self) -> int:

@@ -38,11 +38,7 @@ class BBox:
     def clipped(self, frame_w: float, frame_h: float) -> "BBox":
         """Intersect with the frame rectangle. May return a degenerate box
         (w or h <= 0) when there is no overlap; callers must check."""
-        x0 = max(self.x, 0.0)
-        y0 = max(self.y, 0.0)
-        x1 = min(self.x + self.w, float(frame_w))
-        y1 = min(self.y + self.h, float(frame_h))
-        return BBox(x0, y0, x1 - x0, y1 - y0)
+        return BBox(*clip_boxes([self], frame_w, frame_h)[0].tolist())
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.w, self.h)
@@ -86,22 +82,19 @@ def center_distance(a: BBox, b: BBox) -> float:
     return math.hypot(a.cx - b.cx, a.cy - b.cy)
 
 
-def average_boxes(boxes: list[BBox]) -> BBox:
-    """Component-wise arithmetic mean of boxes.
+def average_boxes(boxes) -> BBox:
+    """Column-wise arithmetic mean of a (k, 4) x/y/w/h array or a list
+    of BBox.
 
     Averaging is anchored on the first box so that averaging k copies of
     one box reproduces it bit-exactly (a plain sum/k does not).
     """
-    if not boxes:
-        raise ValueError("average_boxes needs a non-empty list")
+    boxes = box_array(boxes)
+    if not len(boxes):
+        raise ValueError("average_boxes needs at least one box")
     first = boxes[0]
-    k = len(boxes)
-
-    def mean(attr: str) -> float:
-        base = getattr(first, attr)
-        return base + math.fsum(getattr(b, attr) - base for b in boxes) / k
-
-    return BBox(mean("x"), mean("y"), mean("w"), mean("h"))
+    sums = np.array([math.fsum(c) for c in (boxes - first).T])
+    return BBox(*(first + sums / len(boxes)).tolist())
 
 
 def box_array(boxes) -> np.ndarray:

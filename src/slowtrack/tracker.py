@@ -3,13 +3,14 @@ periodic online finetuning.
 
 Frame 1 is given; its ground-truth box seeds an initial finetune. Each
 later frame draws candidate boxes around the previous prediction,
-scores them all with a frozen forward pass, averages the top-k boxes
-(ties broken by candidate index, lowest first), and re-scores the
-averaged box through the classifier. Every update_period-th frame whose
-score clears the update threshold triggers a short finetune on samples
-drawn around the current prediction. A frame whose candidate sampling
-fails, or whose top-k scores include NaN, carries the previous box
-forward, and a failed update is dropped — tracking never aborts mid-sequence.
+scores them all with a frozen forward pass, and re-scores the box that
+`select` chooses on arrays: the anchored average of the top-k candidates
+(ties broken by candidate index, lowest first; a NaN in the top k
+raises). Every update_period-th frame whose score clears the update
+threshold triggers a short finetune on samples drawn around the current
+prediction. A frame whose candidate sampling fails, or whose top-k
+scores include NaN, carries the previous box forward, and a failed
+update is dropped — tracking never aborts mid-sequence.
 """
 
 from __future__ import annotations
@@ -70,17 +71,30 @@ class TrackResult:
     updated: bool
 
 
+def select(candidates: np.ndarray, scores: np.ndarray, top_k: int) -> tuple[np.ndarray, BBox]:
+    """The (top_k,) indices of the highest of (m,) scores, in descending
+    order with exact ties in index order, and the anchored average of
+    those rows of the (m, 4) candidates. NaN sorts last, so a NaN among
+    the top k means fewer than top_k scores are numbers: that raises
+    NumericalError rather than average unranked boxes at random."""
+    top = np.argsort(-scores, kind="stable")[:top_k]
+    nan = int(np.isnan(scores[top]).sum())
+    if nan:
+        raise NumericalError(f"{nan} of the top {len(top)} candidate scores are NaN")
+    return top, average_boxes(candidates[top])
+
+
 def track_frame(
     model: Model,
     frame: Frame,
     prev_box: BBox,
     config: TrackerConfig,
     sampler: Sampler,
-) -> tuple[BBox, float, list[tuple[int, float, BBox]]]:
+) -> tuple[BBox, float, np.ndarray]:
     """Predict the target box in one frame.
 
-    Returns (predicted box, score of the averaged patch, top-k detail
-    as (candidate index, score, box) in selection order). The model is
+    Returns (predicted box, score of the averaged patch, the (top_k,)
+    indices of the selected candidates in selection order). The model is
     only read. Raises SamplerExhausted when no usable candidate can be
     drawn around prev_box, and NumericalError when a selected top-k
     score is NaN.
@@ -91,15 +105,7 @@ def track_frame(
     side = _patch_side(model, frame)
     patches = crop_many(frame.pixels, candidates, side).reshape(config.m, -1)
     scores = forward_classifier(model, forward_features(model, patches))
-    # Stable sort on descending score = index order among exact ties.
-    order = np.argsort(-scores, kind="stable")[: config.top_k]
-    # NaN sorts last, so a NaN here means fewer than top_k scores are
-    # numbers; averaging unranked candidates would move the box at random.
-    nan = int(np.isnan(scores[order]).sum())
-    if nan:
-        raise NumericalError(f"{nan} of the top {len(order)} candidate scores are NaN")
-    top = [(int(i), float(scores[i]), BBox(*candidates[i])) for i in order]
-    pred = average_boxes([box for _, _, box in top])
+    top, pred = select(candidates, scores, config.top_k)
     patch = crop_many(frame.pixels, [pred], side).ravel()
     score = float(forward_classifier(model, forward_features(model, patch)))
     return pred, score, top

@@ -121,6 +121,15 @@ class TestSequenceType:
         with pytest.raises(ValueError):
             Sequence("bad", seq.frames, seq.groundtruth[:1])
 
+    @pytest.mark.parametrize("flags", [[True], [False] * 3, [True] * 5])
+    def test_occlusion_flag_count_mismatch_rejected(self, flags):
+        # One flag per frame, as save_sequence writes and load_sequence
+        # reads them; an empty list means none occluded.
+        seq = generate(SynthSpec(T=4, seed=0))
+        with pytest.raises(ValueError, match=f"4 frames but {len(flags)} occlusion flags"):
+            Sequence("bad", seq.frames, seq.groundtruth, occluded=flags)
+        assert Sequence("ok", seq.frames, seq.groundtruth, occluded=[]).occluded == [False] * 4
+
 
 class TestSaveLoad:
     def test_round_trip_equality(self, tmp_path):

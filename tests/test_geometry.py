@@ -149,6 +149,29 @@ class TestBoxRule:
         assert usable(np.zeros((0, 4))).shape == (0,)
         assert on_frame([], 100, 80).shape == (0,)
 
+    @staticmethod
+    def per_box_clip(box: BBox, frame_w: float, frame_h: float) -> tuple:
+        """The former BBox.clipped arithmetic, kept as the reference."""
+        x0, y0 = max(box.x, 0.0), max(box.y, 0.0)
+        x1 = min(box.x + box.w, float(frame_w))
+        y1 = min(box.y + box.h, float(frame_h))
+        return (x0, y0, x1 - x0, y1 - y0)
+
+    def test_clip_matches_per_box_max_min_bit_for_bit(self):
+        # ties at the edges, -0.0, NaN and infinities included
+        rows = [row for row, _, _ in BOX_RULE_TABLE] + [
+            (0.0, -0.0, 100.0, 80.0), (-0.0, 0.0, 5.0, 5.0), (3.7, 1.1, 96.3, 78.9),
+            (-2.5, 79.0, 103.1, 9.0),
+        ]
+        rng = np.random.default_rng(3)
+        rows += rng.uniform(-60.0, 160.0, size=(200, 4)).tolist()
+        got = clip_boxes(np.array(rows), 100, 80)
+        for row, clip in zip(rows, got.tolist()):
+            want = self.per_box_clip(BBox(*row), 100, 80)
+            assert np.array_equal(clip, want, equal_nan=True), row
+            assert np.signbit(clip).tolist() == np.signbit(want).tolist(), row
+            assert np.array_equal(BBox(*row).clipped(100, 80).as_tuple(), want, equal_nan=True)
+
     def test_clip_outside_keeps_inside_rows_bit_for_bit(self):
         # (x + w) - x is not w for this row, so clipping it would move it
         row = (0.1, 0.7, 0.2, 0.3)
@@ -183,6 +206,35 @@ class TestAverageBoxes:
     @given(boxes_strategy(), st.integers(1, 9))
     def test_copies_idempotent_bitexact(self, b, k):
         assert average_boxes([b] * k) == b
+
+    @staticmethod
+    def per_attribute_mean(boxes: list[BBox]) -> BBox:
+        """The former per-attribute loop, kept as the reference."""
+        first, k = boxes[0], len(boxes)
+
+        def mean(attr: str) -> float:
+            base = getattr(first, attr)
+            return base + math.fsum(getattr(b, attr) - base for b in boxes) / k
+
+        return BBox(mean("x"), mean("y"), mean("w"), mean("h"))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 37.0, 1e4, 1e9])
+    def test_array_matches_per_attribute_loop_bitexact(self, scale):
+        rng = np.random.default_rng(int(scale * 1000) % 2**32)
+        for _ in range(200):
+            k = int(rng.integers(1, 12))
+            rows = rng.normal(0.0, scale, size=(k, 4)) + rng.normal(0.0, scale)
+            got = average_boxes(rows)
+            want = self.per_attribute_mean([BBox(*r) for r in rows.tolist()])
+            assert np.array_equal(got.as_tuple(), want.as_tuple()), rows
+            assert average_boxes([BBox(*r) for r in rows.tolist()]) == got
+
+    @pytest.mark.parametrize("row", [(0.1, 0.2, 0.3, 0.7), (-5.3, 1e9 / 3, 24.1, 1e-7)])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_array_of_copies_bitexact(self, row, k):
+        rows = np.tile(row, (k, 1))
+        assert average_boxes(rows) == BBox(*row)
+        assert average_boxes(rows) == self.per_attribute_mean([BBox(*row)] * k)
 
 
 class TestCrop:

@@ -22,19 +22,26 @@ from slowtrack.errors import (
     NumericalError,
     SamplerExhausted,
 )
-from slowtrack.geometry import BBox, average_boxes, center_distance
-from slowtrack.net import init_model
+from slowtrack.geometry import BBox, average_boxes, center_distance, crop_many
+from slowtrack.net import forward_classifier, forward_features, init_model
 from slowtrack.sampler import Sampler, SamplerConfig
 from slowtrack.tracker import (
     RESULTS_HEADER,
     TrackerConfig,
     TrackResult,
     read_results,
+    select,
     track_frame,
     track_sequence,
     write_results,
 )
-from slowtrack.train import StepConfig, TrainConfig, finetune_initial, train_offline
+from slowtrack.train import (
+    StepConfig,
+    TrainConfig,
+    _patch_side,
+    finetune_initial,
+    train_offline,
+)
 
 DIMS = (64, 16, 8, 8, 4, 2)
 
@@ -42,6 +49,19 @@ ZERO_NOISE = SamplerConfig(sigma_xy=0.0, sigma_scale=0.0, seed=1)
 
 FAST_INIT = StepConfig(iterations=60, optimizer="sgd", learning_rate=0.01, batch_size=8)
 FAST_UPDATE = StepConfig(iterations=20, optimizer="sgd", learning_rate=0.01, batch_size=8)
+
+
+def drawn_candidates(cfg, frame, prev):
+    """The (m, 4) candidates track_frame draws around prev: the same
+    draw from a Sampler seeded as the one it was given."""
+    return Sampler(cfg.sampler).sample_candidates(prev, cfg.m, frame.width, frame.height)
+
+
+def candidate_scores(model, frame, candidates):
+    """The classifier scores track_frame gives the candidates."""
+    side = _patch_side(model, frame)
+    patches = crop_many(frame.pixels, candidates, side).reshape(len(candidates), -1)
+    return forward_classifier(model, forward_features(model, patches))
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +103,45 @@ class TestTrackerConfig:
             TrackerConfig(**kwargs)
 
 
+class TestSelect:
+    """The selection rule on plain arrays: no model, no sampler."""
+
+    CANDIDATES = np.array([[10.0 + i, 20.0 - i, 30.0 + 2 * i, 40.0] for i in range(6)])
+
+    def test_exact_ties_come_back_in_index_order(self):
+        scores = np.array([0.3, 0.9, 0.9, 0.1, 0.9, 0.3])
+        top, box = select(self.CANDIDATES, scores, 4)
+        assert top.tolist() == [1, 2, 4, 0]
+        assert box == average_boxes(self.CANDIDATES[[1, 2, 4, 0]])
+        top, _ = select(self.CANDIDATES, np.full(6, 0.5), 6)
+        assert top.tolist() == list(range(6))
+        # at tracking size, where an unstable sort would reorder ties
+        rng = np.random.default_rng(0)
+        scores = rng.integers(0, 4, size=800) / 4.0
+        candidates = rng.uniform(1.0, 50.0, size=(800, 4))
+        top, box = select(candidates, scores, 300)
+        assert top.tolist() == sorted(range(800), key=lambda i: (-scores[i], i))[:300]
+        assert box == average_boxes(candidates[top])
+
+    def test_nan_inside_top_k_raises_with_its_count(self):
+        scores = np.array([np.nan, 0.2, np.nan, 0.7, np.nan, 0.4])
+        with pytest.raises(NumericalError, match="1 of the top 4 candidate scores are NaN"):
+            select(self.CANDIDATES, scores, 4)
+        with pytest.raises(NumericalError, match="3 of the top 6 candidate scores are NaN"):
+            select(self.CANDIDATES, scores, 6)
+        # a top_k that stops before the NaNs selects only numbers
+        top, box = select(self.CANDIDATES, scores, 3)
+        assert top.tolist() == [3, 5, 1]
+        assert box == average_boxes(self.CANDIDATES[[3, 5, 1]])
+
+    def test_top_k_equal_m_averages_every_row(self):
+        scores = np.array([0.6, 0.1, 0.8, 0.3, 0.5, 0.2])
+        top, box = select(self.CANDIDATES, scores, 6)
+        assert top.tolist() == [2, 0, 4, 3, 5, 1]
+        # every row, in any order, has the same column means
+        assert box == BBox(12.5, 17.5, 35.0, 40.0)
+
+
 class TestTrackFrame:
     def test_zero_noise_prediction_is_previous_box(self, easy_sequence):
         # All candidates coincide with prev, so the anchored average
@@ -94,7 +153,7 @@ class TestTrackFrame:
             model, easy_sequence.frames[4], prev, cfg, Sampler(ZERO_NOISE)
         )
         assert pred == prev
-        assert len(top) == 4
+        assert top.shape == (4,)
         assert math.isfinite(score)
 
     def test_ties_break_by_candidate_index(self, easy_sequence):
@@ -102,21 +161,18 @@ class TestTrackFrame:
         # selection must then be the first top_k indices in order.
         model = init_model(DIMS, seed=0)
         cfg = TrackerConfig(m=16, top_k=5, sampler=ZERO_NOISE)
-        _, _, top = track_frame(
-            model, easy_sequence.frames[4], easy_sequence.groundtruth[3],
-            cfg, Sampler(ZERO_NOISE),
-        )
-        assert [i for i, _, _ in top] == [0, 1, 2, 3, 4]
-        assert len({s for _, s, _ in top}) == 1
+        frame, prev = easy_sequence.frames[4], easy_sequence.groundtruth[3]
+        _, _, top = track_frame(model, frame, prev, cfg, Sampler(ZERO_NOISE))
+        assert top.tolist() == [0, 1, 2, 3, 4]
+        scores = candidate_scores(model, frame, drawn_candidates(cfg, frame, prev))
+        assert len(set(scores[top].tolist())) == 1
 
     def test_top_k_equal_m_averages_everything(self, easy_sequence, trained_model):
         cfg = TrackerConfig(m=6, top_k=6, sampler=SamplerConfig(seed=9))
-        pred, _, top = track_frame(
-            trained_model, easy_sequence.frames[4], easy_sequence.groundtruth[3],
-            cfg, Sampler(SamplerConfig(seed=9)),
-        )
-        assert len(top) == 6
-        assert pred == average_boxes([b for _, _, b in top])
+        frame, prev = easy_sequence.frames[4], easy_sequence.groundtruth[3]
+        pred, _, top = track_frame(trained_model, frame, prev, cfg, Sampler(SamplerConfig(seed=9)))
+        assert sorted(top.tolist()) == list(range(6))
+        assert pred == average_boxes(drawn_candidates(cfg, frame, prev)[top])
 
     def test_model_is_not_mutated(self, easy_sequence, trained_model):
         snapshot = {k: v.copy() for k, v in trained_model.params()}
@@ -397,9 +453,9 @@ class TestTrackSequence:
         pred, score, top = track_frame(
             trained_model, frame, prev, replace(cfg, top_k=2), Sampler(cfg.sampler)
         )
-        assert [i for i, _, _ in top] == [9, 3]
+        assert top.tolist() == [9, 3]
         assert score == 0.25
-        assert pred == average_boxes([box for _, _, box in top])
+        assert pred == average_boxes(drawn_candidates(cfg, frame, prev)[top])
 
     def test_reproducible_and_boxes_stay_in_frame(
         self, easy_sequence, trained_model, tmp_path
