@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, write_rows
 
 # One-sided 99% standard-normal quantile, hardcoded so the binomial
 # slack needs no scipy.
@@ -149,13 +149,8 @@ CSV_HEADER = "trial_param_set,rho,violation_rate,satisfaction_rate,pass"
 
 
 def write_reports(reports: Iterable[BoundReport], path: str | Path) -> None:
-    lines = [CSV_HEADER]
-    for r in reports:
-        lines.append(
-            f"{r.label},{r.rho!r},{r.violation_rate!r},"
-            f"{r.satisfaction_rate!r},{int(r.passed)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ((r.label, r.rho, r.violation_rate, r.satisfaction_rate, r.passed) for r in reports)
+    write_rows(path, rows, CSV_HEADER)
 
 
 def _binomial_slack(level: float, trials: int) -> float:

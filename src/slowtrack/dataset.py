@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, read_text
+from .errors import ConfigError, FormatError, read_text, write_rows
 from .geometry import BBox, box_array, on_frame, usable
 
 
@@ -233,12 +233,10 @@ def generate(spec: SynthSpec) -> Sequence:
     return Sequence(f"synth-{spec.seed}", frames, groundtruth, occluded)
 
 
-def _format_gt_line(box: BBox) -> str:
-    return ",".join(repr(float(v)) for v in box.as_tuple())
-
-
 def save_sequence(seq: Sequence, directory: str | Path) -> None:
-    """Write a sequence directory: img/%06d.pgm|ppm + groundtruth_rect.txt."""
+    """Write a sequence directory: img/%06d.pgm|ppm + groundtruth_rect.txt,
+    and occlusion.txt when a frame is occluded. The frames and flags of a
+    sequence saved there before are removed; other files stay."""
     if seq.T == 0:
         raise ValueError(f"refusing to save empty sequence {seq.name!r}")
     directory = Path(directory)
@@ -246,13 +244,22 @@ def save_sequence(seq: Sequence, directory: str | Path) -> None:
     img_dir.mkdir(parents=True, exist_ok=True)
     rgb = seq.frames[0].pixels.ndim == 3
     ext = "ppm" if rgb else "pgm"
-    for i, frame in enumerate(seq.frames, start=1):
-        _write_netpbm(img_dir / f"{i:06d}.{ext}", frame.pixels)
-    gt_text = "\n".join(_format_gt_line(b) for b in seq.groundtruth) + "\n"
-    (directory / "groundtruth_rect.txt").write_text(gt_text)
+    paths = [img_dir / f"{i:06d}.{ext}" for i in range(1, seq.T + 1)]
+    for stale in set(_frame_paths(img_dir)) - set(paths):
+        stale.unlink()
+    for path, frame in zip(paths, seq.frames):
+        _write_netpbm(path, frame.pixels)
+    write_rows(directory / "groundtruth_rect.txt", box_array(seq.groundtruth))
     if any(seq.occluded):
-        occ_text = "\n".join("1" if o else "0" for o in seq.occluded) + "\n"
-        (directory / "occlusion.txt").write_text(occ_text)
+        write_rows(directory / "occlusion.txt", ((bool(o),) for o in seq.occluded))
+    else:
+        (directory / "occlusion.txt").unlink(missing_ok=True)
+
+
+def _frame_paths(img_dir: Path) -> list[Path]:
+    """The .pgm/.ppm frames in `img_dir`, shorter names first: `2` before `10`."""
+    paths = [p for p in img_dir.iterdir() if p.suffix.lower() in (".pgm", ".ppm")]
+    return sorted(paths, key=lambda p: (len(p.stem), p.stem))
 
 
 def load_sequence(directory: str | Path) -> Sequence:
@@ -261,10 +268,7 @@ def load_sequence(directory: str | Path) -> Sequence:
     img_dir = directory / "img"
     if not img_dir.is_dir():
         raise FormatError(f"{directory}: missing img/ subdirectory")
-    paths = sorted(
-        (p for p in img_dir.iterdir() if p.suffix.lower() in (".pgm", ".ppm")),
-        key=lambda p: p.stem,
-    )
+    paths = _frame_paths(img_dir)
     if not paths:
         raise FormatError(f"{img_dir}: no .pgm/.ppm frames found")
 

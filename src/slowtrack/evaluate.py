@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import write_rows
 from .geometry import BBox, center_distance, iou
 
 # 0..50 pixels in 1-pixel steps; 0..1 IoU in 0.05 steps. Built by
@@ -193,12 +194,10 @@ def emit_plots(
     written = []
     for name, curve in ordered:
         path = out / f"{stem}-{name}.csv"
-        lines = ["threshold,value"]
-        lines += [f"{t!r},{v!r}" for t, v in zip(curve.thresholds, curve.values)]
-        path.write_text("\n".join(lines) + "\n")
+        write_rows(path, zip(curve.thresholds, curve.values), "threshold,value")
         written.append(path)
     svg_path = out / f"{stem}.svg"
-    svg_path.write_text(_svg_line_plot(ordered, x_label, y_label))
+    svg_path.write_text(_svg_line_plot(ordered, x_label, y_label), encoding="utf-8")
     written.append(svg_path)
     return written
 
@@ -211,8 +210,4 @@ def write_eval_table(
 ) -> None:
     """Aggregate table, one row per (tracker, sequence), sorted by name
     so re-runs are byte-identical."""
-    body = [
-        f"{tracker},{sequence},{p20!r},{area!r}"
-        for tracker, sequence, p20, area in sorted(rows)
-    ]
-    Path(path).write_text("\n".join([EVAL_TABLE_HEADER] + body) + "\n")
+    write_rows(path, sorted(rows), EVAL_TABLE_HEADER)

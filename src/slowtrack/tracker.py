@@ -24,7 +24,9 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import Frame, Sequence
-from .errors import ConfigError, FormatError, NumericalError, SamplerExhausted, read_text
+from .errors import (
+    ConfigError, FormatError, NumericalError, SamplerExhausted, read_text, write_rows
+)
 from .geometry import BBox, average_boxes, box_array, clip_outside, crop_many, usable
 from .loss import LossWeights
 from .net import Model, forward_classifier, forward_features
@@ -171,14 +173,8 @@ RESULTS_HEADER = "frame,x,y,w,h,score,updated"
 def write_results(records: Iterable[TrackResult], path: str | Path) -> None:
     """Per-sequence results CSV. Floats are written with repr so a
     re-run with the same seeds is byte-identical."""
-    lines = [RESULTS_HEADER]
-    for r in records:
-        b = r.box
-        lines.append(
-            f"{r.frame},{float(b.x)!r},{float(b.y)!r},{float(b.w)!r},"
-            f"{float(b.h)!r},{float(r.score)!r},{int(r.updated)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ((r.frame, *map(float, r.box.as_tuple()), float(r.score), r.updated) for r in records)
+    write_rows(path, rows, RESULTS_HEADER)
 
 
 def read_results(path: str | Path) -> list[TrackResult]:

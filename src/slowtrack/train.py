@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .dataset import Frame, Sequence
-from .errors import ConfigError, NumericalError, SamplerExhausted
+from .errors import ConfigError, NumericalError, SamplerExhausted, write_rows
 from .geometry import BBox, crop_many, on_frame, usable
 from .loss import VARIANTS, LossWeights, uses_pair
 from .net import (
@@ -104,13 +104,8 @@ TRACE_HEADER = "step,loss,loss_c,loss_d,loss_s"
 
 def write_trace(trace: Iterable[TraceRow], path: str | Path) -> None:
     """Loss-trace CSV with repr floats, byte-stable across re-runs."""
-    lines = [TRACE_HEADER]
-    for row in trace:
-        lines.append(
-            f"{row.step},{float(row.loss)!r},{float(row.loss_c)!r},"
-            f"{float(row.loss_d)!r},{float(row.loss_s)!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ((r.step, *map(float, (r.loss, r.loss_c, r.loss_d, r.loss_s))) for r in trace)
+    write_rows(path, rows, TRACE_HEADER)
 
 
 # Entries per block of optimizer_step. Adam makes 14 elementwise passes

@@ -149,12 +149,44 @@ class TestSaveLoad:
         save_sequence(seq, tmp_path / "seq")
         assert load_sequence(tmp_path / "seq").occluded == seq.occluded
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (SynthSpec(T=6, occlusions=((1, 3),), seed=0), SynthSpec(T=6, seed=0)),
+            (SynthSpec(T=6, seed=0), SynthSpec(T=4, seed=1)),
+            (SynthSpec(T=3, rgb=True, seed=0), SynthSpec(T=3, seed=0)),
+        ],
+        ids=["occluded-then-clear", "shorter", "rgb-then-gray"],
+    )
+    def test_save_replaces_earlier_sequence(self, tmp_path, first, second):
+        d = tmp_path / "seq"
+        save_sequence(generate(first), d)
+        (d / "notes.txt").write_text("kept\n")
+        seq = generate(second)
+        save_sequence(seq, d)
+        assert sequences_equal(load_sequence(d), seq)
+        assert (d / "notes.txt").read_text() == "kept\n"
+
+    def test_unpadded_frame_names_load_in_numeric_order(self, tmp_path):
+        # benchmark-style 1.pgm .. 12.pgm: by text, 10 would load as frame 2
+        d = tmp_path / "seq"
+        seq = generate(SynthSpec(T=12, seed=0))
+        save_sequence(seq, d)
+        for p in (d / "img").iterdir():
+            p.rename(p.with_name(f"{int(p.stem)}{p.suffix}"))
+        assert sequences_equal(load_sequence(d), seq)
+
     def test_file_layout(self, tmp_path):
         save_sequence(generate(SynthSpec(T=3, seed=0)), tmp_path / "s")
         imgs = sorted(p.name for p in (tmp_path / "s" / "img").iterdir())
         assert imgs == ["000001.pgm", "000002.pgm", "000003.pgm"]
         gt_lines = (tmp_path / "s" / "groundtruth_rect.txt").read_text().splitlines()
         assert len(gt_lines) == 3
+
+    def test_int_box_groundtruth_written_as_floats(self, tmp_path):
+        seq = generate(SynthSpec(T=1, seed=0))
+        save_sequence(Sequence("s", seq.frames, [BBox(10, 20, 30, 40)]), tmp_path / "s")
+        assert (tmp_path / "s" / "groundtruth_rect.txt").read_bytes() == b"10.0,20.0,30.0,40.0\n"
 
     def test_empty_sequence_rejected(self, tmp_path):
         with pytest.raises(ValueError):
