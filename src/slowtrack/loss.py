@@ -12,6 +12,7 @@ from the summed form of the original objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,13 +47,30 @@ def _pair(fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fa, fb
 
 
+def _squared_norm(diff: np.ndarray) -> np.ndarray:
+    # np.add.reduce is what np.sum calls, without its Python wrapper
+    return np.add.reduce(diff * diff, axis=-1)
+
+
+def _clamped(p: np.ndarray, p_floor: float) -> np.ndarray:
+    # np.clip's bits, NaN included, without its Python wrapper
+    return np.minimum(np.maximum(np.asarray(p, dtype=np.float64), p_floor), 1.0 - p_floor)
+
+
+def _closeness(diff: np.ndarray, beta: float) -> np.ndarray:
+    return np.exp(-beta * _squared_norm(diff))
+
+
+def _cross_entropy(pp: np.ndarray, pn: np.ndarray) -> np.ndarray:
+    return -(np.log1p(-pn) + np.log(pp))
+
+
 def loss_c(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance between a consecutive-frame positive
     pair: small when the embedding respects temporal appearance
     continuity."""
     fa, fb = _pair(fa, fb)
-    d = fa - fb
-    return np.sum(d * d, axis=-1)
+    return _squared_norm(fa - fb)
 
 
 def loss_d(fp: np.ndarray, fn: np.ndarray, beta: float = LossWeights.beta) -> np.ndarray:
@@ -60,7 +78,8 @@ def loss_d(fp: np.ndarray, fn: np.ndarray, beta: float = LossWeights.beta) -> np
     collapses together, decaying to 0 as they separate."""
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    return np.exp(-beta * loss_c(fp, fn))
+    fp, fn = _pair(fp, fn)
+    return _closeness(fp - fn, beta)
 
 
 def loss_s(
@@ -68,9 +87,7 @@ def loss_s(
 ) -> np.ndarray:
     """Pairwise cross entropy -log((1 - p_neg) * p_pos), with both
     probabilities clamped into [p_floor, 1 - p_floor] to guard log(0)."""
-    pp = np.clip(np.asarray(p_pos, dtype=np.float64), p_floor, 1.0 - p_floor)
-    pn = np.clip(np.asarray(p_neg, dtype=np.float64), p_floor, 1.0 - p_floor)
-    return -(np.log1p(-pn) + np.log(pp))
+    return _cross_entropy(_clamped(p_pos, p_floor), _clamped(p_neg, p_floor))
 
 
 def loss_p(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -88,6 +105,62 @@ def uses_pair(variant: str) -> bool:
     return variant != "SlossOnly"
 
 
+class LossPass(NamedTuple):
+    """What the gradient of the loss reads, from one evaluation on a
+    batch: the clamped probabilities, the feature differences f_a - f_b
+    (`pair`) and f_a - f_neg (`apart`), and the loss_d rows; None where
+    the variant drops the term. loss_rows turns it into the loss."""
+
+    p_pos: np.ndarray
+    p_neg: np.ndarray
+    pair: np.ndarray | None
+    apart: np.ndarray | None
+    d: np.ndarray | None
+
+
+def loss_pass(
+    f_a: np.ndarray | None,
+    f_b: np.ndarray | None,
+    f_neg: np.ndarray | None,
+    p_pos: np.ndarray,
+    p_neg: np.ndarray,
+    weights: LossWeights,
+    variant: str = "full",
+) -> LossPass:
+    """The part of loss_terms the gradient needs, and the one place that
+    decides which terms a variant uses. Unused feature arguments may be
+    None; missing required ones raise ValueError."""
+    pp, pn = _clamped(p_pos, weights.p_floor), _clamped(p_neg, weights.p_floor)
+    if not uses_pair(variant):
+        return LossPass(pp, pn, None, None, None)
+    if f_a is None or f_b is None:
+        raise ValueError(f"variant {variant!r} needs the positive pair")
+    f_a, f_b = _pair(f_a, f_b)
+    if variant == "wo-Dloss":
+        return LossPass(pp, pn, f_a - f_b, None, None)
+    if f_neg is None:
+        raise ValueError(f"variant {variant!r} needs negative features")
+    f_a, f_neg = _pair(f_a, f_neg)
+    apart = f_a - f_neg
+    return LossPass(pp, pn, f_a - f_b, apart, _closeness(apart, weights.beta))
+
+
+def loss_rows(
+    lp: LossPass, weights: LossWeights
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray]:
+    """(total, loss_c, loss_d, loss_s) per row of a loss_pass, each term
+    unweighted and None where the variant drops it; total is total_loss."""
+    s = _cross_entropy(lp.p_pos, lp.p_neg)
+    total = weights.mu * s
+    if lp.pair is None:
+        return total, None, None, s
+    c = _squared_norm(lp.pair)
+    total = c + total
+    if lp.d is not None:
+        total = total + weights.lam * lp.d
+    return total, c, lp.d, s
+
+
 def loss_terms(
     f_a: np.ndarray | None,
     f_b: np.ndarray | None,
@@ -98,23 +171,8 @@ def loss_terms(
     variant: str = "full",
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray]:
     """(total, loss_c, loss_d, loss_s) per row, each term unweighted and
-    None where the variant drops it; total is total_loss. The one place
-    that decides which terms a variant uses."""
-    s = loss_s(p_pos, p_neg, weights.p_floor)
-    total = weights.mu * s
-    if not uses_pair(variant):
-        return total, None, None, s
-    if f_a is None or f_b is None:
-        raise ValueError(f"variant {variant!r} needs the positive pair")
-    c = loss_c(f_a, f_b)
-    total = c + total
-    d = None
-    if variant != "wo-Dloss":
-        if f_neg is None:
-            raise ValueError(f"variant {variant!r} needs negative features")
-        d = loss_d(f_a, f_neg, weights.beta)
-        total = total + weights.lam * d
-    return total, c, d, s
+    None where the variant drops it; total is total_loss."""
+    return loss_rows(loss_pass(f_a, f_b, f_neg, p_pos, p_neg, weights, variant), weights)
 
 
 def total_loss(

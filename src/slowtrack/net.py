@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, FormatError, NumericalError
-from .loss import LossWeights, loss_terms, total_loss, uses_pair
+from .loss import LossPass, LossWeights, loss_pass, loss_rows, total_loss, uses_pair
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "W4", "b4", "W5", "b5")
 # The two layer groups: the feature embedding and the centroid classifier.
@@ -308,11 +308,11 @@ def backward(
     grads: FlatParams | None = None,
 ) -> tuple[FlatParams, LossTerms]:
     """Analytic gradients of the batch-mean combined loss, and the
-    LossTerms of the batch, all from one forward pass and one loss_terms
-    evaluation. Each gradient is written into its view in `grads`, whose
-    names are the parameters differentiated (all ten when None, in a
-    fresh buffer); without a feature parameter in it the feature layers
-    are not differentiated. Returns `grads`.
+    LossTerms of the batch, all from one forward pass and one loss_pass.
+    Each gradient is written into its view in `grads`, whose names are
+    the parameters differentiated (all ten when None, in a fresh buffer);
+    without a feature parameter in it the feature layers are not
+    differentiated. Returns `grads`.
 
     LossTerms.loss is the mean of total_loss; loss_c, loss_d and loss_s
     are the means of the pair, discrimination and classification terms
@@ -320,33 +320,58 @@ def backward(
     `grads` whose gradient is not finite, checked with one reduction
     over its vector.
     """
+    grads, lp = _gradient_pass(model, batch, weights, variant, grads)
+    B = len(lp.p_pos)
+    # np.add.reduce(t) / B is np.mean(t) for these 1-D rows, bit for bit
+    rows = loss_rows(lp, weights)
+    terms = LossTerms(*(0.0 if t is None else float(np.add.reduce(t) / B) for t in rows))
+    return grads, terms
+
+
+def gradients(
+    model: Model,
+    batch: TripletBatch,
+    weights: LossWeights,
+    variant: str = "full",
+    grads: FlatParams | None = None,
+) -> FlatParams:
+    """backward's gradients, bit for bit, without the loss values: the
+    online phases keep no loss trace, so they skip the logs and means."""
+    return _gradient_pass(model, batch, weights, variant, grads)[0]
+
+
+# the one-hot row of class 1, which the softmax's derivative reads
+_CLASS1 = np.array([0.0, 1.0])
+
+
+def _gradient_pass(
+    model: Model,
+    batch: TripletBatch,
+    weights: LossWeights,
+    variant: str,
+    grads: FlatParams | None,
+) -> tuple[FlatParams, LossPass]:
+    """backward's gradients, and the loss_pass they read."""
     if grads is None:
         grads = _zero_grads(model)
     (f_a, f_b, f_n), (P_a, P_n), (feat_cache, clf_cache) = _forward(model, batch, variant)
     p_a, p_n = P_a[:, 1], P_n[:, 1]
-    rows = loss_terms(f_a, f_b, f_n, p_a, p_n, weights, variant)
-    terms = LossTerms(*(0.0 if t is None else float(np.mean(t)) for t in rows))
-    _, c, d, _ = rows
+    lp = loss_pass(f_a, f_b, f_n, p_a, p_n, weights, variant)
     B = f_a.shape[0]
 
     # Classification term: d/dp of -log(p_a_c) and -log(1 - p_n_c), gated
     # to zero where the probability clamp is active, then through softmax
     # via dP1/dz_j = P1 (1[j=1] - P_j).
     floor = weights.p_floor
-    e1 = np.array([0.0, 1.0])
     dLdp_a = np.where(
-        (p_a > floor) & (p_a < 1.0 - floor),
-        -1.0 / np.clip(p_a, floor, 1.0 - floor),
-        0.0,
+        (p_a > floor) & (p_a < 1.0 - floor), -1.0 / lp.p_pos, 0.0
     ) * (weights.mu / B)
     dLdp_n = np.where(
-        (p_n > floor) & (p_n < 1.0 - floor),
-        1.0 / (1.0 - np.clip(p_n, floor, 1.0 - floor)),
-        0.0,
+        (p_n > floor) & (p_n < 1.0 - floor), 1.0 / (1.0 - lp.p_neg), 0.0
     ) * (weights.mu / B)
     dz = np.concatenate([
-        dLdp_a[:, None] * P_a[:, 1:2] * (e1 - P_a),
-        dLdp_n[:, None] * P_n[:, 1:2] * (e1 - P_n),
+        dLdp_a[:, None] * P_a[:, 1:2] * (_CLASS1 - P_a),
+        dLdp_n[:, None] * P_n[:, 1:2] * (_CLASS1 - P_n),
     ])
 
     df_clf = _clf_backward(model, grads, clf_cache, dz)
@@ -354,23 +379,22 @@ def backward(
         # one gradient row per stacked feature row, a | n | b as in _forward
         df = np.zeros((feat_cache[0].shape[0], f_a.shape[1]))
         df_a, df_n, df_b = df[:B], df[B : 2 * B], df[2 * B :]
-        if c is not None:
-            diff = (2.0 / B) * (f_a - f_b)
+        if lp.pair is not None:
+            diff = (2.0 / B) * lp.pair
             df_a += diff
             df_b -= diff
-        if d is not None:
+        if lp.d is not None:
             # d is exp(-beta * ||f_a - f_n||^2), the factor of its gradient
-            dd = f_a - f_n
-            coef = (-2.0 * weights.beta * weights.lam / B) * d
-            df_a += coef[:, None] * dd
-            df_n -= coef[:, None] * dd
+            coef = (-2.0 * weights.beta * weights.lam / B) * lp.d
+            df_a += coef[:, None] * lp.apart
+            df_n -= coef[:, None] * lp.apart
         df[: 2 * B] += df_clf
         _feat_backward(model, grads, feat_cache, df)
 
     bad = _first_non_finite(grads)
     if bad is not None:
         raise NumericalError(f"non-finite gradient in layer {bad}")
-    return grads, terms
+    return grads, lp
 
 
 def _layer_grads(grads: FlatParams, i: int, x: np.ndarray, du: np.ndarray) -> None:
@@ -379,7 +403,7 @@ def _layer_grads(grads: FlatParams, i: int, x: np.ndarray, du: np.ndarray) -> No
     if f"W{i}" in grads:
         np.matmul(x.T, du, out=grads[f"W{i}"])
     if f"b{i}" in grads:
-        np.sum(du, axis=0, out=grads[f"b{i}"])
+        np.add.reduce(du, axis=0, out=grads[f"b{i}"])
 
 
 def _clf_backward(model: Model, grads: FlatParams, cache, dz: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from .net import (
     check_finite,
     forward_classifier,
     forward_features,
+    gradients,
 )
 from .sampler import Sampler, SamplerConfig
 
@@ -208,6 +209,20 @@ def _patches(memo: dict, side: int, frame: Frame, boxes: np.ndarray) -> np.ndarr
     return np.stack([memo[k] for k in keys])
 
 
+def _draw_boxes(sampler: Sampler, count: int, anchor: tuple, pair: tuple):
+    """The boxes of `count` random triplets, one (count, 4) row array each
+    for anchors, paired positives and negatives. `anchor` and `pair` are
+    (frame, box) pairs: positives and negatives around the anchor box,
+    paired positives around the pair box."""
+    frame, gt = anchor
+    pair_gt = pair[1]
+    a_boxes = sampler.positive_rows(gt, frame.width, frame.height)
+    b_boxes = sampler.positive_rows(pair_gt, frame.width, frame.height)
+    neg_boxes = sampler.negative_rows(gt, frame.width, frame.height)
+    js, ks, ls = sampler.build_triplets(len(a_boxes), len(b_boxes), len(neg_boxes), count)
+    return a_boxes[js], b_boxes[ks], neg_boxes[ls]
+
+
 def _draw_triplets(
     sampler: Sampler,
     side: int,
@@ -215,35 +230,64 @@ def _draw_triplets(
     anchor: tuple,
     pair: tuple,
     paired: bool = True,
-    memo: dict | None = None,
 ) -> TripletBatch:
-    """One offline or first-frame batch. `anchor` and `pair` are (frame,
-    box) pairs: positives and negatives around the anchor box, paired
-    positives around the pair box, `count` random triplets.
-    Only the rows the triplets use are cropped: anchors and negatives in
-    one call, paired positives in one call on their own frame. The calls
-    share a fresh memo when the pair is on the anchor's Frame object.
-    Without `paired` the paired positives are drawn, keeping the
-    sampler's stream, but not cropped, and the batch has no `b`. A `memo`
-    passed in, for the first-frame finetune where both positive pools
-    are shifts of one box on one frame, keeps the positives across draws;
-    the negatives never repeat, so they are cropped apart."""
-    frame, gt = anchor
-    pair_frame, pair_gt = pair
-    a_boxes = sampler.positive_rows(gt, frame.width, frame.height)
-    b_boxes = sampler.positive_rows(pair_gt, frame.width, frame.height)
-    neg_boxes = sampler.negative_rows(gt, frame.width, frame.height)
-    js, ks, ls = sampler.build_triplets(len(a_boxes), len(b_boxes), len(neg_boxes), count)
-    if memo is not None:
-        n = _patches({}, side, frame, neg_boxes[ls])
-        pos = _patches(memo, side, frame, np.concatenate([a_boxes[js], b_boxes[ks]]))
-        return TripletBatch(a=pos[:count], b=pos[count:], n=n)
-    memo = {}
-    an = _patches(memo, side, frame, np.concatenate([a_boxes[js], neg_boxes[ls]]))
-    b = None
-    if paired:
-        b = _patches(memo if pair_frame is frame else {}, side, pair_frame, b_boxes[ks])
-    return TripletBatch(a=an[:count], b=b, n=an[count:])
+    """One offline batch of the boxes _draw_boxes draws. Only the rows the
+    triplets use are cropped: anchors and negatives in one call, paired
+    positives in one call on their own frame. The calls share a fresh
+    memo when the pair is on the anchor's Frame object. Without `paired`
+    the paired positives are drawn, keeping the sampler's stream, but not
+    cropped, and the batch has no `b`."""
+    a, b, n = _draw_boxes(sampler, count, anchor, pair)
+    frame, pair_frame = anchor[0], pair[0]
+    memo: dict[bytes, np.ndarray] = {}
+    an = _patches(memo, side, frame, np.concatenate([a, n]))
+    pb = _patches(memo if pair_frame is frame else {}, side, pair_frame, b) if paired else None
+    return TripletBatch(a=an[:count], b=pb, n=an[count:])
+
+
+# Negatives the first-frame finetune draws ahead and crops in one
+# crop_many call. Its draws do not depend on the model, and a call costs
+# about 110 us on top of its patches, which are also slower per patch in
+# small calls (ROADMAP "Settled"). Measured on perfbench's track-easy
+# finetune (1024-input model, 300 SGD steps at batch 16, one BLAS
+# thread), medians of 9 interleaved runs: 0.53-0.59 s cropping each
+# step's 16, 0.445-0.459 s at 160 rows, 0.456-0.481 s at 320 and 0.467 s
+# at 80. Peak RSS of track-easy at seed 0 (perfbench, 15 s runs): 69.8 MB
+# cropping each step's 16 and 69.7 MB at 160 rows (medians of 12 runs);
+# 73.7 MB at 320, 74.2 MB at 400 and 86.4 MB at 800 (one run each).
+DRAW_AHEAD_ROWS = 160
+
+
+def _first_frame_batches(sampler: Sampler, side: int, count: int, view: tuple, steps: int):
+    """The first-frame finetune's `steps` batches: _draw_triplets' draws
+    with `view`, a (frame, box) pair, as both anchor and pair, and the
+    same patches bit for bit. The sampler calls of a window of
+    DRAW_AHEAD_ROWS // count steps are made together, in the order the
+    steps make them, and the window's negatives are cropped in one call.
+    The positives, at most 24 shifts of one box, are cropped once each
+    into a memo kept across windows. A SamplerExhausted raised while a
+    window draws is raised again when the step whose draw failed comes
+    due, after the steps before it have run. Nothing is drawn before the
+    first batch is asked for."""
+    frame = view[0]
+    memo: dict[bytes, np.ndarray] = {}
+    window = max(1, DRAW_AHEAD_ROWS // count)
+    for start in range(0, steps, window):
+        drawn, failed = [], None
+        for _ in range(min(window, steps - start)):
+            try:
+                drawn.append(_draw_boxes(sampler, count, view, view))
+            except SamplerExhausted as exc:
+                failed = exc
+                break
+        if drawn:
+            negatives = _patches({}, side, frame, np.concatenate([n for _, _, n in drawn]))
+        for i, (a, b, _) in enumerate(drawn):
+            pos = _patches(memo, side, frame, np.concatenate([a, b]))
+            n = negatives[i * count : (i + 1) * count]
+            yield TripletBatch(a=pos[:count], b=pos[count:], n=n)
+        if failed is not None:
+            raise failed
 
 
 def _quiet():
@@ -259,13 +303,16 @@ def _fit(
     variant: str,
     draw: Callable,
     pool: tuple[np.ndarray, np.ndarray] | None = None,
+    traced: bool = True,
 ) -> tuple[Model, list[TraceRow]]:
     """The step loop of all three training phases: tc.iterations optimizer
     steps on a copy of model, each on a fresh draw(). "tarspec" freezes
     the classifier layers, tc.classifier_only the feature layers. Returns
-    the copy and its loss trace; raises NumericalError on a non-finite
-    parameter or trained gradient. Frozen layers are not differentiated,
-    and only the arrays a step changed are checked after it.
+    the copy and its loss trace, which is empty unless `traced`: the
+    online phases drop it, so their steps compute gradients alone. Raises
+    NumericalError on a non-finite parameter or trained gradient. Frozen
+    layers are not differentiated, and only the arrays a step changed are
+    checked after it.
 
     The frozen layers are a run at one end of the copy's vector, so the
     trained arrays are one slice: their gradients are written into one
@@ -309,13 +356,16 @@ def _fit(
             batch = draw()
             if pool is not None:
                 batch = TripletBatch(*(rows[i] for i in batch))
-            terms = backward(fitted, batch, weights, variant, grads)[1]
+            if traced:
+                terms = backward(fitted, batch, weights, variant, grads)[1]
+                trace.append(TraceRow(step, *terms))
+            else:
+                gradients(fitted, batch, weights, variant, grads)
             if span:
                 summed += grads["W1"]
                 np.matmul(gram, grads["W1"], out=grads["W1"])
             optimizer_step(params, grads, state, tc)
             check_finite(params)
-            trace.append(TraceRow(step, *terms))
         if span:
             # W1₀ - lr·poolᵀ·ΣD in the returned model's W1 slot
             out = Model(model.dims)
@@ -391,16 +441,11 @@ def finetune_initial(
     pools), negatives from the usual IoU window, full combined loss."""
     if not (usable([gt]) & on_frame([gt], frame.width, frame.height))[0]:
         raise ConfigError(f"first-frame ground truth {gt} is not a visible box")
-    sampler = Sampler(sampler_config)
-    side = _patch_side(model, frame)
-    view = (frame, gt)
-    # The positives are at most 24 shifts of gt, drawn again every step.
-    memo: dict[bytes, np.ndarray] = {}
-
-    def draw() -> TripletBatch:
-        return _draw_triplets(sampler, side, train_config.batch_size, view, view, memo=memo)
-
-    return _fit(model, train_config, weights, "full", draw)[0]
+    batches = _first_frame_batches(
+        Sampler(sampler_config), _patch_side(model, frame), train_config.batch_size,
+        (frame, gt), train_config.iterations,
+    )
+    return _fit(model, train_config, weights, "full", batches.__next__, traced=False)[0]
 
 
 def finetune_update(
@@ -443,7 +488,7 @@ def finetune_update(
         # fc1 of the pool, formed once: the first margin's and _fit's
         pre = patches @ model["W1"]
         before = margin(model, pre)
-        model = _fit(model, tc, weights, "full", draw, pool=(patches, pre))[0]
+        model = _fit(model, tc, weights, "full", draw, pool=(patches, pre), traced=False)[0]
         after = margin(model)
     # A finite update can still wreck the model: after a huge step the
     # ReLUs die and nearly every patch scores alike. NaN fails here too.

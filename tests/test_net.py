@@ -44,6 +44,7 @@ from slowtrack.net import (
     finite_diff_check,
     forward_classifier,
     forward_features,
+    gradients,
     init_model,
     load_model,
     save_model,
@@ -250,6 +251,123 @@ def per_stream_backward(model, batch, weights, variant):
     return grads
 
 
+def reference_backward(model, batch, weights, variant="full", grads=None):
+    """backward as it ran before its gradient reused the loss pass, kept
+    as the reference: the loss rows from each term's own arithmetic
+    (np.clip, np.sum), their means by np.mean, then the gradient
+    recomputing the clamps and the feature differences."""
+    if grads is None:
+        grads = _zero_grads(model)
+    (f_a, f_b, f_n), (P_a, P_n), (feat_cache, clf_cache) = _forward(model, batch, variant)
+    p_a, p_n = P_a[:, 1], P_n[:, 1]
+    floor = weights.p_floor
+    pp, pn = np.clip(p_a, floor, 1.0 - floor), np.clip(p_n, floor, 1.0 - floor)
+    s = -(np.log1p(-pn) + np.log(pp))
+    total, c, d = weights.mu * s, None, None
+    if uses_pair(variant):
+        c = np.sum((f_a - f_b) * (f_a - f_b), axis=-1)
+        total = c + total
+        if variant != "wo-Dloss":
+            d = np.exp(-weights.beta * np.sum((f_a - f_n) * (f_a - f_n), axis=-1))
+            total = total + weights.lam * d
+    terms = LossTerms(*(0.0 if t is None else float(np.mean(t)) for t in (total, c, d, s)))
+    B = f_a.shape[0]
+
+    e1 = np.array([0.0, 1.0])
+    dLdp_a = np.where(
+        (p_a > floor) & (p_a < 1.0 - floor),
+        -1.0 / np.clip(p_a, floor, 1.0 - floor),
+        0.0,
+    ) * (weights.mu / B)
+    dLdp_n = np.where(
+        (p_n > floor) & (p_n < 1.0 - floor),
+        1.0 / (1.0 - np.clip(p_n, floor, 1.0 - floor)),
+        0.0,
+    ) * (weights.mu / B)
+    dz = np.concatenate([
+        dLdp_a[:, None] * P_a[:, 1:2] * (e1 - P_a),
+        dLdp_n[:, None] * P_n[:, 1:2] * (e1 - P_n),
+    ])
+
+    df_clf = _clf_backward(model, grads, clf_cache, dz)
+    if not grads.keys().isdisjoint(FEATURE_PARAMS):
+        df = np.zeros((feat_cache[0].shape[0], f_a.shape[1]))
+        df_a, df_n, df_b = df[:B], df[B : 2 * B], df[2 * B :]
+        if c is not None:
+            diff = (2.0 / B) * (f_a - f_b)
+            df_a += diff
+            df_b -= diff
+        if d is not None:
+            dd = f_a - f_n
+            coef = (-2.0 * weights.beta * weights.lam / B) * d
+            df_a += coef[:, None] * dd
+            df_n -= coef[:, None] * dd
+        df[: 2 * B] += df_clf
+        _feat_backward(model, grads, feat_cache, df)
+    return grads, terms
+
+
+class TestAgainstReference:
+    """backward and gradients reuse one loss pass; their gradients are
+    bit-equal to the reference's, and backward's LossTerms equal."""
+
+    @staticmethod
+    def assert_same(model, batch, weights, variant, names=PARAM_NAMES):
+        want, want_terms = reference_backward(
+            model, batch, weights, variant, _zero_grads(model, names)
+        )
+        got, terms = backward(model, batch, weights, variant, _zero_grads(model, names))
+        assert terms == want_terms
+        assert list(got) == list(want)
+        assert got.vec.tobytes() == want.vec.tobytes()
+        alone = gradients(model, batch, weights, variant, _zero_grads(model, names))
+        assert alone.vec.tobytes() == want.vec.tobytes()
+
+    @pytest.mark.parametrize(
+        "variant, names",
+        [(variant, PARAM_NAMES) for variant in VARIANTS]
+        + [("tarspec", FEATURE_PARAMS), ("full", CLASSIFIER_PARAMS)],
+        ids=list(VARIANTS) + ["tarspec-trained", "classifier-only"],
+    )
+    @pytest.mark.parametrize("dims", [DIMS, BIG_DIMS], ids=["small", "1024-input"])
+    def test_bit_equal(self, dims, variant, names):
+        rng = np.random.default_rng(40)
+        m = init_model(dims, seed=21)
+        for B in (1, 4, 16):
+            batch = TripletBatch(*(rng.normal(0.0, 0.3, (B, dims[0])) for _ in range(3)))
+            if not uses_pair(variant):
+                batch.b = None
+            self.assert_same(m, batch, LossWeights(lam=3.0, mu=7.0, beta=0.5), variant, names)
+
+    @pytest.mark.parametrize("names", [PARAM_NAMES, CLASSIFIER_PARAMS])
+    def test_one_hot_pool_model(self, names):
+        # the online update's model: fc1 weights are a pool's fc1 products,
+        # and its batches one-hot rows over the pool
+        rows = 48
+        m = init_model((rows,) + BIG_DIMS[1:], seed=22)
+        pool = np.eye(rows)
+        rng = np.random.default_rng(41)
+        batch = TripletBatch(*(pool[rng.integers(rows, size=16)] for _ in range(3)))
+        self.assert_same(m, batch, LossWeights(), "full", names)
+
+    def test_probabilities_on_the_clamp(self):
+        # The class-0 bias centres the probabilities on 1/2, and a p_floor of
+        # 0.4 clamps some at each end: both gates of the classification
+        # gradient are hit, and some probabilities pass between them.
+        rng = np.random.default_rng(42)
+        m = init_model(DIMS, seed=23)
+        batch = TripletBatch(*(rng.normal(0.0, 3.0, (16, DIMS[0])) for _ in range(3)))
+        _, (P_a, P_n), _ = _forward(m, batch, "full")
+        p = np.concatenate([P_a[:, 1], P_n[:, 1]])
+        m.b5[0] += np.median(np.log(p / (1.0 - p)))
+        w = LossWeights(p_floor=0.4)
+        _, (P_a, P_n), _ = _forward(m, batch, "full")
+        p = np.concatenate([P_a[:, 1], P_n[:, 1]])
+        assert (p <= 0.4).any() and (p >= 0.6).any() and ((p > 0.4) & (p < 0.6)).any()
+        for variant in VARIANTS:
+            self.assert_same(m, batch, w, variant)
+
+
 class TestBackward:
     def test_identical_positives_zero_weights_zero_grads(self):
         rng = np.random.default_rng(11)
@@ -308,21 +426,26 @@ class TestBackward:
         assert [t is None for t in got[1:]] == dropped
 
     def test_one_loss_evaluation_per_backward(self, monkeypatch):
-        # Counted wherever the term functions are looked up, in loss or
-        # in net.
-        calls = {"loss_d": 0, "loss_s": 0}
-        for name in calls:
+        # Each loss kernel runs once per pass, counted where it is looked
+        # up; gradients, which keeps no loss value, skips the logs.
+        names = ("_clamped", "_closeness", "_cross_entropy", "_squared_norm")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
             real = getattr(loss_module, name)
 
-            def counted(*args, _real=real, _name=name, **kwargs):
+            def counted(*args, _real=real, _name=name):
                 calls[_name] += 1
-                return _real(*args, **kwargs)
+                return _real(*args)
 
             monkeypatch.setattr(loss_module, name, counted)
-            monkeypatch.setattr(net_module, name, counted, raising=False)
         m = init_model(DIMS, seed=13)
-        backward(m, rand_batch(np.random.default_rng(25)), LossWeights())
-        assert calls == {"loss_d": 1, "loss_s": 1}
+        batch = rand_batch(np.random.default_rng(25))
+        backward(m, batch, LossWeights())
+        # two clamps, loss_d's norm inside its closeness and loss_c's norm
+        assert calls == {"_clamped": 2, "_closeness": 1, "_cross_entropy": 1, "_squared_norm": 2}
+        calls.update(dict.fromkeys(names, 0))
+        gradients(m, batch, LossWeights())
+        assert calls == {"_clamped": 2, "_closeness": 1, "_cross_entropy": 0, "_squared_norm": 1}
 
     @pytest.mark.parametrize("dims", [DIMS, BIG_DIMS])
     @pytest.mark.parametrize("variant", VARIANTS)

@@ -1,8 +1,13 @@
 """Failure paths that no other test reaches, each triggered on purpose:
 one row per `raise`, with the call, the exception type and a fragment
-of its message."""
+of its message; and the guard that every `raise` in src/slowtrack is
+named by one of these rows or by another test that triggers it."""
 
+import ast
+import importlib.util
+from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,3 +177,288 @@ def test_raises(tmp_path, call, exc, fragment):
     with pytest.raises(exc) as info:
         call(tmp_path)
     assert fragment in str(info.value)
+
+
+# -- the guard: every raise is named ------------------------------------------
+
+TESTS = Path(__file__).resolve().parent
+_spec = importlib.util.spec_from_file_location(
+    "raise_coverage", TESTS.parent / "scripts" / "raise_coverage.py"
+)
+raise_coverage = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(raise_coverage)
+
+# Each `raise` in src/slowtrack, by "module.function" (a method as
+# "module.Class.method"), and the test that triggers it on purpose: one
+# entry per `raise` in the function, in source order. An entry is the id
+# of a row of ROWS, or "test_file.py::Class::test" (or
+# "test_file.py::test") without parameters. A new `raise` needs an entry;
+# `PYTHONPATH=src python scripts/raise_coverage.py -q` shows whether the
+# tests really run it.
+TRIGGERED_BY = {
+    "bound.BoundParams.__post_init__": (
+        "test_bound.py::TestBoundParams::test_rejects_bad_fields",
+        "test_bound.py::TestBoundParams::test_rejects_bad_fields",
+        "test_bound.py::TestBoundParams::test_rejects_bad_fields",
+        "test_bound.py::TestBoundParams::test_rejects_bad_fields",
+        "test_bound.py::TestBoundParams::test_rejects_bad_fields",
+        "test_bound.py::TestBoundParams::test_rejects_bad_fields",
+        "test_bound.py::TestBoundParams::test_rejects_delta_at_admissibility_floor",
+    ),
+    "bound.bound_value": (
+        "test_bound.py::TestClosedForms::test_bound_value_rejects_wrong_length",
+        "test_bound.py::TestClosedForms::test_bound_value_rejects_negative_loss",
+    ),
+    "bound.sample_noise": (
+        "test_bound.py::TestNoiseGenerators::test_negative_variance_rejected",
+        "test_bound.py::TestNoiseGenerators::test_unknown_generator_rejected",
+    ),
+    "bound.verify_chebyshev": (
+        "test_bound.py::TestVerifyChebyshev::test_bad_trials_rejected",
+        "test_bound.py::TestVerifyChebyshev::test_variance_above_cap_rejected",
+    ),
+    "bound.verify_error_bound": (
+        "bound-trials",
+        "test_bound.py::TestVerifyErrorBound::test_wrong_shape_rejected",
+        "test_bound.py::TestVerifyErrorBound::test_drift_over_cap_rejected",
+        "test_bound.py::TestVerifyErrorBound::test_noise_var_over_cap_rejected",
+        "test_bound.py::TestVerifyErrorBound::test_unknown_predictor_rejected",
+        "bound-predictor_scale",
+    ),
+    "cli._Parser.error": ("test_cli.py::TestExitCodes::test_no_command_at_all",),
+    "cli._eval_records": (
+        "eval-no-frames",
+        "test_cli.py::TestEval::test_mismatched_sequence_rejected",
+        "test_cli.py::TestEval::test_repeated_or_missing_frames_exit_one",
+    ),
+    "cli.cmd_eval": (
+        "test_cli.py::TestEval::test_bad_label_rejected_before_any_output",
+        "test_cli.py::TestEval::test_duplicate_series_rejected",
+    ),
+    "cli.cmd_ablate": ("test_cli.py::TestAblate::test_variant_key_exits_one",),
+    "cli.build_parser.count": ("test_cli.py::TestGradcheck::test_no_models_is_usage_error",),
+    "cli.build_parser.tolerance": (
+        "test_cli.py::TestGradcheck::test_tolerance_that_decides_alone_is_usage_error",
+    ),
+    "config.parse_config_text": (
+        "test_config.py::TestParse::test_missing_equals_rejected",
+        "test_config.py::TestParse::test_empty_key_rejected",
+        "test_config.py::TestParse::test_duplicate_key_rejected",
+    ),
+    "config._convert": (
+        "test_config.py::TestBuild::test_bool_garbage_rejected",
+        "test_config.py::TestBuild::test_int_garbage_rejected",
+        "test_config.py::TestBuild::test_non_finite_float_rejected",
+        "test_config.py::TestBuild::test_fixed_tuple_arity_error",
+        "config-unsupported-type",
+    ),
+    "config.build": ("test_config.py::TestBuild::test_unknown_key_lists_known",),
+    "config.check_known_sections": (
+        "test_config.py::TestSections::test_unknown_section_rejected",
+    ),
+    "dataset.Sequence.__post_init__": (
+        "test_dataset.py::TestSequenceType::test_groundtruth_length_mismatch_rejected",
+    ),
+    "dataset.SynthSpec.box_at": (
+        "test_dataset.py::TestGenerate::test_overflowing_target_size_rejected",
+    ),
+    "dataset._validate_spec": (
+        "synth-T",
+        "synth-frame-size",
+        "synth-scale_rate",
+        "synth-target-size",
+        "test_dataset.py::TestGenerate::test_target_exits_left_rejected",
+    ),
+    "dataset.save_sequence": ("test_dataset.py::TestSaveLoad::test_empty_sequence_rejected",),
+    "dataset.load_sequence": (
+        "test_dataset.py::TestSaveLoad::test_missing_directory_raises",
+        "load-no-frames",
+        "test_dataset.py::TestSaveLoad::test_missing_groundtruth_raises",
+        "test_dataset.py::TestSaveLoad::test_bad_line_reports_line_number",
+        "load-groundtruth-float",
+        "test_dataset.py::TestSaveLoad::test_unusable_box_names_file_and_line",
+        "test_dataset.py::TestSaveLoad::test_count_mismatch_raises_format_error",
+        "test_dataset.py::TestSaveLoad::test_bad_occlusion_flag_names_file_and_line",
+        "load-occlusion-count",
+    ),
+    "dataset._write_netpbm": ("save-non-uint8", "netpbm-write-failure"),
+    "dataset._read_netpbm": (
+        "netpbm-read-failure",
+        "netpbm-magic",
+        "netpbm-truncated-header",
+        "netpbm-header-token",
+        "netpbm-maxval",
+        "test_dataset.py::TestSaveLoad::test_truncated_image_raises",
+    ),
+    "errors.read_text": ("test_config.py::TestParse::test_load_config_missing_file",),
+    "evaluate.Curve.__post_init__": (
+        "test_evaluate.py::TestCurveType::test_mismatched_lengths_rejected",
+        "test_evaluate.py::TestCurveType::test_empty_rejected",
+        "test_evaluate.py::TestCurveType::test_non_increasing_grid_rejected",
+    ),
+    "evaluate.Curve.at": ("test_evaluate.py::TestCurveType::test_at_off_grid_rejected",),
+    "evaluate._check_pairs": (
+        "test_evaluate.py::TestSuccessCurve::test_length_mismatch_rejected",
+        "test_evaluate.py::TestPrecisionCurve::test_empty_rejected",
+    ),
+    "evaluate.auc": ("test_evaluate.py::TestAuc::test_single_point_rejected",),
+    "evaluate.emit_plots": ("test_evaluate.py::TestEmitPlots::test_empty_curve_set_rejected",),
+    "geometry._require_valid": ("test_geometry.py::TestIou::test_degenerate_rejected",),
+    "geometry.average_boxes": ("test_geometry.py::TestAverageBoxes::test_empty_rejected",),
+    "geometry.crop_many": ("crop-side", "test_geometry.py::TestCrop::test_out_of_view_raises"),
+    "loss.LossWeights.__post_init__": (
+        "test_loss.py::TestWeights::test_invalid_rejected",
+        "test_loss.py::TestWeights::test_invalid_rejected",
+        "test_loss.py::TestWeights::test_invalid_rejected",
+    ),
+    "loss._pair": ("test_loss.py::TestLossC::test_length_mismatch_rejected",),
+    "loss.loss_d": ("test_loss.py::TestLossD::test_nonpositive_beta_rejected",),
+    "loss.uses_pair": ("test_loss.py::TestTotalLoss::test_unknown_variant_rejected",),
+    "loss.loss_pass": (
+        "test_loss.py::TestTotalLoss::test_missing_inputs_rejected",
+        "test_loss.py::TestTotalLoss::test_missing_inputs_rejected",
+    ),
+    "net.FlatParams.__init__": ("test_net.py::TestFlatParams::test_zeros_and_layout_checks",),
+    "net.FlatParams.run": ("test_net.py::TestFlatParams::test_run_is_a_slice_of_the_same_vector",),
+    "net.Model.__getattr__": (
+        "test_net.py::TestOneVector::test_parameter_attributes_read_but_never_rebind",
+    ),
+    "net.Model.__setattr__": (
+        "test_net.py::TestOneVector::test_parameter_attributes_read_but_never_rebind",
+    ),
+    "net.check_finite": ("test_net.py::TestFlatParams::test_check_finite_with_vector",),
+    "net._checked_dims": (
+        "test_net.py::TestInit::test_bad_dims_rejected",
+        "test_net.py::TestInit::test_bad_dims_rejected",
+        "test_net.py::TestInit::test_bad_dims_rejected",
+    ),
+    "net._as_batch": (
+        "test_net.py::TestBackward::test_three_dimensional_stream_rejected",
+        "test_net.py::TestForwardFeatures::test_dim_mismatch_rejected",
+    ),
+    "net._forward": (
+        "test_net.py::TestBackward::test_stream_batch_size_mismatch_rejected",
+        "test_net.py::TestBackward::test_missing_pair_rejected_outside_sloss_only",
+        "test_net.py::TestBackward::test_stream_batch_size_mismatch_rejected",
+    ),
+    "net._gradient_pass": ("test_net.py::TestBackward::test_nan_parameter_raises_named_error",),
+    "net.finite_diff_check": (
+        "test_net.py::TestFiniteDiff::test_unknown_parameter_name_rejected",
+        "test_net.py::TestFiniteDiff::test_repeated_parameter_name_rejected",
+    ),
+    "net.conditioned_batch": ("test_net.py::TestConditionedBatch::test_nan_rejects_the_batch",),
+    "net.load_model": (
+        "test_net.py::TestSaveLoad::test_wrong_magic_named",
+        "test_net.py::TestSaveLoad::test_truncated_file_rejected",
+        "test_net.py::TestSaveLoad::test_trailing_garbage_rejected",
+        "test_net.py::TestLoadModelRejects::test_rejects",
+        "test_net.py::TestLoadModelRejects::test_rejects",
+        "test_net.py::TestLoadModelRejects::test_rejects",
+        "test_net.py::TestLoadModelRejects::test_rejects",
+        "test_net.py::TestLoadModelRejects::test_rejects",
+    ),
+    "sampler.SamplerConfig.__post_init__": (
+        "test_sampler.py::TestConfig::test_lo_below_hi",
+        "test_sampler.py::TestConfig::test_shift_max_one_or_two",
+        "sampler-m_n",
+        "sampler-sigma",
+        "sampler-max_rejections",
+    ),
+    "sampler.Sampler.sample_update_batch": (
+        "test_train.py::TestFinetuneUpdate::test_exhaustion_raises",
+    ),
+    "sampler.Sampler._draw_until": ("test_sampler.py::TestNegatives::test_exhaustion_message",),
+    "tracker.TrackerConfig.__post_init__": (
+        "test_tracker.py::TestTrackerConfig::test_rejects_bad_values",
+        "test_tracker.py::TestTrackerConfig::test_rejects_bad_values",
+        "test_tracker.py::TestTrackerConfig::test_rejects_bad_values",
+    ),
+    "tracker.select": (
+        "test_tracker.py::TestSelect::test_nan_inside_top_k_raises_with_its_count",
+    ),
+    "tracker.track_frame": (
+        "test_tracker.py::TestTrackFrame::test_degenerate_previous_box_rejected",
+    ),
+    "tracker.track_sequence": (
+        "test_tracker.py::TestTrackSequence::test_single_frame_sequence_rejected",
+    ),
+    "tracker.read_results": (
+        "test_tracker.py::TestResultsCsv::test_bad_header_rejected",
+        "test_tracker.py::TestResultsCsv::test_short_line_rejected_with_line_number",
+        "test_tracker.py::TestResultsCsv::test_bad_float_rejected",
+        "test_tracker.py::TestResultsCsv::test_impossible_box_rejected_with_line_number",
+    ),
+    "train.StepConfig.__post_init__": (
+        "test_train.py::TestTrainConfig::test_rejects_bad_values",
+        "test_train.py::TestTrainConfig::test_rejects_bad_values",
+        "test_train.py::TestTrainConfig::test_rejects_bad_values",
+        "test_train.py::TestTrainConfig::test_rejects_bad_values",
+        "test_train.py::TestTrainConfig::test_rejects_bad_values",
+        "test_train.py::TestTrainConfig::test_rejects_bad_values",
+    ),
+    "train.TrainConfig.__post_init__": (
+        "test_train.py::TestTrainConfig::test_rejects_bad_values",
+        "test_train.py::TestTrainConfig::test_rejects_bad_values",
+    ),
+    "train.optimizer_step": ("test_train.py::TestOptimizerStep::test_shape_mismatch_rejected",),
+    "train._patch_side": (
+        "patch-channels",
+        "test_train.py::TestFinetuneInitial::test_rejects_non_square_input_size",
+    ),
+    "train._first_frame_batches": (
+        "test_train.py::TestDrawAhead::test_exhaustion_surfaces_at_the_step_whose_draw_failed",
+    ),
+    "train.train_offline": (
+        "test_train.py::TestTrainOffline::test_requires_sequences",
+        "test_train.py::TestTrainOffline::test_rejects_single_frame_sequence",
+        "test_train.py::TestTrainOffline::test_rejects_fully_occluded_corpus",
+    ),
+    "train.train_offline.draw": (
+        "test_train.py::TestTrainOffline::test_exhaustion_names_sequence_and_frame",
+    ),
+    "train.finetune_initial": ("test_train.py::TestFinetuneInitial::test_rejects_invisible_box",),
+    "train.finetune_update": (
+        "test_train.py::TestFinetuneUpdate::test_wrecked_finite_update_raises",
+    ),
+}
+
+
+def _defined_tests(path: Path) -> set[str]:
+    """The "Class::test" and "test" names a test file defines at its top
+    level."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names |= {
+                f"{node.name}::{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name.startswith("test")
+            }
+    return names
+
+
+def test_every_raise_is_named():
+    sites = Counter(f"{path.stem}.{name}" for path, _, _, name in raise_coverage.raise_sites())
+    named = {site: len(tests) for site, tests in TRIGGERED_BY.items()}
+    assert named == dict(sites), {
+        site: f"{sites.get(site, 0)} raise(s), {named.get(site, 0)} named"
+        for site in set(sites) | set(named)
+        if sites.get(site, 0) != named.get(site, 0)
+    }
+    rows = {row.id for row in ROWS}
+    defined = {}
+    unknown = []
+    for site, tests in TRIGGERED_BY.items():
+        for test in tests:
+            if "::" not in test:
+                found = test in rows
+            else:
+                file, name = test.split("::", 1)
+                if file not in defined:
+                    defined[file] = _defined_tests(TESTS / file)
+                found = name in defined[file]
+            if not found:
+                unknown.append((site, test))
+    assert unknown == []

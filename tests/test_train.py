@@ -6,6 +6,7 @@ pinned from deterministic pilot runs at small scale; the full-scale
 budgeted versions live in the acceptance suite.
 """
 
+import re
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -29,15 +30,17 @@ from slowtrack.net import (
     forward_features,
     init_model,
 )
-from slowtrack.sampler import Sampler, SamplerConfig, _positive_offsets
+from slowtrack.sampler import Sampler, SamplerConfig
 from slowtrack.train import (
     CLASSIFIER_PARAMS,
     FEATURE_PARAMS,
+    DRAW_AHEAD_ROWS,
     STEP_BLOCK,
     OptState,
     StepConfig,
     TrainConfig,
     _draw_triplets,
+    _first_frame_batches,
     _fit,
     _patches,
     finetune_initial,
@@ -779,28 +782,25 @@ class TestCropPools:
         assert memo.keys() == before.keys()
         assert all(memo[k] is v for k, v in before.items())
 
-    def twin_draw(self, seed, anchor, pair):
-        """The boxes a _draw_triplets call with this sampler seed uses:
+    def twin_draw(self, seed, anchor, pair, steps=1):
+        """The boxes that `steps` draws of one sampler with this seed use,
+        as _draw_triplets and the first-frame batches draw them: a list of
         (anchors, paired positives, negatives), one row per triplet."""
         sampler = Sampler(SamplerConfig(seed=seed))
         (frame, gt), (_, pair_gt) = anchor, pair
-        a = sampler.positive_rows(gt, frame.width, frame.height)
-        b = sampler.positive_rows(pair_gt, frame.width, frame.height)
-        n = sampler.negative_rows(gt, frame.width, frame.height)
-        js, ks, ls = sampler.build_triplets(len(a), len(b), len(n), 16)
-        return a[js], b[ks], n[ls]
+        draws = []
+        for _ in range(steps):
+            a = sampler.positive_rows(gt, frame.width, frame.height)
+            b = sampler.positive_rows(pair_gt, frame.width, frame.height)
+            n = sampler.negative_rows(gt, frame.width, frame.height)
+            js, ks, ls = sampler.build_triplets(len(a), len(b), len(n), 16)
+            draws.append((a[js], b[ks], n[ls]))
+        return draws
 
     @pytest.mark.parametrize("layout", ["next frame", "no pair", "first frame"])
     def test_draw_crop_calls(self, monkeypatch, layout):
         t0, t1 = (self.f0, self.gt0), (self.f1, self.gt1)
         first = (self.f0, self.gt0)
-        memo = None
-        if layout == "first frame":
-            # every positive of gt0 already in the memo
-            shifts = np.array(_positive_offsets(2), dtype=float)
-            shifts = np.array(self.gt0.as_tuple()) + np.hstack([shifts, np.zeros((24, 2))])
-            memo = {}
-            _patches(memo, SIDE, self.f0, shifts)
         anchor, pair, paired = {
             "next frame": (t0, t1, True),
             "no pair": (t0, t1, False),
@@ -809,17 +809,24 @@ class TestCropPools:
         calls = self.counted(monkeypatch)
         for seed in range(3):
             calls.clear()
-            _draw_triplets(Sampler(SamplerConfig(seed=seed)), SIDE, 16, anchor, pair, paired, memo)
-            a, b, n = self.twin_draw(seed, anchor, pair)
-            want = {
-                "next frame": [self.distinct(a, n), self.distinct(b)],
-                "no pair": [self.distinct(a, n)],
-                "first frame": [self.distinct(n)],
-            }[layout]
+            if layout == "first frame":
+                # three steps, in one window: their negatives in one call,
+                # then each step's positives not cropped by an earlier step
+                list(_first_frame_batches(Sampler(SamplerConfig(seed=seed)), SIDE, 16, first, 3))
+                draws = self.twin_draw(seed, anchor, pair, steps=3)
+                want = [self.distinct(*(n for _, _, n in draws))]
+                seen = set()
+                for a, b, _ in draws:
+                    new = self.distinct(a, b) - seen
+                    want += [new] if new else []
+                    seen |= new
+                assert len(seen) <= 24
+            else:
+                _draw_triplets(Sampler(SamplerConfig(seed=seed)), SIDE, 16, anchor, pair, paired)
+                ((a, b, n),) = self.twin_draw(seed, anchor, pair)
+                want = [self.distinct(a, n)] + ([self.distinct(b)] if paired else [])
             assert [len(c) for c in calls] == [len(w) for w in want]
             assert [self.distinct(c) for c in calls] == want
-        if memo is not None:
-            assert len(memo) == 24
 
     @pytest.mark.parametrize("layout", ["next frame", "same frame", "no pair", "first frame"])
     def test_draw_matches_cropping_every_drawn_box(self, layout):
@@ -853,24 +860,28 @@ class TestCropPools:
 
         monkeypatch.setattr(train_mod, "crop_many", recording)
         first = (self.f0, self.gt0)
-        memo = {}
-        # one memo across draws, as in finetune_initial
-        for seed in range(5):
-            args = (SIDE, 16, first, first)
-            got = _draw_triplets(Sampler(SamplerConfig(seed=seed)), *args, memo=memo)
-            ref = _reference_draw(Sampler(SamplerConfig(seed=seed)), *args)
-            assert_bit_equal(got.a, ref[0])
-            assert_bit_equal(got.b, ref[1])
-            assert_bit_equal(got.n, ref[2])
-        # Positives keep gt's size, negatives are rescaled: each distinct
-        # positive was cropped once, the negatives once per draw.
-        gt_size = np.array([self.gt0.w, self.gt0.h])
-        positive = [(b[:, 2:] == gt_size).all() for b in cropped]
-        pos_rows = np.concatenate([b for b, p in zip(cropped, positive) if p])
-        assert len(pos_rows) == len(np.unique(pos_rows, axis=0)) == len(memo) <= 24
-        assert positive.count(False) == 5
-        for boxes, p in zip(cropped, positive):
-            assert p or not (boxes[:, 2:] == gt_size).all(axis=1).any()
+        # two windows of 16 triplets a step, and three steps of a third
+        steps = 2 * (DRAW_AHEAD_ROWS // 16) + 3
+        for seed in range(3):
+            cropped.clear()
+            sampler = Sampler(SamplerConfig(seed=seed))
+            got = list(_first_frame_batches(sampler, SIDE, 16, first, steps))
+            sampler = Sampler(SamplerConfig(seed=seed))
+            assert len(got) == steps
+            for batch in got:
+                a, b, n = _reference_draw(sampler, SIDE, 16, first, first)
+                assert_bit_equal(batch.a, a)
+                assert_bit_equal(batch.b, b)
+                assert_bit_equal(batch.n, n)
+            # Positives keep gt's size, negatives are rescaled: each distinct
+            # positive was cropped once, the negatives once per window.
+            gt_size = np.array([self.gt0.w, self.gt0.h])
+            positive = [(b[:, 2:] == gt_size).all() for b in cropped]
+            pos_rows = np.concatenate([b for b, p in zip(cropped, positive) if p])
+            assert len(pos_rows) == len(np.unique(pos_rows, axis=0)) <= 24
+            assert positive.count(False) == 3
+            for boxes, p in zip(cropped, positive):
+                assert p or not (boxes[:, 2:] == gt_size).all(axis=1).any()
 
 
 class TestFinetuneInitial:
@@ -971,6 +982,140 @@ class TestFinetuneInitial:
             )
 
 
+class TestDrawAhead:
+    """finetune_initial draws a window of steps ahead, in the order and
+    with the arguments of one draw per step, and crops the window's
+    negatives in one crop_many call."""
+
+    # steps of a window at 16 triplets a step; a finetune of two windows
+    # and three steps of a third
+    W = DRAW_AHEAD_ROWS // 16
+    STEPS = 2 * W + 3
+
+    def setup_method(self):
+        seq = generate(SynthSpec(T=2, velocity=(1.0, 0.0), seed=0))
+        self.frame, self.gt = seq.frames[0], seq.groundtruth[0]
+        self.tc = StepConfig(
+            iterations=self.STEPS, optimizer="sgd", learning_rate=0.01, batch_size=16
+        )
+
+    def run(self, draw=None):
+        """finetune_initial, or with `draw` the step loop on that draw."""
+        m0, config = init_model(DIMS, seed=0), SamplerConfig(seed=4)
+        if draw is None:
+            return finetune_initial(m0, self.frame, self.gt, self.tc, config)
+        return _fit(m0, self.tc, LossWeights(), "full", draw(Sampler(config)))[0]
+
+    def reference(self, sampler):
+        """The draw of one step at a time, cropping every drawn box."""
+        view = (self.frame, self.gt)
+        return lambda: TripletBatch(*_reference_draw(sampler, SIDE, 16, view, view))
+
+    @staticmethod
+    def steps(monkeypatch):
+        """A list that counts optimizer steps."""
+        done = []
+        real = train_module.optimizer_step
+
+        def step(*args):
+            done.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(train_module, "optimizer_step", step)
+        return done
+
+    def test_one_negative_crop_per_window_and_one_draw_per_step(self, monkeypatch):
+        done = self.steps(monkeypatch)
+        draws, crops = [], []
+        real_triplets = Sampler.build_triplets
+
+        def triplets(sampler, *args):
+            draws.append(len(done))
+            return real_triplets(sampler, *args)
+
+        def recording(image, boxes, side):
+            negative = not (boxes[:, 2:] == [self.gt.w, self.gt.h]).all()
+            crops.append((len(done), len(boxes) if negative else 0))
+            return crop_many(image, boxes, side)
+
+        monkeypatch.setattr(Sampler, "build_triplets", triplets)
+        monkeypatch.setattr(train_module, "crop_many", recording)
+        self.run()
+        # each window drawn before its first step, and no step more
+        W = self.W
+        assert draws == [0] * W + [W] * W + [2 * W] * 3
+        # one call per window, with the distinct negatives its steps use
+        sampler, (w, h) = Sampler(SamplerConfig(seed=4)), (self.frame.width, self.frame.height)
+        used = []
+        for _ in range(self.STEPS):
+            a = sampler.positive_rows(self.gt, w, h)
+            b = sampler.positive_rows(self.gt, w, h)
+            n = sampler.negative_rows(self.gt, w, h)
+            used.append(n[real_triplets(sampler, len(a), len(b), len(n), 16)[2]])
+        windows = [used[:W], used[W : 2 * W], used[2 * W :]]
+        distinct = [len(np.unique(np.concatenate(rows), axis=0)) for rows in windows]
+        assert [(at, n) for at, n in crops if n] == list(zip([0, W, 2 * W], distinct))
+
+    def test_matches_drawing_each_step(self):
+        ref = self.run(self.reference)
+        got = self.run()
+        for name, arr in ref.params():
+            assert_bit_equal(getattr(got, name), arr)
+
+    @staticmethod
+    def exhaust_at(monkeypatch, k):
+        """Make the k-th negative draw spend its proposals: no box of the
+        IoU window [0.99, 1] turns up, and the sampler raises as it would
+        on any exhausted draw."""
+        calls = []
+        real = Sampler.negative_rows
+
+        def negative_rows(sampler, *args):
+            calls.append(1)
+            if len(calls) == k:
+                sampler.config = replace(sampler.config, lo=0.99, hi=1.0)
+            return real(sampler, *args)
+
+        monkeypatch.setattr(Sampler, "negative_rows", negative_rows)
+
+    # the first draw, one inside the first window, the last of a window
+    # and the first of the next, and the very last draw
+    @pytest.mark.parametrize("k", [1, 3, W, W + 1, STEPS])
+    def test_exhaustion_surfaces_at_the_step_whose_draw_failed(self, monkeypatch, k):
+        done = self.steps(monkeypatch)
+        self.exhaust_at(monkeypatch, k)
+        with pytest.raises(SamplerExhausted) as want:
+            self.run(self.reference)
+        assert len(done) == k - 1
+        done.clear()
+        self.exhaust_at(monkeypatch, k)
+        with pytest.raises(SamplerExhausted) as got:
+            self.run()
+        assert len(done) == k - 1
+        assert str(got.value) == str(want.value)
+        assert re.fullmatch(r"negative sampling found \d+/32 in 5000 attempts", str(got.value))
+
+    def test_earlier_numerical_error_wins(self, monkeypatch):
+        # the last draw of the window drawn before step 1 fails; the third
+        # step's parameters turn non-finite first
+        assert self.W > 3
+        self.exhaust_at(monkeypatch, self.W)
+        done = []
+        real = train_module.optimizer_step
+
+        def step(params, grads, state, config):
+            done.append(1)
+            real(params, grads, state, config)
+            if len(done) == 3:
+                params["b2"].flat[0] = np.inf
+            return params, state
+
+        monkeypatch.setattr(train_module, "optimizer_step", step)
+        with pytest.raises(NumericalError, match="^non-finite values in parameter b2$"):
+            self.run()
+        assert len(done) == 3
+
+
 class TestFinetuneUpdate:
     def setup_method(self):
         self.seq = generate(SynthSpec(T=12, velocity=(1.0, 0.0), seed=0))
@@ -1037,20 +1182,20 @@ class TestFinetuneUpdate:
 
     def spy(self, monkeypatch):
         """The sampler finetune_update makes, and the input size of the model
-        and the batch type each backward call receives."""
+        and the batch type each gradient pass receives."""
         made, batches = [], []
-        real_sampler, real_backward = train_module.Sampler, train_module.backward
+        real_sampler, real_gradients = train_module.Sampler, train_module.gradients
 
         def sampler(config):
             made.append(real_sampler(config))
             return made[-1]
 
-        def backward(model, batch, *args):
+        def gradients(model, batch, *args):
             batches.append((model.dims[0], type(batch)))
-            return real_backward(model, batch, *args)
+            return real_gradients(model, batch, *args)
 
         monkeypatch.setattr(train_module, "Sampler", sampler)
-        monkeypatch.setattr(train_module, "backward", backward)
+        monkeypatch.setattr(train_module, "gradients", gradients)
         return made, batches
 
     @pytest.mark.parametrize(
@@ -1114,9 +1259,9 @@ class TestFinetuneUpdate:
         seen = []
         real_fit, real_features = train_module._fit, train_module.forward_features
 
-        def fit(*args, pool):
+        def fit(*args, pool, **kwargs):
             seen.append(pool[1])
-            return real_fit(*args, pool=pool)
+            return real_fit(*args, pool=pool, **kwargs)
 
         def features(model, patch, pre=None):
             seen.append(pre)
