@@ -194,6 +194,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_track(args) -> int:
+    # Each sequence writes results-<directory name>.csv.
+    names = [Path(path).name for path in args.sequences]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(
+                f"repeated sequence name {name!r}: both would write results-{name}.csv"
+            )
     sections = _read_config(args, {"tracker", "sampler", "init_train", "update_train", "loss"})
     model = load_model(args.model)
     cfg = _tracker_config(sections, args.seed)

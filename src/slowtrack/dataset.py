@@ -117,6 +117,14 @@ def _validate_spec(spec: SynthSpec) -> None:
         raise ConfigError(f"frame {spec.frame_w}x{spec.frame_h} too small")
     if spec.scale_rate <= 0:
         raise ConfigError(f"scale_rate must be positive, got {spec.scale_rate}")
+    for name in ("distractors", "noise_level", "appearance_drift"):
+        if not getattr(spec, name) >= 0:
+            raise ConfigError(f"{name} must be >= 0, got {getattr(spec, name)}")
+    for start, end in spec.occlusions:
+        if not 0 <= start <= end < spec.T:
+            raise ConfigError(
+                f"occlusions window {start}:{end} must have 0 <= start <= end < T = {spec.T}"
+            )
     boxes = box_array([spec.box_at(t) for t in range(spec.T)])
     if not usable(boxes[:1])[0]:
         raise ConfigError("target size must be positive")

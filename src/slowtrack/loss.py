@@ -127,7 +127,7 @@ def loss_pass(
     weights: LossWeights,
     variant: str = "full",
 ) -> LossPass:
-    """The part of loss_terms the gradient needs, and the one place that
+    """What the loss and its gradient read, and the one place that
     decides which terms a variant uses. Unused feature arguments may be
     None; missing required ones raise ValueError."""
     pp, pn = _clamped(p_pos, weights.p_floor), _clamped(p_neg, weights.p_floor)
@@ -161,20 +161,6 @@ def loss_rows(
     return total, c, lp.d, s
 
 
-def loss_terms(
-    f_a: np.ndarray | None,
-    f_b: np.ndarray | None,
-    f_neg: np.ndarray | None,
-    p_pos: np.ndarray,
-    p_neg: np.ndarray,
-    weights: LossWeights,
-    variant: str = "full",
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray]:
-    """(total, loss_c, loss_d, loss_s) per row, each term unweighted and
-    None where the variant drops it; total is total_loss."""
-    return loss_rows(loss_pass(f_a, f_b, f_neg, p_pos, p_neg, weights, variant), weights)
-
-
 def total_loss(
     f_a: np.ndarray | None,
     f_b: np.ndarray | None,
@@ -197,4 +183,4 @@ def total_loss(
     Unused feature arguments may be None; missing required ones raise
     ValueError.
     """
-    return loss_terms(f_a, f_b, f_neg, p_pos, p_neg, weights, variant)[0]
+    return loss_rows(loss_pass(f_a, f_b, f_neg, p_pos, p_neg, weights, variant), weights)[0]

@@ -45,9 +45,12 @@ class FlatParams(dict):
         if start != vec.size:
             raise ValueError(f"shapes hold {start} entries, the vector {vec.size}")
 
-    def zeros(self) -> "FlatParams":
-        """Zeros in a FlatParams laid out like this one."""
-        return FlatParams(np.zeros_like(self.vec), self.shapes())
+    def zeros(self, names: Iterable[str] | None = None) -> "FlatParams":
+        """Zeros in a FlatParams laid out like this one's arrays `names`
+        (all when None), in this one's order."""
+        keep = self.keys() if names is None else set(names)
+        shapes = self.shapes([name for name in self if name in keep])
+        return FlatParams(np.zeros(sum(math.prod(shape) for _, shape in shapes)), shapes)
 
     def run(self, names: Iterable[str]) -> "FlatParams":
         """The arrays `names`, consecutive here, as a FlatParams whose
@@ -79,8 +82,8 @@ class Model(FlatParams):
     fc1-fc2 map a flattened patch to the n-dim feature space (fc2 output
     is linear); fc3-fc5 map a feature vector to two class logits. The
     parameters W1, b1, ..., W5, b5 are views of one vector `vec`, zeros
-    when none is given, laid out by _layout; `model.W1` reads
-    `model["W1"]`, and cannot be rebound."""
+    when none is given, laid out by _layout; `model["W1"]` reads one,
+    and `model.W1` cannot be bound."""
 
     def __init__(self, dims, vec: np.ndarray | None = None):
         self.dims = tuple(dims)
@@ -88,12 +91,6 @@ class Model(FlatParams):
         if vec is None:
             vec = np.zeros(sum(math.prod(shape) for _, shape in shapes))
         super().__init__(vec, shapes)
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        try:
-            return self[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
     def __setattr__(self, name: str, value) -> None:
         # A rebound W1 would leave model["W1"], which the passes read, as it was.
@@ -103,9 +100,6 @@ class Model(FlatParams):
 
     def params(self) -> list[tuple[str, np.ndarray]]:
         return list(self.items())
-
-    def n_params(self) -> int:
-        return self.vec.size
 
     def copy(self) -> "Model":
         return Model(self.dims, self.vec.copy())
@@ -293,13 +287,6 @@ def _streams(F: np.ndarray, B: int, pair: bool):
     return F[..., :B, :], f_b, F[..., B : 2 * B, :]
 
 
-def _zero_grads(model: Model, names: Iterable[str] = PARAM_NAMES) -> FlatParams:
-    """A zeroed gradient buffer for the parameters `names`, in PARAM_NAMES
-    order."""
-    shapes = model.shapes([name for name in model if name in names])
-    return FlatParams(np.zeros(sum(math.prod(shape) for _, shape in shapes)), shapes)
-
-
 def backward(
     model: Model,
     batch: TripletBatch,
@@ -353,7 +340,7 @@ def _gradient_pass(
 ) -> tuple[FlatParams, LossPass]:
     """backward's gradients, and the loss_pass they read."""
     if grads is None:
-        grads = _zero_grads(model)
+        grads = model.zeros()
     (f_a, f_b, f_n), (P_a, P_n), (feat_cache, clf_cache) = _forward(model, batch, variant)
     p_a, p_n = P_a[:, 1], P_n[:, 1]
     lp = loss_pass(f_a, f_b, f_n, p_a, p_n, weights, variant)
@@ -535,7 +522,7 @@ def finite_diff_check(
         return FDReport(True, 0.0, 0, {n: 0.0 for n in names}, [])
 
     if analytic is None:
-        analytic, _ = backward(model, batch, weights, variant, _zero_grads(model, names))
+        analytic, _ = backward(model, batch, weights, variant, model.zeros(names))
     feats, _, (feat_cache, clf_cache) = _forward(model, batch, variant)
     # each layer's input: X and r1 from the feature cache, F, r3 and r4
     # from the classifier's; and the pre-activations u1, u3, u4 of the

@@ -147,7 +147,7 @@ class TestNoiseGenerators:
 
 class TestVerifyChebyshev:
     def test_zero_variance_never_deviates(self):
-        r = verify_chebyshev(BoundParams(), noise_var=0.0, trials=500, seed=0)
+        r = verify_chebyshev(BoundParams(max_var=0.0), trials=500, seed=0)
         assert r.violation_rate == 0.0
         assert r.satisfaction_rate == 1.0
         assert r.passed
@@ -168,10 +168,6 @@ class TestVerifyChebyshev:
         assert 0.05 < r.violation_rate < 0.25
         assert r.passed
 
-    def test_variance_above_cap_rejected(self):
-        with pytest.raises(ConfigError, match="cap"):
-            verify_chebyshev(BoundParams(), noise_var=1.5, trials=10)
-
     def test_bad_trials_rejected(self):
         with pytest.raises(ConfigError):
             verify_chebyshev(BoundParams(), trials=0)
@@ -185,9 +181,8 @@ class TestVerifyChebyshev:
 
 class TestVerifyErrorBound:
     def test_perfect_prediction_zero_noise_static(self):
-        p = BoundParams(K=0.0)
+        p = BoundParams(K=0.0, max_var=0.0)
         sc = standard_scenario(p, predictor="truth")
-        sc.noise_var = 0.0
         r = verify_error_bound(p, sc, trials=200, seed=0)
         assert r.satisfaction_rate == 1.0
         assert r.passed
@@ -210,9 +205,8 @@ class TestVerifyErrorBound:
         # With noiseless samples the prediction sits predictor_scale
         # from the truth while every sample distance is at least
         # predictor_scale - |drift|, so the ceiling always wins.
-        p = BoundParams()
+        p = BoundParams(max_var=0.0)
         sc = standard_scenario(p, predictor="adversarial", predictor_scale=9.0)
-        sc.noise_var = 0.0
         r = verify_error_bound(p, sc, trials=300, seed=4)
         assert r.satisfaction_rate == 1.0
 
@@ -226,8 +220,8 @@ class TestVerifyErrorBound:
     def test_wrong_shape_rejected(self):
         p = BoundParams()
         sc = standard_scenario(p)
-        sc.base = np.zeros(5)
-        with pytest.raises(ConfigError, match="shape"):
+        sc.drift = np.zeros(5)
+        with pytest.raises(ConfigError, match=r"drift must have shape \(4,\), got \(5,\)"):
             verify_error_bound(p, sc, trials=10)
 
     def test_unknown_predictor_rejected(self):
@@ -235,13 +229,6 @@ class TestVerifyErrorBound:
         sc = standard_scenario(p)
         sc.predictor = "oracle"
         with pytest.raises(ConfigError, match="predictor"):
-            verify_error_bound(p, sc, trials=10)
-
-    def test_noise_var_over_cap_rejected(self):
-        p = BoundParams()
-        sc = standard_scenario(p)
-        sc.noise_var = 2.0
-        with pytest.raises(ConfigError, match="cap"):
             verify_error_bound(p, sc, trials=10)
 
     def test_deterministic_given_seed(self):

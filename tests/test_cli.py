@@ -231,6 +231,21 @@ class TestGen:
         assert run("gen", "--config", cfg, "--out", tmp_path / "seq") == 0
         assert load_sequence(tmp_path / "seq").T == 4
 
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("synth.noise_level = -20", "noise_level must be >= 0, got -20.0"),
+            ("synth.occlusions = 2:8", "occlusions window 2:8 must have 0 <= start <= end < T = 8"),
+        ],
+    )
+    def test_invalid_synth_value_exits_one(self, tmp_path, caplog, line, named):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"synth.T = 8\n{line}\n")
+        with caplog.at_level(logging.ERROR):
+            assert run("gen", "--config", cfg, "--out", tmp_path / "seq") == 1
+        assert named in caplog.text
+        assert not (tmp_path / "seq").exists()
+
 
 class TestTrain:
     def test_artifacts_exist(self, pipeline):
@@ -306,6 +321,19 @@ class TestTrack:
         assert code == 1
         assert "positive sampling found 1/16 in 1 attempts" in caplog.text
         assert not (tmp_path / "out" / "results-seq-a.csv").exists()
+
+    def test_repeated_sequence_name_rejected_before_tracking(self, pipeline, tmp_path, caplog):
+        # both directories are named seq-a, so both would write results-seq-a.csv
+        shutil.copytree(pipeline / "seq-a", tmp_path / "copy" / "seq-a")
+        with caplog.at_level(logging.ERROR):
+            code = run(
+                "track", pipeline / "seq-a", tmp_path / "copy" / "seq-a",
+                "--model", pipeline / "run" / "model.txt",
+                "--config", pipeline / "track.cfg", "--out", tmp_path / "out",
+            )
+        assert code == 1
+        assert "repeated sequence name 'seq-a'" in caplog.text
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrackerConfig:

@@ -18,8 +18,9 @@ from slowtrack.loss import (
     LossWeights,
     loss_c,
     loss_d,
+    loss_pass,
+    loss_rows,
     loss_s,
-    loss_terms,
     total_loss,
     uses_pair,
 )
@@ -37,7 +38,6 @@ from slowtrack.net import (
     _feat_backward,
     _feat_forward,
     _forward,
-    _zero_grads,
     backward,
     check_finite,
     conditioned_batch,
@@ -97,22 +97,22 @@ class TestInit:
 
     def test_different_seed_differs(self):
         a, b = init_model(DIMS, seed=5), init_model(DIMS, seed=6)
-        assert not np.array_equal(a.W1, b.W1)
+        assert not np.array_equal(a["W1"], b["W1"])
 
     def test_param_count(self):
-        assert init_model((4, 3, 2, 3, 3, 2), seed=0).n_params() == 52
+        assert init_model((4, 3, 2, 3, 3, 2), seed=0).vec.size == 52
 
     def test_biases_start_at_zero(self):
         m = init_model(DIMS, seed=1)
         for name in ("b1", "b2", "b3", "b4", "b5"):
-            assert not getattr(m, name).any()
+            assert not m[name].any()
 
     def test_weight_std_near_fan_in_target(self):
         # 200*50 = 1e4 draws; uniform(-sqrt(6/fan_in), +) has std
         # sqrt(2/fan_in).
         m = init_model((200, 50, 4, 4, 3, 2), seed=2)
         target = math.sqrt(2.0 / 200)
-        assert abs(m.W1.std() - target) / target < 0.2
+        assert abs(m["W1"].std() - target) / target < 0.2
 
     @pytest.mark.parametrize(
         "dims",
@@ -130,8 +130,8 @@ class TestForwardFeatures:
 
     def test_identity_configuration_reproduces_input(self):
         m = zero_model((4, 4, 4, 4, 3, 2))
-        m.W1[:] = np.eye(4)
-        m.W2[:] = np.eye(4)
+        m["W1"][:] = np.eye(4)
+        m["W2"][:] = np.eye(4)
         x = np.array([0.5, 0.0, 2.0, 1.25])  # non-negative: ReLU transparent
         assert np.array_equal(forward_features(m, x), x)
 
@@ -140,8 +140,8 @@ class TestForwardFeatures:
         m = init_model(DIMS, seed=3)
         for _ in range(20):
             x = rng.normal(size=DIMS[0])
-            h = np.maximum(m.W1.T @ x + m.b1, 0.0)
-            want = m.W2.T @ h + m.b2
+            h = np.maximum(m["W1"].T @ x + m["b1"], 0.0)
+            want = m["W2"].T @ h + m["b2"]
             assert np.max(np.abs(forward_features(m, x) - want)) <= 1e-12
 
     def test_batched_matches_single(self):
@@ -167,7 +167,7 @@ class TestForwardFeatures:
     def test_given_fc1_products_bit_equal(self):
         m = init_model(BIG_DIMS, seed=5)
         X = np.random.default_rng(9).normal(size=(48, BIG_DIMS[0]))
-        assert forward_features(m, X, X @ m.W1).tobytes() == forward_features(m, X).tobytes()
+        assert forward_features(m, X, X @ m["W1"]).tobytes() == forward_features(m, X).tobytes()
 
 
 class TestForwardClassifier:
@@ -177,7 +177,7 @@ class TestForwardClassifier:
 
     def test_huge_logit_gap_saturates_without_overflow(self):
         m = zero_model()
-        m.b5[:] = [0.0, 100.0]
+        m["b5"][:] = [0.0, 100.0]
         p = forward_classifier(m, np.zeros(DIMS[2]))
         assert abs(p - 1.0) <= 1e-12
 
@@ -186,9 +186,9 @@ class TestForwardClassifier:
         m = init_model(DIMS, seed=5)
         for _ in range(20):
             f = rng.normal(size=DIMS[2])
-            q3 = np.maximum(m.W3.T @ f + m.b3, 0.0)
-            q4 = np.maximum(m.W4.T @ q3 + m.b4, 0.0)
-            z = m.W5.T @ q4 + m.b5
+            q3 = np.maximum(m["W3"].T @ f + m["b3"], 0.0)
+            q4 = np.maximum(m["W4"].T @ q3 + m["b4"], 0.0)
+            z = m["W5"].T @ q4 + m["b5"]
             mx = max(z[0], z[1])
             e0, e1 = math.exp(z[0] - mx), math.exp(z[1] - mx)
             assert abs(forward_classifier(m, f) - e1 / (e0 + e1)) <= 1e-12
@@ -218,7 +218,7 @@ def per_stream_backward(model, batch, weights, variant):
     P_a, clf_a = _clf_forward(model, f_a)
     P_n, clf_n = _clf_forward(model, f_n)
     p_a, p_n = P_a[:, 1], P_n[:, 1]
-    _, c, d, _ = loss_terms(f_a, f_b, f_n, p_a, p_n, weights, variant)
+    _, c, d, _ = loss_rows(loss_pass(f_a, f_b, f_n, p_a, p_n, weights, variant), weights)
     B = f_a.shape[0]
     df_a, df_n = np.zeros_like(f_a), np.zeros_like(f_n)
     if c is not None:
@@ -237,12 +237,12 @@ def per_stream_backward(model, batch, weights, variant):
         (feat_a, clf_a, df_a, dLdp_a * (weights.mu / B), P_a),
         (feat_n, clf_n, df_n, dLdp_n * (weights.mu / B), P_n),
     ]:
-        g = _zero_grads(model)
+        g = model.zeros()
         df = df + _clf_backward(model, g, clf, dLdp[:, None] * P[:, 1:2] * (e1 - P))
         _feat_backward(model, g, feat, df)
         parts.append(g)
     if c is not None:
-        parts.append(_zero_grads(model, FEATURE_PARAMS))
+        parts.append(model.zeros(FEATURE_PARAMS))
         _feat_backward(model, parts[-1], feat_b, df_b)
     grads = {}
     for g in parts:  # a, n, b
@@ -257,7 +257,7 @@ def reference_backward(model, batch, weights, variant="full", grads=None):
     (np.clip, np.sum), their means by np.mean, then the gradient
     recomputing the clamps and the feature differences."""
     if grads is None:
-        grads = _zero_grads(model)
+        grads = model.zeros()
     (f_a, f_b, f_n), (P_a, P_n), (feat_cache, clf_cache) = _forward(model, batch, variant)
     p_a, p_n = P_a[:, 1], P_n[:, 1]
     floor = weights.p_floor
@@ -314,13 +314,13 @@ class TestAgainstReference:
     @staticmethod
     def assert_same(model, batch, weights, variant, names=PARAM_NAMES):
         want, want_terms = reference_backward(
-            model, batch, weights, variant, _zero_grads(model, names)
+            model, batch, weights, variant, model.zeros(names)
         )
-        got, terms = backward(model, batch, weights, variant, _zero_grads(model, names))
+        got, terms = backward(model, batch, weights, variant, model.zeros(names))
         assert terms == want_terms
         assert list(got) == list(want)
         assert got.vec.tobytes() == want.vec.tobytes()
-        alone = gradients(model, batch, weights, variant, _zero_grads(model, names))
+        alone = gradients(model, batch, weights, variant, model.zeros(names))
         assert alone.vec.tobytes() == want.vec.tobytes()
 
     @pytest.mark.parametrize(
@@ -359,7 +359,7 @@ class TestAgainstReference:
         batch = TripletBatch(*(rng.normal(0.0, 3.0, (16, DIMS[0])) for _ in range(3)))
         _, (P_a, P_n), _ = _forward(m, batch, "full")
         p = np.concatenate([P_a[:, 1], P_n[:, 1]])
-        m.b5[0] += np.median(np.log(p / (1.0 - p)))
+        m["b5"][0] += np.median(np.log(p / (1.0 - p)))
         w = LossWeights(p_floor=0.4)
         _, (P_a, P_n), _ = _forward(m, batch, "full")
         p = np.concatenate([P_a[:, 1], P_n[:, 1]])
@@ -419,8 +419,8 @@ class TestBackward:
         total = float(np.mean(rows))
         assert terms == (total, c_val, d_val, s_val)
         assert all(type(v) is float for v in terms)
-        # loss_terms is total_loss bit for bit, None for a dropped term
-        got = loss_terms(f_a, f_b, f_n, p_a, p_n, w, variant=variant)
+        # loss_rows is total_loss bit for bit, None for a dropped term
+        got = loss_rows(loss_pass(f_a, f_b, f_n, p_a, p_n, w, variant=variant), w)
         assert got[0].tobytes() == rows.tobytes()
         dropped = [variant == "SlossOnly", variant in ("SlossOnly", "wo-Dloss"), False]
         assert [t is None for t in got[1:]] == dropped
@@ -478,7 +478,7 @@ class TestBackward:
         w = LossWeights(lam=3.0, mu=7.0, beta=0.5)
         full, full_terms = backward(m, batch, w, variant)
         for names in (FEATURE_PARAMS, CLASSIFIER_PARAMS, ("W1",), ("b5", "W2"), ()):
-            out = _zero_grads(m, names)
+            out = m.zeros(names)
             grads, terms = backward(m, batch, w, variant, out)
             assert grads is out
             assert list(grads) == [n for n in PARAM_NAMES if n in names]
@@ -529,7 +529,7 @@ class TestBackward:
         batch = rand_batch(np.random.default_rng(29))
         for names, want in [(PARAM_NAMES, 1), (CLASSIFIER_PARAMS, 0), (("b1",), 1), ((), 0)]:
             calls.clear()
-            backward(m, batch, LossWeights(), grads=_zero_grads(m, names))
+            backward(m, batch, LossWeights(), grads=m.zeros(names))
             assert len(calls) == want, names
 
     def test_one_pass_per_layer_group(self, monkeypatch):
@@ -568,7 +568,7 @@ class TestBackward:
     def test_nan_parameter_raises_named_error(self):
         rng = np.random.default_rng(14)
         m = init_model(DIMS, seed=10)
-        m.W2[0, 0] = np.nan
+        m["W2"][0, 0] = np.nan
         with pytest.raises(NumericalError, match="W"):
             backward(m, rand_batch(rng), LossWeights())
 
@@ -601,7 +601,7 @@ class TestFlatParams:
         m = init_model(DIMS, seed=19)
         flat = flat_of(m.params())
         assert list(flat) == list(PARAM_NAMES)
-        assert flat.vec.size == m.n_params()
+        assert flat.vec.size == m.vec.size
         assert np.array_equal(flat.vec, np.concatenate([a.ravel() for _, a in m.params()]))
         for name, arr in m.params():
             assert flat[name].shape == arr.shape
@@ -631,6 +631,15 @@ class TestFlatParams:
         with pytest.raises(ValueError, match="9 entries, the vector 10"):
             FlatParams(np.zeros(10), [("a", (3, 3))])
 
+    def test_zeros_of_named_arrays_in_layout_order(self):
+        m = init_model(DIMS, seed=22)
+        zeros = m.zeros(("W5", "W1"))
+        assert zeros.shapes() == [("W1", (6, 5)), ("W5", (3, 2))] == m.shapes(["W1", "W5"])
+        assert zeros.vec.size == 36 and not zeros.vec.any()
+        assert not np.shares_memory(zeros.vec, m.vec)
+        assert m.zeros().shapes() == m.shapes() and not m.zeros().vec.any()
+        assert m.zeros(()).vec.size == 0
+
     @pytest.mark.parametrize(
         "bad, named",
         [({}, None), ({"b2": np.nan}, "b2"), ({"W5": -np.inf, "W3": np.inf}, "W3"),
@@ -658,16 +667,16 @@ def hand_written_conditioned_batch(
         feats = []
         ok = True
         for X in streams:
-            u1 = X @ model.W1 + model.b1
+            u1 = X @ model["W1"] + model["b1"]
             if np.min(np.abs(u1)) < kink_margin:
                 ok = False
                 break
-            feats.append(np.maximum(u1, 0.0) @ model.W2 + model.b2)
+            feats.append(np.maximum(u1, 0.0) @ model["W2"] + model["b2"])
         if not ok:
             continue
         for f in (feats[0], feats[2]):  # classifier runs on anchors and negatives
-            u3 = f @ model.W3 + model.b3
-            u4 = np.maximum(u3, 0.0) @ model.W4 + model.b4
+            u3 = f @ model["W3"] + model["b3"]
+            u4 = np.maximum(u3, 0.0) @ model["W4"] + model["b4"]
             if min(np.min(np.abs(u3)), np.min(np.abs(u4))) < kink_margin:
                 ok = False
                 break
@@ -701,7 +710,7 @@ class TestOneVector:
         assert not np.shares_memory(c.vec, m.vec)
 
     def test_model_lays_out_the_vector_it_is_given(self):
-        n = init_model(DIMS, seed=43).n_params()
+        n = init_model(DIMS, seed=43).vec.size
         vec = np.arange(n, dtype=np.float64)
         m = Model(DIMS, vec)
         assert m.vec is vec
@@ -715,15 +724,17 @@ class TestOneVector:
         with pytest.raises(ValueError, match="cannot reshape"):
             Model(DIMS, np.zeros(n - 1))
 
-    def test_parameter_attributes_read_but_never_rebind(self):
+    def test_parameter_attributes_neither_read_nor_bind(self):
+        # model["W1"] is the one way in; a bound W1 would not be the view
+        # that the passes read
         m = init_model(DIMS, seed=44)
-        assert all(getattr(m, name) is arr for name, arr in m.params())
-        with pytest.raises(AttributeError, match="W6"):
-            m.W6
+        with pytest.raises(AttributeError, match="W1"):
+            m.W1
         with pytest.raises(AttributeError, match="W1 is a view of the model's vector"):
-            m.W1 = np.zeros_like(m.W1)
-        m.W1[...] = 0.0
-        assert not m["W1"].any()
+            m.W1 = np.zeros_like(m["W1"])
+        assert "W1" not in vars(m)
+        m["W1"][...] = 0.0
+        assert not m.vec[: m["W1"].size].any()
 
 
 class TestConditionedBatch:
@@ -741,7 +752,7 @@ class TestConditionedBatch:
     @pytest.mark.parametrize("param", ["b1", "b3", "b5"])
     def test_nan_rejects_the_batch(self, param):
         m = init_model(DIMS, seed=401)
-        getattr(m, param)[0] = np.nan
+        m[param][0] = np.nan
         with pytest.raises(NumericalError, match="no well-conditioned"):
             conditioned_batch(m, np.random.default_rng(0), max_tries=5)
 
@@ -804,7 +815,7 @@ class TestFiniteDiff:
         batch = TripletBatch(batch.a[:1], None if variant == "SlossOnly" else batch.b[:1],
                              batch.n[:1])
         rep = finite_diff_check(m, batch, LossWeights(), variant=variant)
-        assert rep.passed and rep.entries_checked == m.n_params(), str(rep)
+        assert rep.passed and rep.entries_checked == m.vec.size, str(rep)
 
     def test_one_pass_per_layer_group_per_chunk(self, monkeypatch):
         # The layers upstream of the stepped one run once per check, in
@@ -829,7 +840,7 @@ class TestFiniteDiff:
             chunk = [("_clf_forward", enter)]
             if layer <= 2:
                 chunk = [("_feat_forward", enter), ("_clf_forward", None)]
-            assert entered == clean + chunk * getattr(m, name).size, name
+            assert entered == clean + chunk * m[name].size, name
 
     def test_each_term_in_isolation(self):
         rng = np.random.default_rng(18)
@@ -869,7 +880,7 @@ class TestFiniteDiff:
         entry_bytes = 8 * (2 * rows * m.dims[2] + 5 * rows + m.dims[2])
         monkeypatch.setattr("slowtrack.net.FD_CHUNK_BYTES", 7 * entry_bytes)
         clean = finite_diff_check(m, batch, w)
-        assert clean.passed and clean.entries_checked == m.n_params()
+        assert clean.passed and clean.entries_checked == m.vec.size
         assert clean.per_param == whole.per_param
         grads, _ = backward(m, batch, w)
         grads["W1"][1, 4] += 1.0  # flat 9: second chunk
@@ -893,7 +904,7 @@ class TestFiniteDiff:
         w = LossWeights()
         nan = {name: np.full(arr.shape, np.nan) for name, arr in m.params()}
         rep = finite_diff_check(m, batch, w, variant=variant, analytic=nan)
-        assert len(rep.failures) == rep.entries_checked == m.n_params()
+        assert len(rep.failures) == rep.entries_checked == m.vec.size
         for f in rep.failures:
             brute = brute_force_numeric(m, batch, w, variant, f.param, f.index)
             assert abs(f.numeric - brute) <= 1e-8, (f.param, f.index)
@@ -920,7 +931,7 @@ class TestFiniteDiff:
         w = LossWeights()
         nan = {name: np.full(m[name].shape, np.nan) for name in ("W1", "b1")}
         rep = finite_diff_check(m, batch, w, params=["W1", "b1"], analytic=nan)
-        assert len(rep.failures) == rep.entries_checked == m.W1.size + m.b1.size
+        assert len(rep.failures) == rep.entries_checked == m["W1"].size + m["b1"].size
         for f in rep.failures:
             brute = brute_force_numeric(m, batch, w, "full", f.param, f.index)
             assert abs(f.numeric - brute) <= 1e-8, (f.param, f.index)
@@ -940,7 +951,7 @@ class TestFiniteDiff:
         # fc1 products with their successors, never a copy of W1.
         cap = net_module.FD_CHUNK_BYTES
         m = init_model((cap // 16, 16, 4, 4, 3, 2), seed=210)
-        assert m.W1.nbytes == 8 * cap
+        assert m["W1"].nbytes == 8 * cap
         batch = conditioned_batch(m, np.random.default_rng(34))
         batch = TripletBatch(batch.a[:1], batch.b[:1], batch.n[:1])
         grads, _ = backward(m, batch, LossWeights())
@@ -951,7 +962,7 @@ class TestFiniteDiff:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.passed and rep.entries_checked == m.n_params()
+        assert rep.passed and rep.entries_checked == m.vec.size
         assert peak - base <= 8 * cap
 
     def test_repeated_parameter_name_rejected(self):
@@ -1013,7 +1024,7 @@ class TestSaveLoad:
         # The writer encodes one flat vector; the reference packs each
         # entry as a little-endian double, in parameter order.
         m = init_model(DIMS, seed=307)
-        m.b2[:] = [0.1, -0.0, 1e-300, 2.5]
+        m["b2"][:] = [0.1, -0.0, 1e-300, 2.5]
         p = tmp_path / "model.txt"
         save_model(m, p)
         values = [float(v) for _, arr in m.params() for v in arr.ravel()]
@@ -1024,7 +1035,7 @@ class TestSaveLoad:
         p = tmp_path / "model.txt"
         save_model(init_model(DIMS, seed=308), p)
         m = load_model(p)
-        base = m.W1.base
+        base = m["W1"].base
         assert base is not None and base.flags.writeable
         assert all(arr.base is base for _, arr in m.params())
         assert_one_vector(m)

@@ -131,6 +131,31 @@ ROWS = [
         "target size must be positive", id="synth-target-size",
     ),
     pytest.param(
+        lambda tmp: generate(SynthSpec(distractors=-3)), ConfigError,
+        "distractors must be >= 0, got -3", id="synth-distractors",
+    ),
+    pytest.param(
+        lambda tmp: generate(SynthSpec(noise_level=-20.0)), ConfigError,
+        "noise_level must be >= 0, got -20.0", id="synth-noise_level",
+    ),
+    pytest.param(
+        lambda tmp: generate(SynthSpec(appearance_drift=-4.0)), ConfigError,
+        "appearance_drift must be >= 0, got -4.0", id="synth-appearance_drift",
+    ),
+    pytest.param(
+        lambda tmp: generate(SynthSpec(T=100, occlusions=((10, 20), (50, 30)))), ConfigError,
+        "occlusions window 50:30 must have 0 <= start <= end < T = 100",
+        id="synth-occlusion-reversed",
+    ),
+    pytest.param(
+        lambda tmp: generate(SynthSpec(T=100, occlusions=((-5, -1),))), ConfigError,
+        "occlusions window -5:-1", id="synth-occlusion-negative",
+    ),
+    pytest.param(
+        lambda tmp: generate(SynthSpec(T=100, occlusions=((90, 100),))), ConfigError,
+        "occlusions window 90:100", id="synth-occlusion-past-T",
+    ),
+    pytest.param(
         _load_without_frames, FormatError, "img: no .pgm/.ppm frames found", id="load-no-frames",
     ),
     pytest.param(
@@ -215,13 +240,11 @@ TRIGGERED_BY = {
     ),
     "bound.verify_chebyshev": (
         "test_bound.py::TestVerifyChebyshev::test_bad_trials_rejected",
-        "test_bound.py::TestVerifyChebyshev::test_variance_above_cap_rejected",
     ),
     "bound.verify_error_bound": (
         "bound-trials",
         "test_bound.py::TestVerifyErrorBound::test_wrong_shape_rejected",
         "test_bound.py::TestVerifyErrorBound::test_drift_over_cap_rejected",
-        "test_bound.py::TestVerifyErrorBound::test_noise_var_over_cap_rejected",
         "test_bound.py::TestVerifyErrorBound::test_unknown_predictor_rejected",
         "bound-predictor_scale",
     ),
@@ -234,6 +257,9 @@ TRIGGERED_BY = {
     "cli.cmd_eval": (
         "test_cli.py::TestEval::test_bad_label_rejected_before_any_output",
         "test_cli.py::TestEval::test_duplicate_series_rejected",
+    ),
+    "cli.cmd_track": (
+        "test_cli.py::TestTrack::test_repeated_sequence_name_rejected_before_tracking",
     ),
     "cli.cmd_ablate": ("test_cli.py::TestAblate::test_variant_key_exits_one",),
     "cli.build_parser.count": ("test_cli.py::TestGradcheck::test_no_models_is_usage_error",),
@@ -266,6 +292,8 @@ TRIGGERED_BY = {
         "synth-T",
         "synth-frame-size",
         "synth-scale_rate",
+        "synth-distractors",
+        "synth-occlusion-reversed",
         "synth-target-size",
         "test_dataset.py::TestGenerate::test_target_exits_left_rejected",
     ),
@@ -320,11 +348,8 @@ TRIGGERED_BY = {
     ),
     "net.FlatParams.__init__": ("test_net.py::TestFlatParams::test_zeros_and_layout_checks",),
     "net.FlatParams.run": ("test_net.py::TestFlatParams::test_run_is_a_slice_of_the_same_vector",),
-    "net.Model.__getattr__": (
-        "test_net.py::TestOneVector::test_parameter_attributes_read_but_never_rebind",
-    ),
     "net.Model.__setattr__": (
-        "test_net.py::TestOneVector::test_parameter_attributes_read_but_never_rebind",
+        "test_net.py::TestOneVector::test_parameter_attributes_neither_read_nor_bind",
     ),
     "net.check_finite": ("test_net.py::TestFlatParams::test_check_finite_with_vector",),
     "net._checked_dims": (

@@ -322,7 +322,7 @@ class TestTrackSequence:
             model, records = track_sequence(trained_model, easy_sequence, cfg)
         assert [r.frame for r in records if r.updated] == [5, 10]
         warned = [r.message for r in caplog.records if "online update" in r.message]
-        unchanged = all(np.array_equal(arr, getattr(first, name)) for name, arr in model.params())
+        unchanged = all(np.array_equal(arr, first[name]) for name, arr in model.params())
         if dropped is None:
             assert warned == []
             assert not unchanged
@@ -400,7 +400,7 @@ class TestTrackSequence:
         assert len(carried) == easy_sequence.T - 1
         assert all("candidate sampling found 0/1 in 1000 attempts" in r.message for r in carried)
         for name, arr in model.params():
-            assert np.array_equal(arr, getattr(trained_model, name)), name
+            assert np.array_equal(arr, trained_model[name]), name
 
     def test_all_nan_scores_give_nan_records_and_no_update(
         self, easy_sequence, trained_model, monkeypatch, caplog

@@ -394,7 +394,7 @@ class TestTrainableSet:
 
         monkeypatch.setattr(Sampler, "build_triplets", spy)
         m0 = init_model(DIMS, seed=0)
-        getattr(m0, layer).flat[3] = value
+        m0[layer].flat[3] = value
         with pytest.raises(NumericalError, match=f"^non-finite values in parameter {layer}$"):
             self.run(phase, corpus, m0, optimizer=optimizer)
         assert draws == []
@@ -570,7 +570,7 @@ def reference_fit(model, tc, weights, variant, draw, pool=None):
         stepped, rows = Model((len(pool),) + model.dims[1:]), np.eye(len(pool))
         for name, arr in model.params():
             stepped[name][...] = pool @ arr if name == "W1" else arr
-        gram, summed = pool @ pool.T, np.zeros_like(stepped.W1)
+        gram, summed = pool @ pool.T, np.zeros_like(stepped["W1"])
     params = {name: arr for name, arr in stepped.params() if name not in freeze}
     state, trace = SimpleNamespace(t=0, m={}, v={}), []
     for step in range(tc.iterations):
@@ -622,11 +622,11 @@ class TestFlatStep:
         )
         got, trace = _fit(
             model, tc, LossWeights(), variant, self.draws(dims, 5, pool_rows),
-            None if pool is None else (pool, pool @ model.W1),
+            None if pool is None else (pool, pool @ model["W1"]),
         )
         assert trace == want_trace
         for name, arr in want.params():
-            assert_bit_equal(getattr(got, name), arr)
+            assert_bit_equal(got[name], arr)
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     @pytest.mark.parametrize(
@@ -666,7 +666,7 @@ class TestFlatStep:
         pool = None
         if pool_rows:
             patches = np.random.default_rng(4).normal(0.0, 0.3, (pool_rows, DIMS[0]))
-            pool = (patches, patches @ model.W1)
+            pool = (patches, patches @ model["W1"])
         tc = StepConfig(iterations=2, optimizer="sgd", learning_rate=0.01)
         got, _ = _fit(
             model, replace(tc, **changes), LossWeights(), variant,
@@ -678,8 +678,8 @@ class TestFlatStep:
     def test_model_arrays_are_views_of_one_vector(self):
         tc = StepConfig(iterations=2, learning_rate=0.01)
         model, _ = _fit(init_model(DIMS, seed=3), tc, LossWeights(), "full", self.draws(DIMS, 5))
-        base = model.W1.base
-        assert base is not None and base.size == model.n_params()
+        base = model["W1"].base
+        assert base is not None and base.size == model.vec.size
         assert all(arr.base is base for _, arr in model.params())
         assert_one_vector(model)
 
@@ -937,7 +937,7 @@ class TestFinetuneInitial:
 
         ref, _ = _fit(m0, tc, LossWeights(), "full", draw)
         for name, arr in ref.params():
-            assert_bit_equal(getattr(got, name), arr)
+            assert_bit_equal(got[name], arr)
 
     def test_deterministic(self):
         m0 = init_model(DIMS, seed=0)
@@ -1060,7 +1060,7 @@ class TestDrawAhead:
         ref = self.run(self.reference)
         got = self.run()
         for name, arr in ref.params():
-            assert_bit_equal(getattr(got, name), arr)
+            assert_bit_equal(got[name], arr)
 
     @staticmethod
     def exhaust_at(monkeypatch, k):
@@ -1219,7 +1219,7 @@ class TestFinetuneUpdate:
         # the same draws: the sampler stream ends where the reference's does
         assert made[0].rng.bit_generator.state == ref_sampler.rng.bit_generator.state
         for name, want in ref.params():
-            got = getattr(out, name)
+            got = out[name]
             if stepped == DIMS[0]:
                 assert_bit_equal(got, want)
             else:
