@@ -36,7 +36,7 @@ from .bound import (
     write_reports,
 )
 from .config import build, check_known_sections, load_config, split_sections
-from .dataset import SynthSpec, generate, load_sequence, save_sequence
+from .dataset import SynthSpec, generate, load_sequence, save_sequence, sequence_name
 from .errors import ConfigError, SlowTrackError
 from .evaluate import (
     EVAL_TABLE_HEADER,
@@ -194,8 +194,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_track(args) -> int:
-    # Each sequence writes results-<directory name>.csv.
-    names = [Path(path).name for path in args.sequences]
+    # Each sequence writes results-<sequence name>.csv.
+    names = [sequence_name(path) for path in args.sequences]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ConfigError(
@@ -219,7 +219,7 @@ def cmd_track(args) -> int:
 def cmd_eval(args) -> int:
     # Labels and sequence names go into CSV rows, file names and SVG text.
     for label, _, seq_dir in args.run:
-        for what, name in (("label", label), ("sequence name", Path(seq_dir).name)):
+        for what, name in (("label", label), ("sequence name", sequence_name(seq_dir))):
             if not re.fullmatch(r"[\w.-]+", name):
                 raise ConfigError(
                     f"eval --run {what} {name!r}: use letters, digits, '.', '_' and '-'"

@@ -10,6 +10,7 @@ sequences additionally carry per-frame occlusion flags (written to an
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -270,8 +271,21 @@ def _frame_paths(img_dir: Path) -> list[Path]:
     return sorted(paths, key=lambda p: (len(p.stem), p.stem))
 
 
+def sequence_name(directory: str | Path) -> str:
+    """A sequence's name: the last component of its directory's
+    normalised absolute path, so `.` and `seq/..` name the directories
+    they stand for and a symlinked directory keeps its own name. The root
+    has no name and raises ConfigError."""
+    name = os.path.basename(os.path.abspath(directory))
+    if not name:
+        raise ConfigError(f"sequence directory {str(directory)!r} has no name")
+    return name
+
+
 def load_sequence(directory: str | Path) -> Sequence:
-    """Load a sequence directory written by save_sequence or benchmark-style."""
+    """Load a sequence directory written by save_sequence or benchmark-style,
+    named by sequence_name."""
+    name = sequence_name(directory)
     directory = Path(directory)
     img_dir = directory / "img"
     if not img_dir.is_dir():
@@ -315,7 +329,7 @@ def load_sequence(directory: str | Path) -> Sequence:
                 occluded.append(tok == "1")
         if len(occluded) != len(frames):
             raise FormatError(f"{occ_path}: expected {len(frames)} flags")
-    return Sequence(directory.name, frames, boxes, occluded)
+    return Sequence(name, frames, boxes, occluded)
 
 
 def _write_netpbm(path: Path, pixels: np.ndarray) -> None:

@@ -281,7 +281,10 @@ def _first_frame_batches(sampler: Sampler, side: int, count: int, view: tuple, s
                 failed = exc
                 break
         if drawn:
-            negatives = _patches({}, side, frame, np.concatenate([n for _, _, n in drawn]))
+            # A step's triplets can repeat its negatives, about one row in
+            # five; cropping those again costs what memoizing them would.
+            n_boxes = np.concatenate([n for _, _, n in drawn])
+            negatives = crop_many(frame.pixels, n_boxes, side).reshape(len(n_boxes), -1)
         for i, (a, b, _) in enumerate(drawn):
             pos = _patches(memo, side, frame, np.concatenate([a, b]))
             n = negatives[i * count : (i + 1) * count]

@@ -144,6 +144,28 @@ class TestNoiseGenerators:
         with pytest.raises(ConfigError):
             sample_noise("gaussian", -1.0, np.random.default_rng(0), 10)
 
+    @staticmethod
+    def numpy_draw(kind, var, rng, shape):
+        """The noise as numpy's samplers draw it, a fresh array per call."""
+        if kind == "gaussian":
+            return rng.normal(0.0, math.sqrt(var), size=shape)
+        if kind == "uniform":
+            half = math.sqrt(3.0 * var)
+            return rng.uniform(-half, half, size=shape)
+        return math.sqrt(var) * (2.0 * rng.integers(0, 2, size=shape) - 1.0)
+
+    # (3, 33, 5) splits the bernoulli draws into nine uneven slices; at
+    # variance 0 numpy's normal gives +0.0, never -0.0.
+    @pytest.mark.parametrize("var", [0.0, 0.7, 4.0])
+    @pytest.mark.parametrize("shape", [1, 7, (3, 33, 5)], ids=["1", "7", "3x33x5"])
+    @pytest.mark.parametrize("kind", GENERATORS)
+    def test_bit_equal_to_numpy_samplers_and_same_stream(self, kind, shape, var):
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got, want = sample_noise(kind, var, rng, shape), self.numpy_draw(kind, var, ref_rng, shape)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()
+
 
 class TestVerifyChebyshev:
     def test_zero_variance_never_deviates(self):
@@ -281,22 +303,29 @@ class TestStreamedBlocks:
     def test_error_bound_draws_each_noise_element_once(self, monkeypatch):
         params = BoundParams(n=3, m=33, delta=0.35, K=0.05)
         drawn = []
+        fill = bound._fill_noise
 
-        def counted(kind, var, rng, shape):
-            drawn.append(math.prod(shape))
-            return sample_noise(kind, var, rng, shape)
+        def counted(kind, var, rng, out):
+            drawn.append(out.size)
+            return fill(kind, var, rng, out)
 
-        monkeypatch.setattr(bound, "sample_noise", counted)
+        monkeypatch.setattr(bound, "_fill_noise", counted)
         monkeypatch.setattr(bound, "_BLOCK_ELEMS", 1000 * params.n * params.m)
         verify_error_bound(params, standard_scenario(params), trials=self.TRIALS, seed=6)
         assert sum(drawn) == self.TRIALS * params.m * params.n
 
 
 class TestVerifierMemory:
-    """At the learned model's sizes a trial holds 25,600 draws, so a
-    verifier that kept all trials at once would need 20 MiB per 100."""
+    """Each verifier holds one block of _BLOCK_ELEMS float64s, filled in
+    place for every run of whole trials. At the learned model's sizes a
+    trial holds 25,600 draws, so a verifier that kept all trials at once
+    would need 20 MiB per 100. Beyond the block, the error-bound verifier
+    holds the (k, m) losses, a quarter of the block at n = 4, the
+    bernoulli draws an eighth of it in int64 slices, and both some
+    per-trial vectors."""
 
-    PARAMS = BoundParams(n=32, m=800, delta=0.5)
+    # the learned embedding's size and the acceptance gate's
+    SIZES = (BoundParams(n=32, m=800, delta=0.5), BoundParams(n=4, m=100, delta=0.5, K=0.1))
 
     @staticmethod
     def _peak(run, trials: int) -> int:
@@ -310,15 +339,19 @@ class TestVerifierMemory:
     @pytest.mark.parametrize("noise", GENERATORS)
     @pytest.mark.parametrize("verifier", ["chebyshev", "error-bound"])
     def test_peak_is_capped_and_flat_in_trials(self, verifier, noise):
-        p = self.PARAMS
-        if verifier == "chebyshev":
-            run = partial(verify_chebyshev, p, noise=noise)
-        else:
-            run = partial(verify_error_bound, p, standard_scenario(p, noise=noise))
-        run(trials=2)  # keep one-off first-call allocations out of the peaks
-        small, large = self._peak(run, 100), self._peak(run, 400)
-        assert max(small, large) < 24 * 2**20
-        assert abs(large - small) <= 2**20
+        for p in self.SIZES:
+            if verifier == "chebyshev":
+                run = partial(verify_chebyshev, p, noise=noise)
+            else:
+                run = partial(verify_error_bound, p, standard_scenario(p, noise=noise))
+            run(trials=2)  # keep one-off first-call allocations out of the peaks
+            per_block = bound._BLOCK_ELEMS // (p.m * p.n)  # trials a block holds
+            # three runs, the last of one trial, and five full runs
+            small, large = self._peak(run, 2 * per_block + 1), self._peak(run, 5 * per_block)
+            block = 8 * per_block * p.m * p.n
+            per_trial_vectors = 8 * 8 * per_block * (p.n + 1)  # eight (k, n + 1) arrays
+            assert max(small, large) <= 1.25 * block + per_trial_vectors, p
+            assert abs(large - small) <= 2**16, p
 
 
 class TestReportCsv:

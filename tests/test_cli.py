@@ -323,17 +323,39 @@ class TestTrack:
         assert not (tmp_path / "out" / "results-seq-a.csv").exists()
 
     def test_repeated_sequence_name_rejected_before_tracking(self, pipeline, tmp_path, caplog):
-        # both directories are named seq-a, so both would write results-seq-a.csv
+        # both directories are named seq-a, so both would write results-seq-a.csv;
+        # seq-a/. is seq-a itself
         shutil.copytree(pipeline / "seq-a", tmp_path / "copy" / "seq-a")
-        with caplog.at_level(logging.ERROR):
-            code = run(
-                "track", pipeline / "seq-a", tmp_path / "copy" / "seq-a",
-                "--model", pipeline / "run" / "model.txt",
-                "--config", pipeline / "track.cfg", "--out", tmp_path / "out",
-            )
-        assert code == 1
-        assert "repeated sequence name 'seq-a'" in caplog.text
-        assert not (tmp_path / "out").exists()
+        for again in (tmp_path / "copy" / "seq-a", f"{pipeline / 'seq-a'}/."):
+            caplog.clear()
+            with caplog.at_level(logging.ERROR):
+                code = run(
+                    "track", pipeline / "seq-a", again,
+                    "--model", pipeline / "run" / "model.txt",
+                    "--config", pipeline / "track.cfg", "--out", tmp_path / "out",
+                )
+            assert code == 1
+            assert "repeated sequence name 'seq-a'" in caplog.text
+            assert not (tmp_path / "out").exists()
+
+    def test_dot_names_the_directory_and_eval_accepts_its_results(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        # run inside the sequence directory, `.` is named seq-a, not ''
+        monkeypatch.chdir(pipeline / "seq-a")
+        out = tmp_path / "out"
+        assert run(
+            "track", ".", "--model", pipeline / "run" / "model.txt",
+            "--config", pipeline / "track.cfg", "--out", out,
+        ) == 0
+        assert [p.name for p in out.iterdir()] == ["results-seq-a.csv"]
+        assert (out / "results-seq-a.csv").read_bytes() == (
+            pipeline / "run" / "results-seq-a.csv"
+        ).read_bytes()
+        assert run(
+            "eval", "--run", "full", out / "results-seq-a.csv", ".", "--out", tmp_path / "evals",
+        ) == 0
+        assert (tmp_path / "evals" / "precision-full-seq-a.csv").exists()
 
 
 class TestTrackerConfig:

@@ -247,6 +247,16 @@ class TestSaveLoad:
         with pytest.raises(FormatError):
             load_sequence(tmp_path / "nope")
 
+    def test_named_by_the_last_component_of_its_absolute_path(self, tmp_path, monkeypatch):
+        d = tmp_path / "seq"
+        save_sequence(generate(SynthSpec(T=1, seed=0)), d)
+        (tmp_path / "link").symlink_to(d)
+        monkeypatch.chdir(d)
+        # `.` and `img/..` stand for seq; a symlink is not resolved
+        for path, name in [(".", "seq"), ("img/..", "seq"), (f"{d}/.", "seq"),
+                           (tmp_path / "link", "link")]:
+            assert load_sequence(path).name == name
+
     def test_whitespace_separated_groundtruth_accepted(self, tmp_path):
         # Some benchmark sequences use tabs/spaces instead of commas.
         d = tmp_path / "s"

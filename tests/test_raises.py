@@ -119,6 +119,10 @@ ROWS = [
         id="synth-T",
     ),
     pytest.param(
+        lambda tmp: load_sequence("/"), ConfigError, "sequence directory '/' has no name",
+        id="sequence-root",
+    ),
+    pytest.param(
         lambda tmp: generate(SynthSpec(frame_w=3)), ConfigError, "frame 3x120 too small",
         id="synth-frame-size",
     ),
@@ -234,7 +238,7 @@ TRIGGERED_BY = {
         "test_bound.py::TestClosedForms::test_bound_value_rejects_wrong_length",
         "test_bound.py::TestClosedForms::test_bound_value_rejects_negative_loss",
     ),
-    "bound.sample_noise": (
+    "bound._fill_noise": (
         "test_bound.py::TestNoiseGenerators::test_negative_variance_rejected",
         "test_bound.py::TestNoiseGenerators::test_unknown_generator_rejected",
     ),
@@ -298,6 +302,7 @@ TRIGGERED_BY = {
         "test_dataset.py::TestGenerate::test_target_exits_left_rejected",
     ),
     "dataset.save_sequence": ("test_dataset.py::TestSaveLoad::test_empty_sequence_rejected",),
+    "dataset.sequence_name": ("sequence-root",),
     "dataset.load_sequence": (
         "test_dataset.py::TestSaveLoad::test_missing_directory_raises",
         "load-no-frames",

@@ -810,12 +810,13 @@ class TestCropPools:
         for seed in range(3):
             calls.clear()
             if layout == "first frame":
-                # three steps, in one window: their negatives in one call,
-                # then each step's positives not cropped by an earlier step
+                # three steps, in one window: every negative they use, in
+                # order, in one call, then each step's positives not cropped
+                # by an earlier step
                 list(_first_frame_batches(Sampler(SamplerConfig(seed=seed)), SIDE, 16, first, 3))
                 draws = self.twin_draw(seed, anchor, pair, steps=3)
-                want = [self.distinct(*(n for _, _, n in draws))]
-                seen = set()
+                assert_bit_equal(calls.pop(0), np.concatenate([n for _, _, n in draws]))
+                want, seen = [], set()
                 for a, b, _ in draws:
                     new = self.distinct(a, b) - seen
                     want += [new] if new else []
@@ -1035,7 +1036,7 @@ class TestDrawAhead:
 
         def recording(image, boxes, side):
             negative = not (boxes[:, 2:] == [self.gt.w, self.gt.h]).all()
-            crops.append((len(done), len(boxes) if negative else 0))
+            crops.append((len(done), np.array(boxes) if negative else None))
             return crop_many(image, boxes, side)
 
         monkeypatch.setattr(Sampler, "build_triplets", triplets)
@@ -1044,7 +1045,7 @@ class TestDrawAhead:
         # each window drawn before its first step, and no step more
         W = self.W
         assert draws == [0] * W + [W] * W + [2 * W] * 3
-        # one call per window, with the distinct negatives its steps use
+        # one call per window, with every negative its steps use
         sampler, (w, h) = Sampler(SamplerConfig(seed=4)), (self.frame.width, self.frame.height)
         used = []
         for _ in range(self.STEPS):
@@ -1053,8 +1054,10 @@ class TestDrawAhead:
             n = sampler.negative_rows(self.gt, w, h)
             used.append(n[real_triplets(sampler, len(a), len(b), len(n), 16)[2]])
         windows = [used[:W], used[W : 2 * W], used[2 * W :]]
-        distinct = [len(np.unique(np.concatenate(rows), axis=0)) for rows in windows]
-        assert [(at, n) for at, n in crops if n] == list(zip([0, W, 2 * W], distinct))
+        negative_crops = [(at, boxes) for at, boxes in crops if boxes is not None]
+        assert [at for at, _ in negative_crops] == [0, W, 2 * W]
+        for (_, boxes), steps in zip(negative_crops, windows):
+            assert_bit_equal(boxes, np.concatenate(steps))
 
     def test_matches_drawing_each_step(self):
         ref = self.run(self.reference)
