@@ -32,6 +32,10 @@ removed on exit:
   model, whose 32x32 patches upsample a 24 px target as the tracking
   benchmark does, and whose crops of a 72 px target read more than
   2 x 32 source rows per box; both fire online updates;
+* track/results-benchmark-easy.csv from `track_sequence` with the
+  default tracker settings (m = 800 candidates) on a 360x240 easy
+  sequence, with a 1024-input model trained as the tracking benchmark
+  trains its own: the benchmark's regime, in 12 frames;
 * cli/ from `slowtrack gen`, `train` and `track` with the configs of
   tests/test_cli.py, and cli/gradcheck-<variant>.txt, the printed report
   of `slowtrack gradcheck --models 2` for three loss variants, which
@@ -81,6 +85,7 @@ from slowtrack.train import (
 DIMS = (64, 16, 8, 8, 4, 2)
 RGB_DIMS = (192, 16, 8, 8, 4, 2)
 SIDE32_DIMS = (1024, 32, 16, 16, 8, 2)
+BENCH_DIMS = (1024, 128, 32, 32, 16, 2)
 
 # The configs of tests/test_cli.py's pipeline fixture.
 TRAIN_CFG = (
@@ -214,6 +219,23 @@ def write_tracking(out: Path) -> None:
             always,
         ),
     ]
+    # The tracking benchmark's model: its corpus, dims and training.
+    bench_corpus = [
+        generate(SynthSpec(T=40, frame_w=160, frame_h=120, target_w=24.0, target_h=24.0,
+                           velocity=v, seed=seed))
+        for seed, v in ((100, (1.0, 0.5)), (101, (-1.0, 1.0)))
+    ]
+    bench, _ = train_offline(
+        bench_corpus, init_model(BENCH_DIMS, seed=0),
+        TrainConfig(iterations=200, batch_size=16, seed=1), SamplerConfig(seed=2),
+    )
+    runs.append((
+        "benchmark-easy",
+        bench,
+        SynthSpec(T=12, frame_w=360, frame_h=240, target_w=24.0, target_h=24.0,
+                  velocity=(2.0, 0.0), start_x=50.0, start_y=110.0, seed=0),
+        TrackerConfig(),
+    ))
     out.mkdir(parents=True)
     for name, m, spec, config in runs:
         _, records = track_sequence(m, generate(spec), config)

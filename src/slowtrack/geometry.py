@@ -141,20 +141,23 @@ def clip_outside(boxes: np.ndarray, frame_w: float, frame_h: float) -> np.ndarra
 
 # Boxes resampled per pass of crop_many. It bounds the gather, lerped-row
 # and weight temporaries to a few (CROP_CHUNK, S, S[, C]) arrays whatever
-# the number of boxes; only the (N, S) taps grow with it. One pass over
-# all 800 tracking candidates raised the tracking benchmark's peak memory
-# from 68 to 87 MB, and ran slower.
+# the number of boxes; only the (N, S) taps grow with it. One float64 pass
+# over all 800 tracking candidates raised the tracking benchmark's peak
+# memory from 68 to 87 MB, and ran slower; a float32 crop halves each
+# temporary.
 CROP_CHUNK = 32
 
 
-def crop_many(image: np.ndarray, boxes, side: int) -> np.ndarray:
+def crop_many(image: np.ndarray, boxes, side: int, dtype=np.float64) -> np.ndarray:
     """Crop boxes from one frame, resample each to side x side, and
-    normalize; returns (N, S, S[, C]) float64.
+    normalize; returns (N, S, S[, C]) of dtype, float64 by default.
 
     boxes is an (N, 4) x/y/w/h array or a list of BBox. Each box is
     clipped to the frame first; sampling is bilinear at output-pixel
     centers with edge clamping. Values are scaled to [0, 1] and each
-    patch's own mean is subtracted. Raises OutOfViewError naming the
+    patch's own mean is subtracted. The tap positions are found in
+    float64 whatever dtype is; the pixels, the tap weights and all the
+    arithmetic on them use dtype. Raises OutOfViewError naming the
     first box that does not overlap the frame.
     """
     if side <= 0:
@@ -165,23 +168,23 @@ def crop_many(image: np.ndarray, boxes, side: int) -> np.ndarray:
     bad = np.flatnonzero(~usable(clip))
     if bad.size:
         raise OutOfViewError(f"box {bad[0]} has no overlap with the frame")
-    out = np.empty((len(clip), side, side) + img.shape[2:], dtype=np.float64)
+    out = np.empty((len(clip), side, side) + img.shape[2:], dtype=dtype)
     if not len(clip):
         return out
     steps = np.arange(side, dtype=np.float64) + 0.5
     row0, row1, fy = _taps(clip[:, 1], clip[:, 3], steps, side, h)
     col0, col1, fx = _taps(clip[:, 0], clip[:, 2], steps, side, w)
     # Only the frame window the taps read is converted, once per call. A
-    # product of a pixel and a float64 weight casts the pixel to float64
+    # product of a pixel and a weight of dtype casts the pixel to dtype
     # first, so converting here changes no result.
     r_lo, c_lo = row0[:, 0].min(), col0[:, 0].min()
     window = img[r_lo : row1[:, -1].max() + 1, c_lo : col1[:, -1].max() + 1]
-    flat = window.astype(np.float64).reshape((-1,) + img.shape[2:])
+    flat = window.astype(dtype).reshape((-1,) + img.shape[2:])
     for taps, lo in ((row0, r_lo), (row1, r_lo), (col0, c_lo), (col1, c_lo)):
         taps -= lo
     tail = (1,) * (img.ndim - 2)
-    fx = fx.reshape(fx.shape + tail)
-    fy = fy.reshape(fy.shape + (1,) + tail)
+    fx = fx.astype(dtype, copy=False).reshape(fx.shape + tail)
+    fy = fy.astype(dtype, copy=False).reshape(fy.shape + (1,) + tail)
     for start in range(0, len(clip), CROP_CHUNK):
         sl = slice(start, start + CROP_CHUNK)
         top, bot = _lerp_rows(flat, window.shape[1], row0[sl], row1[sl], col0[sl], col1[sl], fx[sl])

@@ -228,6 +228,25 @@ def forward_classifier(model: Model, feat: np.ndarray) -> np.ndarray:
     return float(p[0]) if single else p
 
 
+def forward_margins(model: Model, patches: np.ndarray) -> np.ndarray:
+    """The fc5 logit margins z1 - z0 of a (B, r) batch of flattened
+    patches, computed in the patches' floating dtype: the model's vector
+    is cast to it once per call. The margin ranks patches as the class-1
+    probability does, since that is its logistic function, but it does
+    not saturate: just below 1, float32 p steps by 6e-8 and would tie
+    candidates that differ by less. Raises NumericalError naming the
+    first parameter that is not finite after the cast (in float32, any
+    magnitude past 3.4e38)."""
+    with np.errstate(over="ignore"):
+        cast = Model(model.dims, model.vec.astype(patches.dtype, copy=False))
+    name = _first_non_finite(cast)
+    if name is not None:
+        raise NumericalError(f"parameter {name} is not finite in {patches.dtype}")
+    F, _ = _layers(cast, patches, 1, 2, None)
+    z, _ = _layers(cast, F, 3, 5, None)
+    return z[:, 1] - z[:, 0]
+
+
 @dataclass
 class TripletBatch:
     """Flattened patch arrays for one step: positive anchors `a`, their

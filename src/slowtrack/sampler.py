@@ -115,7 +115,7 @@ class Sampler:
         """The draw of negative_rows, on a frame with no right or bottom
         edge, as BBox objects, together with their recorded IoUs."""
         rows = self.negative_rows(gt, math.inf, math.inf)
-        return [BBox(*row) for row in rows], iou_many(rows, gt)
+        return [BBox(*row) for row in rows.tolist()], iou_many(rows, gt)
 
     def negative_rows(self, gt: BBox, frame_w: float, frame_h: float) -> np.ndarray:
         """Rejection-sample m_n boxes with lo <= IoU(box, gt) <= hi and

@@ -465,3 +465,34 @@ class TestCropMany:
     def test_empty_batch(self):
         img = np.zeros((20, 20), dtype=np.uint8)
         assert crop_many(img, np.zeros((0, 4)), side=4).shape == (0, 4, 4)
+        assert crop_many(img, np.zeros((0, 4)), 4, np.float32).dtype == np.float32
+
+
+class TestCropFloat32:
+    """The float32 crop the tracker scores its candidates with."""
+
+    @pytest.mark.parametrize("rgb", [False, True])
+    @pytest.mark.parametrize("side", [8, 32])
+    def test_within_3e_7_of_the_float64_crop(self, side, rgb):
+        rng = np.random.default_rng(side + rgb)
+        h, w = 100, 120
+        img = rng.integers(0, 256, size=(h, w, 3) if rgb else (h, w), dtype=np.uint8)
+        boxes = mixed_boxes(rng, 200, w, h, side)
+        narrow = crop_many(img, boxes, side, np.float32)
+        assert narrow.dtype == np.float32
+        assert narrow.shape == (200, side, side) + img.shape[2:]
+        assert np.max(np.abs(narrow - crop_many(img, boxes, side))) <= 3e-7
+
+    @pytest.mark.parametrize("n", [CROP_CHUNK + 1, 800])
+    def test_each_row_is_independent_of_the_other_boxes(self, n):
+        rng = np.random.default_rng(n)
+        h, w = 100, 120
+        img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        boxes = mixed_boxes(rng, n, w, h, 32)
+        stack = crop_many(img, boxes, 32, np.float32)
+        for i in rng.choice(n, size=20, replace=False):
+            alone = crop_many(img, boxes[i : i + 1], 32, np.float32)[0]
+            assert np.array_equal(stack[i], alone), i
+        # the same rows in another order, in another call
+        order = rng.permutation(n)
+        assert np.array_equal(crop_many(img, boxes[order], 32, np.float32), stack[order])

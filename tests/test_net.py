@@ -44,6 +44,7 @@ from slowtrack.net import (
     finite_diff_check,
     forward_classifier,
     forward_features,
+    forward_margins,
     gradients,
     init_model,
     load_model,
@@ -203,6 +204,39 @@ class TestForwardClassifier:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             forward_classifier(init_model(DIMS, seed=0), np.zeros(DIMS[2] + 1))
+
+
+class TestForwardMargins:
+    def test_float64_margin_is_the_logit_of_the_score(self):
+        rng = np.random.default_rng(11)
+        m = init_model(DIMS, seed=7)
+        X = rng.normal(size=(40, DIMS[0]))
+        margins = forward_margins(m, X)
+        assert margins.dtype == np.float64
+        p = forward_classifier(m, forward_features(m, X))
+        assert np.max(np.abs(1.0 / (1.0 + np.exp(-margins)) - p)) <= 1e-12
+
+    def test_runs_in_the_patches_dtype_and_leaves_the_model(self):
+        rng = np.random.default_rng(12)
+        m = init_model(BIG_DIMS, seed=1)
+        before = m.vec.copy()
+        X = rng.uniform(-0.5, 0.5, size=(64, BIG_DIMS[0]))
+        wide = forward_margins(m, X)
+        narrow = forward_margins(m, X.astype(np.float32))
+        assert narrow.dtype == np.float32
+        assert np.max(np.abs(narrow - wide)) <= 1e-4 * max(1.0, np.abs(wide).max())
+        assert m.vec.dtype == np.float64 and np.array_equal(m.vec, before)
+
+    def test_weight_past_float32_range_is_named(self):
+        m = init_model(DIMS, seed=0)
+        m["W3"][1, 2] = 1e300
+        X = np.zeros((2, DIMS[0]))
+        assert forward_margins(m, X).shape == (2,)  # float64 holds 1e300
+        with pytest.raises(NumericalError, match="parameter W3 is not finite in float32"):
+            forward_margins(m, X.astype(np.float32))
+        # a large weight that float32 holds is no false alarm
+        m["W3"][1, 2] = 1e30
+        assert forward_margins(m, X.astype(np.float32)).shape == (2,)
 
 
 def per_stream_backward(model, batch, weights, variant):

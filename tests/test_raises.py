@@ -16,9 +16,9 @@ from slowtrack import bound
 from slowtrack.cli import _eval_records
 from slowtrack.config import build
 from slowtrack.dataset import Frame, Sequence, SynthSpec, generate, load_sequence, save_sequence
-from slowtrack.errors import ConfigError, FormatError
+from slowtrack.errors import ConfigError, FormatError, NumericalError
 from slowtrack.geometry import BBox, crop_many
-from slowtrack.net import init_model
+from slowtrack.net import forward_margins, init_model
 from slowtrack.sampler import SamplerConfig
 from slowtrack.tracker import RESULTS_HEADER, read_results
 from slowtrack.train import _patch_side
@@ -79,6 +79,13 @@ def _save_onto_directory(tmp):
 
 RGB = Frame(np.zeros((40, 40, 3), dtype=np.uint8))
 
+
+def _margins_past_float32(tmp):
+    model = init_model((64, 8, 4, 4, 3, 2), seed=0)
+    model["b5"][1] = -1e300
+    return forward_margins(model, np.zeros((3, 64), dtype=np.float32))
+
+
 ROWS = [
     pytest.param(
         lambda tmp: SamplerConfig(m_n=0), ConfigError, "m_p and m_n must be >= 1",
@@ -102,6 +109,10 @@ ROWS = [
     pytest.param(
         lambda tmp: crop_many(RGB.pixels, np.array([[5.0, 5.0, 10.0, 10.0]]), 0), ValueError,
         "patch side must be positive, got 0", id="crop-side",
+    ),
+    pytest.param(
+        _margins_past_float32, NumericalError, "parameter b5 is not finite in float32",
+        id="margins-float32-range",
     ),
     pytest.param(
         lambda tmp: _patch_side(init_model((64, 8, 4, 4, 3, 2), seed=0), RGB), ConfigError,
@@ -372,6 +383,7 @@ TRIGGERED_BY = {
         "test_net.py::TestBackward::test_stream_batch_size_mismatch_rejected",
     ),
     "net._gradient_pass": ("test_net.py::TestBackward::test_nan_parameter_raises_named_error",),
+    "net.forward_margins": ("margins-float32-range",),
     "net.finite_diff_check": (
         "test_net.py::TestFiniteDiff::test_unknown_parameter_name_rejected",
         "test_net.py::TestFiniteDiff::test_repeated_parameter_name_rejected",

@@ -224,6 +224,13 @@ class TestNegatives:
         assert np.array_equal(iou_many(rows, gt), ious)
         assert stream_after(boxes_smp) == stream_after(rows_smp)
 
+    def test_fields_are_python_floats_like_positives(self):
+        gt = BBox(10.5, 20.25, 30, 24)
+        negatives, _ = make_sampler(seed=0).sample_negatives(gt)
+        positives = make_sampler(seed=0).sample_positives(gt, FRAME_W, FRAME_H)
+        for box in negatives + positives:
+            assert [type(v) for v in box.as_tuple()] == [float] * 4, box
+
     def test_rows_overlap_the_frame(self):
         # 19.5 of the box's 24 columns lie left of the frame; negatives
         # drawn without regard to it included boxes crop_many rejects.

@@ -23,10 +23,11 @@ from slowtrack.errors import (
     SamplerExhausted,
 )
 from slowtrack.geometry import BBox, average_boxes, center_distance, crop_many
-from slowtrack.net import forward_classifier, forward_features, init_model
+from slowtrack.net import forward_classifier, forward_features, forward_margins, init_model
 from slowtrack.sampler import Sampler, SamplerConfig
 from slowtrack.tracker import (
     RESULTS_HEADER,
+    SCORE_DTYPE,
     TrackerConfig,
     TrackResult,
     read_results,
@@ -57,8 +58,16 @@ def drawn_candidates(cfg, frame, prev):
     return Sampler(cfg.sampler).sample_candidates(prev, cfg.m, frame.width, frame.height)
 
 
+def candidate_margins(model, frame, candidates):
+    """The margins track_frame ranks the candidates by."""
+    side = _patch_side(model, frame)
+    patches = crop_many(frame.pixels, candidates, side, SCORE_DTYPE)
+    return forward_margins(model, patches.reshape(len(candidates), -1))
+
+
 def candidate_scores(model, frame, candidates):
-    """The classifier scores track_frame gives the candidates."""
+    """The float64 classifier scores of the candidates, as track_frame
+    scores its averaged box."""
     side = _patch_side(model, frame)
     patches = crop_many(frame.pixels, candidates, side).reshape(len(candidates), -1)
     return forward_classifier(model, forward_features(model, patches))
@@ -67,6 +76,23 @@ def candidate_scores(model, frame, candidates):
 @pytest.fixture(scope="module")
 def easy_sequence():
     return generate(SynthSpec(T=12, velocity=(1.0, 0.0), seed=0))
+
+
+@pytest.fixture(scope="module")
+def side32_model():
+    """A 1024-input model trained as the tracking benchmark trains its
+    own, on the same kind of corpus: two 160x120 sequences with a 24 px
+    target."""
+    corpus = [
+        generate(SynthSpec(T=40, frame_w=160, frame_h=120, target_w=24.0, target_h=24.0,
+                           velocity=v, seed=s))
+        for s, v in ((100, (1.0, 0.5)), (101, (-1.0, 1.0)))
+    ]
+    model, _ = train_offline(
+        corpus, init_model((1024, 128, 32, 32, 16, 2), seed=0),
+        TrainConfig(iterations=200, batch_size=16, seed=1), SamplerConfig(seed=2),
+    )
+    return model
 
 
 @pytest.fixture(scope="module")
@@ -164,8 +190,8 @@ class TestTrackFrame:
         frame, prev = easy_sequence.frames[4], easy_sequence.groundtruth[3]
         _, _, top = track_frame(model, frame, prev, cfg, Sampler(ZERO_NOISE))
         assert top.tolist() == [0, 1, 2, 3, 4]
-        scores = candidate_scores(model, frame, drawn_candidates(cfg, frame, prev))
-        assert len(set(scores[top].tolist())) == 1
+        margins = candidate_margins(model, frame, drawn_candidates(cfg, frame, prev))
+        assert len(set(margins[top].tolist())) == 1
 
     def test_top_k_equal_m_averages_everything(self, easy_sequence, trained_model):
         cfg = TrackerConfig(m=6, top_k=6, sampler=SamplerConfig(seed=9))
@@ -191,6 +217,24 @@ class TestTrackFrame:
             cfg, Sampler(SamplerConfig(seed=5)),
         )
         assert center_distance(pred, easy_sequence.groundtruth[5]) < 5.0
+
+    def test_margin_top_k_is_the_float64_score_top_k(self, side32_model):
+        # Wherever the float64 scores of the top k, and of the first
+        # candidate past them, are more than 1e-6 apart, the float32
+        # margins must pick the same candidates in the same order.
+        seq = generate(SynthSpec(T=30, frame_w=360, frame_h=240, target_w=24.0, target_h=24.0,
+                                 velocity=(2.0, 0.0), start_x=50.0, start_y=110.0, seed=0))
+        cfg = TrackerConfig(sampler=SamplerConfig(seed=3))
+        compared = 0
+        for t in range(1, seq.T):
+            frame, prev = seq.frames[t], seq.groundtruth[t - 1]
+            _, _, top = track_frame(side32_model, frame, prev, cfg, Sampler(cfg.sampler))
+            scores = candidate_scores(side32_model, frame, drawn_candidates(cfg, frame, prev))
+            order = np.argsort(-scores, kind="stable")[: cfg.top_k + 1]
+            if np.all(-np.diff(scores[order]) > 1e-6):
+                compared += 1
+                assert top.tolist() == order[: cfg.top_k].tolist(), t
+        assert compared >= (seq.T - 1) * 3 // 4
 
     def test_degenerate_previous_box_rejected(self, easy_sequence):
         model = init_model(DIMS, seed=0)
@@ -402,16 +446,38 @@ class TestTrackSequence:
         for name, arr in model.params():
             assert np.array_equal(arr, trained_model[name]), name
 
+    def test_weight_past_float32_range_carries_every_frame(
+        self, easy_sequence, trained_model, caplog
+    ):
+        # 1e300 is a float64 number but no float32 one: the candidates
+        # cannot be scored, so every frame carries its box forward.
+        model = trained_model.copy()
+        model["W1"][0, 0] = 1e300
+        cfg = TrackerConfig(
+            m=16, top_k=4, update_score_threshold=-1.0, sampler=SamplerConfig(seed=1),
+            init_train=StepConfig(iterations=0, optimizer="sgd"),
+        )
+        with caplog.at_level("WARNING", logger="slowtrack.tracker"):
+            final, records = track_sequence(model, easy_sequence, cfg)
+        assert [r.frame for r in records] == list(range(2, easy_sequence.T + 1))
+        for r in records:
+            assert r.box == easy_sequence.groundtruth[0]
+            assert math.isnan(r.score)
+            assert not r.updated
+        carried = [r.message for r in caplog.records if "carrying previous box" in r.message]
+        assert len(carried) == easy_sequence.T - 1
+        assert all("parameter W1 is not finite in float32" in m for m in carried)
+        assert np.array_equal(final.vec, model.vec)
+
     def test_all_nan_scores_give_nan_records_and_no_update(
         self, easy_sequence, trained_model, monkeypatch, caplog
     ):
         import slowtrack.tracker as tracker_mod
 
-        def nan_scores(model, features):
-            # a batch gives an array, a single feature vector a float
-            return np.full(len(features), np.nan) if features.ndim == 2 else math.nan
+        def nan_margins(model, patches):
+            return np.full(len(patches), np.nan)
 
-        monkeypatch.setattr(tracker_mod, "forward_classifier", nan_scores)
+        monkeypatch.setattr(tracker_mod, "forward_margins", nan_margins)
         cfg = TrackerConfig(
             m=16, top_k=4, update_score_threshold=-1.0,
             sampler=SamplerConfig(seed=1), init_train=FAST_INIT,
@@ -439,12 +505,11 @@ class TestTrackSequence:
     ):
         import slowtrack.tracker as tracker_mod
 
-        # Two numeric candidate scores; the averaged patch scores 0.25.
-        scores = np.full(16, np.nan)
-        scores[[3, 9]] = [0.5, 0.7]
-        monkeypatch.setattr(
-            tracker_mod, "forward_classifier", lambda model, f: scores if f.ndim == 2 else 0.25
-        )
+        # Two numeric candidate margins; the averaged patch scores 0.25.
+        margins = np.full(16, np.nan)
+        margins[[3, 9]] = [0.5, 0.7]
+        monkeypatch.setattr(tracker_mod, "forward_margins", lambda model, patches: margins)
+        monkeypatch.setattr(tracker_mod, "forward_classifier", lambda model, f: 0.25)
         cfg = TrackerConfig(m=16, top_k=3, sampler=SamplerConfig(seed=1))
         frame, prev = easy_sequence.frames[1], easy_sequence.groundtruth[0]
         with pytest.raises(NumericalError, match="1 of the top 3 candidate scores are NaN"):
