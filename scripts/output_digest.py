@@ -32,10 +32,11 @@ removed on exit:
   model, whose 32x32 patches upsample a 24 px target as the tracking
   benchmark does, and whose crops of a 72 px target read more than
   2 x 32 source rows per box; both fire online updates;
-* track/results-benchmark-easy.csv from `track_sequence` with the
-  default tracker settings (m = 800 candidates) on a 360x240 easy
-  sequence, with a 1024-input model trained as the tracking benchmark
-  trains its own: the benchmark's regime, in 12 frames;
+* track/results-benchmark-{easy,edge}.csv from `track_sequence` with
+  the default tracker settings (m = 800 candidates, 32x32 patches) on
+  a 360x240 easy sequence and on one whose target runs off the frame
+  edge, with a 1024-input model trained as the tracking benchmark
+  trains its own: the benchmark's regime, in 12 frames each;
 * cli/ from `slowtrack gen`, `train` and `track` with the configs of
   tests/test_cli.py, and cli/gradcheck-<variant>.txt, the printed report
   of `slowtrack gradcheck --models 2` for three loss variants, which
@@ -229,13 +230,16 @@ def write_tracking(out: Path) -> None:
         bench_corpus, init_model(BENCH_DIMS, seed=0),
         TrainConfig(iterations=200, batch_size=16, seed=1), SamplerConfig(seed=2),
     )
-    runs.append((
-        "benchmark-easy",
-        bench,
-        SynthSpec(T=12, frame_w=360, frame_h=240, target_w=24.0, target_h=24.0,
-                  velocity=(2.0, 0.0), start_x=50.0, start_y=110.0, seed=0),
-        TrackerConfig(),
-    ))
+    # Its regime: the default tracker on 360x240 frames, once in open
+    # space and once with the target running off the left edge, where
+    # ladder windows and per-box candidates mix.
+    for name, velocity, start, seed in (
+        ("benchmark-easy", (2.0, 0.0), (50.0, 110.0), 0),
+        ("benchmark-edge", (-2.0, 1.0), (10.0, 100.0), 1),
+    ):
+        spec = SynthSpec(T=12, frame_w=360, frame_h=240, target_w=24.0, target_h=24.0,
+                         velocity=velocity, start_x=start[0], start_y=start[1], seed=seed)
+        runs.append((name, bench, spec, TrackerConfig()))
     out.mkdir(parents=True)
     for name, m, spec, config in runs:
         _, records = track_sequence(m, generate(spec), config)

@@ -130,21 +130,28 @@ def on_frame(boxes, frame_w: float, frame_h: float) -> np.ndarray:
     return usable(clip_boxes(boxes, frame_w, frame_h))
 
 
+def inside_frame(boxes: np.ndarray, frame_w: float, frame_h: float) -> np.ndarray:
+    """Rows of an (N, 4) x/y/w/h array that lie wholly inside the frame."""
+    x, y, w, h = boxes.T
+    return (x >= 0) & (y >= 0) & (x + w <= frame_w) & (y + h <= frame_h)
+
+
 def clip_outside(boxes: np.ndarray, frame_w: float, frame_h: float) -> np.ndarray:
     """clip_boxes applied only to the rows of an (N, 4) array that reach
     outside the frame; a row inside it comes back bit for bit, since
     (x + w) - x need not equal w."""
-    x, y, w, h = boxes.T
-    inside = (x >= 0) & (y >= 0) & (x + w <= frame_w) & (y + h <= frame_h)
+    inside = inside_frame(boxes, frame_w, frame_h)
     return np.where(inside[:, None], boxes, clip_boxes(boxes, frame_w, frame_h))
 
 
 # Boxes resampled per pass of crop_many. It bounds the gather, lerped-row
 # and weight temporaries to a few (CROP_CHUNK, S, S[, C]) arrays whatever
-# the number of boxes; only the (N, S) taps grow with it. One float64 pass
-# over all 800 tracking candidates raised the tracking benchmark's peak
-# memory from 68 to 87 MB, and ran slower; a float32 crop halves each
-# temporary.
+# the number of boxes; only the (N, S) taps grow with it. Measured when
+# the tracker cropped all 800 candidates per box in one float64 call, one
+# pass over them raised the tracking benchmark's peak memory from 68 to
+# 87 MB, and ran slower. The tracker now crops most candidates as slices
+# of a few scale-ladder windows; its per-box call holds the rest, all m
+# only when no window pays.
 CROP_CHUNK = 32
 
 

@@ -22,7 +22,9 @@ from slowtrack.errors import (
     NumericalError,
     SamplerExhausted,
 )
-from slowtrack.geometry import BBox, average_boxes, center_distance, crop_many
+from slowtrack.geometry import (
+    BBox, average_boxes, box_array, center_distance, crop_many, inside_frame
+)
 from slowtrack.net import forward_classifier, forward_features, forward_margins, init_model
 from slowtrack.sampler import Sampler, SamplerConfig
 from slowtrack.tracker import (
@@ -30,6 +32,7 @@ from slowtrack.tracker import (
     SCORE_DTYPE,
     TrackerConfig,
     TrackResult,
+    crop_candidates,
     read_results,
     select,
     track_frame,
@@ -52,17 +55,17 @@ FAST_INIT = StepConfig(iterations=60, optimizer="sgd", learning_rate=0.01, batch
 FAST_UPDATE = StepConfig(iterations=20, optimizer="sgd", learning_rate=0.01, batch_size=8)
 
 
-def drawn_candidates(cfg, frame, prev):
-    """The (m, 4) candidates track_frame draws around prev: the same
-    draw from a Sampler seeded as the one it was given."""
-    return Sampler(cfg.sampler).sample_candidates(prev, cfg.m, frame.width, frame.height)
+def drawn_candidates(model, cfg, frame, prev):
+    """The (m, 4) candidates track_frame ranks around prev, and their
+    float32 patches: the same draw from a Sampler seeded as the one it
+    was given, snapped to the scale ladder by the tracker's own code."""
+    drawn = Sampler(cfg.sampler).sample_candidates(prev, cfg.m, frame.width, frame.height)
+    return crop_candidates(frame.pixels, drawn, prev, _patch_side(model, frame))
 
 
-def candidate_margins(model, frame, candidates):
-    """The margins track_frame ranks the candidates by."""
-    side = _patch_side(model, frame)
-    patches = crop_many(frame.pixels, candidates, side, SCORE_DTYPE)
-    return forward_margins(model, patches.reshape(len(candidates), -1))
+def candidate_margins(model, patches):
+    """The margins track_frame ranks the candidates' patches by."""
+    return forward_margins(model, patches.reshape(len(patches), -1))
 
 
 def candidate_scores(model, frame, candidates):
@@ -190,7 +193,7 @@ class TestTrackFrame:
         frame, prev = easy_sequence.frames[4], easy_sequence.groundtruth[3]
         _, _, top = track_frame(model, frame, prev, cfg, Sampler(ZERO_NOISE))
         assert top.tolist() == [0, 1, 2, 3, 4]
-        margins = candidate_margins(model, frame, drawn_candidates(cfg, frame, prev))
+        margins = candidate_margins(model, drawn_candidates(model, cfg, frame, prev)[1])
         assert len(set(margins[top].tolist())) == 1
 
     def test_top_k_equal_m_averages_everything(self, easy_sequence, trained_model):
@@ -198,7 +201,8 @@ class TestTrackFrame:
         frame, prev = easy_sequence.frames[4], easy_sequence.groundtruth[3]
         pred, _, top = track_frame(trained_model, frame, prev, cfg, Sampler(SamplerConfig(seed=9)))
         assert sorted(top.tolist()) == list(range(6))
-        assert pred == average_boxes(drawn_candidates(cfg, frame, prev)[top])
+        candidates, _ = drawn_candidates(trained_model, cfg, frame, prev)
+        assert pred == average_boxes(candidates[top])
 
     def test_model_is_not_mutated(self, easy_sequence, trained_model):
         snapshot = {k: v.copy() for k, v in trained_model.params()}
@@ -229,7 +233,8 @@ class TestTrackFrame:
         for t in range(1, seq.T):
             frame, prev = seq.frames[t], seq.groundtruth[t - 1]
             _, _, top = track_frame(side32_model, frame, prev, cfg, Sampler(cfg.sampler))
-            scores = candidate_scores(side32_model, frame, drawn_candidates(cfg, frame, prev))
+            candidates, _ = drawn_candidates(side32_model, cfg, frame, prev)
+            scores = candidate_scores(side32_model, frame, candidates)
             order = np.argsort(-scores, kind="stable")[: cfg.top_k + 1]
             if np.all(-np.diff(scores[order]) > 1e-6):
                 compared += 1
@@ -254,6 +259,102 @@ class TestTrackFrame:
                 model, easy_sequence.frames[1], BBox(-300.0, -300.0, 10.0, 10.0),
                 cfg, Sampler(SamplerConfig(sigma_xy=0.01, seed=0)),
             )
+
+
+class TestScaleLadder:
+    """crop_candidates: candidates snapped to the scale ladder are
+    slices of one resampled window per level; the rest are cropped per
+    box."""
+
+    @staticmethod
+    def draw(spec, m=800, sampler=SamplerConfig(seed=3)):
+        seq = generate(spec)
+        frame, prev = seq.frames[1], seq.groundtruth[0]
+        drawn = Sampler(sampler).sample_candidates(prev, m, frame.width, frame.height)
+        return frame, prev, drawn
+
+    @pytest.mark.parametrize("rgb", [False, True], ids=["gray", "rgb"])
+    @pytest.mark.parametrize("side", [8, 32])
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 2e-7), (np.float64, 1e-12)])
+    def test_ladder_patches_equal_per_box_crops_of_snapped_boxes(self, rgb, side, dtype, tol):
+        frame, prev, drawn = self.draw(
+            SynthSpec(T=2, frame_w=360, frame_h=240, target_w=24.0, target_h=24.0,
+                      start_x=50.0, start_y=110.0, rgb=rgb, seed=0)
+        )
+        boxes, patches = crop_candidates(frame.pixels, drawn, prev, side, dtype)
+        assert patches.shape == (800, side, side) + frame.pixels.shape[2:]
+        assert patches.dtype == dtype
+        snapped = (boxes != drawn).any(axis=1)
+        assert snapped.sum() >= 750
+        reference = crop_many(frame.pixels, boxes, side, dtype)
+        assert np.abs(patches - reference).max() <= tol
+
+    def test_edge_candidates_keep_their_drawn_boxes(self):
+        # A target in the corner: the sampler clips some candidates at the
+        # frame edge, and snapping would move others off the frame.
+        frame, prev, drawn = self.draw(
+            SynthSpec(T=2, target_w=24.0, target_h=24.0, start_x=3.0, start_y=2.0, seed=4)
+        )
+        boxes, patches = crop_candidates(frame.pixels, drawn, prev, 8)
+        assert inside_frame(boxes, frame.width, frame.height).all()
+        kept = (boxes == drawn).all(axis=1)
+        assert 0 < kept.sum() < len(drawn)
+        # Bit for bit the crop of the drawn box; the snapped ones match
+        # their per-box crops as closely as away from the edge.
+        assert np.array_equal(patches[kept], crop_many(frame.pixels, drawn[kept], 8, SCORE_DTYPE))
+        reference = crop_many(frame.pixels, boxes[~kept], 8, SCORE_DTYPE)
+        assert np.abs(patches[~kept] - reference).max() <= 2e-7
+        model = init_model(DIMS, seed=0)
+        cfg = TrackerConfig(sampler=SamplerConfig(seed=3))
+        pred, _, _ = track_frame(model, frame, prev, cfg, Sampler(cfg.sampler))
+        assert inside_frame(box_array([pred]), frame.width, frame.height).all()
+
+    @pytest.mark.parametrize("sigma_scale", [0.05, 10.0])
+    def test_at_most_two_candidate_crops_and_no_costly_window(
+        self, easy_sequence, trained_model, monkeypatch, sigma_scale
+    ):
+        # Per frame: one crop_many call for the level windows, one for the
+        # leftover candidates, and the float64 crop of the chosen box. A
+        # window of D x D samples serves more than (D / S)^2 candidates,
+        # even under the wide scale noise of test_wide_scale_noise_does_not_abort.
+        import slowtrack.tracker as tracker_mod
+
+        calls, frames = [], []
+
+        def spy(image, boxes, side, dtype=np.float64):
+            calls.append((box_array(boxes), side, dtype))
+            return crop_many(image, boxes, side, dtype)
+
+        def ladder(image, drawn, prev, side, dtype=SCORE_DTYPE):
+            calls.clear()
+            boxes, patches = crop_candidates(image, drawn, prev, side, dtype)
+            frames.append((list(calls), boxes, drawn, side))
+            return boxes, patches
+
+        monkeypatch.setattr(tracker_mod, "crop_many", spy)
+        monkeypatch.setattr(tracker_mod, "crop_candidates", ladder)
+        cfg = TrackerConfig(sampler=SamplerConfig(sigma_scale=sigma_scale), init_train=FAST_INIT)
+        _, records = track_sequence(trained_model, easy_sequence, cfg)
+        assert len(frames) == len(records) == easy_sequence.T - 1
+        windows_seen = 0
+        for made, boxes, drawn, side in frames:
+            assert all(dtype == SCORE_DTYPE for _, _, dtype in made)
+            # With scale noise no two candidates share a cell, so a window
+            # is wider than a patch.
+            windows = [(b, wide) for b, wide, _ in made if wide != side]
+            per_box = [b for b, wide, _ in made if wide == side]
+            assert len(windows) <= 1 and len(per_box) <= 1
+            kept = (boxes == drawn).all(axis=1)
+            assert sum(map(len, per_box)) == kept.sum()
+            for w, wide in windows:
+                windows_seen += 1
+                # a window's candidates are the snapped boxes at its pitch
+                level = np.isclose(boxes[:, 2, None] / side, w[:, 2] / wide, rtol=1e-9, atol=0)
+                served = (level & ~kept[:, None]).sum(axis=0)
+                assert np.all(wide**2 < served * side**2), (wide, served)
+                assert served.sum() == (~kept).sum()
+        if sigma_scale == 0.05:
+            assert windows_seen == len(frames)
 
 
 class TestTrackSequence:
@@ -520,7 +621,8 @@ class TestTrackSequence:
         )
         assert top.tolist() == [9, 3]
         assert score == 0.25
-        assert pred == average_boxes(drawn_candidates(cfg, frame, prev)[top])
+        candidates, _ = drawn_candidates(trained_model, cfg, frame, prev)
+        assert pred == average_boxes(candidates[top])
 
     def test_reproducible_and_boxes_stay_in_frame(
         self, easy_sequence, trained_model, tmp_path
