@@ -38,8 +38,8 @@ class Frame:
 
 @dataclass
 class Sequence:
-    """An ordered list of frames with one ground-truth box and one
-    occlusion flag per frame (all False when none are given)."""
+    """An ordered list of frames of one shape, with one ground-truth box
+    and one occlusion flag per frame (all False when none are given)."""
 
     name: str
     frames: list[Frame]
@@ -53,6 +53,10 @@ class Sequence:
         for what, n in counts.items():
             if n != len(self.frames):
                 raise ValueError(f"{self.name}: {len(self.frames)} frames but {n} {what}")
+        shapes = [frame.pixels.shape for frame in self.frames]
+        for t, shape in enumerate(shapes[1:], start=2):
+            if shape != shapes[0]:
+                raise ValueError(f"{self.name}: frame {t} has shape {shape}, frame 1 {shapes[0]}")
 
     @property
     def T(self) -> int:
@@ -318,7 +322,14 @@ def load_sequence(directory: str | Path) -> Sequence:
             f"{directory}: {len(paths)} frames but {len(boxes)} ground-truth lines"
         )
 
-    frames = [Frame(_read_netpbm(p)) for p in paths]
+    frames = []
+    for path in paths:
+        frames.append(Frame(_read_netpbm(path)))
+        if frames[-1].pixels.shape != frames[0].pixels.shape:
+            raise FormatError(
+                f"{path}: frame shape {frames[-1].pixels.shape} differs from "
+                f"{paths[0].name}'s {frames[0].pixels.shape} (height, width[, channels])"
+            )
     occluded = []
     occ_path = directory / "occlusion.txt"
     if occ_path.is_file():

@@ -199,10 +199,17 @@ def crop_many(image: np.ndarray, boxes, side: int, dtype=np.float64) -> np.ndarr
         bot *= fy[sl]
         top += bot
         top /= 255.0
-        n = len(top)
-        mean = top.reshape(n, -1).mean(axis=1)
-        np.subtract(top, mean.reshape((n, 1, 1) + tail), out=out[sl])
+        center_patches(top, out[sl])
     return out
+
+
+def center_patches(patches: np.ndarray, out: np.ndarray | None = None) -> None:
+    """Subtract each patch's own mean, taken in the batch's dtype, from an
+    (N, S, S[, C]) batch into out, or in place: the one normalisation of
+    crop_many's patches and the tracker's ladder slices. Returns None."""
+    n = len(patches)
+    mean = patches.reshape(n, -1).mean(axis=1).reshape((n,) + (1,) * (patches.ndim - 1))
+    np.subtract(patches, mean, out=patches if out is None else out)
 
 
 def _taps(start, length, steps, side, limit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

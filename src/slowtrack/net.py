@@ -190,12 +190,6 @@ def _layers(model: Model, x: np.ndarray, first: int, last: int, pre: np.ndarray 
     return u, tuple(cache)
 
 
-def _feat_forward(model: Model, X: np.ndarray, pre: np.ndarray | None = None, first: int = 1):
-    """fc1-fc2 on patches X: the features and the cache (X, u1, r1).
-    Entered at layer first (1 or 2), X is that layer's input."""
-    return _layers(model, X, first, 2, pre)
-
-
 def _clf_forward(model: Model, F: np.ndarray, pre: np.ndarray | None = None, first: int = 3):
     """fc3-fc5 and the softmax on features F: the class probabilities and
     the cache (F, u3, r3, u4, r4). Entered at layer first (3, 4 or 5), F
@@ -215,7 +209,7 @@ def forward_features(
     A caller that holds the patches' fc1 products `patch @ W1` passes
     them as `pre`, which skips that GEMM and changes no bit."""
     X, single = _as_batch(patch, model.dims[0], "forward_features")
-    f, _ = _feat_forward(model, X, pre)
+    f, _ = _layers(model, X, 1, 2, pre)
     return f[0] if single else f
 
 
@@ -293,7 +287,7 @@ def _forward(model: Model, batch: TripletBatch, variant: str):
         if Bp.shape[0] != B:
             raise ValueError("pair batch size mismatch")
         streams.append(Bp)
-    F, feat_cache = _feat_forward(model, np.concatenate(streams))
+    F, feat_cache = _layers(model, np.concatenate(streams), 1, 2, None)
     P, clf_cache = _clf_forward(model, F[: 2 * B])
     return _streams(F, B, pair), (P[:B], P[B:]), (feat_cache, clf_cache)
 
@@ -380,7 +374,7 @@ def _gradient_pass(
         dLdp_n[:, None] * P_n[:, 1:2] * (_CLASS1 - P_n),
     ])
 
-    df_clf = _clf_backward(model, grads, clf_cache, dz)
+    df_clf = _layers_backward(model, clf_cache, 3, 5, dz, grads)
     if not grads.keys().isdisjoint(FEATURE_PARAMS):
         # one gradient row per stacked feature row, a | n | b as in _forward
         df = np.zeros((feat_cache[0].shape[0], f_a.shape[1]))
@@ -395,7 +389,7 @@ def _gradient_pass(
             df_a += coef[:, None] * lp.apart
             df_n -= coef[:, None] * lp.apart
         df[: 2 * B] += df_clf
-        _feat_backward(model, grads, feat_cache, df)
+        _layers_backward(model, feat_cache, 1, 2, df, grads)
 
     bad = _first_non_finite(grads)
     if bad is not None:
@@ -412,21 +406,18 @@ def _layer_grads(grads: FlatParams, i: int, x: np.ndarray, du: np.ndarray) -> No
         np.add.reduce(du, axis=0, out=grads[f"b{i}"])
 
 
-def _clf_backward(model: Model, grads: FlatParams, cache, dz: np.ndarray) -> np.ndarray:
-    F, _, r3, _, r4 = cache
-    _layer_grads(grads, 5, r4, dz)
-    du4 = (dz @ model["W5"].T) * (r4 > 0)
-    _layer_grads(grads, 4, r3, du4)
-    du3 = (du4 @ model["W4"].T) * (r3 > 0)
-    _layer_grads(grads, 3, F, du3)
-    return du3 @ model["W3"].T
-
-
-def _feat_backward(model: Model, grads: FlatParams, cache, df: np.ndarray) -> None:
-    X, _, r1 = cache
-    _layer_grads(grads, 2, r1, df)
-    du1 = (df @ model["W2"].T) * (r1 > 0)
-    _layer_grads(grads, 1, X, du1)
+def _layers_backward(model: Model, cache, first: int, last: int, du, grads: FlatParams):
+    """_layers run backward: from the cache _layers returned for layers
+    first..last and the gradient du of layer last's pre-activation, write
+    each layer's gradients into grads (_layer_grads), taking du through
+    the ReLU masks between layers. Returns the gradient of layer first's
+    input, or None when that input is the patches (first = 1)."""
+    for i in range(last, first - 1, -1):
+        x = cache[2 * (i - first)]
+        _layer_grads(grads, i, x, du)
+        if i > first:
+            du = (du @ model[f"W{i}"].T) * (x > 0)
+    return du @ model[f"W{first}"].T if first > 1 else None
 
 
 @dataclass
@@ -487,7 +478,7 @@ def _stacked_loss(model, layer, x, copies, feats, weights, variant) -> np.ndarra
     B, count = len(feats[0]), len(copies)
     rows = copies.reshape(-1, copies.shape[2])
     if layer <= 2:
-        F = _feat_forward(model, x, rows, first=layer)[0].reshape(count, len(x), -1)
+        F = _layers(model, x, layer, 2, rows)[0].reshape(count, len(x), -1)
         P = _clf_forward(model, F[:, : 2 * B].reshape(count * 2 * B, -1))[0]
         feats = _streams(F, B, uses_pair(variant))
     else:

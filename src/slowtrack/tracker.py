@@ -32,7 +32,7 @@ from .errors import (
     ConfigError, FormatError, NumericalError, SamplerExhausted, read_text, write_rows
 )
 from .geometry import (
-    BBox, average_boxes, box_array, clip_outside, crop_many, inside_frame, usable
+    BBox, average_boxes, box_array, center_patches, clip_outside, crop_many, inside_frame, usable
 )
 from .loss import LossWeights
 from .net import Model, forward_classifier, forward_features, forward_margins
@@ -114,31 +114,21 @@ def select(candidates: np.ndarray, scores: np.ndarray, top_k: int) -> tuple[np.n
     return top, average_boxes(candidates[top])
 
 
-def _ladder(level: np.ndarray, prev: BBox, side: int):
-    """At each of (n,) ladder levels: the box size, the origin of the
-    level's grid of one output pixel (the previous box scaled about its
-    center), and that grid's pitch, as three (n, 2) x/y arrays. Level 0
-    gives back the previous box bit for bit."""
-    base = np.array([prev.w, prev.h])
-    size = np.exp(level * LADDER_STEP)[:, None] * base
-    return size, np.array([prev.x, prev.y]) + (base - size) / 2, size / side
-
-
-def _windows(levels, which, cell, prev: BBox, side: int, frame_wh: np.ndarray):
-    """Plan the windows of the ladder levels in (L,) levels, whose
-    candidates sit at (n, 2) grid cells, candidate i in level which[i].
-    All windows share one side D, in cells. A level gets a window if its
-    candidates' cells fit in D x D, D x D cells of its grid fit on the
-    frame, and D^2 is fewer samples than its candidates' patches; D is
-    the level extent that saves the most samples. Returns D, the (L, 2)
-    first cell of each window, the (L, 4) window boxes, and the (L,)
-    mask of the levels that get one (all False when no window pays).
-    Needs at least one candidate."""
+def _windows(origin, pitch, which, cell, side: int, frame_wh: np.ndarray):
+    """Plan the windows of L ladder levels, whose grids have the (L, 2)
+    x/y origin and pitch given and whose candidates sit at (n, 2) grid
+    cells, candidate i in level which[i]. All windows share one side D,
+    in cells. A level gets a window if its candidates' cells fit in
+    D x D, D x D cells of its grid fit on the frame, and D^2 is fewer
+    samples than its candidates' patches; D is the level extent that
+    saves the most samples. Returns D, the (L, 2) first cell of each
+    window, the (L, 4) window boxes, and the (L,) mask of the levels that
+    get one (all False when no window pays). Needs at least one
+    candidate."""
     count = np.bincount(which)
     cell, bounds = cell[np.argsort(which, kind="stable")], np.cumsum(count) - count
     lo = np.minimum.reduceat(cell, bounds, axis=0)
     hi = np.maximum.reduceat(cell, bounds, axis=0)
-    _, origin, pitch = _ladder(levels, prev, side)
     first = np.ceil(-origin / pitch)
     room = (np.floor((frame_wh - origin) / pitch) - first).min(axis=1)
     extent = (hi - lo).max(axis=1) + side
@@ -163,24 +153,32 @@ def crop_candidates(
     width, then to that level's grid of one output pixel. A level's
     candidates are then S x S slices of one window, a box of D x D grid
     cells that covers them. One crop_many call resamples the windows of
-    the levels where that pays (see _windows), and each slice has its
-    own mean subtracted. Every other candidate keeps its drawn box and is
-    cropped per box in one more call: a snapped box that would leave the
-    frame, a candidate the sampler clipped at the frame edge, or one in
-    a sparse level.
+    the levels where that pays (see _windows), and center_patches centres
+    each slice as crop_many centres each patch. Every other candidate
+    keeps its drawn box and is cropped per box in one more call: a
+    snapped box that would leave the frame, a candidate the sampler
+    clipped at the frame edge, or one in a sparse level.
     """
     img = np.asarray(image)
     m, frame_wh = len(drawn), np.array(img.shape[1::-1], dtype=np.float64)
     level = np.rint(np.log(drawn[:, 2] / prev.w) / LADDER_STEP)
-    size, origin, pitch = _ladder(level, prev, side)
-    cell = np.rint((drawn[:, :2] - origin) / pitch)
-    boxes = np.concatenate([origin + cell * pitch, size], axis=1)
+    # Per level: box size, grid origin (the previous box scaled about its
+    # center) and pitch. Level 0 gives back the previous box bit for bit.
+    levels, on = np.unique(level, return_inverse=True)
+    base = np.array([prev.w, prev.h])
+    size = np.exp(levels * LADDER_STEP)[:, None] * base
+    origin = np.array([prev.x, prev.y]) + (base - size) / 2
+    pitch = size / side
+    cell = np.rint((drawn[:, :2] - origin[on]) / pitch[on])
+    boxes = np.concatenate([origin[on] + cell * pitch[on], size[on]], axis=1)
     # The sampler's clip of a box at the frame edge changes its shape.
     shaped = np.isclose(drawn[:, 2] * prev.h, drawn[:, 3] * prev.w, rtol=1e-9, atol=0.0)
     ok = np.flatnonzero(shaped & inside_frame(boxes, *frame_wh))
     if len(ok):
-        levels, which = np.unique(level[ok], return_inverse=True)
-        wide, start, windows, used = _windows(levels, which, cell[ok], prev, side, frame_wh)
+        rows, which = np.unique(on[ok], return_inverse=True)
+        wide, start, windows, used = _windows(
+            origin[rows], pitch[rows], which, cell[ok], side, frame_wh
+        )
         ok, which = ok[used[which]], which[used[which]]
     if not len(ok):
         return drawn.copy(), crop_many(img, drawn, side, dtype)
@@ -199,8 +197,7 @@ def crop_candidates(
     at[ok, 1:] = (cell[ok] - start[which])[:, ::-1]
     at[:, 2] *= depth
     patches = runs[at[:, :1], at[:, 1:2] + np.arange(side), at[:, 2:]]
-    flat = patches.reshape(m, -1)
-    flat -= flat.mean(axis=1, keepdims=True)
+    center_patches(patches)
     patches = patches.reshape((m, side, side) + img.shape[2:])
     boxes[rest] = drawn[rest]
     if rest.any():

@@ -8,12 +8,14 @@ codes, and determinism guarantees.
 import logging
 import shutil
 
+import numpy as np
 import pytest
 
 from slowtrack.bound import BoundParams
 from slowtrack.cli import NetConfig, _tracker_config, build_parser, derive_seed, dispatch
 from slowtrack.config import parse_config_text, settable_fields, split_sections
-from slowtrack.dataset import SynthSpec, load_sequence
+from slowtrack import cli
+from slowtrack.dataset import SynthSpec, _write_netpbm, load_sequence
 from slowtrack.loss import VARIANTS, LossWeights
 from slowtrack.net import load_model
 from slowtrack.sampler import SamplerConfig
@@ -337,6 +339,26 @@ class TestTrack:
             assert code == 1
             assert "repeated sequence name 'seq-a'" in caplog.text
             assert not (tmp_path / "out").exists()
+
+    def test_frame_of_another_shape_exits_one_before_tracking(
+        self, pipeline, tmp_path, caplog, monkeypatch
+    ):
+        # an RGB frame 3 among grey ones would stop tracking at frame 3
+        seq = tmp_path / "mixed"
+        shutil.copytree(pipeline / "seq-a", seq)
+        (seq / "img" / "000003.pgm").unlink()
+        _write_netpbm(seq / "img" / "000003.ppm", np.zeros((120, 160, 3), np.uint8))
+        tracked = []
+        monkeypatch.setattr(cli, "track_sequence", lambda *args: tracked.append(args))
+        with caplog.at_level(logging.ERROR):
+            code = run(
+                "track", seq, "--model", pipeline / "run" / "model.txt",
+                "--config", pipeline / "track.cfg", "--out", tmp_path / "out",
+            )
+        assert code == 1
+        assert "000003.ppm: frame shape (120, 160, 3) differs" in caplog.text
+        assert tracked == []
+        assert not (tmp_path / "out" / "results-mixed.csv").exists()
 
     def test_dot_names_the_directory_and_eval_accepts_its_results(
         self, pipeline, tmp_path, monkeypatch

@@ -8,6 +8,7 @@ from slowtrack.dataset import (
     SynthSpec,
     generate,
     load_sequence,
+    _write_netpbm,
     save_sequence,
 )
 from slowtrack.errors import ConfigError, FormatError
@@ -129,6 +130,14 @@ class TestSequenceType:
         with pytest.raises(ValueError, match=f"4 frames but {len(flags)} occlusion flags"):
             Sequence("bad", seq.frames, seq.groundtruth, occluded=flags)
         assert Sequence("ok", seq.frames, seq.groundtruth, occluded=[]).occluded == [False] * 4
+
+    def test_frames_of_another_shape_rejected(self):
+        # track_sequence would stop at frame 3, which does not fit the model
+        seq = generate(SynthSpec(T=3, seed=0))
+        rgb = generate(SynthSpec(T=1, rgb=True, seed=0)).frames
+        shapes = r"frame 3 has shape \(120, 160, 3\), frame 1 \(120, 160\)"
+        with pytest.raises(ValueError, match=shapes):
+            Sequence("bad", seq.frames[:2] + rgb, seq.groundtruth)
 
 
 class TestSaveLoad:
@@ -270,4 +279,22 @@ class TestSaveLoad:
         img = d / "img" / "000001.pgm"
         img.write_bytes(img.read_bytes()[:-10])
         with pytest.raises(FormatError):
+            load_sequence(d)
+
+    @pytest.mark.parametrize(
+        "name, pixels, shape",
+        [
+            ("000003.ppm", np.zeros((120, 160, 3), np.uint8), r"\(120, 160, 3\)"),
+            ("000003.pgm", np.zeros((119, 160), np.uint8), r"\(119, 160\)"),
+        ],
+        ids=["ppm-among-pgm", "smaller-frame"],
+    )
+    def test_frame_of_another_shape_names_its_file(self, tmp_path, name, pixels, shape):
+        # loaded, frame 3 would stop tracking and training partway through
+        d = tmp_path / "s"
+        save_sequence(generate(SynthSpec(T=4, seed=0)), d)
+        (d / "img" / "000003.pgm").unlink()
+        _write_netpbm(d / "img" / name, pixels)
+        first = r"000001.pgm's \(120, 160\)"
+        with pytest.raises(FormatError, match=rf"{name}: frame shape {shape} differs from {first}"):
             load_sequence(d)

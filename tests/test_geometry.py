@@ -11,6 +11,7 @@ from slowtrack.geometry import (
     BBox,
     average_boxes,
     center_distance,
+    center_patches,
     clip_boxes,
     clip_outside,
     crop_many,
@@ -496,3 +497,34 @@ class TestCropFloat32:
         # the same rows in another order, in another call
         order = rng.permutation(n)
         assert np.array_equal(crop_many(img, boxes[order], 32, np.float32), stack[order])
+
+
+class TestCenterPatches:
+    """center_patches is the one normalisation of both crop paths, bit for
+    bit what each of them did on its own before."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [(), (3,)], ids=["gray", "rgb"])
+    @pytest.mark.parametrize("side", [8, 32])
+    def test_bit_equals_both_former_expressions(self, dtype, channels, side):
+        rng = np.random.default_rng(side + len(channels))
+        n, tail = 40, (1,) * len(channels)
+        # resampled pixels: [0, 1] values in dtype, as crop_many holds them
+        raw = (rng.integers(0, 256, (n, side, side) + channels) / 255.0).astype(dtype)
+        raw *= rng.random((n, 1, 1) + tail).astype(dtype)
+        # crop_many's: each chunk's means, subtracted into its output
+        mean = raw.reshape(n, -1).mean(axis=1)
+        crop = np.empty_like(raw)
+        np.subtract(raw, mean.reshape((n, 1, 1) + tail), out=crop)
+        # the tracker's: the ladder slices, flattened and centred in place
+        slices = raw.copy()
+        flat = slices.reshape(n, -1)
+        flat -= flat.mean(axis=1, keepdims=True)
+
+        out = np.full_like(raw, np.nan)
+        assert center_patches(raw, out) is None
+        in_place = raw.copy()
+        assert center_patches(in_place) is None
+        for got in (out, in_place):
+            assert got.dtype == dtype
+            assert got.tobytes() == crop.tobytes() == slices.tobytes()

@@ -33,11 +33,10 @@ from slowtrack.net import (
     LossTerms,
     Model,
     TripletBatch,
-    _clf_backward,
     _clf_forward,
-    _feat_backward,
-    _feat_forward,
     _forward,
+    _layers,
+    _layers_backward,
     backward,
     check_finite,
     conditioned_batch,
@@ -244,11 +243,11 @@ def per_stream_backward(model, batch, weights, variant):
     three feature forwards (two without a pair term) and two classifier
     forwards, and the weight gradients of the streams summed in the
     order a, n, b."""
-    f_a, feat_a = _feat_forward(model, batch.a)
-    f_n, feat_n = _feat_forward(model, batch.n)
+    f_a, feat_a = _layers(model, batch.a, 1, 2, None)
+    f_n, feat_n = _layers(model, batch.n, 1, 2, None)
     f_b = feat_b = None
     if uses_pair(variant):
-        f_b, feat_b = _feat_forward(model, batch.b)
+        f_b, feat_b = _layers(model, batch.b, 1, 2, None)
     P_a, clf_a = _clf_forward(model, f_a)
     P_n, clf_n = _clf_forward(model, f_n)
     p_a, p_n = P_a[:, 1], P_n[:, 1]
@@ -272,12 +271,12 @@ def per_stream_backward(model, batch, weights, variant):
         (feat_n, clf_n, df_n, dLdp_n * (weights.mu / B), P_n),
     ]:
         g = model.zeros()
-        df = df + _clf_backward(model, g, clf, dLdp[:, None] * P[:, 1:2] * (e1 - P))
-        _feat_backward(model, g, feat, df)
+        df = df + _layers_backward(model, clf, 3, 5, dLdp[:, None] * P[:, 1:2] * (e1 - P), g)
+        _layers_backward(model, feat, 1, 2, df, g)
         parts.append(g)
     if c is not None:
         parts.append(model.zeros(FEATURE_PARAMS))
-        _feat_backward(model, parts[-1], feat_b, df_b)
+        _layers_backward(model, feat_b, 1, 2, df_b, parts[-1])
     grads = {}
     for g in parts:  # a, n, b
         for name, v in g.items():
@@ -323,7 +322,7 @@ def reference_backward(model, batch, weights, variant="full", grads=None):
         dLdp_n[:, None] * P_n[:, 1:2] * (e1 - P_n),
     ])
 
-    df_clf = _clf_backward(model, grads, clf_cache, dz)
+    df_clf = _layers_backward(model, clf_cache, 3, 5, dz, grads)
     if not grads.keys().isdisjoint(FEATURE_PARAMS):
         df = np.zeros((feat_cache[0].shape[0], f_a.shape[1]))
         df_a, df_n, df_b = df[:B], df[B : 2 * B], df[2 * B :]
@@ -337,7 +336,7 @@ def reference_backward(model, batch, weights, variant="full", grads=None):
             df_a += coef[:, None] * dd
             df_n -= coef[:, None] * dd
         df[: 2 * B] += df_clf
-        _feat_backward(model, grads, feat_cache, df)
+        _layers_backward(model, feat_cache, 1, 2, df, grads)
     return grads, terms
 
 
@@ -536,14 +535,15 @@ class TestBackward:
 
     @pytest.mark.parametrize("value, named", [(np.nan, "W4"), (np.inf, "W4"), (1e200, None)])
     def test_flat_gradient_check_names_first_bad_layer(self, monkeypatch, value, named):
-        real = net_module._clf_backward
+        real = net_module._layers_backward
 
-        def poisoned(model, grads, cache, dz):
-            out = real(model, grads, cache, dz)
-            grads["W4"].flat[0] = grads["b5"].flat[-1] = value
+        def poisoned(model, cache, first, last, du, grads):
+            out = real(model, cache, first, last, du, grads)
+            if (first, last) == (3, 5):
+                grads["W4"].flat[0] = grads["b5"].flat[-1] = value
             return out
 
-        monkeypatch.setattr(net_module, "_clf_backward", poisoned)
+        monkeypatch.setattr(net_module, "_layers_backward", poisoned)
         m = init_model(DIMS, seed=18)
         out = flat_of(m.params())
         batch = rand_batch(np.random.default_rng(31))
@@ -554,34 +554,31 @@ class TestBackward:
                 backward(m, batch, LossWeights(), "full", out)
 
     def test_feature_layers_differentiated_only_when_named(self, monkeypatch):
-        calls = []
-        real = net_module._feat_backward
-        monkeypatch.setattr(
-            net_module, "_feat_backward", lambda *args: calls.append(1) or real(*args)
-        )
+        walks = layer_ranges(monkeypatch, "_layers_backward")
         m = init_model(DIMS, seed=16)
         batch = rand_batch(np.random.default_rng(29))
         for names, want in [(PARAM_NAMES, 1), (CLASSIFIER_PARAMS, 0), (("b1",), 1), ((), 0)]:
-            calls.clear()
+            walks.clear()
             backward(m, batch, LossWeights(), grads=m.zeros(names))
-            assert len(calls) == want, names
+            assert walks.count((1, 2)) == want, names
 
     def test_one_pass_per_layer_group(self, monkeypatch):
-        calls = count_layer_passes(monkeypatch)
+        passes = layer_ranges(monkeypatch, "_layers")
         m = init_model(DIMS, seed=13)
         for variant in VARIANTS:
             batch = rand_batch(np.random.default_rng(27))
             if not uses_pair(variant):
                 batch.b = None
-            calls.update(_feat_forward=0, _clf_forward=0)
+            passes.clear()
             backward(m, batch, LossWeights(), variant=variant)
-            assert calls == {"_feat_forward": 1, "_clf_forward": 1}, variant
+            # one feature pass (fc1-fc2), then one classifier pass (fc3-fc5)
+            assert passes == [(1, 2), (3, 5)], variant
 
     def test_unknown_variant_rejected_before_any_forward(self, monkeypatch):
         def forward(*args):
             raise AssertionError("forward ran")
 
-        monkeypatch.setattr(net_module, "_feat_forward", forward)
+        monkeypatch.setattr(net_module, "_layers", forward)
         with pytest.raises(ConfigError, match="nope"):
             backward(init_model(DIMS, seed=0), rand_batch(np.random.default_rng(0)),
                      LossWeights(), variant="nope")
@@ -804,22 +801,20 @@ def brute_force_numeric(m, batch, w, variant, param, index) -> float:
     return (losses[0] - losses[1]) / (2 * FD_STEP)
 
 
-def count_layer_passes(monkeypatch, entered=None):
-    """Count the calls of net's feature and classifier forwards. With a
-    list `entered`, also append (name, first) for each call: the layer
-    it was entered at, None when not given."""
-    calls = {}
-    for name in ("_feat_forward", "_clf_forward"):
-        real = getattr(net_module, name)
+def layer_ranges(monkeypatch, walk):
+    """Spy on net's layer walk `walk`, "_layers" forward or
+    "_layers_backward": returns the list to which each call appends its
+    (first, last) layer range. A range ending at fc2 is a feature pass,
+    one ending at fc5 a classifier pass."""
+    ranges = []
+    real = getattr(net_module, walk)
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            if entered is not None:
-                entered.append((_name, kwargs.get("first")))
-            return _real(*args, **kwargs)
+    def spied(model, x_or_cache, first, last, *args):
+        ranges.append((first, last))
+        return real(model, x_or_cache, first, last, *args)
 
-        monkeypatch.setattr(net_module, name, counted)
-    return calls
+    monkeypatch.setattr(net_module, walk, spied)
+    return ranges
 
 
 class TestFiniteDiff:
@@ -861,19 +856,17 @@ class TestFiniteDiff:
         batch = conditioned_batch(m, np.random.default_rng(29))
         grads, _ = backward(m, batch, LossWeights())
         monkeypatch.setattr("slowtrack.net.FD_CHUNK_BYTES", 1)  # one entry per chunk
-        entered = []
-        calls = count_layer_passes(monkeypatch, entered)
-        clean = [("_feat_forward", None), ("_clf_forward", None)]
+        entered = layer_ranges(monkeypatch, "_layers")
+        clean = [(1, 2), (3, 5)]
         for name in PARAM_NAMES:
             entered.clear()
-            calls.update(_feat_forward=0, _clf_forward=0)
             rep = finite_diff_check(m, batch, LossWeights(), params=[name], analytic=grads)
             assert rep.passed
             layer = int(name[1])
             enter = layer + 1 if layer in (1, 3, 4) else layer
-            chunk = [("_clf_forward", enter)]
+            chunk = [(enter, 5)]
             if layer <= 2:
-                chunk = [("_feat_forward", enter), ("_clf_forward", None)]
+                chunk = [(enter, 2), (3, 5)]
             assert entered == clean + chunk * m[name].size, name
 
     def test_each_term_in_isolation(self):
@@ -1022,14 +1015,12 @@ class TestFiniteDiff:
         assert [(f.param, f.index) for f in rep.failures] == [("W2", (0, 0))]
 
     def test_classifier_subset_differentiates_only_the_classifier(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("feature layers differentiated")
-
+        walks = layer_ranges(monkeypatch, "_layers_backward")
         m = init_model(DIMS, seed=206)
         batch = conditioned_batch(m, np.random.default_rng(24))
-        monkeypatch.setattr(net_module, "_feat_backward", fail)
         rep = finite_diff_check(m, batch, LossWeights(), params=CLASSIFIER_PARAMS)
         assert rep.passed and list(rep.per_param) == list(CLASSIFIER_PARAMS)
+        assert walks == [(3, 5)], "feature layers differentiated"
 
     def test_no_parameters_is_vacuous_pass(self):
         rng = np.random.default_rng(20)

@@ -195,6 +195,15 @@ ROWS = [
         "000001.pgm: only maxval 255 supported, got 65535", id="netpbm-maxval",
     ),
     pytest.param(
+        _load_edited("img/000002.pgm", b"P5\n2 2\n255\n" + bytes(4), SynthSpec(T=2)),
+        FormatError, "000002.pgm: frame shape (2, 2) differs from 000001.pgm's (120, 160)",
+        id="load-frame-shape",
+    ),
+    pytest.param(
+        lambda tmp: Sequence("s", [Frame(np.zeros((8, 8), np.uint8)), RGB], [BBox(1, 1, 4, 4)] * 2),
+        ValueError, "s: frame 2 has shape (40, 40, 3), frame 1 (8, 8)", id="sequence-frame-shape",
+    ),
+    pytest.param(
         _load_edited("occlusion.txt", b"0\n1\n", SynthSpec(T=3, occlusions=((1, 1),))),
         FormatError, "occlusion.txt: expected 3 flags", id="load-occlusion-count",
     ),
@@ -299,6 +308,7 @@ TRIGGERED_BY = {
     ),
     "dataset.Sequence.__post_init__": (
         "test_dataset.py::TestSequenceType::test_groundtruth_length_mismatch_rejected",
+        "sequence-frame-shape",
     ),
     "dataset.SynthSpec.box_at": (
         "test_dataset.py::TestGenerate::test_overflowing_target_size_rejected",
@@ -322,6 +332,7 @@ TRIGGERED_BY = {
         "load-groundtruth-float",
         "test_dataset.py::TestSaveLoad::test_unusable_box_names_file_and_line",
         "test_dataset.py::TestSaveLoad::test_count_mismatch_raises_format_error",
+        "load-frame-shape",
         "test_dataset.py::TestSaveLoad::test_bad_occlusion_flag_names_file_and_line",
         "load-occlusion-count",
     ),

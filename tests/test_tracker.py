@@ -23,7 +23,7 @@ from slowtrack.errors import (
     SamplerExhausted,
 )
 from slowtrack.geometry import (
-    BBox, average_boxes, box_array, center_distance, crop_many, inside_frame
+    BBox, average_boxes, box_array, center_distance, center_patches, crop_many, inside_frame
 )
 from slowtrack.net import forward_classifier, forward_features, forward_margins, init_model
 from slowtrack.sampler import Sampler, SamplerConfig
@@ -288,6 +288,36 @@ class TestScaleLadder:
         assert snapped.sum() >= 750
         reference = crop_many(frame.pixels, boxes, side, dtype)
         assert np.abs(patches - reference).max() <= tol
+
+    def test_one_centring_rule_reaches_both_crop_paths(self, monkeypatch):
+        # Swapping the code of geometry.center_patches, not a module
+        # attribute, stands for an edit of its body: every module that
+        # imported it runs the new body. Here the variant also doubles
+        # each patch, which is exact in floating point. A ladder slice
+        # meets the rule twice, in its window's crop and as a slice, so it
+        # doubles twice; a rule that undoes any earlier scale and shift,
+        # as contrast normalisation does, meets it once in effect.
+        def doubled(patches, out=None):
+            n = len(patches)
+            mean = patches.reshape(n, -1).mean(axis=1)
+            out = patches if out is None else out
+            np.subtract(patches, mean.reshape((n,) + (1,) * (patches.ndim - 1)), out=out)
+            out *= 2
+
+        frame, prev, drawn = self.draw(
+            SynthSpec(T=2, frame_w=360, frame_h=240, target_w=24.0, target_h=24.0,
+                      start_x=50.0, start_y=110.0, seed=0)
+        )
+        plain_crop = crop_many(frame.pixels, drawn, 8)
+        boxes, plain = crop_candidates(frame.pixels, drawn, prev, 8)
+        snapped = (boxes != drawn).any(axis=1)
+        assert snapped.sum() >= 750
+        monkeypatch.setattr(center_patches, "__code__", doubled.__code__)
+        assert np.array_equal(crop_many(frame.pixels, drawn, 8), 2 * plain_crop)
+        again, patches = crop_candidates(frame.pixels, drawn, prev, 8)
+        assert np.array_equal(again, boxes)
+        assert np.array_equal(patches[snapped], 4 * plain[snapped])
+        assert np.array_equal(patches[~snapped], 2 * plain[~snapped])
 
     def test_edge_candidates_keep_their_drawn_boxes(self):
         # A target in the corner: the sampler clips some candidates at the

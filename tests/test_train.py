@@ -404,36 +404,40 @@ class TestTrainableSet:
 
     @pytest.mark.parametrize("phase", ["offline", "initial", "update"])
     def test_feature_backward_once_per_step_unless_frozen(self, monkeypatch, corpus, phase):
-        calls = []
-        real = net_module._feat_backward
-        monkeypatch.setattr(
-            net_module, "_feat_backward", lambda *args: calls.append(1) or real(*args)
-        )
+        walks = []
+        real = net_module._layers_backward
+
+        def spy(model, cache, first, last, du, grads):
+            walks.append((first, last))
+            return real(model, cache, first, last, du, grads)
+
+        monkeypatch.setattr(net_module, "_layers_backward", spy)
         self.run(phase, corpus)
-        assert len(calls) == 3
-        calls.clear()
+        assert walks.count((1, 2)) == 3
+        walks.clear()
         self.run(phase, corpus, classifier_only=True)
-        assert calls == []
+        assert (1, 2) not in walks
 
     @pytest.mark.parametrize(
-        "patched, layer, frozen",
+        "walk, layer, frozen",
         [
-            ("_feat_backward", "W1", {"classifier_only": True}),
-            ("_clf_backward", "W5", {"variant": "tarspec"}),
+            ((1, 2), "W1", {"classifier_only": True}),
+            ((3, 5), "W5", {"variant": "tarspec"}),
         ],
     )
     def test_non_finite_gradient_of_a_frozen_layer_is_not_checked(
-        self, monkeypatch, corpus, patched, layer, frozen
+        self, monkeypatch, corpus, walk, layer, frozen
     ):
-        real = getattr(net_module, patched)
+        real = net_module._layers_backward
 
-        def poisoned(model, grads, cache, delta):
-            out = real(model, grads, cache, delta)
-            if layer in grads:  # a frozen layer has no slot, and no gradient
+        def poisoned(model, cache, first, last, du, grads):
+            out = real(model, cache, first, last, du, grads)
+            # a frozen layer has no slot, and no gradient
+            if (first, last) == walk and layer in grads:
                 grads[layer][0, 0] = np.nan
             return out
 
-        monkeypatch.setattr(net_module, patched, poisoned)
+        monkeypatch.setattr(net_module, "_layers_backward", poisoned)
         with pytest.raises(NumericalError, match=f"layer {layer}"):
             self.run("offline", corpus)
         check_finite(self.run("offline", corpus, **frozen))
@@ -495,15 +499,16 @@ class TestTrainableSet:
     def test_first_non_finite_classifier_gradient_is_named(
         self, monkeypatch, corpus, poisoned, named
     ):
-        real = net_module._clf_backward
+        real = net_module._layers_backward
 
-        def poison(model, grads, cache, dz):
-            out = real(model, grads, cache, dz)
-            for layer in poisoned:
-                grads[layer].flat[-1] = np.nan
+        def poison(model, cache, first, last, du, grads):
+            out = real(model, cache, first, last, du, grads)
+            if (first, last) == (3, 5):
+                for layer in poisoned:
+                    grads[layer].flat[-1] = np.nan
             return out
 
-        monkeypatch.setattr(net_module, "_clf_backward", poison)
+        monkeypatch.setattr(net_module, "_layers_backward", poison)
         with pytest.raises(NumericalError, match=f"^non-finite gradient in layer {named}$"):
             self.run("offline", corpus)
 
@@ -1242,14 +1247,16 @@ class TestFinetuneUpdate:
     def test_non_finite_pool_gradient_is_named_w1(self, monkeypatch):
         # Every gradient is poisoned; the error names the first in parameter
         # order, D, which stands in for W1's gradient.
-        real = net_module._feat_backward
+        real = net_module._layers_backward
 
-        def poisoned(model, grads, cache, delta):
-            real(model, grads, cache, delta)
-            for g in grads.values():
-                g[...] = np.nan
+        def poisoned(model, cache, first, last, du, grads):
+            out = real(model, cache, first, last, du, grads)
+            if (first, last) == (1, 2):
+                for g in grads.values():
+                    g[...] = np.nan
+            return out
 
-        monkeypatch.setattr(net_module, "_feat_backward", poisoned)
+        monkeypatch.setattr(net_module, "_layers_backward", poisoned)
         frame, box = self.seq.frames[4], self.seq.groundtruth[4]
         _, batches = self.spy(monkeypatch)
         with pytest.raises(NumericalError, match="^non-finite gradient in layer W1$"):
