@@ -51,7 +51,7 @@ from .loss import VARIANTS, LossWeights
 from .net import FD_TOL, conditioned_batch, finite_diff_check, init_model, load_model, save_model
 from .sampler import SamplerConfig
 from .tracker import TrackerConfig, read_results, track_sequence, write_results
-from .train import TrainConfig, train_offline, write_trace
+from .train import TrainConfig, _sequence_side, train_offline, write_trace
 
 log = logging.getLogger(__name__)
 
@@ -305,9 +305,10 @@ def cmd_ablate(args) -> int:
     net_cfg, base_tc, sampler, weights = _training_configs(sections, args.seed)
     tracker_cfg = _tracker_config(sections, args.seed)
     rows = []
-    # Every variant's config is checked before the first one trains.
+    # Every variant's config and the tracked sequence are checked before any trains.
+    model = init_model(net_cfg.dims, seed=net_cfg.seed)
+    _sequence_side(model, track_seq)
     for tc in [replace(base_tc, variant=v) for v in VARIANTS]:
-        model = init_model(net_cfg.dims, seed=net_cfg.seed)
         trained, trace = train_offline(corpus, model, tc, sampler, weights)
         vdir = args.out / tc.variant
         vdir.mkdir(parents=True, exist_ok=True)

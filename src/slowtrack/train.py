@@ -195,18 +195,24 @@ def _patch_side(model: Model, frame: Frame) -> int:
     return side
 
 
-def _patches(memo: dict, side: int, frame: Frame, boxes: np.ndarray) -> np.ndarray:
-    """Flattened patches of boxes on frame, one (n, r) matrix, kept in
-    memo by each box's bytes: the distinct boxes not in it yet are cropped
-    in one crop_many call and added. A memo holds the patches of one
-    Frame. Every row is bit-equal to cropping its box alone, because
-    crop_many of a box does not depend on the other boxes in the call."""
-    keys = [row.tobytes() for row in boxes]
-    missing = {k: i for i, k in enumerate(keys) if k not in memo}
-    if missing:
-        rows = crop_many(frame.pixels, boxes[list(missing.values())], side)
-        memo.update(zip(missing, rows.reshape(len(missing), -1)))
-    return np.stack([memo[k] for k in keys])
+def _sequence_side(model: Model, seq: Sequence) -> int:
+    """_patch_side of seq's frames, which share one shape, naming seq."""
+    try:
+        return _patch_side(model, seq.frames[0])
+    except ConfigError as exc:
+        raise ConfigError(f"sequence {seq.name!r}: {exc}") from None
+
+
+def _patches(side: int, frame: Frame, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened patches of the distinct boxes on frame, cropped in one
+    crop_many call: the (d, r) matrix `rows`, in the boxes' byte order,
+    and the row of each box, `at`, so that rows[at] is the (n, r) matrix
+    of boxes. Boxes are distinct when their bytes differ. Every row is
+    bit-equal to cropping its box alone, because crop_many of a box does
+    not depend on the other boxes in the call."""
+    keys = np.ascontiguousarray(boxes).view(np.dtype((np.void, 4 * boxes.itemsize))).ravel()
+    _, first, at = np.unique(keys, return_index=True, return_inverse=True)
+    return crop_many(frame.pixels, boxes[first], side).reshape(len(first), -1), at
 
 
 def _draw_boxes(sampler: Sampler, count: int, anchor: tuple, pair: tuple):
@@ -232,63 +238,49 @@ def _draw_triplets(
     paired: bool = True,
 ) -> TripletBatch:
     """One offline batch of the boxes _draw_boxes draws. Only the rows the
-    triplets use are cropped: anchors and negatives in one call, paired
-    positives in one call on their own frame. The calls share a fresh
-    memo when the pair is on the anchor's Frame object. Without `paired`
-    the paired positives are drawn, keeping the sampler's stream, but not
+    triplets use are cropped: anchors and negatives in one _patches call,
+    paired positives in one on their own frame. Without `paired` the
+    paired positives are drawn, keeping the sampler's stream, but not
     cropped, and the batch has no `b`."""
     a, b, n = _draw_boxes(sampler, count, anchor, pair)
-    frame, pair_frame = anchor[0], pair[0]
-    memo: dict[bytes, np.ndarray] = {}
-    an = _patches(memo, side, frame, np.concatenate([a, n]))
-    pb = _patches(memo if pair_frame is frame else {}, side, pair_frame, b) if paired else None
+    an = np.take(*_patches(side, anchor[0], np.concatenate([a, n])), axis=0)
+    pb = np.take(*_patches(side, pair[0], b), axis=0) if paired else None
     return TripletBatch(a=an[:count], b=pb, n=an[count:])
 
 
-# Negatives the first-frame finetune draws ahead and crops in one
-# crop_many call. Its draws do not depend on the model, and a call costs
-# about 110 us on top of its patches, which are also slower per patch in
-# small calls (ROADMAP "Settled"). Measured on perfbench's track-easy
-# finetune (1024-input model, 300 SGD steps at batch 16, one BLAS
-# thread), medians of 9 interleaved runs: 0.53-0.59 s cropping each
-# step's 16, 0.445-0.459 s at 160 rows, 0.456-0.481 s at 320 and 0.467 s
-# at 80. Peak RSS of track-easy at seed 0 (perfbench, 15 s runs): 69.8 MB
-# cropping each step's 16 and 69.7 MB at 160 rows (medians of 12 runs);
-# 73.7 MB at 320, 74.2 MB at 400 and 86.4 MB at 800 (one run each).
+# Triplets the first-frame finetune draws ahead, their boxes cropped in
+# one _patches call: its draws do not depend on the model, and a
+# crop_many call costs about 110 us on top of its patches, which are also
+# slower per patch in small calls. 160 was faster than 80 or 320 and kept
+# track-easy's peak RSS flat; ROADMAP "Settled" has the timings.
 DRAW_AHEAD_ROWS = 160
 
 
 def _first_frame_batches(sampler: Sampler, side: int, count: int, view: tuple, steps: int):
     """The first-frame finetune's `steps` batches: _draw_triplets' draws
     with `view`, a (frame, box) pair, as both anchor and pair, and the
-    same patches bit for bit. The sampler calls of a window of
-    DRAW_AHEAD_ROWS // count steps are made together, in the order the
-    steps make them, and the window's negatives are cropped in one call.
-    The positives, at most 24 shifts of one box, are cropped once each
-    into a memo kept across windows. A SamplerExhausted raised while a
-    window draws is raised again when the step whose draw failed comes
-    due, after the steps before it have run. Nothing is drawn before the
-    first batch is asked for."""
-    frame = view[0]
-    memo: dict[bytes, np.ndarray] = {}
+    same patches bit for bit. A window of DRAW_AHEAD_ROWS // count steps
+    makes its sampler calls together, in the steps' order, and crops all
+    its boxes in one _patches call; each step gathers its batch from the
+    rows as it comes due. A SamplerExhausted raised while a window draws
+    is raised again when the step whose draw failed comes due, after the
+    steps before it have run. Nothing is drawn before the first batch is
+    asked for."""
     window = max(1, DRAW_AHEAD_ROWS // count)
     for start in range(0, steps, window):
         drawn, failed = [], None
         for _ in range(min(window, steps - start)):
             try:
-                drawn.append(_draw_boxes(sampler, count, view, view))
+                drawn.extend(_draw_boxes(sampler, count, view, view))
             except SamplerExhausted as exc:
                 failed = exc
                 break
         if drawn:
-            # A step's triplets can repeat its negatives, about one row in
-            # five; cropping those again costs what memoizing them would.
-            n_boxes = np.concatenate([n for _, _, n in drawn])
-            negatives = crop_many(frame.pixels, n_boxes, side).reshape(len(n_boxes), -1)
-        for i, (a, b, _) in enumerate(drawn):
-            pos = _patches(memo, side, frame, np.concatenate([a, b]))
-            n = negatives[i * count : (i + 1) * count]
-            yield TripletBatch(a=pos[:count], b=pos[count:], n=n)
+            rows, at = _patches(side, view[0], np.concatenate(drawn))
+            # each step's anchors, paired positives and negatives in turn
+            for i in range(0, len(at), 3 * count):
+                batch = rows[at[i : i + 3 * count]]
+                yield TripletBatch(batch[:count], batch[count : 2 * count], batch[2 * count :])
         if failed is not None:
             raise failed
 
@@ -391,13 +383,15 @@ def train_offline(
     """Joint offline training: each step samples a consecutive frame pair
     from a random sequence, draws positives/negatives, and applies one
     optimizer step on the batch-mean combined loss. Returns a trained
-    copy of the model and the per-step loss trace. SamplerExhausted
+    copy of the model and the per-step loss trace. A sequence the model
+    cannot take raises ConfigError before any step. SamplerExhausted
     names the sequence and the pair's first frame, numbered from 1."""
     if not sequences:
         raise ConfigError("train_offline needs at least one sequence")
     for seq in sequences:
         if seq.T < 2:
             raise ConfigError(f"sequence {seq.name!r} has fewer than 2 frames")
+    sides = [_sequence_side(model, seq) for seq in sequences]
 
     tc = train_config
     pairs = [
@@ -420,7 +414,7 @@ def train_offline(
         try:
             return _draw_triplets(
                 sampler,
-                _patch_side(model, seq.frames[t]),
+                sides[si],
                 tc.batch_size,
                 (seq.frames[t], seq.groundtruth[t]),
                 (seq.frames[b_t], seq.groundtruth[b_t]),
@@ -474,7 +468,8 @@ def finetune_update(
     sampler = Sampler(sampler_config)
     pos_boxes, neg_boxes = sampler.sample_update_batch(pred, frame.width, frame.height)
     side = _patch_side(model, frame)
-    # Continuous draws never repeat, so there is nothing to memoize.
+    # Not _patches: these draws never repeat, and its byte-ordered rows
+    # would reorder the pool whose rows poolᵀ·ΣD sums over (see _fit).
     boxes = np.concatenate([pos_boxes, neg_boxes])
     patches = crop_many(frame.pixels, boxes, side).reshape(len(boxes), -1)
     n_pos, n_neg = len(pos_boxes), len(neg_boxes)

@@ -15,7 +15,7 @@ from slowtrack.bound import BoundParams
 from slowtrack.cli import NetConfig, _tracker_config, build_parser, derive_seed, dispatch
 from slowtrack.config import parse_config_text, settable_fields, split_sections
 from slowtrack import cli
-from slowtrack.dataset import SynthSpec, _write_netpbm, load_sequence
+from slowtrack.dataset import SynthSpec, _write_netpbm, generate, load_sequence, save_sequence
 from slowtrack.loss import VARIANTS, LossWeights
 from slowtrack.net import load_model
 from slowtrack.sampler import SamplerConfig
@@ -699,6 +699,24 @@ class TestAblate:
             )
         assert rc == 1
         assert "train.variant: ablate runs every variant" in caplog.text
+
+    def test_track_sequence_the_model_cannot_take_exits_one_before_training(
+        self, pipeline, tmp_path, caplog, monkeypatch
+    ):
+        # an RGB sequence to track with the 64-input grey model
+        save_sequence(generate(SynthSpec(T=4, rgb=True)), tmp_path / "rgb")
+        trained = []
+        monkeypatch.setattr(cli, "train_offline", lambda *args: trained.append(args))
+        out = tmp_path / "abl"
+        with caplog.at_level(logging.ERROR):
+            rc = run(
+                "ablate", pipeline / "seq-a", "--track", tmp_path / "rgb",
+                "--config", pipeline / "train.cfg", "--out", out,
+            )
+        assert rc == 1
+        assert "sequence 'rgb': model input size 64 is not divisible by 3 channels" in caplog.text
+        assert trained == []
+        assert not (out / "full").exists()
 
 
 def _subparsers():

@@ -21,7 +21,7 @@ from slowtrack.geometry import BBox, crop_many
 from slowtrack.net import forward_margins, init_model
 from slowtrack.sampler import SamplerConfig
 from slowtrack.tracker import RESULTS_HEADER, read_results
-from slowtrack.train import _patch_side
+from slowtrack.train import _patch_side, _sequence_side
 
 
 @dataclass
@@ -117,6 +117,13 @@ ROWS = [
     pytest.param(
         lambda tmp: _patch_side(init_model((64, 8, 4, 4, 3, 2), seed=0), RGB), ConfigError,
         "model input size 64 is not divisible by 3 channels", id="patch-channels",
+    ),
+    pytest.param(
+        lambda tmp: _sequence_side(
+            init_model((64, 8, 4, 4, 3, 2), seed=0), generate(SynthSpec(T=1, rgb=True))
+        ),
+        ConfigError, "sequence 'synth-0': model input size 64 is not divisible",
+        id="sequence-patch-channels",
     ),
     pytest.param(
         _header_only_results, ConfigError, "no tracked frames for sequence", id="eval-no-frames",
@@ -458,6 +465,7 @@ TRIGGERED_BY = {
         "patch-channels",
         "test_train.py::TestFinetuneInitial::test_rejects_non_square_input_size",
     ),
+    "train._sequence_side": ("sequence-patch-channels",),
     "train._first_frame_batches": (
         "test_train.py::TestDrawAhead::test_exhaustion_surfaces_at_the_step_whose_draw_failed",
     ),

@@ -12,10 +12,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slowtrack import net as net_module
 from slowtrack import train as train_module
-from slowtrack.dataset import Sequence, SynthSpec, generate
+from slowtrack.dataset import Frame, Sequence, SynthSpec, generate
 from slowtrack.errors import ConfigError, NumericalError, OutOfViewError, SamplerExhausted
 from slowtrack.geometry import BBox, crop_many
 from slowtrack.loss import LossWeights
@@ -215,6 +216,21 @@ class TestTrainOffline:
         shroud = Sequence("shroud", seq.frames, seq.groundtruth, [True] * seq.T)
         with pytest.raises(ConfigError, match="occluded"):
             train_offline([shroud], init_model(DIMS, seed=0), TrainConfig(), SamplerConfig())
+
+    def test_sequence_the_model_cannot_take_raises_before_any_step(self, monkeypatch):
+        # an RGB sequence among grey ones, on a 64-input model: 64 is not
+        # divisible by 3 channels
+        corpus = [generate(SynthSpec(T=20, seed=s)) for s in range(4)]
+        corpus.append(generate(SynthSpec(T=2, rgb=True, seed=9)))
+        done = []
+        monkeypatch.setattr(train_module, "optimizer_step", lambda *args: done.append(args))
+        with pytest.raises(ConfigError) as err:
+            tc = TrainConfig(iterations=2000, batch_size=8, seed=3)
+            train_offline(corpus, init_model(DIMS, seed=0), tc, SamplerConfig(seed=4))
+        assert str(err.value) == (
+            "sequence 'synth-9': model input size 64 is not divisible by 3 channels"
+        )
+        assert done == []
 
     def test_zero_iterations_returns_equal_copy(self, corpus):
         m0 = init_model(DIMS, seed=0)
@@ -718,6 +734,32 @@ def _reference_draw(sampler, side, count, anchor, pair, paired=True):
     )
 
 
+@st.composite
+def repeated_boxes(draw):
+    """A (n, 4) box array on a 40x40 frame with repeated rows, among them
+    a box at x = 0.0 and its copy at x = -0.0: equal, but not byte-equal."""
+    coord, size = st.floats(0.0, 30.0), st.floats(0.5, 20.0)
+    rows = draw(st.lists(st.tuples(coord, coord, size, size), min_size=1, max_size=6))
+    zero = draw(st.tuples(st.just(0.0), coord, size, size))
+    rows += [zero, (-0.0,) + zero[1:]]
+    picks = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=24))
+    return np.array(draw(st.permutations(picks + rows[-2:])))
+
+
+PIXELS = np.random.default_rng(5).integers(0, 256, size=(40, 40), dtype=np.uint8)
+
+
+class TestPatches:
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_boxes())
+    def test_rows_at_boxes_bit_equal_to_cropping_each_alone(self, boxes):
+        rows, at = _patches(SIDE, Frame(PIXELS), boxes)
+        alone = np.stack([crop_many(PIXELS, box[None], SIDE).ravel() for box in boxes])
+        assert_bit_equal(rows[at], alone)
+        # the 0.0 and -0.0 boxes are two rows
+        assert len(rows) == len({row.tobytes() for row in boxes})
+
+
 class TestCropPools:
     def setup_method(self):
         seq = generate(SynthSpec(T=2, velocity=(1.0, 0.0), seed=0))
@@ -754,38 +796,42 @@ class TestCropPools:
     def distinct(*pools):
         return {tuple(row) for row in np.concatenate(pools).tolist()}
 
-    @pytest.mark.parametrize("warm_memo", [False, True])
-    def test_rows_bit_equal_to_cropping_each_pool(self, monkeypatch, warm_memo):
-        memo = {}
-        if warm_memo:
-            _patches(memo, SIDE, self.f0, self.a[:6])
+    @pytest.mark.parametrize("order", ["drawn", "reversed"])
+    def test_rows_bit_equal_to_cropping_each_pool(self, monkeypatch, order):
         calls = self.counted(monkeypatch)
         boxes = np.concatenate([self.a, self.n])
-        assert_bit_equal(_patches(memo, SIDE, self.f0, boxes), self.reference(self.f0, boxes))
-        # one call, each distinct box not yet in the memo once
+        if order == "reversed":
+            boxes = boxes[::-1]
+        rows, at = _patches(SIDE, self.f0, boxes)
+        assert_bit_equal(rows[at], self.reference(self.f0, boxes))
+        # one call, each distinct box once, in byte order whatever the
+        # order of the boxes
         (call,) = calls
-        new = self.distinct(boxes) - (self.distinct(self.a[:6]) if warm_memo else set())
-        assert len(call) == len(new) < len(boxes)
-        assert self.distinct(call) == new
-        assert len(memo) == len(self.distinct(boxes))
+        assert len(call) == len(rows) == len(self.distinct(boxes)) < len(boxes)
+        assert self.distinct(call) == self.distinct(boxes)
+        keys = [row.tobytes() for row in call]
+        assert keys == sorted(keys)
 
-    def test_memo_hit_makes_no_crop_call(self, monkeypatch):
-        memo = {}
-        first = _patches(memo, SIDE, self.f0, self.a)
+    def test_each_call_crops_its_own_boxes(self, monkeypatch):
+        # no state between calls: a repeated call crops its distinct boxes
+        # again, and the same rows come back for the boxes in any order
+        first_rows, first_at = _patches(SIDE, self.f0, self.a)
         calls = self.counted(monkeypatch)
-        again = _patches(memo, SIDE, self.f0, self.a[::-1])
-        assert calls == []
-        assert_bit_equal(again, first[::-1])
+        rows, at = _patches(SIDE, self.f0, self.a[::-1])
+        (call,) = calls
+        assert len(call) == len(self.distinct(self.a))
+        assert_bit_equal(rows, first_rows)
+        assert_bit_equal(rows[at], first_rows[first_at][::-1])
 
     def test_box_with_no_overlap_raises(self):
-        memo = {}
-        _patches(memo, SIDE, self.f0, self.a)
-        before = dict(memo)
+        before = _patches(SIDE, self.f0, self.a)
         off = np.array([[-100.0, -100.0, 10.0, 10.0]])
         with pytest.raises(OutOfViewError):
-            _patches(memo, SIDE, self.f0, np.concatenate([self.n, off]))
-        assert memo.keys() == before.keys()
-        assert all(memo[k] is v for k, v in before.items())
+            _patches(SIDE, self.f0, np.concatenate([self.n, off]))
+        # and leaves nothing behind that a later call sees
+        after = _patches(SIDE, self.f0, self.a)
+        assert_bit_equal(after[0], before[0])
+        assert_bit_equal(after[1], before[1])
 
     def twin_draw(self, seed, anchor, pair, steps=1):
         """The boxes that `steps` draws of one sampler with this seed use,
@@ -815,18 +861,12 @@ class TestCropPools:
         for seed in range(3):
             calls.clear()
             if layout == "first frame":
-                # three steps, in one window: every negative they use, in
-                # order, in one call, then each step's positives not cropped
-                # by an earlier step
+                # three steps, in one window: every box they use, each
+                # distinct one once, in one call
                 list(_first_frame_batches(Sampler(SamplerConfig(seed=seed)), SIDE, 16, first, 3))
                 draws = self.twin_draw(seed, anchor, pair, steps=3)
-                assert_bit_equal(calls.pop(0), np.concatenate([n for _, _, n in draws]))
-                want, seen = [], set()
-                for a, b, _ in draws:
-                    new = self.distinct(a, b) - seen
-                    want += [new] if new else []
-                    seen |= new
-                assert len(seen) <= 24
+                want = [self.distinct(*(boxes for draw in draws for boxes in draw))]
+                assert len(self.distinct(*(a for a, _, _ in draws))) <= 24
             else:
                 _draw_triplets(Sampler(SamplerConfig(seed=seed)), SIDE, 16, anchor, pair, paired)
                 ((a, b, n),) = self.twin_draw(seed, anchor, pair)
@@ -855,19 +895,12 @@ class TestCropPools:
             else:
                 assert got.b is None
 
-    def test_first_frame_memo_matches_cropping_every_drawn_box(self, monkeypatch):
-        import slowtrack.train as train_mod
-
-        cropped = []
-
-        def recording(image, boxes, side):
-            cropped.append(np.array(boxes))
-            return crop_many(image, boxes, side)
-
-        monkeypatch.setattr(train_mod, "crop_many", recording)
+    def test_first_frame_batches_match_cropping_every_drawn_box(self, monkeypatch):
+        cropped = self.counted(monkeypatch)
         first = (self.f0, self.gt0)
         # two windows of 16 triplets a step, and three steps of a third
-        steps = 2 * (DRAW_AHEAD_ROWS // 16) + 3
+        W = DRAW_AHEAD_ROWS // 16
+        steps = 2 * W + 3
         for seed in range(3):
             cropped.clear()
             sampler = Sampler(SamplerConfig(seed=seed))
@@ -879,15 +912,16 @@ class TestCropPools:
                 assert_bit_equal(batch.a, a)
                 assert_bit_equal(batch.b, b)
                 assert_bit_equal(batch.n, n)
-            # Positives keep gt's size, negatives are rescaled: each distinct
-            # positive was cropped once, the negatives once per window.
+            # one call per window, each distinct box its steps use once;
+            # positives keep gt's size, at most 24 shifts of it a window
+            draws = self.twin_draw(seed, first, first, steps=steps)
+            windows = [draws[:W], draws[W : 2 * W], draws[2 * W :]]
+            assert len(cropped) == len(windows)
             gt_size = np.array([self.gt0.w, self.gt0.h])
-            positive = [(b[:, 2:] == gt_size).all() for b in cropped]
-            pos_rows = np.concatenate([b for b, p in zip(cropped, positive) if p])
-            assert len(pos_rows) == len(np.unique(pos_rows, axis=0)) <= 24
-            assert positive.count(False) == 3
-            for boxes, p in zip(cropped, positive):
-                assert p or not (boxes[:, 2:] == gt_size).all(axis=1).any()
+            for call, window in zip(cropped, windows):
+                want = self.distinct(*(boxes for draw in window for boxes in draw))
+                assert len(call) == len(want) and self.distinct(call) == want
+                assert (call[:, 2:] == gt_size).all(axis=1).sum() <= 24
 
 
 class TestFinetuneInitial:
@@ -990,8 +1024,8 @@ class TestFinetuneInitial:
 
 class TestDrawAhead:
     """finetune_initial draws a window of steps ahead, in the order and
-    with the arguments of one draw per step, and crops the window's
-    negatives in one crop_many call."""
+    with the arguments of one draw per step, and crops the window's boxes
+    in one crop_many call."""
 
     # steps of a window at 16 triplets a step; a finetune of two windows
     # and three steps of a third
@@ -1030,7 +1064,7 @@ class TestDrawAhead:
         monkeypatch.setattr(train_module, "optimizer_step", step)
         return done
 
-    def test_one_negative_crop_per_window_and_one_draw_per_step(self, monkeypatch):
+    def test_one_crop_per_window_and_one_draw_per_step(self, monkeypatch):
         done = self.steps(monkeypatch)
         draws, crops = [], []
         real_triplets = Sampler.build_triplets
@@ -1040,8 +1074,7 @@ class TestDrawAhead:
             return real_triplets(sampler, *args)
 
         def recording(image, boxes, side):
-            negative = not (boxes[:, 2:] == [self.gt.w, self.gt.h]).all()
-            crops.append((len(done), np.array(boxes) if negative else None))
+            crops.append((len(done), np.array(boxes)))
             return crop_many(image, boxes, side)
 
         monkeypatch.setattr(Sampler, "build_triplets", triplets)
@@ -1050,19 +1083,22 @@ class TestDrawAhead:
         # each window drawn before its first step, and no step more
         W = self.W
         assert draws == [0] * W + [W] * W + [2 * W] * 3
-        # one call per window, with every negative its steps use
+        # ceil(steps / window) calls, each with every box its window's
+        # steps use, once each
         sampler, (w, h) = Sampler(SamplerConfig(seed=4)), (self.frame.width, self.frame.height)
         used = []
         for _ in range(self.STEPS):
             a = sampler.positive_rows(self.gt, w, h)
             b = sampler.positive_rows(self.gt, w, h)
             n = sampler.negative_rows(self.gt, w, h)
-            used.append(n[real_triplets(sampler, len(a), len(b), len(n), 16)[2]])
+            js, ks, ls = real_triplets(sampler, len(a), len(b), len(n), 16)
+            used.append(np.concatenate([a[js], b[ks], n[ls]]))
         windows = [used[:W], used[W : 2 * W], used[2 * W :]]
-        negative_crops = [(at, boxes) for at, boxes in crops if boxes is not None]
-        assert [at for at, _ in negative_crops] == [0, W, 2 * W]
-        for (_, boxes), steps in zip(negative_crops, windows):
-            assert_bit_equal(boxes, np.concatenate(steps))
+        assert [at for at, _ in crops] == [0, W, 2 * W]
+        for (_, boxes), steps in zip(crops, windows):
+            want = np.unique(np.concatenate(steps), axis=0)
+            assert_bit_equal(np.unique(boxes, axis=0), want)
+            assert len(boxes) == len(want)
 
     def test_matches_drawing_each_step(self):
         ref = self.run(self.reference)
