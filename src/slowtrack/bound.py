@@ -198,11 +198,13 @@ def _binomial_slack(level: float, trials: int) -> float:
 def _trial_blocks(trials: int, m: int, n: int):
     """One (run, m, n) float64 block of at most _BLOCK_ELEMS elements (at
     least one trial), allocated once; yields its first k trials as a view
-    for each consecutive run of k trials, so a run refills the block."""
+    for each consecutive run of k trials, so a run refills the block.
+    Fewer than one trial raises ConfigError here, at the call."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     run = min(trials, max(1, _BLOCK_ELEMS // (m * n)))
     block = np.empty((run, m, n))
-    for done in range(0, trials, run):
-        yield block[: min(run, trials - done)]
+    return (block[: min(run, trials - done)] for done in range(0, trials, run))
 
 
 def verify_chebyshev(
@@ -210,7 +212,6 @@ def verify_chebyshev(
     noise: str = "gaussian",
     trials: int = TRIALS,
     seed: int = 0,
-    label: str | None = None,
 ) -> BoundReport:
     """Estimate how often any per-dimension sample mean strays from the
     truth by delta or more; the rate must stay at or below rho.
@@ -219,8 +220,6 @@ def verify_chebyshev(
     averages them per dimension, and is flagged if any dimension's mean
     misses by >= delta.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     n, m = params.n, params.m
     flagged = 0
@@ -232,7 +231,7 @@ def verify_chebyshev(
     violation = flagged / trials
     slack = _binomial_slack(level, trials)
     return BoundReport(
-        label=label or f"chebyshev-{noise}",
+        label=f"chebyshev-{noise}",
         trials=trials,
         rho=level,
         violation_rate=violation,
@@ -316,8 +315,6 @@ def verify_error_bound(
     the module docstring), so a pass there carries no information; at
     n = 1 the verifier can fail.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
     n, m = params.n, params.m
     truth_next = np.asarray(scenario.drift, dtype=float)
     if truth_next.shape != (n,):
@@ -329,9 +326,7 @@ def verify_error_bound(
             f"largest is {np.abs(truth_next).max()}"
         )
     if scenario.predictor not in PREDICTORS:
-        raise ConfigError(
-            f"unknown predictor {scenario.predictor!r}; pick one of {PREDICTORS}"
-        )
+        raise ConfigError(f"unknown predictor {scenario.predictor!r}; pick one of {PREDICTORS}")
     if scenario.predictor_scale < 0:
         raise ConfigError("predictor_scale must be >= 0")
 

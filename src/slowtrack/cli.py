@@ -50,8 +50,8 @@ from .evaluate import (
 from .loss import VARIANTS, LossWeights
 from .net import FD_TOL, conditioned_batch, finite_diff_check, init_model, load_model, save_model
 from .sampler import SamplerConfig
-from .tracker import TrackerConfig, read_results, track_sequence, write_results
-from .train import TrainConfig, _sequence_side, train_offline, write_trace
+from .tracker import TrackerConfig, check_sequence, read_results, track_sequence, write_results
+from .train import TrainConfig, train_offline, write_trace
 
 log = logging.getLogger(__name__)
 
@@ -307,7 +307,7 @@ def cmd_ablate(args) -> int:
     rows = []
     # Every variant's config and the tracked sequence are checked before any trains.
     model = init_model(net_cfg.dims, seed=net_cfg.seed)
-    _sequence_side(model, track_seq)
+    check_sequence(model, track_seq)
     for tc in [replace(base_tc, variant=v) for v in VARIANTS]:
         trained, trace = train_offline(corpus, model, tc, sampler, weights)
         vdir = args.out / tc.variant

@@ -138,12 +138,10 @@ def settable_fields(dc_type) -> dict[str, object]:
     }
 
 
-def check_known_sections(
-    sections: dict[str, dict[str, str]], known: set[str], source: str = "config"
-) -> None:
+def check_known_sections(sections: dict[str, dict[str, str]], known: set[str]) -> None:
     extra = set(sections) - known
     if extra:
         raise ConfigError(
-            f"{source}: unknown section(s) {sorted(extra)}; "
+            f"config: unknown section(s) {sorted(extra)}; "
             f"this command reads {sorted(known)}"
         )

@@ -37,7 +37,8 @@ from .geometry import (
 from .loss import LossWeights
 from .net import Model, forward_classifier, forward_features, forward_margins
 from .sampler import Sampler, SamplerConfig
-from .train import StepConfig, _patch_side, finetune_initial, finetune_update
+from .train import StepConfig, _check_first_box, _patch_side, _sequence_side
+from .train import finetune_initial, finetune_update
 
 log = logging.getLogger(__name__)
 
@@ -79,13 +80,9 @@ class TrackerConfig:
         if self.m < 1:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         if not 1 <= self.top_k <= self.m:
-            raise ConfigError(
-                f"top_k must lie in [1, m={self.m}], got {self.top_k}"
-            )
+            raise ConfigError(f"top_k must lie in [1, m={self.m}], got {self.top_k}")
         if self.update_period < 1:
-            raise ConfigError(
-                f"update_period must be >= 1, got {self.update_period}"
-            )
+            raise ConfigError(f"update_period must be >= 1, got {self.update_period}")
 
 
 @dataclass
@@ -235,6 +232,17 @@ def track_frame(
     return pred, score, top
 
 
+def check_sequence(model: Model, sequence: Sequence) -> None:
+    """What track_sequence needs before frame 2, checked without training:
+    _sequence_side, and finetune_initial's visible first-frame box.
+    Raises ConfigError naming the sequence."""
+    _sequence_side(model, sequence)
+    try:
+        _check_first_box(sequence.frames[0], sequence.groundtruth[0])
+    except ConfigError as exc:
+        raise ConfigError(f"sequence {sequence.name!r}: {exc}") from None
+
+
 def track_sequence(
     model: Model,
     sequence: Sequence,
@@ -248,13 +256,10 @@ def track_sequence(
     Tracking never aborts mid-sequence: once frame 2 is reached, a
     frame that fails carries the previous box forward, and an update
     that raises SamplerExhausted or NumericalError is dropped; both are
-    logged. The first-frame finetune runs before that and is not
-    covered: its SamplerExhausted or NumericalError propagates, and no
-    record is returned."""
-    if sequence.T < 2:
-        raise ConfigError(
-            f"sequence {sequence.name!r} has {sequence.T} frame(s); need >= 2"
-        )
+    logged. Before that, check_sequence raises ConfigError, and the
+    first-frame finetune's SamplerExhausted or NumericalError
+    propagates; no record is returned."""
+    check_sequence(model, sequence)
     first = sequence.frames[0]
     fw, fh = first.width, first.height
     model = finetune_initial(
@@ -271,9 +276,7 @@ def track_sequence(
         except (SamplerExhausted, NumericalError) as exc:
             log.warning("frame %d: %s; carrying previous box", t, exc)
             pred, score = prev, math.nan
-        updated = (
-            t % config.update_period == 0 and score > config.update_score_threshold
-        )
+        updated = t % config.update_period == 0 and score > config.update_score_threshold
         if updated:
             # A per-frame seed keeps update draws independent of each
             # other while leaving the candidate stream untouched.

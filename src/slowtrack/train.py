@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import Frame, Sequence
 from .errors import ConfigError, NumericalError, SamplerExhausted, write_rows
 from .geometry import BBox, crop_many, on_frame, usable
-from .loss import VARIANTS, LossWeights, uses_pair
+from .loss import LossWeights, uses_pair
 from .net import (
     CLASSIFIER_PARAMS,
     FEATURE_PARAMS,
@@ -79,8 +79,7 @@ class TrainConfig(StepConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        uses_pair(self.variant)  # raises ConfigError for an unknown variant
         if self.variant == "tarspec" and self.classifier_only:
             raise ConfigError(
                 "variant 'tarspec' freezes the classifier and classifier_only the "
@@ -184,23 +183,29 @@ def _patch_side(model: Model, frame: Frame) -> int:
     channels = frame.pixels.shape[2] if frame.pixels.ndim == 3 else 1
     r = model.dims[0]
     if r % channels:
-        raise ConfigError(
-            f"model input size {r} is not divisible by {channels} channels"
-        )
+        raise ConfigError(f"model input size {r} is not divisible by {channels} channels")
     side = math.isqrt(r // channels)
     if side * side * channels != r:
-        raise ConfigError(
-            f"model input size {r} with {channels} channels is not a square patch"
-        )
+        raise ConfigError(f"model input size {r} with {channels} channels is not a square patch")
     return side
 
 
 def _sequence_side(model: Model, seq: Sequence) -> int:
-    """_patch_side of seq's frames, which share one shape, naming seq."""
+    """_patch_side of seq's frames, which share one shape, after the one
+    check that seq has a frame pair. Raises ConfigError naming seq."""
+    if seq.T < 2:
+        raise ConfigError(f"sequence {seq.name!r} has {seq.T} frame(s); need >= 2")
     try:
         return _patch_side(model, seq.frames[0])
     except ConfigError as exc:
         raise ConfigError(f"sequence {seq.name!r}: {exc}") from None
+
+
+def _check_first_box(frame: Frame, gt: BBox) -> None:
+    """Raises ConfigError unless gt, the box the first-frame finetune
+    draws around, is usable and overlaps frame."""
+    if not (usable([gt]) & on_frame([gt], frame.width, frame.height))[0]:
+        raise ConfigError(f"first-frame ground truth {gt} is not a visible box")
 
 
 def _patches(side: int, frame: Frame, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,14 +388,11 @@ def train_offline(
     """Joint offline training: each step samples a consecutive frame pair
     from a random sequence, draws positives/negatives, and applies one
     optimizer step on the batch-mean combined loss. Returns a trained
-    copy of the model and the per-step loss trace. A sequence the model
-    cannot take raises ConfigError before any step. SamplerExhausted
+    copy of the model and the per-step loss trace. A sequence
+    _sequence_side rejects raises ConfigError before any step. SamplerExhausted
     names the sequence and the pair's first frame, numbered from 1."""
     if not sequences:
         raise ConfigError("train_offline needs at least one sequence")
-    for seq in sequences:
-        if seq.T < 2:
-            raise ConfigError(f"sequence {seq.name!r} has fewer than 2 frames")
     sides = [_sequence_side(model, seq) for seq in sequences]
 
     tc = train_config
@@ -436,8 +438,7 @@ def finetune_initial(
 ) -> Model:
     """First-frame finetuning: same-frame positive pairs (two positive
     pools), negatives from the usual IoU window, full combined loss."""
-    if not (usable([gt]) & on_frame([gt], frame.width, frame.height))[0]:
-        raise ConfigError(f"first-frame ground truth {gt} is not a visible box")
+    _check_first_box(frame, gt)
     batches = _first_frame_batches(
         Sampler(sampler_config), _patch_side(model, frame), train_config.batch_size,
         (frame, gt), train_config.iterations,

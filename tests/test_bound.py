@@ -193,7 +193,6 @@ class TestVerifyChebyshev:
     def test_bad_trials_rejected(self):
         with pytest.raises(ConfigError):
             verify_chebyshev(BoundParams(), trials=0)
-
     def test_deterministic_given_seed(self):
         a = verify_chebyshev(BoundParams(), trials=800, seed=7)
         b = verify_chebyshev(BoundParams(), trials=800, seed=7)
@@ -265,6 +264,11 @@ class TestStreamedBlocks:
     size must change no report."""
 
     TRIALS = 3001
+
+    def test_no_trials_raise_at_the_call(self):
+        # the one function that splits trials owns the rule
+        with pytest.raises(ConfigError, match="trials must be >= 1, got 0"):
+            bound._trial_blocks(0, 100, 4)
 
     def _reports(self, params):
         reports = [

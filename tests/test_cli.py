@@ -5,8 +5,10 @@ on tiny settings; individual tests then assert on the artifacts, exit
 codes, and determinism guarantees.
 """
 
+import ast
 import logging
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from slowtrack.cli import NetConfig, _tracker_config, build_parser, derive_seed,
 from slowtrack.config import parse_config_text, settable_fields, split_sections
 from slowtrack import cli
 from slowtrack.dataset import SynthSpec, _write_netpbm, generate, load_sequence, save_sequence
+from slowtrack.geometry import BBox
 from slowtrack.loss import VARIANTS, LossWeights
 from slowtrack.net import load_model
 from slowtrack.sampler import SamplerConfig
@@ -718,6 +721,48 @@ class TestAblate:
         assert trained == []
         assert not (out / "full").exists()
 
+    @pytest.mark.parametrize("name, T, first_box, message", [
+        ("one", 1, None, "sequence 'one' has 1 frame(s); need >= 2"),
+        ("off", 4, BBox(-100.0, -100.0, 10.0, 10.0),
+         "sequence 'off': first-frame ground truth BBox(x=-100.0, y=-100.0, w=10.0, h=10.0) "
+         "is not a visible box"),
+    ])
+    def test_track_sequence_it_cannot_track_exits_one_before_training(
+        self, pipeline, tmp_path, caplog, monkeypatch, name, T, first_box, message
+    ):
+        seq = generate(SynthSpec(T=T))
+        if first_box is not None:
+            seq.groundtruth[0] = first_box
+        save_sequence(seq, tmp_path / name)
+        trained = []
+        monkeypatch.setattr(cli, "train_offline", lambda *args: trained.append(args))
+        out = tmp_path / "abl"
+        with caplog.at_level(logging.ERROR):
+            rc = run(
+                "ablate", pipeline / "seq-a", "--track", tmp_path / name,
+                "--config", pipeline / "train.cfg", "--out", out,
+            )
+        assert rc == 1
+        assert message in caplog.text
+        assert trained == []
+        assert not (out / "full").exists()
+
+
+def test_train_track_and_ablate_say_one_frame_alike(pipeline, tmp_path, caplog):
+    save_sequence(generate(SynthSpec(T=1)), tmp_path / "one")
+    one = tmp_path / "one"
+    commands = {
+        "train": ("train", one, "--config", pipeline / "train.cfg"),
+        "track": ("track", one, "--model", pipeline / "run" / "model.txt"),
+        "ablate": ("ablate", pipeline / "seq-a", "--track", one, "--config", pipeline / "train.cfg"),
+    }
+    for command, argv in commands.items():
+        caplog.clear()
+        with caplog.at_level(logging.ERROR):
+            assert run(*argv, "--out", tmp_path / command) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["sequence 'one' has 1 frame(s); need >= 2"], command
+
 
 def _subparsers():
     parser = build_parser()
@@ -932,3 +977,113 @@ class TestEveryFieldChangesOutput:
             assert f"{section}.bogus: unknown key" in caplog.text
         else:
             assert "unknown section" in caplog.text
+
+
+# --- guard: every parameter default is a knob some program sets --------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Parameters with a default that no program passes, each with the test
+# that sets it and why the parameter stays.
+SET_ONLY_BY_TESTS = {
+    "net.conditioned_batch(max_tries)": (
+        "test_net.py::TestConditionedBatch::test_nan_rejects_the_batch",
+        "a model that never yields a batch fails in a few tries",
+    ),
+    "tracker.crop_candidates(dtype)": (
+        "test_tracker.py::TestScaleLadder::test_ladder_patches_equal_per_box_crops_of_snapped_boxes",
+        "the ladder's float64 patches are checked against crop_many's",
+    ),
+    "loss.loss_d(beta)": (
+        "test_loss.py::TestLossD::test_beta_sharpens",
+        "the paper's beta, pinned by the term's closed form",
+    ),
+    "loss.loss_s(p_floor)": (
+        "test_loss.py::TestLossS::test_worst_case_is_finite",
+        "the clamp that keeps the log finite at p = 0",
+    ),
+    "bound.standard_scenario(noise)": (
+        "test_bound.py::TestStreamedBlocks::test_block_size_changes_no_report",
+        "the error-bound verifier under each noise generator",
+    ),
+}
+
+
+def _defaulted_parameters():
+    """{"module.function(parameter)": (function name, positional index
+    or None)} for every parameter with a default of every function in
+    src/slowtrack, methods and nested functions too. The index counts
+    the arguments a call passes, so it skips a method's self and
+    __init__ goes by its class's name."""
+    found = {}
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, scope + [child.name])
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                method = isinstance(node, ast.ClassDef)
+                name = scope[-1] if child.name == "__init__" else child.name
+                where = ".".join([module, *scope, child.name])
+                for i in range(len(positional) - len(args.defaults), len(positional)):
+                    found[f"{where}({positional[i].arg})"] = (name, i - method)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found[f"{where}({arg.arg})"] = (name, None)
+                visit(child, module, scope + [child.name])
+            else:
+                visit(child, module, scope)
+
+    for path in sorted((ROOT / "src" / "slowtrack").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+    return found
+
+
+def _program_calls():
+    """Every call in src/, scripts/ and perfbench/ outside the tests, by
+    the name it calls (a numpy call is none of ours)."""
+    calls = {}
+    for top in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls.setdefault(func.id, []).append(node)
+                elif isinstance(func, ast.Attribute) and not (
+                    isinstance(func.value, ast.Name) and func.value.id == "np"
+                ):
+                    calls.setdefault(func.attr, []).append(node)
+    return calls
+
+
+def _passes(call, parameter, index):
+    if any(k.arg in (parameter, None) for k in call.keywords):  # None: **mapping
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+class TestEveryDefaultIsSet:
+    def test_some_program_passes_every_defaulted_parameter(self):
+        calls = _program_calls()
+        unset = {
+            key
+            for key, (name, index) in _defaulted_parameters().items()
+            if not any(_passes(c, key[key.index("(") + 1 : -1], index) for c in calls.get(name, []))
+        }
+        assert unset - set(SET_ONLY_BY_TESTS) == set(), "drop them, or allowlist them"
+        assert set(SET_ONLY_BY_TESTS) - unset == set(), "a program sets these now"
+
+    def test_allowlist_names_tests_that_exist(self):
+        for test, why in SET_ONLY_BY_TESTS.values():
+            file, cls, name = test.split("::")
+            text = (ROOT / "tests" / file).read_text(encoding="utf-8")
+            assert f"class {cls}" in text and f"def {name}(" in text, test
+            assert why

@@ -120,7 +120,7 @@ ROWS = [
     ),
     pytest.param(
         lambda tmp: _sequence_side(
-            init_model((64, 8, 4, 4, 3, 2), seed=0), generate(SynthSpec(T=1, rgb=True))
+            init_model((64, 8, 4, 4, 3, 2), seed=0), generate(SynthSpec(T=2, rgb=True))
         ),
         ConfigError, "sequence 'synth-0': model input size 64 is not divisible",
         id="sequence-patch-channels",
@@ -269,11 +269,8 @@ TRIGGERED_BY = {
         "test_bound.py::TestNoiseGenerators::test_negative_variance_rejected",
         "test_bound.py::TestNoiseGenerators::test_unknown_generator_rejected",
     ),
-    "bound.verify_chebyshev": (
-        "test_bound.py::TestVerifyChebyshev::test_bad_trials_rejected",
-    ),
+    "bound._trial_blocks": ("bound-trials",),
     "bound.verify_error_bound": (
-        "bound-trials",
         "test_bound.py::TestVerifyErrorBound::test_wrong_shape_rejected",
         "test_bound.py::TestVerifyErrorBound::test_drift_over_cap_rejected",
         "test_bound.py::TestVerifyErrorBound::test_unknown_predictor_rejected",
@@ -439,8 +436,8 @@ TRIGGERED_BY = {
     "tracker.track_frame": (
         "test_tracker.py::TestTrackFrame::test_degenerate_previous_box_rejected",
     ),
-    "tracker.track_sequence": (
-        "test_tracker.py::TestTrackSequence::test_single_frame_sequence_rejected",
+    "tracker.check_sequence": (
+        "test_tracker.py::TestTrackSequence::test_invisible_first_box_rejected_naming_the_sequence",
     ),
     "tracker.read_results": (
         "test_tracker.py::TestResultsCsv::test_bad_header_rejected",
@@ -456,28 +453,27 @@ TRIGGERED_BY = {
         "test_train.py::TestTrainConfig::test_rejects_bad_values",
         "test_train.py::TestTrainConfig::test_rejects_bad_values",
     ),
-    "train.TrainConfig.__post_init__": (
-        "test_train.py::TestTrainConfig::test_rejects_bad_values",
-        "test_train.py::TestTrainConfig::test_rejects_bad_values",
-    ),
+    "train.TrainConfig.__post_init__": ("test_train.py::TestTrainConfig::test_rejects_bad_values",),
     "train.optimizer_step": ("test_train.py::TestOptimizerStep::test_shape_mismatch_rejected",),
     "train._patch_side": (
         "patch-channels",
         "test_train.py::TestFinetuneInitial::test_rejects_non_square_input_size",
     ),
-    "train._sequence_side": ("sequence-patch-channels",),
+    "train._sequence_side": (
+        "test_tracker.py::TestTrackSequence::test_single_frame_sequence_rejected",
+        "sequence-patch-channels",
+    ),
+    "train._check_first_box": ("test_train.py::TestFinetuneInitial::test_rejects_invisible_box",),
     "train._first_frame_batches": (
         "test_train.py::TestDrawAhead::test_exhaustion_surfaces_at_the_step_whose_draw_failed",
     ),
     "train.train_offline": (
         "test_train.py::TestTrainOffline::test_requires_sequences",
-        "test_train.py::TestTrainOffline::test_rejects_single_frame_sequence",
         "test_train.py::TestTrainOffline::test_rejects_fully_occluded_corpus",
     ),
     "train.train_offline.draw": (
         "test_train.py::TestTrainOffline::test_exhaustion_names_sequence_and_frame",
     ),
-    "train.finetune_initial": ("test_train.py::TestFinetuneInitial::test_rejects_invisible_box",),
     "train.finetune_update": (
         "test_train.py::TestFinetuneUpdate::test_wrecked_finite_update_raises",
     ),

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slowtrack.dataset import SynthSpec, generate
+from slowtrack import tracker as tracker_module
+from slowtrack.dataset import Sequence, SynthSpec, generate
 from slowtrack.errors import (
     ConfigError,
     FormatError,
@@ -399,12 +400,30 @@ class TestTrackSequence:
         assert not records[0].updated  # 2 mod 5 != 0
 
     def test_single_frame_sequence_rejected(self, trained_model):
+        # one frame-count rule: training says the same thing
         seq = generate(SynthSpec(T=2, seed=3))
-        from slowtrack.dataset import Sequence
-
         stub = Sequence("stub", seq.frames[:1], seq.groundtruth[:1])
-        with pytest.raises(ConfigError, match=">= 2"):
+        with pytest.raises(ConfigError) as tracked:
             track_sequence(trained_model, stub, TrackerConfig())
+        with pytest.raises(ConfigError) as trained:
+            train_offline([stub], trained_model, TrainConfig(), SamplerConfig())
+        assert str(tracked.value) == str(trained.value)
+        assert str(tracked.value) == "sequence 'stub' has 1 frame(s); need >= 2"
+
+    def test_invisible_first_box_rejected_naming_the_sequence(self, trained_model, monkeypatch):
+        seq = generate(SynthSpec(T=3, seed=3))
+        seq.groundtruth[0] = BBox(-100.0, -100.0, 10.0, 10.0)
+
+        def no_finetune(*args):
+            raise AssertionError("finetune_initial was called")
+
+        monkeypatch.setattr(tracker_module, "finetune_initial", no_finetune)
+        with pytest.raises(ConfigError) as info:
+            track_sequence(trained_model, seq, TrackerConfig())
+        assert str(info.value) == (
+            f"sequence {seq.name!r}: first-frame ground truth {seq.groundtruth[0]} "
+            "is not a visible box"
+        )
 
     def test_unreachable_threshold_never_updates(self, easy_sequence, trained_model):
         cfg = TrackerConfig(

@@ -208,8 +208,9 @@ class TestTrainOffline:
     def test_rejects_single_frame_sequence(self, corpus):
         seq = corpus[0]
         stub = Sequence("stub", seq.frames[:1], seq.groundtruth[:1])
-        with pytest.raises(ConfigError, match="fewer than 2"):
+        with pytest.raises(ConfigError) as info:
             train_offline([stub], init_model(DIMS, seed=0), TrainConfig(), SamplerConfig())
+        assert str(info.value) == "sequence 'stub' has 1 frame(s); need >= 2"
 
     def test_rejects_fully_occluded_corpus(self, corpus):
         seq = corpus[0]
